@@ -371,7 +371,6 @@ def main(argv=None) -> int:
         outdir = Path(cfg["run"]["output_dir"])
         outdir.mkdir(parents=True, exist_ok=True)
         label = cfg["run"]["label"]
-        np.random.seed(cfg.seed)  # reserved for randomized corpora; commands are deterministic
         return COMMANDS[args.command](cfg, outdir, label)
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

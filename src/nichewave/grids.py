@@ -65,6 +65,12 @@ class Grid:
     def integrate(self, u: np.ndarray) -> float:
         return float(np.sum(self.weights * u))
 
+    def box_lookup(self, pad: int = 0) -> np.ndarray:
+        """Point index of every box cell, -1 off the grid, with ``pad`` cells of -1 per side."""
+        lookup = np.full(tuple(s + 2 * pad for s in self.box_shape), -1, dtype=np.int64)
+        lookup[tuple((self.box_index + pad).T)] = np.arange(self.size)
+        return lookup
+
     def common_with(self, other: "Grid") -> tuple[np.ndarray, np.ndarray]:
         """Index arrays mapping shared lattice points of self and other.
 
@@ -75,15 +81,12 @@ class Grid:
         shift = (other.radius - self.radius) / self.spacing
         if abs(shift - round(shift)) > 1e-9:
             raise ConfigError("grid radii differ by a non-integer cell count")
-        offset = round(shift)
-        lookup = {tuple(ix): j for j, ix in enumerate(other.box_index)}
-        idx_self, idx_other = [], []
-        for i, ix in enumerate(self.box_index):
-            j = lookup.get(tuple(ix + offset))
-            if j is not None:
-                idx_self.append(i)
-                idx_other.append(j)
-        return np.asarray(idx_self, dtype=int), np.asarray(idx_other, dtype=int)
+        target = self.box_index + round(shift)
+        inside = np.all((target >= 0) & (target < other.cells_per_axis), axis=1)
+        matched = np.full(self.size, -1, dtype=np.int64)
+        matched[inside] = other.box_lookup()[tuple(target[inside].T)]
+        idx_self = np.flatnonzero(matched >= 0)
+        return idx_self, matched[idx_self]
 
 
 def build_grid(

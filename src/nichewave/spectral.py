@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import (
@@ -84,25 +83,16 @@ def _certified_iteration(op, tol, maxiter, estimator, start, warm_after=40, best
     contract); 'rayleigh' uses the weighted Rayleigh quotient as the upper
     (variational) side of the lambda_v contract.
 
-    The matvec uses the dense kernel matrix whenever it fits the operator's
-    dense limit: its summands are nonnegative, so quotients keep per-entry
-    relative accuracy even on steeply decaying eigenvector tails, which the
-    FFT path (absolute error ~1e-16 ||u||) cannot certify.
+    The matvec is the operator's CSR stencil matrix B = A + cI: every
+    summand is a nonnegative entry times a positive vector entry, so the
+    quotients keep per-entry relative accuracy even on steeply decaying
+    eigenvector tails, which the FFT path (absolute error ~1e-16 ||u||)
+    cannot certify.
     """
     _check_irreducible(op)
     n = op.size
     c = _shift_constant(op)
-    include_growth = op.a_values is not None
-
-    bmat = None
-    if n <= op.dense_limit:
-        A = op.matrix() if include_growth else op.rate * (op.conv_matrix() - np.eye(n))
-        bmat = A + c * np.eye(n)
-
-    def bmatvec(v):
-        if bmat is not None:
-            return bmat @ v
-        return op.apply(v, include_growth=include_growth) + c * v
+    bmat = op.matrix(shift=c)
 
     phi = np.ones(n) if start is None else np.maximum(np.asarray(start, dtype=float), _POSITIVE_FLOOR)
     phi = phi / np.max(phi)
@@ -115,7 +105,7 @@ def _certified_iteration(op, tol, maxiter, estimator, start, warm_after=40, best
     converged = False
     while iterations < maxiter:
         iterations += 1
-        bphi = bmatvec(phi)
+        bphi = bmat @ phi
         q = bphi / phi
         cw_lo, cw_hi = float(np.min(q)), float(np.max(q))
         lower = c - cw_hi
@@ -137,7 +127,7 @@ def _certified_iteration(op, tol, maxiter, estimator, start, warm_after=40, best
         if not warmed and (iterations >= warm_after or stalled >= 15):
             warmed = True
             stalled = 0
-            vec, degenerate = _warm_start_vector(op, c, phi, bmat)
+            vec, degenerate = _warm_start_vector(bmat, phi)
             if vec is not None:
                 phi = np.maximum(vec, _POSITIVE_FLOOR)
                 phi = phi / np.max(phi)
@@ -150,7 +140,7 @@ def _certified_iteration(op, tol, maxiter, estimator, start, warm_after=40, best
         )
 
     phi = phi / np.max(phi)
-    a_phi = bmatvec(phi) - c * phi
+    a_phi = bmat @ phi - c * phi
     rq_a = float(phi @ (op.grid.weights * a_phi)) / float(phi @ (op.grid.weights * phi))
     value = float(np.clip(-rq_a, best[0], best[1]))
     residual = float(np.max(np.abs(a_phi + value * phi)))
@@ -172,24 +162,16 @@ def _certified_iteration(op, tol, maxiter, estimator, start, warm_after=40, best
     )
 
 
-def _warm_start_vector(op, c, phi, bmat=None):
+def _warm_start_vector(bmat, phi):
     """Dominant eigenvector of B for slow instances; flags tiny spectral gaps."""
-    n = op.size
-    include_growth = op.a_values is not None
+    n = bmat.shape[0]
     try:
-        if bmat is not None and n <= 900:
-            vals, vecs = np.linalg.eigh(bmat)  # symmetric: weights are uniform
+        if n <= 900:
+            vals, vecs = np.linalg.eigh(bmat.toarray())  # symmetric: weights are uniform
             gap = vals[-1] - vals[-2] if n > 1 else math.inf
             return np.abs(vecs[:, -1]), bool(gap < DEGENERACY_GAP)
 
-        if bmat is not None:
-            mv = bmat.__matmul__
-        else:
-            def mv(v):
-                return op.apply(v, include_growth=include_growth) + c * v
-
-        linop = scipy.sparse.linalg.LinearOperator((n, n), matvec=mv, dtype=float)
-        vals, vecs = scipy.sparse.linalg.eigsh(linop, k=2, which="LA", v0=phi, tol=1e-12, maxiter=5000)
+        vals, vecs = scipy.sparse.linalg.eigsh(bmat, k=2, which="LA", v0=phi, tol=1e-12, maxiter=5000)
         order = np.argsort(vals)
         gap = float(vals[order[-1]] - vals[order[-2]])
         vec = np.abs(vecs[:, order[-1]])
@@ -225,7 +207,7 @@ def rayleigh_lambda_v(op, tol: float = 1e-10, maxiter: int = 600, start=None,
 
 def dense_lambda_p_oracle(op) -> tuple[float, float]:
     """(-max eigenvalue, top spectral gap) from a dense symmetric solve."""
-    S = weighted_symmetrize(op.matrix(), op.grid.weights)
+    S = weighted_symmetrize(op.matrix().toarray(), op.grid.weights)
     vals = np.linalg.eigvalsh(S)
     gap = float(vals[-1] - vals[-2]) if vals.size > 1 else math.inf
     return -float(vals[-1]), gap

@@ -77,6 +77,23 @@ def test_common_with_maps_shared_lattice():
     assert np.allclose(g1.points[i1, 0], g2.points[i2, 0])
 
 
+@pytest.mark.parametrize("dimension, small, big, topology", [
+    (1, 4.0, 6.0, "ball-truncated"),
+    (2, 1.5, 2.5, "ball-truncated"),
+    (2, 2.0, 2.0, "torus"),
+])
+def test_common_with_matches_brute_force(dimension, small, big, topology):
+    g_small = build_grid(dimension, small, 0.25, "ball-truncated")
+    g_big = build_grid(dimension, big, 0.25, topology)
+    for a, b in ((g_small, g_big), (g_big, g_small)):
+        same = np.all(np.abs(a.points[:, None, :] - b.points[None, :, :]) < 1e-9, axis=2)
+        brute_a, brute_b = np.nonzero(same)
+        ia, ib = a.common_with(b)
+        assert np.array_equal(ia, brute_a)
+        assert np.array_equal(ib, brute_b)
+    assert ia.size == g_small.size
+
+
 def test_embed_restrict_roundtrip(rng):
     g = build_grid(2, 2.0, 0.25, "ball-truncated")
     u = rng.random(g.size)

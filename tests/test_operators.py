@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,17 +93,17 @@ class TestAssembly:
         assert np.allclose(A.sum(axis=1), 0.0, atol=1e-14)
 
     def test_weighted_symmetrization(self, ball_op):
-        A = ball_op.matrix()
+        A = ball_op.matrix().toarray()
         S = weighted_symmetrize(A, ball_op.grid.weights)
         assert np.max(np.abs(S - S.T)) < 1e-12
 
     def test_offdiagonal_nonnegative(self, ball_op):
-        A = ball_op.matrix().copy()
+        A = ball_op.matrix().toarray()
         np.fill_diagonal(A, 0.0)
         assert np.all(A >= 0.0)
 
     def test_kernel_part_weighted_symmetry(self, ball_op):
-        C = ball_op.conv_matrix()
+        C = ball_op.conv_matrix().toarray()
         w = ball_op.grid.weights
         assert np.max(np.abs(C / w[None, :] - (C / w[None, :]).T)) < 1e-12
 
@@ -109,10 +111,74 @@ class TestAssembly:
         growth = bump_growth(1.5, 1.0, -0.5)
         grid = build_grid(1, 3.0, 0.25, "ball-truncated")
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), growth)
-        A = op.matrix()
+        A = op.matrix().toarray()
         perm = rng.permutation(grid.size)
         Ap = A[np.ix_(perm, perm)]
         assert np.allclose(np.linalg.eigvalsh(A), np.linalg.eigvalsh(Ap), atol=1e-10)
+
+
+def _dense_reference(op):
+    """C[i, j] straight from op.taps; wrapped offsets are summed in ascending order."""
+    grid, q, N = op.grid, op.reach, op.grid.dimension
+    where = {tuple(ix): j for j, ix in enumerate(grid.box_index)}
+    C = np.zeros((grid.size, grid.size))
+    for i, ix in enumerate(grid.box_index):
+        for d in itertools.product(range(-q, q + 1), repeat=N):
+            target = np.add(ix, d)
+            if grid.topology == "torus":
+                target = target % grid.cells_per_axis
+            j = where.get(tuple(target))
+            if j is not None:
+                C[i, j] += op.taps[tuple(np.add(d, q))]
+    return C * grid.spacing**N
+
+
+# (dimension, R, h, topology, eps); the last two cases have 2q+1 > cells per axis
+ASSEMBLY_CASES = [
+    (1, 2.0, 0.125, "ball-truncated", 0.6),
+    (2, 1.5, 0.25, "ball-truncated", 0.8),
+    (1, 2.0, 0.125, "torus", 0.6),
+    (2, 1.5, 0.25, "torus", 0.6),
+    (1, 0.5, 0.125, "torus", 1.0),
+    (2, 1.0, 0.25, "torus", 1.0),
+]
+
+
+def _assembly_op(dimension, radius, spacing, topology, eps):
+    grid = build_grid(dimension, radius, spacing, topology)
+    kernel = rescale_kernel(Kernel("tent", dimension=dimension), eps, 0.0)
+    return build_operator(grid, kernel, bump_growth(1.5, 1.0, -0.5))
+
+
+class TestSparseAssembly:
+    @pytest.mark.parametrize("case", ASSEMBLY_CASES)
+    def test_conv_matrix_equals_dense_reference(self, case):
+        op = _assembly_op(*case)
+        C = op.conv_matrix()
+        assert C.has_sorted_indices
+        assert np.max(np.abs(C.toarray() - _dense_reference(op))) == 0.0
+
+    @pytest.mark.parametrize("case", ASSEMBLY_CASES)
+    def test_matrix_equals_dense_formula(self, case):
+        op = _assembly_op(*case)
+        C = _dense_reference(op)
+        shift = 2.5
+        dense = op.rate * (C - np.eye(op.size))
+        dense[np.diag_indices(op.size)] += op.a_values
+        dense[np.diag_indices(op.size)] += shift
+        assert np.max(np.abs(op.matrix(shift=shift).toarray() - dense)) == 0.0
+
+    @pytest.mark.parametrize("case", [c for c in ASSEMBLY_CASES if c[3] == "ball-truncated"])
+    def test_nnz_is_in_ball_stencil_count(self, case):
+        op = _assembly_op(*case)
+        q, N = op.reach, op.grid.dimension
+        stencil = [d for d in itertools.product(range(-q, q + 1), repeat=N)
+                   if op.taps[tuple(np.add(d, q))] != 0.0 or not any(d)]
+        on_grid = {tuple(ix) for ix in op.grid.box_index}
+        expected = sum(tuple(np.add(ix, d)) in on_grid
+                       for ix in op.grid.box_index for d in stencil)
+        assert op.conv_matrix().nnz == expected
+        assert op.matrix().nnz == expected
 
 
 class TestIdentities:
@@ -144,7 +210,7 @@ class TestIdentities:
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0))
         u = rng.random(grid.size)
         w = grid.weights
-        C = op.conv_matrix() / w[None, :]  # raw kernel values J(x_i - x_j)
+        C = op.conv_matrix().toarray() / w[None, :]  # raw kernel values J(x_i - x_j)
         diff = u[:, None] - u[None, :]
         brute = 0.5 * np.sum(w[:, None] * w[None, :] * C * diff**2)
         assert op.energy(u) == pytest.approx(brute, rel=1e-12)

@@ -74,6 +74,17 @@ class TestPrincipalEigenvalue:
         # lambda_p = -c < rate - sup a = 1 - c: strict inequality certified
         assert est.eigenfunction_certified is True
 
+    def test_2d_large_grid_certifies_sign(self):
+        # n = 11304: an FFT matvec cannot certify this grid, its bracket
+        # stalls at width 2.8 with sign 'straddle'
+        grid = build_grid(2, 6.0, 0.1, "ball-truncated")
+        kernel = rescale_kernel(Kernel("tent", dimension=2), 0.5, 0.0)
+        op = build_operator(grid, kernel, bump_growth(2.0, 1.0, -1.0))
+        assert (grid.size, op.reach) == (11304, 5)
+        est = principal_eigenvalue(op, tol=1e-10, best_effort=True)
+        assert est.width <= 1e-10
+        assert est.sign == "negative"
+
 
 class TestLambdaV:
     def test_equals_lambda_p(self, ball_op):
