@@ -137,10 +137,11 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     ]
     extra = {}
     if sp["r_schedule"]:
-        res = lambda_p_extrapolate_R(cfg.kernel(), growth, sp["r_schedule"], g["h"],
+        res = lambda_p_extrapolate_R(kernel, growth, sp["r_schedule"], g["h"],
                                      spectral_tol=sp["tol"],
                                      dimension=cfg["kernel"]["dimension"])
-        rows += [_est_row(e, "perron-cw", R, 1.0, 0.0) for R, e in zip(res.radii, res.estimates)]
+        rows += [_est_row(e, "perron-cw", R, kernel.epsilon, kernel.m)
+                 for R, e in zip(res.radii, res.estimates)]
         extra = {"extrapolated": res.final_value, "uncertainty": res.uncertainty,
                  "converged": res.converged}
     write_csv(outdir / f"spectrum-{label}.csv",
@@ -160,7 +161,7 @@ def _solve_stationary(cfg: ExperimentConfig):
     st = cfg["stationary"]
     g = cfg["grid"]
     return solve_stationary_wholespace(
-        cfg.kernel() if cfg["kernel"]["epsilon"] == 1.0 else cfg.scaled_kernel(),
+        cfg.scaled_kernel(),
         cfg.growth(),
         st["r_schedule"],
         g["h"],
@@ -170,6 +171,13 @@ def _solve_stationary(cfg: ExperimentConfig):
         dimension=cfg["kernel"]["dimension"],
         max_cells_per_axis=g["max_cells"],
     )
+
+
+def _r_schedule_record(sol) -> dict:
+    """Whether the R loop met its tolerance, and the last change it saw."""
+    change = sol.R_history[-1][1]
+    return {"r_converged": sol.r_converged,
+            "r_change_final": change if math.isfinite(change) else None}
 
 
 def cmd_stationary(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
@@ -195,6 +203,7 @@ def cmd_stationary(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
         "lambda_upper": sol.lambda_p_used.upper,
         "sup_norm": sol.sup_norm,
         "R_history": [[R, c if math.isfinite(c) else None] for R, c in sol.R_history],
+        **_r_schedule_record(sol),
     })
     print(f"stationary: {sol.verdict}, sup = {sol.sup_norm:.6g}, residual = {sol.residual:.3g}")
     return 0
@@ -222,6 +231,7 @@ def cmd_evolve(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
         "final_dist_l1": verdict.final_dist_l1,
         "monotone_flag": tr.monotone_flag,
         "lambda_sign": sol.lambda_p_used.sign,
+        **_r_schedule_record(sol),
     })
     print(f"evolve: {verdict.verdict}, final sup = {verdict.final_sup:.6g}")
     return 0

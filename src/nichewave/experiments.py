@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import ConfigError, KernelHypothesisError, UnderResolvedKernelError
 from .grids import Grid, build_grid, snap_radius
@@ -28,7 +29,7 @@ from .spectral import (
     local_lambda1_fd,
     principal_eigenvalue,
 )
-from .stationary import BallSolve, solve_stationary_ball
+from .stationary import BallSolve, halved_subsolution, solve_stationary_ball, two_sided_newton
 
 
 @dataclass(frozen=True)
@@ -296,23 +297,20 @@ class LocalKPPResult:
     iterations: int
 
 
-def _fd_rhs(v, a_nodes, growth, nodes, sigma, h):
-    lap = -2.0 * v
-    lap[:-1] += v[1:]
-    lap[1:] += v[:-1]
-    return sigma * lap / (h * h) + growth.f(nodes, v)
-
-
 def local_kpp_solve_fd(
     growth: GrowthProfile,
     sigma: float,
     radius: float,
     spacing: float,
     tol: float = 1e-10,
-    maxiter: int = 2_000_000,
 ) -> LocalKPPResult:
-    """sigma v'' + f(x, v) = 0 on (-R, R), Dirichlet, by the same squeezed
-    damped iteration as the nonlocal solver; zero when lambda_1 >= 0."""
+    """sigma v'' + f(x, v) = 0 on (-R, R), Dirichlet; zero when lambda_1 >= 0.
+
+    The same two-sided monotone Newton as the nonlocal solver
+    (``stationary.two_sided_newton``), squeezed between the sub-solution
+    theta phi_1 and the constant barrier max S; the Jacobian
+    sigma Delta_h + diag(d_s f) is tridiagonal, so each step is a banded solve.
+    """
     lam1 = local_lambda1_fd(growth.a, sigma, radius, spacing)
     nodes = fd_nodes(radius, spacing)
     a_nodes = np.asarray(growth.a(nodes), dtype=float)
@@ -321,35 +319,27 @@ def local_kpp_solve_fd(
                               residual=0.0, iterations=0)
     sup_s = float(np.max(growth.saturation(nodes)))
     barrier = sup_s if sup_s > 0 else 1.0
-    lf = growth.lipschitz_f(barrier, nodes, a_nodes)
-    tau = 0.9 / (2.0 * sigma / spacing**2 + lf)
+    off = sigma / spacing**2
 
-    theta = -lam1.value / 2.0
-    phi = lam1.eigenvector
-    slack = 1e-11 * (1.0 + 2.0 * sigma / spacing**2)
-    for _ in range(60):
-        if np.min(_fd_rhs(theta * phi, a_nodes, growth, nodes, sigma, spacing)) >= -slack:
-            break
-        theta *= 0.5
+    def rhs(v):
+        lap = -2.0 * v
+        lap[:-1] += v[1:]
+        lap[1:] += v[:-1]
+        return off * lap + growth.f(nodes, v, a_nodes)
 
+    def solve(v, r):
+        bands = np.empty((3, v.size))
+        bands[0], bands[2] = -off, -off
+        bands[1] = 2.0 * off - growth.dfds(nodes, v, a_nodes)
+        return solve_banded((1, 1), bands, r)
+
+    slack = 1e-11 * (1.0 + 2.0 * off)
+    sub = halved_subsolution(rhs, lam1.eigenvector, -lam1.value / 2.0, slack)
     target = max(tol * min(1.0, -lam1.value), 1e-13)
-
-    def run(v0):
-        v = v0.copy()
-        for it in range(1, maxiter + 1):
-            r = _fd_rhs(v, a_nodes, growth, nodes, sigma, spacing)
-            res = float(np.max(np.abs(r)))
-            if res <= target:
-                return v, it
-            v = v + tau * r
-        raise ConfigError(f"FD KPP iteration stalled at residual {res:.3e}")
-
-    v_lo, it1 = run(theta * phi)
-    v_hi, it2 = run(np.full_like(nodes, barrier))
-    v = v_hi
-    res = float(np.max(np.abs(_fd_rhs(v, a_nodes, growth, nodes, sigma, spacing))))
-    return LocalKPPResult(nodes=nodes, values=v, lambda1=lam1, residual=res,
-                          iterations=it1 + it2)
+    v, _, steps = two_sided_newton(rhs, solve, np.full_like(nodes, barrier), sub, target, slack,
+                                   value_slack=slack / min(1.0, -lam1.value))
+    return LocalKPPResult(nodes=nodes, values=v, lambda1=lam1, residual=float(np.max(np.abs(rhs(v)))),
+                          iterations=steps)
 
 
 # ---------------------------------------------------------------------------

@@ -70,15 +70,16 @@ class GrowthProfile:
 
     # --- reaction ----------------------------------------------------------
 
-    def f(self, x, s):
+    def f(self, x, s, a_values=None):
+        """f(x, s); the logistic default reads a(x) from ``a_values`` when given."""
         if self.f_fn is not None:
             return self.f_fn(x, s)
-        return s * (self.a(x) - s)
+        return s * ((self.a(x) if a_values is None else a_values) - s)
 
-    def dfds(self, x, s):
+    def dfds(self, x, s, a_values=None):
         if self.dfds_fn is not None:
             return self.dfds_fn(x, s)
-        return self.a(x) - 2.0 * np.asarray(s, dtype=float)
+        return (self.a(x) if a_values is None else a_values) - 2.0 * np.asarray(s, dtype=float)
 
     def saturation(self, x):
         """S(x) with f(x, S(x)) <= 0; logistic default a^+(x)."""

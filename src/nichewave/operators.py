@@ -218,7 +218,11 @@ class DiscreteOperator:
         return out
 
     def reaction(self, u: np.ndarray) -> np.ndarray:
-        return self.growth.f(self.points_arg, u)
+        return self.growth.f(self.points_arg, u, self.a_values)
+
+    def reaction_slope(self, u: np.ndarray) -> np.ndarray:
+        """d_s f(x, u), the diagonal of the stationary Jacobian's growth part."""
+        return self.growth.dfds(self.points_arg, u, self.a_values)
 
     def rhs(self, u: np.ndarray, path: str = "fast") -> np.ndarray:
         """Full stationary residual rate (J_eps * u - u) + f(x, u)."""

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackError
 
 from .errors import (
     ConfigError,
@@ -176,7 +177,7 @@ def _warm_start_vector(bmat, phi):
         gap = float(vals[order[-1]] - vals[order[-2]])
         vec = np.abs(vecs[:, order[-1]])
         return vec, bool(gap < DEGENERACY_GAP)
-    except Exception:
+    except (ArpackError, np.linalg.LinAlgError):  # ArpackNoConvergence is an ArpackError
         return None, False
 
 

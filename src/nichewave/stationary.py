@@ -1,11 +1,13 @@
 """Stationary states of rate (J_eps * u - u) + f(x, u) = 0 by monotone iteration.
 
-The scheme is ball exhaustion: on each ball the problem is solved by a
-damped fixed point squeezed between a verified discrete sub-solution
-theta * phi_p and a verified discrete super-solution (exponential-tail
-profile matched to the hostile exterior, or a constant barrier), then the
-ball is grown until the solution stops changing. Every verdict is tied to
-a certified lambda_p bracket; brackets that straddle zero refuse a verdict.
+The scheme is ball exhaustion: on each ball the problem is solved by
+two-sided monotone Newton, squeezed between a verified discrete
+sub-solution theta * phi_p and a verified discrete super-solution
+(exponential-tail profile matched to the hostile exterior, or a constant
+barrier); every iterate stays a verified sub- or super-solution, so the
+final pair encloses the solution. The ball is then grown until the solution
+stops changing. Every verdict is tied to a certified lambda_p bracket;
+brackets that straddle zero refuse a verdict.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import (
     ConfigError,
@@ -138,44 +141,105 @@ def build_supersolution(op: DiscreteOperator, tol: float = 1e-8, max_backtracks:
     )
 
 
+def _residual_slack(op: DiscreteOperator, lam: SpectralEstimate) -> float:
+    """Roundoff allowance on the sign of the stationary residual."""
+    return _SUB_SLACK * (1.0 + op.rate + (abs(lam.sup_a) if lam.sup_a else 1.0))
+
+
 def verified_subsolution(op: DiscreteOperator, lam: SpectralEstimate, ceiling: np.ndarray | None = None,
                          max_backtracks: int = 60) -> np.ndarray:
     """theta * phi_p with theta = -lambda_p/2, halved until the discrete
     sub-solution inequality holds pointwise (and the ceiling is respected)."""
     if lam.value >= 0:
         raise ConfigError("sub-solution needs a negative lambda_p")
-    theta = -lam.value / 2.0
-    phi = lam.eigenvector
-    slack = _SUB_SLACK * (1.0 + op.rate + (abs(lam.sup_a) if lam.sup_a else 1.0))
+    return halved_subsolution(op.rhs, lam.eigenvector, -lam.value / 2.0,
+                              _residual_slack(op, lam), ceiling, max_backtracks)
+
+
+def halved_subsolution(residual, phi, theta: float, slack: float, ceiling=None,
+                       max_backtracks: int = 60) -> np.ndarray:
+    """theta * phi, theta halved until residual >= -slack pointwise and theta phi <= ceiling."""
     for _ in range(max_backtracks):
         sub = theta * phi
-        ok = np.all(op.rhs(sub) >= -slack)
-        if ok and (ceiling is None or np.all(sub <= ceiling + 1e-15)):
+        if np.all(residual(sub) >= -slack) and (ceiling is None or np.all(sub <= ceiling + 1e-15)):
             return sub
         theta *= 0.5
     raise NonConvergenceError("no admissible sub-solution amplitude found")
 
 
-def _damping(op: DiscreteOperator, s_max: float) -> float:
-    lf = op.growth.lipschitz_f(s_max, op.points_arg, op.a_values)
-    return 0.9 / (op.rate + lf)
+# Quadratic convergence takes about 10 steps; next to a degenerate root
+# (lambda_p near 0) Newton only halves the error, about 40 steps to 1e-12.
+_NEWTON_STEP_CAP = 60
 
 
-def _iterate(op: DiscreteOperator, u0: np.ndarray, tau: float, residual_target: float,
-             maxiter: int) -> tuple[np.ndarray, int]:
-    u = u0.copy()
-    for it in range(1, maxiter + 1):
-        r = op.rhs(u)
+def two_sided_newton(residual, solve, hi, lo, target: float, slack: float, value_slack: float):
+    """Monotone Newton enclosure lo <= u* <= hi of the zero of a concave cooperative F.
+
+    hi starts at a super-solution (F(hi) <= 0), lo at a sub-solution below
+    it. Each step solves -J(hi) D = [F(hi), F(lo)] by solve(hi, R): a Newton
+    step from above and a chord step from below with the same Jacobian
+    (Ortega & Rheinboldt, section 13.3). For concave F with -J(hi) a
+    nonsingular M-matrix, hi falls and stays a super-solution, lo rises and
+    stays a sub-solution, and lo <= hi. Every step checks these five
+    inequalities (residuals to ``slack``, values to ``value_slack``) and
+    raises MonotonicityViolationError on a failure, such as an f that is
+    not concave in s. lo = None sweeps from above only.
+
+    Returns (hi, lo, steps) once max |F| <= target on both sides. residual
+    is called once per iterate, hi before lo.
+    """
+    u = np.column_stack([hi] if lo is None else [hi, lo])
+    r = np.column_stack([residual(x) for x in u.T])
+    prev = u
+    for steps in range(_NEWTON_STEP_CAP + 1):
+        _check_enclosure(steps, u, r, prev, slack, value_slack)
         res = float(np.max(np.abs(r)))
         if not math.isfinite(res):
-            raise NonConvergenceError("fixed-point iteration produced non-finite values")
-        if res <= residual_target:
-            return u, it
-        u = u + tau * r
-    raise NonConvergenceError(
-        f"stationary iteration stalled at residual {res:.3e} > {residual_target:.3e}",
-        iterations=maxiter,
-    )
+            raise NonConvergenceError("Newton iteration produced non-finite values", iterations=steps)
+        if res <= target:
+            return u[:, 0], None if lo is None else u[:, 1], steps
+        prev, u = u, u + solve(u[:, 0], r)
+        r = np.column_stack([residual(x) for x in u.T])
+    raise NonConvergenceError(f"Newton iteration stalled at residual {res:.3e} > {target:.3e}",
+                              iterations=steps)
+
+
+def _check_enclosure(step, u, r, prev, slack, value_slack) -> None:
+    checks = [("F(hi) > 0", r[:, 0], slack),
+              ("super-solution iterate rose", u[:, 0] - prev[:, 0], value_slack)]
+    if u.shape[1] == 2:
+        checks += [("F(lo) < 0", -r[:, 1], slack),
+                   ("sub-solution iterate fell", prev[:, 1] - u[:, 1], value_slack),
+                   ("iterates crossed", u[:, 1] - u[:, 0], value_slack)]
+    for what, excess, allowed in checks:
+        if np.max(excess) > allowed:
+            raise MonotonicityViolationError(
+                f"Newton step {step}: {what} by {np.max(excess):.3e} (slack {allowed:.1e}); "
+                "is f concave in s?"
+            )
+
+
+def _cg_solver(op: DiscreteOperator, atol: float):
+    """solve(u, R) = -J(u)^{-1} R by Jacobi-preconditioned CG on the
+    matrix-free SPD operator rate (I - C) - diag(d_s f(x, u))."""
+    n = op.size
+    c_diag = op.taps[(op.reach,) * op.grid.dimension] * op.grid.spacing**op.grid.dimension
+
+    def solve(u, rhs):
+        slope = op.reaction_slope(u)
+        diag = op.rate * (1.0 - c_diag) - slope
+        if np.min(diag) <= 0.0:
+            raise MonotonicityViolationError(
+                "-J(hi) has a nonpositive diagonal, so it is not positive definite; is f concave in s?")
+        minus_j = LinearOperator((n, n), dtype=float,
+                                 matvec=lambda v: op.rate * (v - op.convolve(v)) - slope * v)
+        jacobi = LinearOperator((n, n), dtype=float, matvec=lambda v: v / diag)
+        out = [cg(minus_j, b, rtol=0.0, atol=atol, M=jacobi) for b in rhs.T]
+        if any(info for _, info in out):
+            raise NonConvergenceError(f"CG on the Newton system did not reach {atol:.1e}")
+        return np.column_stack([x for x, _ in out])
+
+    return solve
 
 
 @dataclass
@@ -187,7 +251,7 @@ class BallSolve:
     sub: np.ndarray | None = None
     super_: np.ndarray | None = None
     iterations: int = 0
-    gap: float = 0.0                  # from-below vs from-above disagreement
+    gap: float = 0.0                  # enclosure width max |hi - lo| of the Newton pair
     attempted: np.ndarray | None = None  # terminal iterate when indeterminate
 
 
@@ -197,15 +261,15 @@ def solve_stationary_ball(
     spectral_tol: float = 1e-10,
     lam: SpectralEstimate | None = None,
     lower_start: np.ndarray | None = None,
-    maxiter: int = 500_000,
-    fat_tail_mode: bool = False,
 ) -> BallSolve:
     """Unique nonnegative equilibrium on one ball, or certified zero.
 
-    Monotone damped iterations run from a verified sub-solution upward and
-    from the super-solution downward; both must meet (uniqueness built in).
-    The residual target is scaled by min(1, |lambda_p|) so the two limits
-    land within 10 tol of each other even near the persistence threshold.
+    Two-sided monotone Newton (``two_sided_newton``) runs from a verified
+    sub-solution upward and from the super-solution downward; the two
+    iterates must meet (uniqueness built in) and their gap encloses the
+    solution. The residual target is scaled by min(1, |lambda_p|) so the two
+    limits land within 10 tol of each other even near the persistence
+    threshold.
     """
     if lam is None:
         lam = principal_eigenvalue(op, tol=spectral_tol, best_effort=True)
@@ -214,20 +278,24 @@ def solve_stationary_ball(
         return BallSolve(values=zero, verdict="extinct", lambda_estimate=lam, residual=0.0)
 
     super_ = build_supersolution(op, tol=max(tol, 1e-8))
-    s_max = float(np.max(super_.values))
-    tau = _damping(op, s_max)
     residual_target = max(tol * min(1.0, abs(lam.value)), 1e-14 * (1.0 + op.rate))
+    slack = max(_residual_slack(op, lam), super_.margin)
+
+    def newton(lo, target):
+        solve = _cg_solver(op, atol=0.1 * min(target, slack))
+        return two_sided_newton(op.rhs, solve, super_.values, lo, target, slack,
+                                value_slack=slack / min(1.0, abs(lam.value)))
 
     if lam.upper >= 0.0:
         # bracket straddles zero: no verdict; report the attempted iterate
-        attempted, its = _iterate(op, super_.values, tau, max(residual_target, 1e-12), maxiter)
+        attempted, _, steps = newton(None, max(residual_target, 1e-12))
         return BallSolve(
             values=zero,
             verdict="indeterminate",
             lambda_estimate=lam,
             residual=float(np.max(np.abs(op.rhs(attempted)))),
             super_=super_.values,
-            iterations=its,
+            iterations=steps,
             attempted=attempted,
         )
 
@@ -237,14 +305,12 @@ def solve_stationary_ball(
         cand = np.maximum(sub, np.minimum(lower_start, super_.values))
         if np.all(op.rhs(cand) >= -_SUB_SLACK * (1.0 + op.rate)):
             start_low = cand
-    u_lo, it_lo = _iterate(op, start_low, tau, residual_target, maxiter)
-    u_hi, it_hi = _iterate(op, super_.values, tau, residual_target, maxiter)
-    gap = float(np.max(np.abs(u_hi - u_lo)))
-    if gap > 10.0 * tol and not fat_tail_mode:
+    u, u_lo, steps = newton(start_low, residual_target)
+    gap = float(np.max(np.abs(u - u_lo)))
+    if gap > 10.0 * tol:
         raise UniquenessViolationError(
             f"monotone limits disagree by {gap:.3e} (> {10 * tol:.1e})"
         )
-    u = u_hi
     return BallSolve(
         values=u,
         verdict="persistent",
@@ -252,7 +318,7 @@ def solve_stationary_ball(
         residual=float(np.max(np.abs(op.rhs(u)))),
         sub=sub,
         super_=super_.values,
-        iterations=it_lo + it_hi,
+        iterations=steps,
         gap=gap,
     )
 
@@ -268,6 +334,7 @@ class StationarySolution:
     R_history: list[tuple[float, float]] = field(default_factory=list)
     verdict: str = "persistent"
     attempted: np.ndarray | None = None
+    r_converged: bool = False          # last change along the R schedule <= tol
 
     @property
     def sup_norm(self) -> float:
@@ -283,8 +350,6 @@ def solve_stationary_wholespace(
     solver_tol: float = 1e-10,
     spectral_tol: float = 1e-10,
     dimension: int = 1,
-    maxiter: int = 500_000,
-    fat_tail_mode: bool = False,
     max_cells_per_axis: int = 8192,
 ) -> StationarySolution:
     """Whole-space equilibrium as the monotone limit of ball solutions.
@@ -318,8 +383,6 @@ def solve_stationary_wholespace(
             tol=solver_tol,
             lam=lam,
             lower_start=lower_start,
-            maxiter=maxiter,
-            fat_tail_mode=fat_tail_mode,
         )
         change = math.inf
         if prev_vals is not None:
@@ -354,6 +417,7 @@ def solve_stationary_wholespace(
         R_history=history,
         verdict=last.verdict,
         attempted=last.attempted,
+        r_converged=history[-1][1] <= tol,
     )
 
 
@@ -394,6 +458,8 @@ __all__ = [
     "UniquenessReport",
     "build_supersolution",
     "verified_subsolution",
+    "halved_subsolution",
+    "two_sided_newton",
     "decay_margin",
     "solve_stationary_ball",
     "solve_stationary_wholespace",

@@ -36,6 +36,31 @@ params = value=1.5
     assert len(csv) == 3  # header + perron-cw + rayleigh
 
 
+def test_spectrum_r_schedule_uses_the_scaled_kernel(tmp_path):
+    code, out = run_cli(tmp_path, "spectrum", """
+[kernel]
+family = tent
+epsilon = 1
+alpha0 = 4
+
+[grid]
+R = 4
+h = 0.1
+
+[growth]
+family = bump
+params = a0=2, b=1, a_min=-1
+
+[spectral]
+R_schedule = 4 6
+""")
+    assert code == 0
+    rows = [line.split(",") for line in (out / "spectrum-t.csv").read_text().splitlines()[1:]]
+    main_row, r4_row = rows[0], rows[2]
+    assert r4_row[:4] == ["perron-cw", "4.0", "1.0", "0.0"]
+    assert r4_row[4:7] == main_row[4:7]  # the same operator, so the same bracket
+
+
 def test_validate_negative_kernel_exits_one(tmp_path):
     code, _ = run_cli(tmp_path, "validate", """
 [kernel]
@@ -138,6 +163,46 @@ tol = 1e-3
     assert ev["verdict"] == "persistence-converged"
     trace_header = (out / "evolve-t.csv").read_text().splitlines()[0]
     assert trace_header == "t,sup_norm,dist_sup,dist_l1,mass"
+
+
+def test_stationary_is_evolve_fixed_point_at_alpha0(tmp_path):
+    # epsilon = 1 with alpha0 = 4: both commands must use the rate-4 kernel
+    body = """
+[kernel]
+family = tent
+epsilon = 1
+alpha0 = 4
+
+[grid]
+h = 0.1
+
+[growth]
+family = bump
+params = a0=2, b=1, a_min=-1
+
+[stationary]
+R_schedule = 4 6 8
+tol = 1e-6
+
+[evolve]
+T = 60
+u0 = stationary
+tol = 1e-3
+"""
+    code, out = run_cli(tmp_path, "stationary", body)
+    assert code == 0
+    st = json.loads((out / "stationary-t.json").read_text())
+    assert st["verdict"] == "persistent"
+    # the R schedule stops short of its tolerance, and says so
+    assert st["r_converged"] is False
+    assert st["r_change_final"] == st["R_history"][-1][1] > 1e-6
+
+    code, out = run_cli(tmp_path, "evolve", body)
+    assert code == 0
+    ev = json.loads((out / "evolve-t.json").read_text())
+    assert ev["verdict"] == "persistence-converged"
+    assert ev["final_dist_sup"] <= 1e-6
+    assert (ev["r_converged"], ev["r_change_final"]) == (False, st["r_change_final"])
 
 
 def test_eps_star_command(tmp_path):

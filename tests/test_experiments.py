@@ -111,6 +111,29 @@ class TestLocalKPP:
         assert np.max(np.abs(fresh)) <= 1e-8
 
 
+    def test_newton_matches_damped_oracle(self, bump):
+        sigma, h = 1.0 / 12.0, 0.02
+        res = local_kpp_solve_fd(bump, sigma, 4.0, h, tol=1e-10)
+        assert 0 < res.iterations <= 15
+        assert res.residual <= 1e-10
+
+        # independent oracle: explicit damped iteration down from the barrier 2
+        a = bump.a(res.nodes)
+        tau = 0.9 / (2.0 * sigma / h**2 + 5.0)  # |d_s f| = |a - 2s| <= 5 on [0, 2]
+        v = np.full_like(res.nodes, 2.0)
+        for _ in range(200_000):
+            lap = -2.0 * v
+            lap[:-1] += v[1:]
+            lap[1:] += v[:-1]
+            r = sigma * lap / h**2 + v * (a - v)
+            if np.max(np.abs(r)) <= 1e-11:
+                break
+            v = v + tau * r
+        else:
+            raise AssertionError("damped FD oracle did not converge")
+        assert np.max(np.abs(res.values - v)) <= 1e-9
+
+
 class TestLimitCheck:
     def test_m2_small_eps_tracks_local_problem(self, tent, bump):
         chk = asymptotic_limit_check(tent, bump, 2.0, "small", [0.4, 0.2, 0.1], POLICY,

@@ -19,6 +19,7 @@ from nichewave import (
     scaling_invariance_check,
 )
 from nichewave.operators import build_operator
+from nichewave.spectral import _warm_start_vector
 
 
 def random_growth(rng, radius):
@@ -84,6 +85,35 @@ class TestPrincipalEigenvalue:
         est = principal_eigenvalue(op, tol=1e-10, best_effort=True)
         assert est.width <= 1e-10
         assert est.sign == "negative"
+
+
+class TestWarmStart:
+    def test_linalg_failure_falls_back(self, ball_op, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigh did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert _warm_start_vector(ball_op.matrix(shift=4.0), np.ones(ball_op.size)) == (None, False)
+
+    def test_arpack_failure_falls_back(self, tent, bump, monkeypatch):
+        import scipy.sparse.linalg
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        def fail(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        op = build_operator(build_grid(1, 8.0, 0.01, "ball-truncated"), rescale_kernel(tent, 1.0, 0.0), bump)
+        assert op.size > 900  # the eigsh branch
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        assert _warm_start_vector(op.matrix(shift=4.0), np.ones(op.size)) == (None, False)
+
+    def test_unexpected_error_propagates(self, ball_op, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("not a solver failure")
+
+        monkeypatch.setattr(np.linalg, "eigh", broken)
+        with pytest.raises(ValueError, match="not a solver failure"):
+            _warm_start_vector(ball_op.matrix(shift=4.0), np.ones(ball_op.size))
 
 
 class TestLambdaV:

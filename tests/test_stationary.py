@@ -1,14 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nichewave import (
+    GrowthProfile,
     Kernel,
+    MonotonicityViolationError,
     build_grid,
     bump_growth,
     constant_growth,
     principal_eigenvalue,
     rescale_kernel,
 )
+from nichewave import stationary
+from nichewave.experiments import GridPolicy
 from nichewave.operators import build_operator
 from nichewave.stationary import (
     build_supersolution,
@@ -135,6 +141,14 @@ class TestWholeSpace:
         sol = solve_stationary_wholespace(tent, bump, [4, 6, 8], 0.1)
         assert np.all(sol.values <= sol.super_ + 1e-10)
 
+    def test_r_schedule_shortfall_is_recorded(self, tent, bump):
+        short = solve_stationary_wholespace(tent, bump, [4, 6], 0.1, tol=1e-6)
+        assert not short.r_converged
+        assert short.R_history[-1][1] > 1e-6
+        met = solve_stationary_wholespace(tent, bump, [4, 6, 8], 0.1, tol=1e-6)
+        assert met.r_converged
+        assert met.R_history[-1][1] <= 1e-6
+
     def test_nonpositive_growth_gives_zero(self, tent):
         growth = bump_growth(-0.2, 1.0, -1.0)  # a <= 0 everywhere
         sol = solve_stationary_wholespace(tent, growth, [4, 6], 0.1)
@@ -164,3 +178,95 @@ class TestUniqueness:
         for i in range(len(solutions)):
             for j in range(i + 1, len(solutions)):
                 assert np.max(np.abs(solutions[i] - solutions[j])) <= 1e-6
+
+
+@pytest.fixture
+def newton_runs(monkeypatch):
+    """Record every iterate two_sided_newton evaluates, run by run."""
+    runs = []
+    real = stationary.two_sided_newton
+
+    def spy(residual, solve, hi, lo, *args, **kwargs):
+        seen = []
+
+        def recorded(u):
+            seen.append(u.copy())
+            return residual(u)
+
+        out = real(recorded, solve, hi, lo, *args, **kwargs)
+        runs.append((seen, out))
+        return out
+
+    monkeypatch.setattr(stationary, "two_sided_newton", spy)
+    return runs
+
+
+def _newton_case(name):
+    if name.startswith("m2-eps"):
+        sk = rescale_kernel(Kernel("tent"), float(name[6:]), 2.0, 1.0)
+        return build_operator(GridPolicy(base_radius=4.0, base_spacing=0.05).grid_for(sk), sk,
+                              bump_growth(2.0, 1.0, -1.0))
+    if name == "2d-ball":
+        return build_operator(build_grid(2, 3.0, 0.2, "ball-truncated"),
+                              rescale_kernel(Kernel("tent", dimension=2), 1.0, 0.0),
+                              bump_growth(2.0, 1.0, -1.0, dimension=2))
+    return build_operator(build_grid(1, 4.0, 0.125, "torus"),
+                          rescale_kernel(Kernel("tent"), 1.0, 0.0), constant_growth(1.5))
+
+
+class TestTwoSidedNewton:
+    @pytest.mark.parametrize("case", ["m2-eps0.4", "m2-eps0.1", "2d-ball", "torus-constant"])
+    def test_enclosure_at_every_step(self, case, newton_runs):
+        op = _newton_case(case)
+        tol = 1e-10
+        sol = solve_stationary_ball(op, tol=tol)
+        assert sol.verdict == "persistent"
+        (seen, (_, _, steps)), = newton_runs
+        his, los = seen[0::2], seen[1::2]  # F is evaluated on hi, then lo
+        assert len(his) == len(los) == steps + 1
+        assert 0 < steps <= 15
+        # independent residual: CSR path and the logistic law written out
+        def F(u):
+            return op.rate * (op.convolve(u, "direct") - u) + u * (op.a_values - u)
+
+        slack = 1e-11 * (1.0 + op.rate + np.max(op.a_values))
+        for k, (hi, lo) in enumerate(zip(his, los)):
+            assert np.max(F(hi)) <= slack, f"step {k}: hi is not a super-solution"
+            assert np.min(F(lo)) >= -slack, f"step {k}: lo is not a sub-solution"
+            assert np.max(lo - hi) <= 1e-11, f"step {k}: iterates crossed"
+        for k in range(1, len(his)):
+            assert np.max(his[k] - his[k - 1]) <= 1e-11, f"step {k}: hi rose"
+            assert np.min(los[k] - los[k - 1]) >= -1e-11, f"step {k}: lo fell"
+        assert sol.gap == pytest.approx(float(np.max(np.abs(his[-1] - los[-1]))))
+        assert sol.gap <= 10.0 * tol
+        assert np.max(np.abs(sol.values - his[-1])) == 0.0
+        oracle = damped_solve(op, sol.super_, tol=1e-10)
+        assert np.max(np.abs(sol.values - oracle)) <= 1e-8
+        if case == "torus-constant":
+            assert np.max(np.abs(sol.values - 1.5)) <= 1e-12
+
+    def test_non_concave_growth_is_refused(self):
+        # f(s)/s = a - c (1 - e^{-4 s}) decreases, but f is convex for s > 1/2:
+        # Newton from the barrier s = 2 overshoots below the root s = ln(16)/4
+        a, c = 1.5, 1.6
+        growth = GrowthProfile(
+            "constant", params={"value": a},
+            f_fn=lambda x, s: s * (a - c * (1.0 - np.exp(-4.0 * s))),
+            dfds_fn=lambda x, s: a - c * (1.0 - np.exp(-4.0 * s)) - 4.0 * c * s * np.exp(-4.0 * s),
+            saturation_fn=lambda x: np.full(np.shape(x), 2.0),
+        )
+        op = build_operator(build_grid(1, 4.0, 0.125, "torus"),
+                            rescale_kernel(Kernel("tent"), 1.0, 0.0), growth)
+        with pytest.raises(MonotonicityViolationError, match=r"step 1: F\(hi\) > 0 .*concave"):
+            solve_stationary_ball(op, tol=1e-10)
+
+    def test_straddling_bracket_sweeps_from_above_only(self, ball_op, newton_runs):
+        lam = principal_eigenvalue(ball_op, tol=1e-10)
+        sol = solve_stationary_ball(ball_op, tol=1e-10, lam=replace(lam, upper=1e-3))
+        assert sol.verdict == "indeterminate"
+        assert np.all(sol.values == 0.0)
+        (seen, (_, lo, steps)), = newton_runs
+        assert lo is None and len(seen) == steps + 1
+        assert np.max(np.abs(sol.attempted - seen[-1])) == 0.0
+        assert all(np.all(b <= a + 1e-11) for a, b in zip(seen, seen[1:]))
+        assert np.max(np.abs(ball_op.rhs(sol.attempted))) <= 1e-10
