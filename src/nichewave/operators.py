@@ -12,8 +12,9 @@ or wrapped around the torus (validation device).
 The operator is assembled once as a CSR stencil matrix, O(n (2q+1)^N)
 memory. Its matvec sums nonnegative taps times the input, which lets
 Collatz-Wielandt quotients keep per-entry relative accuracy on steep
-eigenvector tails; the FFT path (absolute error ~1e-16 ||u||) serves the
-matrix-free rhs and time stepping, where it is faster at large reach.
+eigenvector tails, so every certified bracket uses it. The FFT path
+(absolute error ~1e-16 ||u||), faster at large reach, serves the rhs, time
+stepping, the Newton CG solves and the ARPACK eigenvector.
 """
 
 from __future__ import annotations

@@ -11,6 +11,13 @@ Perron root:
 The sup/inf test-function definitions of lambda_p and lambda_p' are
 realized on the grid by exactly these two quotients; their collapse to a
 requested width is the bracket certificate.
+
+phi comes from ARPACK (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
+1998) on the matrix-free FFT operator; the quotients come only from the
+CSR matrix, whose nonnegative summands keep per-entry relative accuracy on
+steep eigenvector tails that the FFT (absolute error ~1e-16 ||u||) loses.
+CSR steps phi <- B phi polish those tails: one or two steps on wide
+kernels, a few hundred on steep 1-D tails.
 """
 
 from __future__ import annotations
@@ -77,30 +84,27 @@ def _shift_constant(op) -> float:
     return 1.0 + amax + op.rate
 
 
-def _certified_iteration(op, tol, maxiter, estimator, start, warm_after=40, best_effort=False):
-    """Shared shifted-iteration engine; returns a SpectralEstimate.
+def _certified_iteration(op, tol, maxiter, estimator, start, best_effort=False):
+    """Shared certification engine; returns a SpectralEstimate.
 
-    estimator 'cw' brackets by the two Collatz-Wielandt quotients (lambda_p
-    contract); 'rayleigh' uses the weighted Rayleigh quotient as the upper
-    (variational) side of the lambda_v contract.
-
-    The matvec is the operator's CSR stencil matrix B = A + cI: every
-    summand is a nonnegative entry times a positive vector entry, so the
-    quotients keep per-entry relative accuracy even on steeply decaying
-    eigenvector tails, which the FFT path (absolute error ~1e-16 ||u||)
-    cannot certify.
+    phi starts at the ARPACK vector (the start vector if ARPACK fails);
+    every bracket comes from CSR steps phi <- B phi, B = A + cI, never from
+    ARPACK. estimator 'cw' brackets by the two Collatz-Wielandt quotients
+    (lambda_p contract); 'rayleigh' uses the weighted Rayleigh quotient as
+    the upper (variational) side of the lambda_v contract.
     """
     _check_irreducible(op)
-    n = op.size
     c = _shift_constant(op)
     bmat = op.matrix(shift=c)
 
-    phi = np.ones(n) if start is None else np.maximum(np.asarray(start, dtype=float), _POSITIVE_FLOOR)
+    phi = np.ones(op.size) if start is None else np.maximum(np.asarray(start, dtype=float), _POSITIVE_FLOOR)
     phi = phi / np.max(phi)
+    vec, degenerate = _arpack_vector(op, c, phi)
+    if vec is not None:
+        phi = np.maximum(vec, _POSITIVE_FLOOR)
+        phi = phi / np.max(phi)
 
     best = (-math.inf, math.inf)
-    degenerate = False
-    warmed = False
     stalled = 0
     iterations = 0
     converged = False
@@ -121,17 +125,10 @@ def _certified_iteration(op, tol, maxiter, estimator, start, warm_after=40, best
             converged = True
             break
         stalled = stalled + 1 if width > 0.999 * prev_width else 0
-        if warmed and stalled >= 60:
+        if stalled >= 60:
             break  # bracket hit its floating floor for this instance
         nxt = np.maximum(bphi, _POSITIVE_FLOOR)
         phi = nxt / np.max(nxt)
-        if not warmed and (iterations >= warm_after or stalled >= 15):
-            warmed = True
-            stalled = 0
-            vec, degenerate = _warm_start_vector(bmat, phi)
-            if vec is not None:
-                phi = np.maximum(vec, _POSITIVE_FLOOR)
-                phi = phi / np.max(phi)
 
     if not converged and not degenerate and not best_effort:
         raise NonConvergenceError(
@@ -163,22 +160,22 @@ def _certified_iteration(op, tol, maxiter, estimator, start, warm_after=40, best
     )
 
 
-def _warm_start_vector(bmat, phi):
-    """Dominant eigenvector of B for slow instances; flags tiny spectral gaps."""
-    n = bmat.shape[0]
-    try:
-        if n <= 900:
-            vals, vecs = np.linalg.eigh(bmat.toarray())  # symmetric: weights are uniform
-            gap = vals[-1] - vals[-2] if n > 1 else math.inf
-            return np.abs(vecs[:, -1]), bool(gap < DEGENERACY_GAP)
+def _arpack_vector(op, c, phi):
+    """Perron vector of B = A + cI by ARPACK on the FFT matvec; flags tiny gaps.
 
-        vals, vecs = scipy.sparse.linalg.eigsh(bmat, k=2, which="LA", v0=phi, tol=1e-12, maxiter=5000)
-        order = np.argsort(vals)
-        gap = float(vals[order[-1]] - vals[order[-2]])
-        vec = np.abs(vecs[:, order[-1]])
-        return vec, bool(gap < DEGENERACY_GAP)
+    v0 = phi keeps reruns bit-identical. build_grid gives n >= 3, so k = 2 < n.
+    """
+    growth = op.a_values is not None
+    bop = scipy.sparse.linalg.LinearOperator(
+        (op.size, op.size), matvec=lambda v: op.apply(v, include_growth=growth) + c * v, dtype=float
+    )
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(bop, k=2, which="LA", v0=phi, tol=1e-12, maxiter=5000)
     except (ArpackError, np.linalg.LinAlgError):  # ArpackNoConvergence is an ArpackError
         return None, False
+    order = np.argsort(vals)
+    gap = float(vals[order[-1]] - vals[order[-2]])
+    return np.abs(vecs[:, order[-1]]), bool(gap < DEGENERACY_GAP)
 
 
 def principal_eigenvalue(op, tol: float = 1e-10, maxiter: int = 600, start=None,

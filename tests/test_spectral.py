@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from nichewave import (
+    ConfigError,
     GrowthProfile,
     IrreducibilityError,
     Kernel,
@@ -19,13 +22,17 @@ from nichewave import (
     scaling_invariance_check,
 )
 from nichewave.operators import build_operator
-from nichewave.spectral import _warm_start_vector
+from nichewave.spectral import _arpack_vector
 
 
 def random_growth(rng, radius):
     radii = np.arange(0.0, radius + 1.0, 0.5)
     values = rng.uniform(-1.0, 2.0, size=radii.size)
     return GrowthProfile("tabulated", params={"r": radii.tolist(), "values": values.tolist()})
+
+
+def arpack_fails(*args, **kwargs):
+    raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
 
 class TestPrincipalEigenvalue:
@@ -90,30 +97,66 @@ class TestPrincipalEigenvalue:
 class TestWarmStart:
     def test_linalg_failure_falls_back(self, ball_op, monkeypatch):
         def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("eigh did not converge")
+            raise np.linalg.LinAlgError("eigsh did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        assert _warm_start_vector(ball_op.matrix(shift=4.0), np.ones(ball_op.size)) == (None, False)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        assert _arpack_vector(ball_op, 4.0, np.ones(ball_op.size)) == (None, False)
 
     def test_arpack_failure_falls_back(self, tent, bump, monkeypatch):
-        import scipy.sparse.linalg
-        from scipy.sparse.linalg import ArpackNoConvergence
-
-        def fail(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
         op = build_operator(build_grid(1, 8.0, 0.01, "ball-truncated"), rescale_kernel(tent, 1.0, 0.0), bump)
-        assert op.size > 900  # the eigsh branch
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
-        assert _warm_start_vector(op.matrix(shift=4.0), np.ones(op.size)) == (None, False)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", arpack_fails)
+        assert _arpack_vector(op, 4.0, np.ones(op.size)) == (None, False)
 
     def test_unexpected_error_propagates(self, ball_op, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("not a solver failure")
 
-        monkeypatch.setattr(np.linalg, "eigh", broken)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", broken)
         with pytest.raises(ValueError, match="not a solver failure"):
-            _warm_start_vector(ball_op.matrix(shift=4.0), np.ones(ball_op.size))
+            _arpack_vector(ball_op, 4.0, np.ones(ball_op.size))
+
+    def test_certifies_without_arpack(self, tent, bump, monkeypatch):
+        # the CSR steps alone reach the bracket from the start vector
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", arpack_fails)
+        op = build_operator(build_grid(1, 3.0, 0.25, "ball-truncated"), rescale_kernel(tent, 1.0, 0.0), bump)
+        est = principal_eigenvalue(op, tol=1e-10)
+        oracle, _ = dense_lambda_p_oracle(op)
+        assert est.lower - 1e-13 <= oracle <= est.upper + 1e-13
+        assert est.width <= 1e-10
+        assert est.iterations > 3  # power steps, not an ARPACK vector, did the work
+
+
+class TestArpackVector:
+    @pytest.mark.parametrize("dimension,topology", [
+        (1, "ball-truncated"), (1, "torus"), (2, "ball-truncated"), (2, "torus"),
+    ])
+    def test_smallest_grids(self, bump, dimension, topology):
+        # h < R and an integer 2R/h: 3 cells per axis is the least build_grid accepts
+        grid = build_grid(dimension, 1.5, 1.0, topology)
+        assert grid.size == 3**dimension
+        op = build_operator(grid, rescale_kernel(Kernel("tent", dimension=dimension), 2.0, 0.0), bump)
+        oracle, _ = dense_lambda_p_oracle(op)
+        for est in (principal_eigenvalue(op, tol=1e-10), rayleigh_lambda_v(op, tol=1e-10)):
+            assert est.lower - 1e-13 <= oracle <= est.upper + 1e-13
+            assert est.width <= 1e-10
+        with pytest.raises(ConfigError):
+            build_grid(dimension, 1.0, 1.0, topology)
+
+    def test_2d_tent_ball_matches_oracle(self, bump):
+        grid = build_grid(2, 2.0, 0.125, "ball-truncated")
+        assert 300 <= grid.size <= 1000
+        op = build_operator(grid, rescale_kernel(Kernel("tent", dimension=2), 0.5, 0.0), bump)
+        est = principal_eigenvalue(op, tol=1e-10)
+        oracle, _ = dense_lambda_p_oracle(op)
+        assert est.lower - 1e-13 <= oracle <= est.upper + 1e-13
+        assert est.width <= 1e-10
+        assert est.iterations <= 3  # the ARPACK vector needs no power steps
+
+    def test_reruns_are_bit_identical(self, ball_op):
+        for solve in (principal_eigenvalue, rayleigh_lambda_v):
+            first, second = solve(ball_op, tol=1e-10), solve(ball_op, tol=1e-10)
+            assert (first.lower, first.upper) == (second.lower, second.upper)
+            assert np.array_equal(first.eigenvector, second.eigenvector)
 
 
 class TestLambdaV:
