@@ -58,7 +58,7 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         if math.isnan(x):
             return "nan"
-        return repr(x)
+        return repr(float(x))  # numpy scalars repr as "np.float64(...)"
     return str(x)
 
 

@@ -86,16 +86,14 @@ def evolve(
     for step in range(1, n_steps + 1):
         u_new = u + dt * op.rhs(u)
         t = step * dt
-        if enforce == "increasing" and np.min(u_new - u) < -_STEP_SLACK:
-            raise MonotonicityViolationError(
-                f"sub-solution run decreased at t={t:.4f} by {-np.min(u_new - u):.3e}"
-            )
-        if enforce == "decreasing" and np.max(u_new - u) > _STEP_SLACK:
-            raise MonotonicityViolationError(
-                f"super-solution run increased at t={t:.4f} by {np.max(u_new - u):.3e}"
-            )
-        inc_ok = inc_ok and bool(np.min(u_new - u) >= -_STEP_SLACK)
-        dec_ok = dec_ok and bool(np.max(u_new - u) <= _STEP_SLACK)
+        change = u_new - u
+        drop, rise = float(np.min(change)), float(np.max(change))
+        if enforce == "increasing" and drop < -_STEP_SLACK:
+            raise MonotonicityViolationError(f"sub-solution run decreased at t={t:.4f} by {-drop:.3e}")
+        if enforce == "decreasing" and rise > _STEP_SLACK:
+            raise MonotonicityViolationError(f"super-solution run increased at t={t:.4f} by {rise:.3e}")
+        inc_ok = inc_ok and drop >= -_STEP_SLACK
+        dec_ok = dec_ok and rise <= _STEP_SLACK
         u = u_new
         if t + 1e-12 >= next_record or step == n_steps:
             s = float(np.max(np.abs(u)))

@@ -12,9 +12,12 @@ or wrapped around the torus (validation device).
 The operator is assembled once as a CSR stencil matrix, O(n (2q+1)^N)
 memory. Its matvec sums nonnegative taps times the input, which lets
 Collatz-Wielandt quotients keep per-entry relative accuracy on steep
-eigenvector tails, so every certified bracket uses it. The FFT path
-(absolute error ~1e-16 ||u||), faster at large reach, serves the rhs, time
-stepping, the Newton CG solves and the ARPACK eigenvector.
+eigenvector tails, so every certified bracket uses it. The other path is
+one circular FFT convolution on a box of L cells per axis: L = n on the
+torus, and L >= n + q on the ball, where every wrapped tap lands off the
+grid. It has absolute error ~1e-16 ||u||, is faster at large reach, and
+serves the rhs, time stepping, the Newton CG solves and the ARPACK
+eigenvector.
 """
 
 from __future__ import annotations
@@ -86,8 +89,7 @@ class DiscreteOperator:
     tail_mass: float
     reach: int
     _conv_matrix: Optional[scipy.sparse.csr_array] = field(default=None, repr=False)
-    _taps_fft: Optional[tuple] = field(default=None, repr=False)
-    _kper_fft: Optional[np.ndarray] = field(default=None, repr=False)
+    _fft_plan: Optional[tuple] = field(default=None, repr=False)
     _kmass: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -106,46 +108,45 @@ class DiscreteOperator:
     # --- convolution paths --------------------------------------------------
 
     def convolve(self, u: np.ndarray, path: str = "fast") -> np.ndarray:
-        """(J_eps * u) restricted to the grid; exterior contributes zero."""
+        """(J_eps * u) restricted to the grid; exterior contributes zero.
+
+        "direct" is the CSR product. "fast" scatters u into a zeroed box of L
+        cells per axis, convolves circularly with the taps folded onto that
+        box, and gathers the grid points back. On the torus L = n, so the
+        wrap is the periodic sum. On the ball L = next_fast_len(n + q): a tap
+        that wraps lands at a box index >= n, off the grid, so the circular
+        sum equals the truncated one. Flat index and tap spectrum are cached
+        on first use; the box is allocated per call, so threads may share
+        one operator.
+        """
         if u.shape != (self.size,):
             raise ValueError(f"expected grid function of length {self.size}")
         if path == "direct":
             return self.conv_matrix() @ u
         if path != "fast":
             raise ValueError(f"unknown convolution path {path!r}")
-        if self.grid.topology == "torus":
-            return self._fast_torus(u)
-        return self._fast_ball(u)
+        if self._fft_plan is None:
+            n = self.grid.cells_per_axis
+            length = n if self.grid.topology == "torus" else next_fast_len(n + self.reach, real=True)
+            shape = (length,) * self.grid.dimension
+            flat = np.ravel_multi_index(tuple(self.grid.box_index.T), shape)
+            self._fft_plan = (shape, flat, rfftn(self._wrapped_taps(length)))
+        shape, flat, spectrum = self._fft_plan
+        box = np.zeros(shape)
+        box.reshape(-1)[flat] = u
+        out = irfftn(rfftn(box) * spectrum, shape).reshape(-1)[flat]
+        out *= self.grid.spacing**self.grid.dimension
+        return out
 
-    def _fast_ball(self, u: np.ndarray) -> np.ndarray:
-        box = self.grid.embed(u)
-        n = self.grid.cells_per_axis
-        q = self.reach
-        if self._taps_fft is None:
-            shape = tuple(next_fast_len(n + 2 * q) for _ in range(self.grid.dimension))
-            self._taps_fft = (shape, rfftn(self.taps, shape))
-        shape, tf = self._taps_fft
-        full = irfftn(rfftn(box, shape) * tf, shape)
-        sl = tuple(slice(q, q + n) for _ in range(self.grid.dimension))
-        out_box = full[sl] * self.grid.spacing**self.grid.dimension
-        return self.grid.restrict(out_box)
+    def _wrapped_taps(self, length: Optional[int] = None) -> np.ndarray:
+        """Taps folded onto a periodic box of ``length`` cells per axis (default n).
 
-    def _fast_torus(self, u: np.ndarray) -> np.ndarray:
-        box = self.grid.embed(u)
-        if self._kper_fft is None:
-            self._kper_fft = rfftn(self._wrapped_taps())
-        out_box = irfftn(rfftn(box) * self._kper_fft, self.grid.box_shape)
-        out_box *= self.grid.spacing**self.grid.dimension
-        return self.grid.restrict(out_box)
-
-    def _wrapped_taps(self) -> np.ndarray:
-        """Taps folded onto the torus box: kper[d mod n] sums every tap at offset d.
-
-        Offsets that wrap onto the same cell (2q+1 > n) are summed in
-        ascending offset order.
+        kper[d mod length] sums every tap at offset d; offsets that wrap onto
+        the same cell (2q+1 > length) are summed in ascending offset order.
         """
-        wrap = np.arange(-self.reach, self.reach + 1) % self.grid.cells_per_axis
-        kper = np.zeros(self.grid.box_shape)
+        length = self.grid.cells_per_axis if length is None else length
+        wrap = np.arange(-self.reach, self.reach + 1) % length
+        kper = np.zeros((length,) * self.grid.dimension)
         np.add.at(kper, np.ix_(*[wrap] * self.grid.dimension), self.taps)
         return kper
 

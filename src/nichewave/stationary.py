@@ -386,7 +386,6 @@ def solve_stationary_wholespace(
         )
         change = math.inf
         if prev_vals is not None:
-            idx_new, idx_old = grid.common_with(prev_grid)
             diff = sol.values[idx_new] - prev_vals[idx_old]
             slack = 100.0 * solver_tol + 1e-12
             if np.min(diff) < -slack:

@@ -1,9 +1,16 @@
 import json
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nichewave import build_grid
+from nichewave.config import load_config
 from nichewave.cli import main
+from nichewave.operators import build_operator
 
 
 def run_cli(tmp_path, command, body, label="t"):
@@ -203,6 +210,48 @@ tol = 1e-3
     assert ev["verdict"] == "persistence-converged"
     assert ev["final_dist_sup"] <= 1e-6
     assert (ev["r_converged"], ev["r_change_final"]) == (False, st["r_change_final"])
+
+
+_SIGN_OF_VERDICT = {"persistent": "negative", "extinct": "nonnegative", "indeterminate": "straddle"}
+
+
+@settings(max_examples=8, deadline=None)
+@example(eps=3.0, m=0.0, alpha0=4.0)  # lambda_p > 0: extinction
+@given(eps=st.floats(0.3, 3.0), m=st.floats(0.0, 2.0), alpha0=st.floats(0.25, 4.0))
+def test_stationary_is_fixed_point_and_agrees_with_spectrum(eps, m, alpha0):
+    body = f"""
+[kernel]
+family = tent
+epsilon = {eps!r}
+m = {m!r}
+alpha0 = {alpha0!r}
+
+[grid]
+R = 3
+h = 0.1
+
+[growth]
+family = bump
+params = a0=0.5, b=0.5, a_min=-1
+
+[stationary]
+R_schedule = 3
+"""
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in ("stationary", "spectrum"):
+            code, out = run_cli(Path(tmp), command, body)
+            assert code == 0
+        verdict = json.loads((out / "stationary-t.json").read_text())["verdict"]
+        sign = json.loads((out / "spectrum-t.json").read_text())["sign"]
+        u = np.loadtxt(out / "stationary-t.csv", delimiter=",", skiprows=1, usecols=1)
+        cfg = load_config(str(Path(tmp) / "config.ini"))
+    assert _SIGN_OF_VERDICT[verdict] == sign
+    # the operator `evolve` steps with (FFT), and its CSR form, on the grid of the solution
+    op = build_operator(build_grid(1, 3.0, 0.1), cfg.scaled_kernel(), cfg.growth())
+    target = max(cfg["stationary"]["solver_tol"], 1e-14 * (1.0 + op.rate))
+    roundoff = 1e-11 * (1.0 + op.rate + np.max(np.abs(op.a_values)))
+    for path in ("fast", "direct"):
+        assert np.max(np.abs(op.rhs(u, path=path))) <= target + roundoff
 
 
 def test_eps_star_command(tmp_path):

@@ -1,4 +1,6 @@
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -179,6 +181,59 @@ class TestSparseAssembly:
                        for ix in op.grid.box_index for d in stencil)
         assert op.conv_matrix().nnz == expected
         assert op.matrix().nnz == expected
+
+
+# (dimension, R, h, topology, kernel family)
+CIRCULAR_CASES = [
+    # torus with 2q+1 > cells per axis: taps wrap onto the same cell
+    (1, 0.5, 0.125, "torus", "tent"),
+    (2, 1.0, 0.25, "torus", "tent"),
+    # infinite support caps the reach at n-1 = 7, so L = n + q = 15 exactly
+    (1, 1.0, 0.125, "ball-truncated", "algebraic-tail"),
+    (2, 1.0, 0.25, "ball-truncated", "algebraic-tail"),
+    # three cells per axis
+    (1, 0.75, 0.5, "ball-truncated", "tent"),
+    (2, 0.75, 0.5, "ball-truncated", "tent"),
+    (1, 0.75, 0.5, "torus", "tent"),
+    (2, 0.75, 0.5, "torus", "tent"),
+]
+
+
+def _circular_op(dimension, radius, spacing, topology, family):
+    grid = build_grid(dimension, radius, spacing, topology)
+    params = {"power": 4.0} if family == "algebraic-tail" else {}
+    kernel = rescale_kernel(Kernel(family, dimension=dimension, params=params), 1.0, 0.0)
+    return build_operator(grid, kernel)
+
+
+class TestCircularFFT:
+    @pytest.mark.parametrize("case", CIRCULAR_CASES)
+    def test_fft_matches_csr(self, case, rng):
+        op = _circular_op(*case)
+        for _ in range(3):
+            u = rng.random(op.size)
+            direct = op.conv_matrix() @ u
+            assert np.max(np.abs(op.convolve(u) - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("case", CIRCULAR_CASES[2:4])
+    def test_capped_reach_spans_the_box(self, case):
+        op = _circular_op(*case)
+        assert op.reach == op.grid.cells_per_axis - 1
+
+    def test_threads_share_one_operator(self, rng):
+        # a fresh operator, so the cached transform is also built under contention;
+        # a work box shared between calls makes this fail
+        op = _circular_op(2, 4.0, 0.05, "ball-truncated", "tent")
+        inputs = [rng.random(op.size) for _ in range(64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(op.convolve, inputs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for u, out in zip(inputs, threaded):
+            assert np.array_equal(out, op.convolve(u))
 
 
 class TestIdentities:
