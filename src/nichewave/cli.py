@@ -8,7 +8,7 @@ configured output directory. Exit codes: 0 success, 1 config error,
 2 numerical failure (partial artifacts retained).
 
 Outputs carry no timestamps and floats are serialized with repr, so reruns
-with the same config and seed are byte-identical.
+with the same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .experiments import (
     fat_tail_verdict,
     find_eps_star,
 )
-from .grids import build_grid, snap_radius
+from .grids import build_grid
 from .kernels import validate_kernel
 from .operators import build_operator
 from .spectral import lambda_p_extrapolate_R, principal_eigenvalue, rayleigh_lambda_v

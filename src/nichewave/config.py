@@ -2,7 +2,8 @@
 
 Sections and keys (all optional unless a command needs them):
 
-    [run]       seed (int), label (str), output_dir (str), workers (int)
+    [run]       seed (int, accepted but unused: no computation draws
+                random numbers), label (str), output_dir (str), workers (int)
     [kernel]    family, dimension, epsilon, m, alpha0, params
     [grid]      R, h, topology, max_cells
     [growth]    family, params, radial_nonincreasing
@@ -132,10 +133,6 @@ class ExperimentConfig:
 
     def __getitem__(self, section: str) -> dict:
         return self.sections[section]
-
-    @property
-    def seed(self) -> int:
-        return self.sections["run"]["seed"]
 
     @property
     def workers(self) -> int:

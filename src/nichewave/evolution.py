@@ -29,15 +29,6 @@ class EvolutionTrace:
     mass: np.ndarray
     monotone_flag: str         # "increasing" | "decreasing" | "neither"
 
-    def final(self) -> dict:
-        return {
-            "t": float(self.times[-1]),
-            "sup_norm": float(self.sup_norm[-1]),
-            "dist_sup": float(self.dist_sup[-1]),
-            "dist_l1": float(self.dist_l1[-1]),
-            "mass": float(self.mass[-1]),
-        }
-
 
 def stable_step(op: DiscreteOperator, u0_sup: float) -> float:
     """Largest dt with a monotone, positivity-preserving Euler step."""
@@ -170,7 +161,6 @@ def long_time_verdict(
     stationary: np.ndarray | None = None,
     dt: float | None = None,
     stride: float = 1.0,
-    u0_integrable: bool = True,
 ) -> LongTimeVerdict:
     """Classify the long-time behaviour against the certified lambda_p sign.
 
@@ -189,7 +179,7 @@ def long_time_verdict(
         eventually_decreasing = bool(np.all(np.diff(tail) <= tol))
         if final_sup <= tol and eventually_decreasing:
             verdict = "extinction"
-        elif stationary is not None and final_dsup <= tol and (not u0_integrable or final_dl1 <= tol):
+        elif stationary is not None and final_dsup <= tol and final_dl1 <= tol:
             verdict = "persistence-converged"
         else:
             verdict = "undecided"

@@ -162,6 +162,12 @@ def _sweep_one(kernel, growth, m, eps, policy, alpha0, direction, solver_tol, sp
     )
 
 
+def _map(fn, items, workers: int) -> list:
+    """list(map(fn, items)); on a thread pool only when workers > 1."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list((pool.map if workers > 1 else map)(fn, items))
+
+
 def epsilon_sweep(
     kernel: Kernel,
     growth: GrowthProfile,
@@ -182,26 +188,15 @@ def epsilon_sweep(
     epsilons = [float(e) for e in epsilons]
 
     def job(eps):
-        return _sweep_one(kernel, growth, m, eps, policy, alpha0, direction,
-                          solver_tol, spectral_tol, lambda1_fd, fd_reference)
+        try:
+            return _sweep_one(kernel, growth, m, eps, policy, alpha0, direction,
+                              solver_tol, spectral_tol, lambda1_fd, fd_reference)
+        except UnderResolvedKernelError as exc:
+            return exc
 
-    entries: list[SweepEntry | None] = [None] * len(epsilons)
-    skipped: dict[float, str] = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(job, e) for i, e in enumerate(epsilons)}
-            for i, fut in futures.items():
-                try:
-                    entries[i] = fut.result()
-                except UnderResolvedKernelError as exc:
-                    skipped[epsilons[i]] = str(exc)
-    else:
-        for i, eps in enumerate(epsilons):
-            try:
-                entries[i] = job(eps)
-            except UnderResolvedKernelError as exc:
-                skipped[eps] = str(exc)
-    return SweepResult(m=m, entries=[e for e in entries if e is not None], skipped=skipped)
+    results = _map(job, epsilons, workers)
+    skipped = {e: str(r) for e, r in zip(epsilons, results) if isinstance(r, UnderResolvedKernelError)}
+    return SweepResult(m=m, entries=[r for r in results if isinstance(r, SweepEntry)], skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +583,10 @@ class InvasionMatrix:
         return out
 
 
-def _common_policy_grid(policy: GridPolicy, kernel: Kernel, eps_pair, m: float) -> Grid:
-    h = policy.base_spacing * min(1.0, *eps_pair)
-    reach = max(eps_pair) * kernel.support_radius
-    R = snap_radius(policy.base_radius + policy.radius_pad * reach, h)
+def _common_policy_grid(policy: GridPolicy, kernel: Kernel, epsilons) -> Grid:
+    """One grid that resolves the smallest eps and reaches the largest."""
+    h = policy.spacing_for(min(epsilons))
+    R = snap_radius(policy.radius_for(max(epsilons), kernel.support_radius), h)
     return build_grid(policy.dimension, R, h, "ball-truncated", policy.max_cells_per_axis)
 
 
@@ -613,7 +608,7 @@ def invasion_fitness(
     """
     policy = policy or GridPolicy(dimension=growth.dimension)
     if resident is None:
-        grid = _common_policy_grid(policy, kernel, (eps1, eps2), m)
+        grid = _common_policy_grid(policy, kernel, (eps1, eps2))
         res_kernel = rescale_kernel(kernel, eps1, m, alpha0)
         if res_kernel.support_radius < policy.min_taps * grid.spacing:
             raise UnderResolvedKernelError(f"resident kernel unresolved at eps1={eps1}")
@@ -658,8 +653,7 @@ def build_invasion_matrix(
     eps_mutants = [float(e) for e in (eps_mutants if eps_mutants is not None else eps_residents)]
 
     def row(e1):
-        pair_max = max([e1] + eps_mutants)
-        grid = _common_policy_grid(policy, kernel, (min([e1] + eps_mutants), pair_max), m)
+        grid = _common_policy_grid(policy, kernel, [e1] + eps_mutants)
         res_kernel = rescale_kernel(kernel, e1, m, alpha0)
         res_op = build_operator(grid, res_kernel, growth)
         res = solve_stationary_ball(res_op, tol=solver_tol, spectral_tol=spectral_tol)
@@ -669,12 +663,8 @@ def build_invasion_matrix(
             for e2 in eps_mutants
         ]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, eps_residents))
-    else:
-        rows = [row(e1) for e1 in eps_residents]
-    return InvasionMatrix(eps_residents=eps_residents, eps_mutants=eps_mutants, entries=rows)
+    return InvasionMatrix(eps_residents=eps_residents, eps_mutants=eps_mutants,
+                          entries=_map(row, eps_residents, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +712,8 @@ def fat_tail_verdict(
     estimates = []
     used = []
     tail_mass = 0.0
+    # not spectral.radius_walk: the reach is capped at n - 1 cells and the taps
+    # renormalized, so each R has its own kernel and lambda_p may rise with R
     for R in sorted(float(r) for r in radii):
         grid = build_grid(dimension, snap_radius(R, spacing), spacing,
                           "ball-truncated", max_cells_per_axis)

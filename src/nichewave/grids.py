@@ -41,21 +41,6 @@ class Grid:
     def norms(self) -> np.ndarray:
         return np.sqrt(np.sum(self.points * self.points, axis=1))
 
-    def axis_points(self) -> np.ndarray:
-        """Coordinates along one axis (useful for 1-D output files)."""
-        k = np.arange(self.cells_per_axis)
-        return -self.radius + (k + 0.5) * self.spacing
-
-    def embed(self, u: np.ndarray) -> np.ndarray:
-        """Scatter a grid function into the full box (zeros off the ball)."""
-        box = np.zeros(self.box_shape, dtype=float)
-        box[tuple(self.box_index.T)] = u
-        return box
-
-    def restrict(self, box: np.ndarray) -> np.ndarray:
-        """Gather box values back onto the grid points."""
-        return box[tuple(self.box_index.T)]
-
     def sample(self, fn) -> np.ndarray:
         """Evaluate a callable of the point coordinates on the grid."""
         if self.dimension == 1:

@@ -23,7 +23,7 @@ kernels, a few hundred on steep 1-D tails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -211,6 +211,38 @@ def dense_lambda_p_oracle(op) -> tuple[float, float]:
     return -float(vals[-1]), gap
 
 
+def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-10,
+                dimension: int = 1, max_cells_per_axis: int = 8192):
+    """Yield (R, op, lambda_p) ball by ball along an increasing R schedule.
+
+    The schedule must be non-empty and every radius a multiple of h
+    (ConfigError otherwise), so the ball lattices nest exactly. On nested
+    balls lambda_p(L_R + a) is non-increasing in R (domain monotonicity); a
+    rise beyond the two bracket widths raises
+    DiscretizationInconsistencyError. This is the only such check.
+    Consumers stop the walk by break. A consumer should drop op before it
+    asks for the next ball: op caches its CSR matrix, which would otherwise
+    stay alive while the next ball is certified.
+    """
+    radii = sorted(float(R) for R in radii)
+    if not radii:
+        raise ConfigError("the R schedule is empty")
+    for R in radii:
+        if abs(R / spacing - round(R / spacing)) > 1e-9:
+            raise ConfigError(f"schedule radius {R} is not a multiple of h={spacing}")
+    prev_R = prev = None
+    for R in radii:
+        op = build_operator(build_grid(dimension, R, spacing, "ball-truncated", max_cells_per_axis),
+                            kernel, growth)
+        lam = principal_eigenvalue(op, tol=spectral_tol, best_effort=True)
+        if prev is not None and lam.value > prev.value + prev.width + lam.width + 1e-13:
+            raise DiscretizationInconsistencyError(
+                f"lambda_p increased from {prev.value} (R={prev_R}) to {lam.value} (R={R})"
+            )
+        yield R, op, lam
+        prev_R, prev = R, lam
+
+
 @dataclass
 class ExtrapolationResult:
     radii: list[float]
@@ -223,14 +255,6 @@ class ExtrapolationResult:
     def values(self) -> list[float]:
         return [e.value for e in self.estimates]
 
-    @property
-    def final_upper(self) -> float:
-        return min(e.upper for e in self.estimates)
-
-    @property
-    def final_lower(self) -> float:
-        return self.estimates[-1].lower - max(self.uncertainty, 0.0)
-
 
 def lambda_p_extrapolate_R(
     kernel,
@@ -242,37 +266,22 @@ def lambda_p_extrapolate_R(
     dimension: int = 1,
     max_cells_per_axis: int = 8192,
 ) -> ExtrapolationResult:
-    """lambda_p(L_R + a) along an increasing R schedule on matched grids.
+    """Whole-space lambda_p read as the limit of lambda_p(L_R + a) on radius_walk.
 
-    The sequence is non-increasing (domain monotonicity holds exactly for
-    nested lattices); a violation beyond bracket widths is a bug signal.
-    Stops early once successive decrease falls below tol.
+    Stops once one step of the walk lowers lambda_p by at most tol
+    (converged); the uncertainty is that last decrease, inf after one ball.
     """
-    radii = sorted(float(R) for R in radii)
-    for R in radii:
-        if abs(R / spacing - round(R / spacing)) > 1e-9:
-            raise ConfigError(f"schedule radius {R} is not a multiple of h={spacing}")
     estimates = []
     used = []
     converged = False
-    for R in radii:
-        grid = build_grid(dimension, R, spacing, "ball-truncated", max_cells_per_axis)
-        op = build_operator(grid, kernel, growth)
-        est = principal_eigenvalue(op, tol=spectral_tol, best_effort=True)
-        if estimates:
-            prev = estimates[-1]
-            slack = prev.width + est.width
-            if est.value > prev.value + slack + 1e-13:
-                raise DiscretizationInconsistencyError(
-                    f"lambda_p increased from {prev.value} (R={used[-1]}) to {est.value} (R={R})"
-                )
+    for R, op, est in radius_walk(kernel, growth, radii, spacing, spectral_tol, dimension,
+                                  max_cells_per_axis):
+        del op  # only lambda_p is kept; free the CSR matrix before the next ball
         estimates.append(est)
         used.append(R)
-        if len(estimates) >= 2:
-            decrease = estimates[-2].value - estimates[-1].value
-            if decrease <= tol:
-                converged = True
-                break
+        if len(estimates) >= 2 and estimates[-2].value - est.value <= tol:
+            converged = True
+            break
     uncertainty = (estimates[-2].value - estimates[-1].value) if len(estimates) >= 2 else math.inf
     return ExtrapolationResult(
         radii=used,

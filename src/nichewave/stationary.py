@@ -1,13 +1,15 @@
 """Stationary states of rate (J_eps * u - u) + f(x, u) = 0 by monotone iteration.
 
-The scheme is ball exhaustion: on each ball the problem is solved by
+The scheme is ball exhaustion. On each ball the problem is solved by
 two-sided monotone Newton, squeezed between a verified discrete
 sub-solution theta * phi_p and a verified discrete super-solution
 (exponential-tail profile matched to the hostile exterior, or a constant
 barrier); every iterate stays a verified sub- or super-solution, so the
-final pair encloses the solution. The ball is then grown until the solution
-stops changing. Every verdict is tied to a certified lambda_p bracket;
-brackets that straddle zero refuse a verdict.
+final pair encloses the solution. The balls come from
+``spectral.radius_walk``, which also certifies lambda_p on each one and
+checks its domain monotonicity; the walk stops once the solution stops
+changing. Every verdict is tied to a certified lambda_p bracket; brackets
+that straddle zero refuse a verdict.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from .errors import (
     SupersolutionConstructionError,
     UniquenessViolationError,
 )
-from .grids import build_grid
-from .operators import DiscreteOperator, build_operator
-from .spectral import SpectralEstimate, lambda_p_extrapolate_R, principal_eigenvalue
+from .operators import DiscreteOperator
+from .spectral import SpectralEstimate, principal_eigenvalue, radius_walk
 
 _SUB_SLACK = 1e-11
 _RATIO_FLOOR = 1e-300
@@ -101,7 +102,6 @@ def build_supersolution(op: DiscreteOperator, tol: float = 1e-8, max_backtracks:
     norms = op.grid.norms()
     core = norms <= 2.0 * r0
     m_core = float(np.max(sat[core])) if np.any(core) else sup_s
-    m_core = max(m_core, sup_s * 0.0)
     if m_core <= 0:
         # niche is entirely hostile: any positive constant is a barrier
         values = np.ones(op.size)
@@ -354,36 +354,26 @@ def solve_stationary_wholespace(
 ) -> StationarySolution:
     """Whole-space equilibrium as the monotone limit of ball solutions.
 
-    Asserts u_{R_k} <= u_{R_{k+1}} on the common lattice and stops once the
-    sup-norm change drops below tol. The verdict comes from the certified
-    bracket at the largest ball solved.
+    Walks the balls of ``spectral.radius_walk`` (radii multiples of h,
+    lambda_p certified and non-increasing in R) and solves each one, started
+    from the previous ball's solution. Asserts u_{R_k} <= u_{R_{k+1}} on the
+    common lattice and stops once the sup-norm change drops below tol. The
+    verdict comes from the certified bracket at the largest ball solved.
     """
-    radii = sorted(float(R) for R in radii)
     prev_grid = None
     prev_vals = None
     history: list[tuple[float, float]] = []
     last: BallSolve | None = None
-    final_grid = None
-    prev_lam = None
-    for R in radii:
-        grid = build_grid(dimension, R, spacing, "ball-truncated", max_cells_per_axis)
-        op = build_operator(grid, kernel, growth)
-        lam = principal_eigenvalue(op, tol=spectral_tol, best_effort=True)
-        if prev_lam is not None and lam.value > prev_lam.value + prev_lam.width + lam.width + 1e-13:
-            raise MonotonicityViolationError("lambda_p increased along the R schedule")
-        prev_lam = lam
-
+    for R, op, lam in radius_walk(kernel, growth, radii, spacing, spectral_tol, dimension,
+                                  max_cells_per_axis):
+        grid = op.grid
         lower_start = None
         if prev_vals is not None:
             idx_new, idx_old = grid.common_with(prev_grid)
             lower_start = np.zeros(grid.size)
             lower_start[idx_new] = prev_vals[idx_old]
-        sol = solve_stationary_ball(
-            op,
-            tol=solver_tol,
-            lam=lam,
-            lower_start=lower_start,
-        )
+        sol = solve_stationary_ball(op, tol=solver_tol, lam=lam, lower_start=lower_start)
+        del op  # free its CSR matrix before the walk certifies the next ball
         change = math.inf
         if prev_vals is not None:
             diff = sol.values[idx_new] - prev_vals[idx_old]
@@ -399,7 +389,7 @@ def solve_stationary_wholespace(
                 float(np.max(sol.values[outside])) if np.any(outside) else 0.0,
             )
         history.append((R, change))
-        prev_grid, prev_vals, last, final_grid = grid, sol.values, sol, grid
+        prev_grid, prev_vals, last = grid, sol.values, sol
         if change <= tol and last.verdict != "indeterminate":
             break
 
@@ -407,7 +397,7 @@ def solve_stationary_wholespace(
         if np.any(last.values > last.super_ + 100.0 * solver_tol):
             raise MonotonicityViolationError("solution escaped its super-solution")
     return StationarySolution(
-        grid=final_grid,
+        grid=prev_grid,
         values=last.values,
         residual=last.residual,
         sub=last.sub,

@@ -172,6 +172,27 @@ tol = 1e-3
     assert trace_header == "t,sup_norm,dist_sup,dist_l1,mass"
 
 
+@pytest.mark.parametrize("schedule, message", [("4.05", "not a multiple of h"), ("", "empty")])
+def test_stationary_bad_r_schedule_exits_one(tmp_path, capsys, schedule, message):
+    code, out = run_cli(tmp_path, "stationary", f"""
+[kernel]
+family = tent
+
+[grid]
+h = 0.1
+
+[growth]
+family = bump
+params = a0=2, b=1, a_min=-1
+
+[stationary]
+R_schedule = {schedule}
+""")
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "stationary-t.json").exists()
+
+
 def test_stationary_is_evolve_fixed_point_at_alpha0(tmp_path):
     # epsilon = 1 with alpha0 = 4: both commands must use the rate-4 kernel
     body = """

@@ -13,6 +13,7 @@ from nichewave import (
 )
 from nichewave.experiments import (
     GridPolicy,
+    _common_policy_grid,
     apriori_estimate_audit,
     asymptotic_limit_check,
     build_invasion_matrix,
@@ -41,9 +42,10 @@ class TestSweep:
 
     def test_under_resolved_entries_skipped(self, tent, bump):
         coarse = GridPolicy(base_radius=4.5, base_spacing=0.75)
-        res = epsilon_sweep(tent, bump, 0.0, [0.25, 4.0], coarse)
-        assert 0.25 in res.skipped
-        assert [e.eps for e in res.entries] == [4.0]
+        for workers in (1, 2):
+            res = epsilon_sweep(tent, bump, 0.0, [0.25, 4.0], coarse, workers=workers)
+            assert 0.25 in res.skipped
+            assert [e.eps for e in res.entries] == [4.0]
 
     def test_parallel_matches_serial(self, tent, bump):
         serial = epsilon_sweep(tent, bump, 1.0, [2, 4], POLICY, solver_tol=1e-9)
@@ -175,6 +177,13 @@ class TestInvasion:
         entry = invasion_fitness(tent, bump, 1.0, 2.0, 16.0, POLICY, solver_tol=1e-9)
         assert entry.verdict == "invades"
         assert entry.lam.upper < 0
+
+    def test_common_grid(self, tent):
+        grid = _common_policy_grid(POLICY, tent, [0.5, 2.0])
+        assert (grid.radius, grid.spacing) == (6.0, 0.025)
+        # infinite support: the base radius, as GridPolicy.radius_for gives it
+        fat = Kernel("algebraic-tail", params={"power": 5.0})
+        assert _common_policy_grid(POLICY, fat, [0.5, 2.0]).radius == 4.0
 
     def test_matrix_against_dense_oracle(self, tent):
         growth = bump_growth(1.5, 1.0, -1.0)

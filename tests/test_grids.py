@@ -93,8 +93,3 @@ def test_common_with_matches_brute_force(dimension, small, big, topology):
         assert np.array_equal(ib, brute_b)
     assert ia.size == g_small.size
 
-
-def test_embed_restrict_roundtrip(rng):
-    g = build_grid(2, 2.0, 0.25, "ball-truncated")
-    u = rng.random(g.size)
-    assert np.array_equal(g.restrict(g.embed(u)), u)

@@ -1,0 +1,85 @@
+"""Source hygiene of src/nichewave, checked on the syntax tree.
+
+- Every name a module imports is used in that module. ``__init__`` is
+  skipped (it only re-exports), and so is ``from __future__``. A dotted
+  ``import a.b`` counts as used only where ``a.b`` itself is used.
+- No handler catches ``Exception``/``BaseException`` or everything (bare
+  ``except:``); each one names the errors it expects.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "nichewave"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _dotted(node):
+    """'a.b.c' for a Name/Attribute chain, None for anything else."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}  # what the code must reference -> how it was imported
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = f"import {alias.name}"
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            source = "." * node.level + (node.module or "")
+            for alias in node.names:
+                imported[alias.asname or alias.name] = f"from {source} import {alias.name}"
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            chain = _dotted(node)
+            if chain is not None:
+                parts = chain.split(".")
+                used.update(".".join(parts[:k]) for k in range(1, len(parts) + 1))
+    return sorted(how for name, how in imported.items() if name not in used)
+
+
+def blanket_handlers(tree: ast.Module) -> list[int]:
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if any(c is None or _dotted(c) in ("Exception", "BaseException") for c in caught):
+            lines.append(node.lineno)
+    return lines
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_blanket_except(path):
+    assert blanket_handlers(_tree(path)) == []
+
+
+def test_checks_catch_what_they_name():
+    tree = ast.parse(
+        "import os\nimport scipy.linalg\nimport scipy.sparse\nfrom x import y as z\n"
+        "scipy.sparse.eye(2)\n"
+        "try:\n    pass\nexcept:\n    pass\n"
+        "try:\n    pass\nexcept (ValueError, Exception):\n    pass\n"
+        "try:\n    pass\nexcept KeyError:\n    pass\n"
+    )
+    assert unused_imports(tree) == ["from x import y", "import os", "import scipy.linalg"]
+    assert blanket_handlers(tree) == [8, 12]

@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -5,6 +9,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from nichewave import (
     ConfigError,
+    DiscretizationInconsistencyError,
     GrowthProfile,
     IrreducibilityError,
     Kernel,
@@ -21,8 +26,10 @@ from nichewave import (
     rescale_kernel,
     scaling_invariance_check,
 )
+from nichewave import spectral
 from nichewave.operators import build_operator
-from nichewave.spectral import _arpack_vector
+from nichewave.spectral import _arpack_vector, radius_walk
+from nichewave.stationary import solve_stationary_wholespace
 
 
 def random_growth(rng, radius):
@@ -215,6 +222,67 @@ class TestExtrapolation:
                              a_values=op.a_values + lift)
         est2 = principal_eigenvalue(op2, tol=1e-11)
         assert est2.value <= base.value + 1e-9
+
+
+# Both consumers of radius_walk, run to the end of the schedule.
+WALK_CONSUMERS = {
+    "extrapolate": lambda k, g, radii: lambda_p_extrapolate_R(k, g, radii, 0.1, tol=-1.0),
+    "wholespace": lambda k, g, radii: solve_stationary_wholespace(k, g, radii, 0.1, tol=-1.0),
+}
+
+
+class TestRadiusWalk:
+    def test_yields_nested_balls_with_their_lambda(self, tent, bump):
+        steps = [(R, op.grid.radius, op.grid.size, lam.value)
+                 for R, op, lam in radius_walk(tent, bump, [6, 4], 0.1)]
+        assert [s[:3] for s in steps] == [(4.0, 4.0, 80), (6.0, 6.0, 120)]
+        assert steps[1][3] <= steps[0][3] + 1e-10
+
+    @pytest.mark.parametrize("consumer", sorted(WALK_CONSUMERS))
+    def test_rising_lambda_raises(self, consumer, tent, bump, monkeypatch):
+        real = spectral.principal_eigenvalue
+        calls = []
+
+        def rising(op, **kwargs):
+            est = real(op, **kwargs)
+            calls.append(op.grid.radius)
+            shift = float(len(calls))
+            return dataclasses.replace(est, value=est.value + shift, lower=est.lower + shift,
+                                       upper=est.upper + shift)
+
+        monkeypatch.setattr(spectral, "principal_eigenvalue", rising)
+        with pytest.raises(DiscretizationInconsistencyError, match="increased"):
+            WALK_CONSUMERS[consumer](tent, bump, [4, 6, 8])
+        assert calls == [4.0, 6.0]
+
+    @pytest.mark.parametrize("consumer", sorted(WALK_CONSUMERS))
+    @pytest.mark.parametrize("radii, message", [([4.05], "multiple of h"), ([], "empty")])
+    def test_bad_schedule_is_a_config_error(self, consumer, radii, message, tent, bump):
+        with pytest.raises(ConfigError, match=message):
+            WALK_CONSUMERS[consumer](tent, bump, radii)
+
+    @pytest.mark.parametrize("consumer", sorted(WALK_CONSUMERS))
+    def test_earlier_operators_are_freed(self, consumer, tent, bump, monkeypatch):
+        """Only one ball's operator (and its CSR matrix) is alive at a time.
+
+        Reference counting alone must free it, so the collector stays off.
+        """
+        real = spectral.principal_eigenvalue
+        seen = []
+        alive_at_call = []
+
+        def spy(op, **kwargs):
+            alive_at_call.append(sum(ref() is not None for ref in seen))
+            seen.append(weakref.ref(op))
+            return real(op, **kwargs)
+
+        monkeypatch.setattr(spectral, "principal_eigenvalue", spy)
+        gc.disable()
+        try:
+            WALK_CONSUMERS[consumer](tent, bump, [4, 6, 8])
+        finally:
+            gc.enable()
+        assert alive_at_call == [0, 0, 0]
 
 
 class TestScalingInvariance:
