@@ -139,7 +139,8 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     if sp["r_schedule"]:
         res = lambda_p_extrapolate_R(kernel, growth, sp["r_schedule"], g["h"],
                                      spectral_tol=sp["tol"],
-                                     dimension=cfg["kernel"]["dimension"])
+                                     dimension=cfg["kernel"]["dimension"],
+                                     max_cells_per_axis=g["max_cells"])
         rows += [_est_row(e, "perron-cw", R, kernel.epsilon, kernel.m)
                  for R, e in zip(res.radii, res.estimates)]
         extra = {"extrapolated": res.final_value, "uncertainty": res.uncertainty,

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import ConfigError, KernelHypothesisError, UnderResolvedKernelError
 from .grids import Grid, build_grid, snap_radius
@@ -29,7 +28,13 @@ from .spectral import (
     local_lambda1_fd,
     principal_eigenvalue,
 )
-from .stationary import BallSolve, halved_subsolution, solve_stationary_ball, two_sided_newton
+from .stationary import (
+    BallSolve,
+    _banded_solver,
+    halved_subsolution,
+    solve_stationary_ball,
+    two_sided_newton,
+)
 
 
 @dataclass(frozen=True)
@@ -303,8 +308,10 @@ def local_kpp_solve_fd(
 
     The same two-sided monotone Newton as the nonlocal solver
     (``stationary.two_sided_newton``), squeezed between the sub-solution
-    theta phi_1 and the constant barrier max S; the Jacobian
-    sigma Delta_h + diag(d_s f) is tridiagonal, so each step is a banded solve.
+    theta phi_1 and the constant barrier max S. -J(v) = -sigma Delta_h -
+    diag(d_s f) is tridiagonal with stencil [-sigma/h^2, 2 sigma/h^2,
+    -sigma/h^2], so each step is the exact banded solve
+    ``stationary._banded_solver`` that 1-D nonlocal balls use too.
     """
     lam1 = local_lambda1_fd(growth.a, sigma, radius, spacing)
     nodes = fd_nodes(radius, spacing)
@@ -322,15 +329,11 @@ def local_kpp_solve_fd(
         lap[1:] += v[:-1]
         return off * lap + growth.f(nodes, v, a_nodes)
 
-    def solve(v, r):
-        bands = np.empty((3, v.size))
-        bands[0], bands[2] = -off, -off
-        bands[1] = 2.0 * off - growth.dfds(nodes, v, a_nodes)
-        return solve_banded((1, 1), bands, r)
-
     slack = 1e-11 * (1.0 + 2.0 * off)
     sub = halved_subsolution(rhs, lam1.eigenvector, -lam1.value / 2.0, slack)
     target = max(tol * min(1.0, -lam1.value), 1e-13)
+    solve = _banded_solver(np.array([-off, 2.0 * off, -off]),
+                           lambda v: growth.dfds(nodes, v, a_nodes), nodes.size)
     v, _, steps = two_sided_newton(rhs, solve, np.full_like(nodes, barrier), sub, target, slack,
                                    value_slack=slack / min(1.0, -lam1.value))
     return LocalKPPResult(nodes=nodes, values=v, lambda1=lam1, residual=float(np.max(np.abs(rhs(v)))),

@@ -104,6 +104,30 @@ maxiter = 2
     assert code == 2
 
 
+@pytest.mark.parametrize("radius", ["2", "4"])
+def test_spectrum_r_schedule_honours_max_cells(tmp_path, capsys, radius):
+    # R = 4 at h = 0.1 is 80 cells per axis; whether it is the main grid or
+    # only an R_schedule row, the 50-cell limit refuses it
+    code, _ = run_cli(tmp_path, "spectrum", f"""
+[kernel]
+family = tent
+
+[grid]
+R = {radius}
+h = 0.1
+max_cells = 50
+
+[growth]
+family = bump
+params = a0=2, b=1, a_min=-1
+
+[spectral]
+R_schedule = 4
+""")
+    assert code == 2
+    assert "80 cells per axis exceeds the limit 50" in capsys.readouterr().err
+
+
 def test_sweep_artifacts_and_reproducibility(tmp_path):
     body = """
 [kernel]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from nichewave import (
     GrowthProfile,
@@ -24,7 +25,11 @@ from nichewave.experiments import (
     invasion_fitness,
     local_kpp_solve_fd,
 )
+from nichewave import experiments
+from nichewave.errors import MonotonicityViolationError
+from nichewave.kernels import kernel_moment
 from nichewave.operators import build_operator
+from nichewave.spectral import fd_nodes
 
 POLICY = GridPolicy(base_radius=4.0, base_spacing=0.05)
 
@@ -134,6 +139,46 @@ class TestLocalKPP:
         else:
             raise AssertionError("damped FD oracle did not converge")
         assert np.max(np.abs(res.values - v)) <= 1e-9
+
+    def test_shared_banded_solve_is_bit_identical(self, tent, bump, monkeypatch):
+        # the FD grid of acceptance test 07: sigma = m_2(tent) / 2, R = 4, h = 0.01
+        sigma, radius, h = kernel_moment(tent, 2.0) / 2.0, 4.0, 0.01
+        calls = []
+        real = experiments.two_sided_newton
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "two_sided_newton", spy)
+        res = local_kpp_solve_fd(bump, sigma, radius, h, tol=1e-8)
+
+        # oracle: the tridiagonal solve the FD reference used to build itself
+        nodes = fd_nodes(radius, h)
+        a_nodes = np.asarray(bump.a(nodes), dtype=float)
+        off = sigma / h**2
+
+        def own_solve(v, r):
+            bands = np.empty((3, v.size))
+            bands[0], bands[2] = -off, -off
+            bands[1] = 2.0 * off - bump.dfds(nodes, v, a_nodes)
+            return solve_banded((1, 1), bands, r)
+
+        (args, kwargs), = calls
+        v, _, steps = real(args[0], own_solve, *args[2:], **kwargs)
+        assert res.iterations == steps == 7
+        assert np.array_equal(res.values, v)
+
+    def test_nonpositive_diagonal_is_refused(self):
+        # f = s (1 - s)(2 - s) rises through f(1.8) < 0 with slope 0.92 > 2 sigma / h^2
+        growth = GrowthProfile(
+            "constant", params={"value": 2.0},
+            f_fn=lambda x, s: s * (1.0 - s) * (2.0 - s),
+            dfds_fn=lambda x, s: 3.0 * s * s - 6.0 * s + 2.0,
+            saturation_fn=lambda x: np.full(np.shape(x), 1.8),
+        )
+        with pytest.raises(MonotonicityViolationError, match="nonpositive diagonal.*concave"):
+            local_kpp_solve_fd(growth, 1.0 / 12.0, 4.0, 0.5)
 
 
 class TestLimitCheck:

@@ -270,3 +270,74 @@ class TestTwoSidedNewton:
         assert np.max(np.abs(sol.attempted - seen[-1])) == 0.0
         assert all(np.all(b <= a + 1e-11) for a, b in zip(seen, seen[1:]))
         assert np.max(np.abs(ball_op.rhs(sol.attempted))) <= 1e-10
+
+
+@pytest.fixture
+def newton_args(monkeypatch):
+    """Record the arguments of every two_sided_newton call."""
+    calls = []
+    real = stationary.two_sided_newton
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stationary, "two_sided_newton", spy)
+    return calls
+
+
+@pytest.fixture
+def linear_solvers(monkeypatch):
+    """Name the Newton linear solve each ball solve builds, in call order."""
+    built = []
+    for name in ("_banded_solver", "_cg_solver"):
+        def spy(*args, _real=getattr(stationary, name), _name=name, **kwargs):
+            built.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(stationary, name, spy)
+    return built
+
+
+def _cubic_growth():
+    # f = s (1 - s)(2 - s) is not concave: at the barrier 1.8, f < 0 and d_s f = 0.92
+    return GrowthProfile(
+        "constant", params={"value": 2.0},
+        f_fn=lambda x, s: s * (1.0 - s) * (2.0 - s),
+        dfds_fn=lambda x, s: 3.0 * s * s - 6.0 * s + 2.0,
+        saturation_fn=lambda x: np.full(np.shape(x), 1.8),
+    )
+
+
+class TestBandedNewton:
+    @pytest.mark.parametrize("case", ["m2-eps0.4", "m2-eps0.1"])
+    def test_matches_cg(self, case, newton_args, linear_solvers):
+        op = _newton_case(case)
+        sol = solve_stationary_ball(op, tol=1e-10)
+        assert linear_solvers == ["_banded_solver"]
+        (args, kwargs), = newton_args
+        residual, _, hi, lo, target, slack = args
+        cg = stationary._cg_solver(op, atol=0.1 * min(target, slack))
+        u, u_lo, steps = stationary.two_sided_newton(residual, cg, hi, lo, target, slack, **kwargs)
+        assert sol.iterations == steps
+        assert np.max(np.abs(sol.values - u)) <= 1e-10 * np.max(np.abs(u))
+        assert sol.gap == pytest.approx(float(np.max(np.abs(u - u_lo))), abs=1e-12)
+
+    def test_selection(self, tent, bump, linear_solvers):
+        limit = stationary._BANDED_MAX_REACH
+        narrow = build_operator(build_grid(1, 4.0, 0.05, "ball-truncated"),
+                                rescale_kernel(tent, 1.0, 0.0), bump)
+        wide = build_operator(build_grid(1, 4.0, 1.0 / (limit + 10), "ball-truncated"),
+                              rescale_kernel(tent, 1.0, 0.0), bump)
+        assert narrow.reach < limit < wide.reach
+        for op in (narrow, wide, _newton_case("torus-constant"), _newton_case("2d-ball")):
+            assert solve_stationary_ball(op, tol=1e-10).verdict == "persistent"
+        assert linear_solvers == ["_banded_solver", "_cg_solver", "_cg_solver", "_cg_solver"]
+
+    def test_nonpositive_diagonal_is_refused(self, tent, linear_solvers):
+        # rate 0.25 < d_s f(1.8) = 0.92, so -J(hi) has a negative diagonal on the first step
+        op = build_operator(build_grid(1, 4.0, 0.125, "ball-truncated"),
+                            rescale_kernel(tent, 1.0, 0.0, 0.25), _cubic_growth())
+        with pytest.raises(MonotonicityViolationError, match="nonpositive diagonal.*concave"):
+            solve_stationary_ball(op, tol=1e-10)
+        assert linear_solvers == ["_banded_solver"]
