@@ -21,7 +21,7 @@ from .errors import ConfigError, KernelHypothesisError, UnderResolvedKernelError
 from .grids import Grid, build_grid, snap_radius
 from .growth import GrowthProfile
 from .kernels import Kernel, kernel_moment, rescale_kernel, validate_kernel
-from .operators import build_operator
+from .operators import banded_solver, build_operator
 from .spectral import (
     SpectralEstimate,
     fd_nodes,
@@ -30,7 +30,6 @@ from .spectral import (
 )
 from .stationary import (
     BallSolve,
-    _banded_solver,
     halved_subsolution,
     solve_stationary_ball,
     two_sided_newton,
@@ -310,8 +309,8 @@ def local_kpp_solve_fd(
     (``stationary.two_sided_newton``), squeezed between the sub-solution
     theta phi_1 and the constant barrier max S. -J(v) = -sigma Delta_h -
     diag(d_s f) is tridiagonal with stencil [-sigma/h^2, 2 sigma/h^2,
-    -sigma/h^2], so each step is the exact banded solve
-    ``stationary._banded_solver`` that 1-D nonlocal balls use too.
+    -sigma/h^2], so each step is the banded solve
+    ``operators.banded_solver`` of 1-D nonlocal balls (Newton and lambda_p).
     """
     lam1 = local_lambda1_fd(growth.a, sigma, radius, spacing)
     nodes = fd_nodes(radius, spacing)
@@ -332,8 +331,8 @@ def local_kpp_solve_fd(
     slack = 1e-11 * (1.0 + 2.0 * off)
     sub = halved_subsolution(rhs, lam1.eigenvector, -lam1.value / 2.0, slack)
     target = max(tol * min(1.0, -lam1.value), 1e-13)
-    solve = _banded_solver(np.array([-off, 2.0 * off, -off]),
-                           lambda v: growth.dfds(nodes, v, a_nodes), nodes.size)
+    solve = banded_solver(np.array([-off, 2.0 * off, -off]),
+                          lambda v: growth.dfds(nodes, v, a_nodes), nodes.size)
     v, _, steps = two_sided_newton(rhs, solve, np.full_like(nodes, barrier), sub, target, slack,
                                    value_slack=slack / min(1.0, -lam1.value))
     return LocalKPPResult(nodes=nodes, values=v, lambda1=lam1, residual=float(np.max(np.abs(rhs(v)))),

@@ -29,11 +29,54 @@ from typing import Optional
 import numpy as np
 import scipy.sparse
 from scipy.fft import next_fast_len, rfftn, irfftn
+from scipy.linalg import solve_banded
 
-from .errors import UnderResolvedKernelError
+from .errors import MonotonicityViolationError, UnderResolvedKernelError
 from .grids import Grid
 from .growth import GrowthProfile
 from .kernels import Kernel, ScaledKernel, rescale_kernel
+
+
+# Widest 1-D kernel reach q on which the M-matrix solves (Newton steps and
+# Noda eigen steps) use the banded LU instead of CG or ARPACK. Both cost O(n)
+# per step at fixed q, so q alone decides. Set by the Newton crossover,
+# measured on 2 cores (OpenBLAS, 2 threads), whole solve_stationary_ball,
+# median of 9, banded vs CG in ms, tent kernel, bump growth, R = 4 + eps,
+# h = eps / q:
+#                   q = 20      30         40         50
+#   m=2 eps=0.4      4 vs 23   10 vs 26   17 vs 27   27 vs 32
+#   m=2 eps=0.1     13 vs 111  28 vs 140  58 vs 146  70 vs 173
+#   m=0 eps=0.2     14 vs 30   24 vs 30   34 vs 33   52 vs 42
+# CG needs fewer matvecs at low rate, so q = 40 is where the worst case ties.
+# At q = 40 the Noda eigen steps beat ARPACK + CSR steps in all three rows
+# (lambda_p at tol 1e-10: 14 vs 32, 44 vs 212, 20 vs 30 ms).
+BANDED_MAX_REACH = 40
+
+
+def banded_solver(stencil: np.ndarray, slope, n: int):
+    """solve(u, R) = A(u)^{-1} R with A(u) = T - diag(slope(u)), by banded LU.
+
+    T is the n x n Toeplitz band of the constant (2q+1)-tap ``stencil``, cut
+    off at both ends of the line (a Dirichlet or hostile exterior). The band
+    is filled once; each call writes the diagonal stencil[q] - slope(u) and
+    solves with ``scipy.linalg.solve_banded`` (LAPACK gtsv for q = 1, gbsv
+    otherwise). A nonpositive diagonal means A(u) is not an M-matrix and
+    raises MonotonicityViolationError. Partial-pivoted LU makes no per-entry
+    accuracy claim on the result: callers check its sign where they need
+    one, and every certified bound is computed from the CSR matrix.
+    """
+    q = (len(stencil) - 1) // 2
+    bands = np.repeat(stencil[::-1, None], n, axis=1)
+
+    def solve(u, rhs):
+        diag = stencil[q] - slope(u)
+        if np.min(diag) <= 0.0:
+            raise MonotonicityViolationError(
+                "-J(hi) has a nonpositive diagonal, so it is not an M-matrix; is f concave in s?")
+        bands[q] = diag
+        return solve_banded((q, q), bands, rhs)
+
+    return solve
 
 
 def sample_taps(kernel: ScaledKernel, grid: Grid, window_radius: float | None = None):
@@ -207,6 +250,16 @@ class DiscreteOperator:
         A = scipy.sparse.csr_array((self.rate * C.data, C.indices, C.indptr), shape=C.shape)
         A.setdiag(diag + shift)
         return A
+
+    def band_stencil(self) -> Optional[np.ndarray]:
+        """Row stencil of rate (I - C) on a 1-D ball of reach <= BANDED_MAX_REACH,
+        else None: the one rule for where the M-matrix solves go banded."""
+        if self.grid.dimension != 1 or self.grid.topology != "ball-truncated" \
+                or self.reach > BANDED_MAX_REACH:
+            return None
+        stencil = -self.rate * self.grid.spacing * self.taps
+        stencil[self.reach] += self.rate
+        return stencil
 
     # --- operator application ---------------------------------------------------
 

@@ -6,7 +6,8 @@ sub-solution theta * phi_p and a verified discrete super-solution
 (exponential-tail profile matched to the hostile exterior, or a constant
 barrier); every iterate stays a verified sub- or super-solution, so the
 final pair encloses the solution. Each Newton step solves with -J(hi)
-exactly by banded LU on 1-D balls of narrow reach (the same solve as the
+exactly by banded LU on 1-D balls of narrow reach
+(``operators.banded_solver``, shared with the lambda_p eigen steps and the
 local FD reference in ``experiments``), and by Jacobi-preconditioned CG on
 2-D balls, the torus and wide reach. The balls come from
 ``spectral.radius_walk``, which also certifies lambda_p on each one and
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import solve_banded
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     SupersolutionConstructionError,
     UniquenessViolationError,
 )
-from .operators import DiscreteOperator
+from .operators import DiscreteOperator, banded_solver
 from .spectral import SpectralEstimate, principal_eigenvalue, radius_walk
 
 _SUB_SLACK = 1e-11
@@ -175,17 +175,6 @@ def halved_subsolution(residual, phi, theta: float, slack: float, ceiling=None,
 # (lambda_p near 0) Newton only halves the error, about 40 steps to 1e-12.
 _NEWTON_STEP_CAP = 60
 
-# Widest 1-D kernel reach q whose Newton steps use the banded LU instead of
-# CG. Both cost O(n) per step at fixed q, so q alone decides. Measured on
-# 2 cores (OpenBLAS, 2 threads), whole solve_stationary_ball, median of 9,
-# banded vs CG in ms: tent kernel, bump growth, R = 4 + eps, h = eps / q:
-#                   q = 20      30         40         50
-#   m=2 eps=0.4      4 vs 23   10 vs 26   17 vs 27   27 vs 32
-#   m=2 eps=0.1     13 vs 111  28 vs 140  58 vs 146  70 vs 173
-#   m=0 eps=0.2     14 vs 30   24 vs 30   34 vs 33   52 vs 42
-# CG needs fewer matvecs at low rate, so q = 40 is where the worst case ties.
-_BANDED_MAX_REACH = 40
-
 
 def two_sided_newton(residual, solve, hi, lo, target: float, slack: float, value_slack: float):
     """Monotone Newton enclosure lo <= u* <= hi of the zero of a concave cooperative F.
@@ -234,36 +223,12 @@ def _check_enclosure(step, u, r, prev, slack, value_slack) -> None:
             )
 
 
-def _banded_solver(stencil: np.ndarray, slope, n: int):
-    """solve(u, R) = A(u)^{-1} R with A(u) = T - diag(slope(u)), by banded LU.
-
-    T is the n x n Toeplitz band of the constant (2q+1)-tap ``stencil``, cut
-    off at both ends of the line (a Dirichlet or hostile exterior). The band
-    is filled once; each call writes the diagonal stencil[q] - slope(u) and
-    solves exactly (``scipy.linalg.solve_banded``: LAPACK gtsv for q = 1,
-    gbsv otherwise, both with partial pivoting). A nonpositive diagonal means
-    A(u) is not an M-matrix and raises MonotonicityViolationError.
-    """
-    q = (len(stencil) - 1) // 2
-    bands = np.repeat(stencil[::-1, None], n, axis=1)
-
-    def solve(u, rhs):
-        diag = stencil[q] - slope(u)
-        if np.min(diag) <= 0.0:
-            raise MonotonicityViolationError(
-                "-J(hi) has a nonpositive diagonal, so it is not an M-matrix; is f concave in s?")
-        bands[q] = diag
-        return solve_banded((q, q), bands, rhs)
-
-    return solve
-
-
 def _cg_solver(op: DiscreteOperator, atol: float):
     """solve(u, R) = -J(u)^{-1} R by Jacobi-preconditioned CG on the
     matrix-free SPD operator rate (I - C) - diag(d_s f(x, u)).
 
     Used where the banded LU does not apply or does not pay: 2-D balls, the
-    torus (wrapped taps) and 1-D balls whose reach exceeds _BANDED_MAX_REACH.
+    torus (wrapped taps) and 1-D balls whose reach exceeds BANDED_MAX_REACH.
     """
     n = op.size
     c_diag = op.taps[(op.reach,) * op.grid.dimension] * op.grid.spacing**op.grid.dimension
@@ -325,11 +290,9 @@ def solve_stationary_ball(
     slack = max(_residual_slack(op, lam), super_.margin)
 
     def newton(lo, target):
-        if op.grid.dimension == 1 and op.grid.topology == "ball-truncated" \
-                and op.reach <= _BANDED_MAX_REACH:
-            stencil = -op.rate * op.grid.spacing * op.taps
-            stencil[op.reach] += op.rate
-            solve = _banded_solver(stencil, op.reaction_slope, op.size)
+        stencil = op.band_stencil()
+        if stencil is not None:
+            solve = banded_solver(stencil, op.reaction_slope, op.size)
         else:
             solve = _cg_solver(op, atol=0.1 * min(target, slack))
         return two_sided_newton(op.rhs, solve, super_.values, lo, target, slack,

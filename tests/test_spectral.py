@@ -133,6 +133,78 @@ class TestWarmStart:
         assert est.iterations > 3  # power steps, not an ARPACK vector, did the work
 
 
+    def test_certifies_without_arpack_on_torus(self, tent, bump, monkeypatch):
+        # the torus has no band: CSR power steps from the start vector reach the bracket
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", arpack_fails)
+        op = build_operator(build_grid(1, 3.0, 0.25, "torus"), rescale_kernel(tent, 1.0, 0.0), bump)
+        assert op.band_stencil() is None
+        est = principal_eigenvalue(op, tol=1e-10)
+        oracle, _ = dense_lambda_p_oracle(op)
+        assert est.lower - 1e-13 <= oracle <= est.upper + 1e-13
+        assert est.width <= 1e-10
+        assert est.iterations > 3
+
+
+# the spectrum-1d-steep bench config and the bracket the seed certified at tol 1e-7
+STEEP_SEED_BRACKET = (-1.711749820961586, -1.711749721820297)
+
+
+@pytest.fixture(scope="module")
+def steep_op():
+    op = build_operator(build_grid(1, 4.0, 0.0025, "ball-truncated"),
+                        rescale_kernel(Kernel("tent"), 0.05, 2.0, 1.0), bump_growth(2.0, 1.0, -1.0))
+    assert (op.size, op.reach) == (3200, 20)
+    return op
+
+
+class TestNodaSteps:
+    """Eigenvectors of 1-D balls of narrow reach come from banded Noda steps."""
+
+    def test_steep_tail_meets_tight_tol(self, steep_op):
+        lo, hi = STEEP_SEED_BRACKET
+        for solve in (principal_eigenvalue, rayleigh_lambda_v):
+            est = solve(steep_op, tol=1e-10)
+            assert est.width <= 1e-10
+            assert est.lower <= hi and lo <= est.upper
+            assert not est.degenerate
+
+    def test_unreachable_tol_fails_fast(self, steep_op):
+        with pytest.raises(NonConvergenceError) as err:
+            principal_eigenvalue(steep_op, tol=1e-30)
+        lower, upper = err.value.bracket
+        lo, hi = STEEP_SEED_BRACKET
+        assert lower <= upper <= lower + 1e-10
+        assert lower <= hi and lo <= upper
+        assert err.value.iterations <= 20
+
+    def test_near_degenerate_niches(self, tent):
+        # two niches at |x| = 6: the top gap is at rounding level, and the upper
+        # side stalls for steps while the shift still falls
+        growth = GrowthProfile("tabulated", params={
+            "r": list(range(9)), "values": [-1, -1, -1, -1, -1, -1, 2, -1, -1]})
+        op = build_operator(build_grid(1, 8.0, 0.05, "ball-truncated"),
+                            rescale_kernel(tent, 0.5, 0.0), growth)
+        oracle, gap = dense_lambda_p_oracle(op)
+        assert gap < 1e-14
+        for solve in (principal_eigenvalue, rayleigh_lambda_v):
+            est = solve(op, tol=1e-10)
+            assert est.width <= 1e-10
+            assert est.lower - 1e-13 <= oracle <= est.upper + 1e-13
+
+    def test_arpack_only_off_the_band(self, ball_op, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("eigsh called")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", never)
+        assert ball_op.band_stencil() is not None
+        assert principal_eigenvalue(ball_op, tol=1e-10).width <= 1e-10
+        op2 = build_operator(build_grid(2, 2.0, 0.25, "ball-truncated"),
+                             rescale_kernel(Kernel("tent", dimension=2), 1.0, 0.0),
+                             bump_growth(2.0, 1.0, -1.0, dimension=2))
+        with pytest.raises(AssertionError, match="eigsh called"):
+            principal_eigenvalue(op2, tol=1e-10)
+
+
 class TestArpackVector:
     @pytest.mark.parametrize("dimension,topology", [
         (1, "ball-truncated"), (1, "torus"), (2, "ball-truncated"), (2, "torus"),

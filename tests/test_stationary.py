@@ -13,7 +13,7 @@ from nichewave import (
     principal_eigenvalue,
     rescale_kernel,
 )
-from nichewave import stationary
+from nichewave import operators, spectral, stationary
 from nichewave.experiments import GridPolicy
 from nichewave.operators import build_operator
 from nichewave.stationary import (
@@ -202,6 +202,10 @@ def newton_runs(monkeypatch):
 
 
 def _newton_case(name):
+    if name in ("narrow-ball", "wide-ball"):  # reach 20 and 50 around BANDED_MAX_REACH = 40
+        h = 0.05 if name == "narrow-ball" else 1.0 / (operators.BANDED_MAX_REACH + 10)
+        return build_operator(build_grid(1, 4.0, h, "ball-truncated"),
+                              rescale_kernel(Kernel("tent"), 1.0, 0.0), bump_growth(2.0, 1.0, -1.0))
     if name.startswith("m2-eps"):
         sk = rescale_kernel(Kernel("tent"), float(name[6:]), 2.0, 1.0)
         return build_operator(GridPolicy(base_radius=4.0, base_spacing=0.05).grid_for(sk), sk,
@@ -290,7 +294,7 @@ def newton_args(monkeypatch):
 def linear_solvers(monkeypatch):
     """Name the Newton linear solve each ball solve builds, in call order."""
     built = []
-    for name in ("_banded_solver", "_cg_solver"):
+    for name in ("banded_solver", "_cg_solver"):
         def spy(*args, _real=getattr(stationary, name), _name=name, **kwargs):
             built.append(_name)
             return _real(*args, **kwargs)
@@ -314,7 +318,7 @@ class TestBandedNewton:
     def test_matches_cg(self, case, newton_args, linear_solvers):
         op = _newton_case(case)
         sol = solve_stationary_ball(op, tol=1e-10)
-        assert linear_solvers == ["_banded_solver"]
+        assert linear_solvers == ["banded_solver"]
         (args, kwargs), = newton_args
         residual, _, hi, lo, target, slack = args
         cg = stationary._cg_solver(op, atol=0.1 * min(target, slack))
@@ -323,16 +327,29 @@ class TestBandedNewton:
         assert np.max(np.abs(sol.values - u)) <= 1e-10 * np.max(np.abs(u))
         assert sol.gap == pytest.approx(float(np.max(np.abs(u - u_lo))), abs=1e-12)
 
-    def test_selection(self, tent, bump, linear_solvers):
-        limit = stationary._BANDED_MAX_REACH
-        narrow = build_operator(build_grid(1, 4.0, 0.05, "ball-truncated"),
-                                rescale_kernel(tent, 1.0, 0.0), bump)
-        wide = build_operator(build_grid(1, 4.0, 1.0 / (limit + 10), "ball-truncated"),
-                              rescale_kernel(tent, 1.0, 0.0), bump)
-        assert narrow.reach < limit < wide.reach
+    def test_selection(self, linear_solvers):
+        narrow, wide = _newton_case("narrow-ball"), _newton_case("wide-ball")
+        assert narrow.reach < operators.BANDED_MAX_REACH < wide.reach
         for op in (narrow, wide, _newton_case("torus-constant"), _newton_case("2d-ball")):
             assert solve_stationary_ball(op, tol=1e-10).verdict == "persistent"
-        assert linear_solvers == ["_banded_solver", "_cg_solver", "_cg_solver", "_cg_solver"]
+        assert linear_solvers == ["banded_solver", "_cg_solver", "_cg_solver", "_cg_solver"]
+
+    @pytest.mark.parametrize("case", ["narrow-ball", "wide-ball", "torus-constant", "2d-ball"])
+    def test_one_dispatch_rule(self, case, monkeypatch):
+        # the eigen iteration and the Newton solve go banded on exactly the same operators
+        picked = set()
+        for module in (spectral, stationary):
+            def spy(*args, _real=module.banded_solver, _name=module.__name__, **kwargs):
+                picked.add(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "banded_solver", spy)
+        op = _newton_case(case)
+        lam = principal_eigenvalue(op, tol=1e-10)
+        assert solve_stationary_ball(op, tol=1e-10, lam=lam).verdict == "persistent"
+        both = {"nichewave.spectral", "nichewave.stationary"}
+        assert picked == (both if case == "narrow-ball" else set())
+        assert (op.band_stencil() is not None) == (case == "narrow-ball")
 
     def test_nonpositive_diagonal_is_refused(self, tent, linear_solvers):
         # rate 0.25 < d_s f(1.8) = 0.92, so -J(hi) has a negative diagonal on the first step
@@ -340,4 +357,4 @@ class TestBandedNewton:
                             rescale_kernel(tent, 1.0, 0.0, 0.25), _cubic_growth())
         with pytest.raises(MonotonicityViolationError, match="nonpositive diagonal.*concave"):
             solve_stationary_ball(op, tol=1e-10)
-        assert linear_solvers == ["_banded_solver"]
+        assert linear_solvers == ["banded_solver"]
