@@ -4,8 +4,11 @@
 
 Commands: validate, spectrum, stationary, evolve, sweep, eps-star, ess,
 fat-tail, audit. Artifacts are CSV/JSON named <command>-<label>.* in the
-configured output directory. Exit codes: 0 success, 1 config error,
-2 numerical failure (partial artifacts retained).
+configured output directory. Exit codes: 0 success, 1 config error or a
+time step above the monotone bound, 2 numerical failure (partial artifacts
+retained). A lambda bracket wider than its tol is recorded as met_tol /
+lambda_met_tol = false; only spectrum exits 2 on it (not on a degenerate
+top eigenvalue).
 
 Outputs carry no timestamps and floats are serialized with repr, so reruns
 with the same config are byte-identical.
@@ -38,20 +41,9 @@ from .operators import build_operator
 from .spectral import lambda_p_extrapolate_R, principal_eigenvalue, rayleigh_lambda_v
 from .stationary import solve_stationary_wholespace
 
-NUMERICAL_ERRORS = (
-    errors.NonConvergenceError,
-    errors.NumericalFailureError,
-    errors.UniquenessViolationError,
-    errors.DiscretizationInconsistencyError,
-    errors.MonotonicityViolationError,
-    errors.SupersolutionConstructionError,
-    errors.IrreducibilityError,
-    errors.ResourceLimitError,
-    errors.UnderResolvedKernelError,
-)
-
 CONFIG_ERRORS = (errors.ConfigError, errors.InvalidKernelError,
-                 errors.KernelHypothesisError, errors.InfiniteMomentError)
+                 errors.KernelHypothesisError, errors.InfiniteMomentError,
+                 errors.StepSizeError)
 
 
 def _fmt(x) -> str:
@@ -77,18 +69,24 @@ def _est_row(est, method, R, eps, m) -> list:
     return [method, R, eps, m, est.value, est.lower, est.upper, est.residual, est.iterations]
 
 
+def _evolve_float(key: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise errors.ConfigError(f"[evolve] {key}: cannot parse {raw!r} ({exc})") from exc
+
+
 def _u0_from_spec(spec: str, grid, stationary_values):
     kind, _, rest = spec.partition(":")
+    args = [_evolve_float("u0", t) for t in rest.split(":")] if rest else []
+    amp = args[0] if args else 0.01
     x = grid.norms()
     if kind == "constant":
-        return np.full(grid.size, float(rest or 0.01))
+        return np.full(grid.size, amp)
     if kind == "bump":
-        amp = float(rest or 0.01)
         return amp * np.exp(-x * x)
     if kind == "indicator":
-        parts = rest.split(":") if rest else []
-        amp = float(parts[0]) if parts else 0.01
-        radius = float(parts[1]) if len(parts) > 1 else 1.0
+        radius = args[1] if len(args) > 1 else 1.0
         return amp * (x <= radius).astype(float)
     if kind == "stationary":
         if stationary_values is None:
@@ -122,6 +120,15 @@ def cmd_validate(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     return 0
 
 
+def _certified(est, tol: float):
+    """est, or NonConvergenceError if its bracket missed tol and ARPACK saw
+    no degenerate top eigenvalue that would excuse the miss."""
+    if not (est.met_tol or est.degenerate):
+        raise errors.NonConvergenceError(
+            f"bracket width {est.width:.3e} > tol {tol:.3e} after {est.iterations} iterations")
+    return est
+
+
 def cmd_spectrum(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     kernel = cfg.scaled_kernel()
     growth = cfg.growth()
@@ -129,8 +136,8 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     sp = cfg["spectral"]
     grid = build_grid(cfg["kernel"]["dimension"], g["r"], g["h"], g["topology"], g["max_cells"])
     op = build_operator(grid, kernel, growth)
-    est_p = principal_eigenvalue(op, tol=sp["tol"], maxiter=sp["maxiter"])
-    est_v = rayleigh_lambda_v(op, tol=sp["tol"], maxiter=sp["maxiter"])
+    est_p = _certified(principal_eigenvalue(op, tol=sp["tol"], maxiter=sp["maxiter"]), sp["tol"])
+    est_v = _certified(rayleigh_lambda_v(op, tol=sp["tol"], maxiter=sp["maxiter"]), sp["tol"])
     rows = [
         _est_row(est_p, "perron-cw", g["r"], kernel.epsilon, kernel.m),
         _est_row(est_v, "rayleigh", g["r"], kernel.epsilon, kernel.m),
@@ -152,7 +159,7 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
         "value": est_p.value, "lower": est_p.lower, "upper": est_p.upper,
         "lambda_v": est_v.value, "equality_gap": abs(est_p.value - est_v.value),
         "eigenfunction_certified": est_p.eigenfunction_certified,
-        "sign": est_p.sign, **extra,
+        "sign": est_p.sign, "met_tol": est_p.met_tol and est_v.met_tol, **extra,
     })
     print(f"spectrum: lambda_p = {est_p.value:.12g} [{est_p.lower:.12g}, {est_p.upper:.12g}] ({est_p.sign})")
     return 0
@@ -204,6 +211,7 @@ def cmd_stationary(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
         "lambda_upper": sol.lambda_p_used.upper,
         "sup_norm": sol.sup_norm,
         "R_history": [[R, c if math.isfinite(c) else None] for R, c in sol.R_history],
+        "lambda_met_tol": sol.lambda_p_used.met_tol,
         **_r_schedule_record(sol),
     })
     print(f"stationary: {sol.verdict}, sup = {sol.sup_norm:.6g}, residual = {sol.residual:.3g}")
@@ -212,11 +220,11 @@ def cmd_stationary(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
 
 def cmd_evolve(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     ev = cfg["evolve"]
+    dt = None if ev["dt"] == "auto" else _evolve_float("dt", ev["dt"])
     sol = _solve_stationary(cfg)
     grid = sol.grid
     op = build_operator(grid, cfg.scaled_kernel(), cfg.growth())
     u0 = _u0_from_spec(ev["u0"], grid, sol.values if sol.verdict == "persistent" else None)
-    dt = None if str(ev["dt"]).strip() == "auto" else float(ev["dt"])
     stationary_ref = sol.values if sol.verdict == "persistent" else None
     verdict = long_time_verdict(op, u0, ev["t"], ev["tol"], sol.lambda_p_used,
                                 stationary=stationary_ref, dt=dt, stride=ev["stride"])
@@ -232,6 +240,7 @@ def cmd_evolve(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
         "final_dist_l1": verdict.final_dist_l1,
         "monotone_flag": tr.monotone_flag,
         "lambda_sign": sol.lambda_p_used.sign,
+        "lambda_met_tol": sol.lambda_p_used.met_tol,
         **_r_schedule_record(sol),
     })
     print(f"evolve: {verdict.verdict}, final sup = {verdict.final_sup:.6g}")
@@ -386,7 +395,7 @@ def main(argv=None) -> int:
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except NUMERICAL_ERRORS as exc:
+    except errors.NichewaveError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

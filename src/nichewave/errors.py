@@ -34,12 +34,9 @@ class IrreducibilityError(NichewaveError):
 
 
 class NonConvergenceError(NichewaveError):
-    """Iteration hit its budget. Carries the last certified bracket."""
-
-    def __init__(self, message, bracket=None, iterations=None):
-        super().__init__(message)
-        self.bracket = bracket
-        self.iterations = iterations
+    """An iteration stopped short of its target (Newton, CG, or a lambda
+    bracket that spectrum needs within tol; the eigenvalue routines record
+    that miss as met_tol and never raise it)."""
 
 
 class DiscretizationInconsistencyError(NichewaveError):

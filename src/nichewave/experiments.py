@@ -125,7 +125,7 @@ def _sweep_one(kernel, growth, m, eps, policy, alpha0, direction, solver_tol, sp
     scaled = rescale_kernel(kernel, eps, m, alpha0)
     grid = policy.grid_for(scaled)
     op = build_operator(grid, scaled, growth)
-    lam = principal_eigenvalue(op, tol=spectral_tol, best_effort=True)
+    lam = principal_eigenvalue(op, tol=spectral_tol)
     solve = solve_stationary_ball(op, tol=solver_tol, lam=lam)
     u = solve.values
     w = grid.weights
@@ -251,10 +251,10 @@ def find_eps_star(
         scaled = rescale_kernel(kernel, eps, 0.0, 1.0)
         grid = policy.grid_for(scaled)
         op = build_operator(grid, scaled, growth)
-        est = principal_eigenvalue(op, tol=spectral_tol, best_effort=True)
+        est = principal_eigenvalue(op, tol=spectral_tol)
         if est.sign == "straddle":
             for sharper in (spectral_tol * 1e-2, spectral_tol * 1e-3):
-                est = principal_eigenvalue(op, tol=sharper, best_effort=True)
+                est = principal_eigenvalue(op, tol=sharper)
                 if est.sign != "straddle":
                     break
             else:
@@ -592,6 +592,17 @@ def _common_policy_grid(policy: GridPolicy, kernel: Kernel, epsilons) -> Grid:
     return build_grid(policy.dimension, R, h, "ball-truncated", policy.max_cells_per_axis)
 
 
+def _resident(kernel, growth, m, eps1, epsilons, policy, alpha0, solver_tol, spectral_tol):
+    """(grid, u*_{eps1}) on the common grid of epsilons; the resident kernel
+    must span min_taps cells of it."""
+    grid = _common_policy_grid(policy, kernel, epsilons)
+    res_kernel = rescale_kernel(kernel, eps1, m, alpha0)
+    if res_kernel.support_radius < policy.min_taps * grid.spacing:
+        raise UnderResolvedKernelError(f"resident kernel unresolved at eps1={eps1}")
+    res_op = build_operator(grid, res_kernel, growth)
+    return grid, solve_stationary_ball(res_op, tol=solver_tol, spectral_tol=spectral_tol).values
+
+
 def invasion_fitness(
     kernel: Kernel,
     growth: GrowthProfile,
@@ -609,23 +620,15 @@ def invasion_fitness(
     Negative certified sign means the mutant invades the resident equilibrium.
     """
     policy = policy or GridPolicy(dimension=growth.dimension)
-    if resident is None:
-        grid = _common_policy_grid(policy, kernel, (eps1, eps2))
-        res_kernel = rescale_kernel(kernel, eps1, m, alpha0)
-        if res_kernel.support_radius < policy.min_taps * grid.spacing:
-            raise UnderResolvedKernelError(f"resident kernel unresolved at eps1={eps1}")
-        res_op = build_operator(grid, res_kernel, growth)
-        res = solve_stationary_ball(res_op, tol=solver_tol, spectral_tol=spectral_tol)
-        u_star = res.values
-    else:
-        grid, u_star = resident
+    grid, u_star = resident or _resident(kernel, growth, m, eps1, (eps1, eps2), policy, alpha0,
+                                         solver_tol, spectral_tol)
 
     mut_kernel = rescale_kernel(kernel, eps2, m, alpha0)
     if mut_kernel.support_radius < policy.min_taps * grid.spacing:
         raise UnderResolvedKernelError(f"mutant kernel unresolved at eps2={eps2}")
     a_eff = grid.sample(growth.a) - u_star
     mut_op = build_operator(grid, mut_kernel, growth=None, a_values=a_eff)
-    lam = principal_eigenvalue(mut_op, tol=spectral_tol, best_effort=True)
+    lam = principal_eigenvalue(mut_op, tol=spectral_tol)
     if lam.upper < 0:
         verdict = "invades"
     elif lam.lower > 0:
@@ -655,13 +658,11 @@ def build_invasion_matrix(
     eps_mutants = [float(e) for e in (eps_mutants if eps_mutants is not None else eps_residents)]
 
     def row(e1):
-        grid = _common_policy_grid(policy, kernel, [e1] + eps_mutants)
-        res_kernel = rescale_kernel(kernel, e1, m, alpha0)
-        res_op = build_operator(grid, res_kernel, growth)
-        res = solve_stationary_ball(res_op, tol=solver_tol, spectral_tol=spectral_tol)
+        resident = _resident(kernel, growth, m, e1, [e1] + eps_mutants, policy, alpha0,
+                             solver_tol, spectral_tol)
         return [
             invasion_fitness(kernel, growth, m, e1, e2, policy, alpha0,
-                             solver_tol, spectral_tol, resident=(grid, res.values))
+                             solver_tol, spectral_tol, resident=resident)
             for e2 in eps_mutants
         ]
 
@@ -720,7 +721,7 @@ def fat_tail_verdict(
         grid = build_grid(dimension, snap_radius(R, spacing), spacing,
                           "ball-truncated", max_cells_per_axis)
         op = build_operator(grid, scaled, growth, tap_window=window)
-        est = principal_eigenvalue(op, tol=spectral_tol, best_effort=True)
+        est = principal_eigenvalue(op, tol=spectral_tol)
         tail_mass = max(tail_mass, op.tail_mass)
         estimates.append(est)
         used.append(grid.radius)

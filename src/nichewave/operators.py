@@ -263,9 +263,9 @@ class DiscreteOperator:
 
     # --- operator application ---------------------------------------------------
 
-    def apply(self, u: np.ndarray, include_growth: bool = True, path: str = "fast") -> np.ndarray:
+    def apply(self, u: np.ndarray, include_growth: bool = True) -> np.ndarray:
         """rate (J_eps * u - u), plus a(x) u when include_growth is set."""
-        out = self.rate * (self.convolve(u, path=path) - u)
+        out = self.rate * (self.convolve(u) - u)
         if include_growth:
             if self.a_values is None:
                 raise ValueError("operator has no growth linearization attached")
@@ -279,9 +279,9 @@ class DiscreteOperator:
         """d_s f(x, u), the diagonal of the stationary Jacobian's growth part."""
         return self.growth.dfds(self.points_arg, u, self.a_values)
 
-    def rhs(self, u: np.ndarray, path: str = "fast") -> np.ndarray:
+    def rhs(self, u: np.ndarray) -> np.ndarray:
         """Full stationary residual rate (J_eps * u - u) + f(x, u)."""
-        return self.apply(u, include_growth=False, path=path) + self.reaction(u)
+        return self.apply(u, include_growth=False) + self.reaction(u)
 
     # --- certified ingredients ---------------------------------------------------
 

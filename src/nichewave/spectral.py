@@ -21,6 +21,10 @@ CSR steps stall near 1e-8. Elsewhere it comes from ARPACK (Lehoucq,
 Sorensen & Yang, ARPACK Users' Guide, 1998) on the matrix-free FFT
 operator, and CSR steps phi <- B phi polish its tail (absolute error
 ~1e-16 ||u||).
+
+Every estimate carries the narrowest bracket certified and met_tol (width
+<= tol). A miss is recorded, never raised; a caller that needs the width
+checks met_tol.
 """
 
 from __future__ import annotations
@@ -33,12 +37,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackError
 
-from .errors import (
-    ConfigError,
-    DiscretizationInconsistencyError,
-    IrreducibilityError,
-    NonConvergenceError,
-)
+from .errors import ConfigError, DiscretizationInconsistencyError, IrreducibilityError
 from .grids import build_grid
 from .kernels import rescale_kernel
 from .operators import banded_solver, build_operator, weighted_symmetrize
@@ -56,6 +55,7 @@ class SpectralEstimate:
     residual: float
     method: str
     iterations: int
+    met_tol: bool                     # width <= the requested tol
     sup_a: float | None = None
     eigenfunction_certified: bool | None = None
     degenerate: bool = False
@@ -87,7 +87,7 @@ def _shift_constant(op) -> float:
     return 1.0 + amax + op.rate
 
 
-def _certified_iteration(op, tol, maxiter, estimator, start, best_effort=False):
+def _certified_iteration(op, tol, maxiter, estimator, start):
     """Shared certification engine; returns a SpectralEstimate.
 
     phi comes from Noda steps where ``op.band_stencil()`` applies, and
@@ -95,14 +95,14 @@ def _certified_iteration(op, tol, maxiter, estimator, start, best_effort=False):
     phi <- B phi. Every bracket comes from the CSR product B phi, B = A + cI.
     estimator 'cw' brackets by the two Collatz-Wielandt quotients (lambda_p
     contract); 'rayleigh' uses the weighted Rayleigh quotient as the upper
-    (variational) side of the lambda_v contract.
+    (variational) side of the lambda_v contract. It stops at width <= tol,
+    at maxiter, or at the floating floor, and returns its best bracket.
     """
     _check_irreducible(op)
     c = _shift_constant(op)
     bmat = op.matrix(shift=c)
 
-    phi = np.ones(op.size) if start is None else np.maximum(np.asarray(start, dtype=float), _POSITIVE_FLOOR)
-    phi = phi / np.max(phi)
+    phi = start / np.max(start)
     stencil = op.band_stencil()
     degenerate = False
     if stencil is None:
@@ -118,7 +118,6 @@ def _certified_iteration(op, tol, maxiter, estimator, start, best_effort=False):
     best = (-math.inf, math.inf)
     stalled = 0
     iterations = 0
-    converged = False
     while iterations < maxiter:
         iterations += 1
         bphi = bmat @ phi
@@ -133,7 +132,6 @@ def _certified_iteration(op, tol, maxiter, estimator, start, best_effort=False):
         best = (max(best[0], lower), min(best[1], upper))
         width = best[1] - best[0]
         if width <= tol:
-            converged = True
             break
         if stencil is None:
             stalled = stalled + 1 if width > 0.999 * (prev[1] - prev[0]) else 0
@@ -151,13 +149,6 @@ def _certified_iteration(op, tol, maxiter, estimator, start, best_effort=False):
                 break
         phi = nxt / np.max(nxt)
 
-    if not converged and not degenerate and not best_effort:
-        raise NonConvergenceError(
-            f"bracket width {best[1] - best[0]:.3e} > tol {tol:.3e} after {iterations} iterations",
-            bracket=best,
-            iterations=iterations,
-        )
-
     a_phi = bmat @ phi - c * phi
     rq_a = float(phi @ (op.grid.weights * a_phi)) / float(phi @ (op.grid.weights * phi))
     value = float(np.clip(-rq_a, best[0], best[1]))
@@ -174,6 +165,7 @@ def _certified_iteration(op, tol, maxiter, estimator, start, best_effort=False):
         residual=residual,
         method="perron-cw" if estimator == "cw" else "rayleigh",
         iterations=iterations,
+        met_tol=bool(best[1] - best[0] <= tol),
         sup_a=sup_a,
         eigenfunction_certified=certified,
         degenerate=degenerate,
@@ -198,29 +190,24 @@ def _arpack_vector(op, c, phi):
     return np.abs(vecs[:, order[-1]]), bool(gap < DEGENERACY_GAP)
 
 
-def principal_eigenvalue(op, tol: float = 1e-10, maxiter: int = 600, start=None,
-                         best_effort: bool = False) -> SpectralEstimate:
+def principal_eigenvalue(op, tol: float = 1e-10, maxiter: int = 600) -> SpectralEstimate:
     """lambda_p(L_R + a) with a certified Collatz-Wielandt bracket.
 
-    best_effort returns the widest-achieved valid bracket instead of raising
-    when the requested width is unattainable (eigenvector tail at the
-    floating floor); solvers that only consume certified signs use it.
+    The bracket is valid whether or not it reached tol; met_tol says which.
     """
-    return _certified_iteration(op, tol, maxiter, "cw", start, best_effort=best_effort)
+    return _certified_iteration(op, tol, maxiter, "cw", np.ones(op.size))
 
 
-def rayleigh_lambda_v(op, tol: float = 1e-10, maxiter: int = 600, start=None,
-                      best_effort: bool = False) -> SpectralEstimate:
+def rayleigh_lambda_v(op, tol: float = 1e-10, maxiter: int = 600) -> SpectralEstimate:
     """lambda_v by Rayleigh-quotient minimization on the symmetric operator.
 
     Shares the shifted iteration but certifies the upper side variationally;
     equality with lambda_p on the discrete operator is a theorem, asserted
     in tests, never assumed here.
     """
-    if start is None:
-        start = np.ones(op.size)
-        start[:: max(op.size // 7, 1)] += 0.5  # break symmetry differently from lambda_p
-    return _certified_iteration(op, tol, maxiter, "rayleigh", start, best_effort=best_effort)
+    start = np.ones(op.size)
+    start[:: max(op.size // 7, 1)] += 0.5  # break symmetry differently from lambda_p
+    return _certified_iteration(op, tol, maxiter, "rayleigh", start)
 
 
 def dense_lambda_p_oracle(op) -> tuple[float, float]:
@@ -254,7 +241,7 @@ def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-
     for R in radii:
         op = build_operator(build_grid(dimension, R, spacing, "ball-truncated", max_cells_per_axis),
                             kernel, growth)
-        lam = principal_eigenvalue(op, tol=spectral_tol, best_effort=True)
+        lam = principal_eigenvalue(op, tol=spectral_tol)
         if prev is not None and lam.value > prev.value + prev.width + lam.width + 1e-13:
             raise DiscretizationInconsistencyError(
                 f"lambda_p increased from {prev.value} (R={prev_R}) to {lam.value} (R={R})"
@@ -340,14 +327,14 @@ def scaling_invariance_check(
     """
     grid1 = build_grid(dimension, radius, spacing, "ball-truncated")
     op1 = build_operator(grid1, kernel, growth)
-    est1 = principal_eigenvalue(op1, tol=spectral_tol, best_effort=True)
+    est1 = principal_eigenvalue(op1, tol=spectral_tol)
 
     grid2 = build_grid(dimension, epsilon * radius, epsilon * spacing, "ball-truncated")
     scaled = rescale_kernel(kernel, epsilon, 0.0, 1.0)  # rate stays 1
     pts = grid2.points[:, 0] if dimension == 1 else grid2.points
     a_scaled = growth.a(pts / epsilon)
     op2 = build_operator(grid2, scaled, growth=None, a_values=a_scaled)
-    est2 = principal_eigenvalue(op2, tol=spectral_tol, best_effort=True)
+    est2 = principal_eigenvalue(op2, tol=spectral_tol)
 
     return ScalingCheck(
         lambda_base=est1,
@@ -391,6 +378,7 @@ def local_lambda1_fd(a_fn, sigma: float, radius: float, spacing: float, tol: flo
         residual=float(np.max(np.abs(resid_vec))),
         method="fd-laplacian",
         iterations=1,
+        met_tol=True,  # a direct tridiagonal solve; the residual sets the bracket
         sup_a=float(np.max(a)),
         eigenfunction_certified=True,
     )

@@ -199,13 +199,13 @@ def two_sided_newton(residual, solve, hi, lo, target: float, slack: float, value
         _check_enclosure(steps, u, r, prev, slack, value_slack)
         res = float(np.max(np.abs(r)))
         if not math.isfinite(res):
-            raise NonConvergenceError("Newton iteration produced non-finite values", iterations=steps)
+            raise NonConvergenceError(f"Newton iteration produced non-finite values at step {steps}")
         if res <= target:
             return u[:, 0], None if lo is None else u[:, 1], steps
         prev, u = u, u + solve(u[:, 0], r)
         r = np.column_stack([residual(x) for x in u.T])
-    raise NonConvergenceError(f"Newton iteration stalled at residual {res:.3e} > {target:.3e}",
-                              iterations=steps)
+    raise NonConvergenceError(f"Newton iteration stalled at residual {res:.3e} > {target:.3e} "
+                              f"after {steps} steps")
 
 
 def _check_enclosure(step, u, r, prev, slack, value_slack) -> None:
@@ -280,7 +280,7 @@ def solve_stationary_ball(
     threshold.
     """
     if lam is None:
-        lam = principal_eigenvalue(op, tol=spectral_tol, best_effort=True)
+        lam = principal_eigenvalue(op, tol=spectral_tol)
     zero = np.zeros(op.size)
     if lam.lower >= 0.0:
         return BallSolve(values=zero, verdict="extinct", lambda_estimate=lam, residual=0.0)

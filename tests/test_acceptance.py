@@ -67,6 +67,7 @@ def corpus():
 def test_01_spectral_equivalence(corpus):
     worst_eq = 0.0
     contained = True
+    met_tol = True
     for op, *_ in corpus:
         est_p = principal_eigenvalue(op, tol=1e-10)
         est_v = rayleigh_lambda_v(op, tol=1e-10)
@@ -74,8 +75,10 @@ def test_01_spectral_equivalence(corpus):
         worst_eq = max(worst_eq, abs(est_p.value - est_v.value))
         contained &= est_p.lower - 1e-13 <= oracle <= est_p.upper + 1e-13
         contained &= est_v.lower - 1e-13 <= oracle <= est_v.upper + 1e-13
-    report(1, "lambda_p = lambda_p' = lambda_v", worst_eq <= 1e-8 and contained,
-           f"max |lambda_p - lambda_v| = {worst_eq:.2e}, oracle in both brackets: {contained}")
+        met_tol &= est_p.met_tol and est_v.met_tol
+    report(1, "lambda_p = lambda_p' = lambda_v", worst_eq <= 1e-8 and contained and met_tol,
+           f"max |lambda_p - lambda_v| = {worst_eq:.2e}, oracle in both brackets: {contained}, "
+           f"both brackets within tol: {met_tol}")
 
 
 def test_02_bounds_and_monotonicity(corpus):
@@ -86,7 +89,7 @@ def test_02_bounds_and_monotonicity(corpus):
     perturbations = 0
     widest = 0.0
     for idx, (op, R, eps, m, growth) in enumerate(corpus):
-        est = principal_eigenvalue(op, tol=1e-10, best_effort=True)
+        est = principal_eigenvalue(op, tol=1e-10)
         widest = max(widest, est.width)
         # (iv) certified window
         lo, hi = op.perron_window()
@@ -95,13 +98,13 @@ def test_02_bounds_and_monotonicity(corpus):
         # (i) domain monotonicity on the nested larger ball
         grid_big = build_grid(1, R + 2.0, 0.1, "ball-truncated")
         op_big = build_operator(grid_big, op.kernel, growth)
-        est_big = principal_eigenvalue(op_big, tol=1e-10, best_effort=True)
+        est_big = principal_eigenvalue(op_big, tol=1e-10)
         if est_big.value > est.value + est.width + est_big.width + 1e-12:
             violations.append((idx, "domain-monotonicity"))
         # (ii) order reversal: raising a never raises lambda_p
         lift = rng.uniform(0.0, 0.4, size=op.size)
         op_up = build_operator(op.grid, op.kernel, growth, a_values=op.a_values + lift)
-        est_up = principal_eigenvalue(op_up, tol=1e-10, best_effort=True)
+        est_up = principal_eigenvalue(op_up, tol=1e-10)
         widest = max(widest, est_up.width)
         if est_up.value > est.value + est.width + est_up.width + 1e-12:
             violations.append((idx, "order-reversal"))
@@ -110,7 +113,7 @@ def test_02_bounds_and_monotonicity(corpus):
         for _ in range(n_pert):
             delta = rng.uniform(-0.5, 0.5, size=op.size)
             op_d = build_operator(op.grid, op.kernel, growth, a_values=op.a_values + delta)
-            est_d = principal_eigenvalue(op_d, tol=1e-10, best_effort=True)
+            est_d = principal_eigenvalue(op_d, tol=1e-10)
             widest = max(widest, est_d.width)
             perturbations += 1
             if abs(est_d.value - est.value) > np.max(np.abs(delta)) + est.width + est_d.width + 1e-9:
@@ -124,7 +127,7 @@ def test_03_torus_exactness():
     grid = build_grid(1, 4.0, 0.125, "torus")
     op = build_operator(grid, rescale_kernel(TENT, 1.0, 0.0), constant_growth(c))
     est = principal_eigenvalue(op, tol=1e-12)
-    lam_ok = abs(est.value + c) <= 1e-10
+    lam_ok = est.met_tol and abs(est.value + c) <= 1e-10
 
     u0, dt = 0.1, 0.01
     trace, _ = evolve(op, np.full(grid.size, u0), 10.0, dt=dt)
@@ -148,7 +151,7 @@ def test_04_persistence_dichotomy():
         sk = rescale_kernel(TENT, eps, 0.0, 1.0)
         grid = policy.grid_for(sk)
         op = build_operator(grid, sk, growth)
-        lam = principal_eigenvalue(op, tol=1e-10, best_effort=True)
+        lam = principal_eigenvalue(op, tol=1e-10)
         sol = solve_stationary_ball(op, tol=solver_tol, lam=lam)
         if lam.sign == "straddle":
             straddles += 1
@@ -201,7 +204,7 @@ def test_05_long_time_behaviour(persistence_solves):
         sk = rescale_kernel(TENT, eps, 0.0, 1.0)
         grid = policy.grid_for(sk)
         op = build_operator(grid, sk, growth)
-        lam = principal_eigenvalue(op, tol=1e-10, best_effort=True)
+        lam = principal_eigenvalue(op, tol=1e-10)
         if lam.sign != "nonnegative":
             failures.append(("extinction-cert", growth.family, lam.sign))
             continue
@@ -257,7 +260,7 @@ def test_07_m2_local_limit():
         sk = rescale_kernel(TENT, eps, 2.0, 1.0)
         grid = policy.grid_for(sk)
         op = build_operator(grid, sk, growth_neg)
-        lam = principal_eigenvalue(op, tol=1e-9, best_effort=True)
+        lam = principal_eigenvalue(op, tol=1e-9)
         sol = solve_stationary_ball(op, tol=1e-9, lam=lam)
         neg_ok &= lam.lower >= 0.0 and float(np.max(sol.values)) == 0.0
     ok = lam_strict and u_strict and final_ok and neg_ok
@@ -285,7 +288,7 @@ def test_08_m0_limits():
         def lam_at(eps):
             sk = rescale_kernel(TENT, eps, 0.0, 1.0)
             grid = policy.grid_for(sk)
-            return pe(build_operator(grid, sk, growth), tol=1e-10, best_effort=True).value
+            return pe(build_operator(grid, sk, growth), tol=1e-10).value
 
         scan = np.linspace(4.0, 10.0, 200)
         signs = np.array([lam_at(e) < 0 for e in scan])

@@ -38,6 +38,7 @@ params = value=1.5
     payload = json.loads((out / "spectrum-t.json").read_text())
     assert payload["schema"] == 1
     assert abs(payload["value"] - (-1.5)) <= 1e-10
+    assert payload["met_tol"] is True
     csv = (out / "spectrum-t.csv").read_text().splitlines()
     assert csv[0] == "method,R,eps,m,value,lower,upper,residual,iterations"
     assert len(csv) == 3  # header + perron-cw + rayleigh
@@ -185,6 +186,7 @@ tol = 1e-3
     payload = json.loads((out / "stationary-t.json").read_text())
     assert payload["verdict"] == "persistent"
     assert payload["lambda_upper"] < 0
+    assert payload["lambda_met_tol"] is True
     header = (out / "stationary-t.csv").read_text().splitlines()[0]
     assert header == "x,u,sub,super,a"
 
@@ -192,6 +194,7 @@ tol = 1e-3
     assert code == 0
     ev = json.loads((out / "evolve-t.json").read_text())
     assert ev["verdict"] == "persistence-converged"
+    assert ev["lambda_met_tol"] is True
     trace_header = (out / "evolve-t.csv").read_text().splitlines()[0]
     assert trace_header == "t,sup_norm,dist_sup,dist_l1,mass"
 
@@ -215,6 +218,51 @@ R_schedule = {schedule}
     assert code == 1
     assert message in capsys.readouterr().err
     assert not (out / "stationary-t.json").exists()
+
+
+_SMALL_STATIONARY = """
+[kernel]
+family = tent
+
+[grid]
+R = 4
+h = 0.1
+
+[growth]
+family = bump
+params = a0=2, b=1, a_min=-1
+
+[stationary]
+R_schedule = 4
+"""
+
+
+def test_missed_spectral_tol_is_recorded_not_raised(tmp_path, capsys):
+    # stationary only needs the sign of lambda_p; spectrum reports the bracket itself
+    body = _SMALL_STATIONARY + "spectral_tol = 1e-30\n\n[spectral]\ntol = 1e-30\n"
+    code, out = run_cli(tmp_path, "stationary", body)
+    assert code == 0
+    payload = json.loads((out / "stationary-t.json").read_text())
+    assert payload["lambda_met_tol"] is False
+    assert payload["verdict"] == "persistent"
+    assert payload["lambda_upper"] - payload["lambda_lower"] < 1e-10
+
+    code, out = run_cli(tmp_path, "spectrum", body)
+    assert code == 2
+    assert "> tol 1.000e-30 after" in capsys.readouterr().err
+    assert not (out / "spectrum-t.json").exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("dt = 10", "exceeds the monotone-stability bound"),
+    ("dt = abc", "[evolve] dt: cannot parse 'abc'"),
+    ("u0 = constant:abc", "[evolve] u0: cannot parse 'abc'"),
+])
+def test_evolve_bad_step_or_u0_exits_one(tmp_path, capsys, setting, message):
+    code, out = run_cli(tmp_path, "evolve", _SMALL_STATIONARY + f"\n[evolve]\nT = 1\n{setting}\n")
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "evolve-t.json").exists()
 
 
 def test_stationary_is_evolve_fixed_point_at_alpha0(tmp_path):
@@ -295,8 +343,9 @@ R_schedule = 3
     op = build_operator(build_grid(1, 3.0, 0.1), cfg.scaled_kernel(), cfg.growth())
     target = max(cfg["stationary"]["solver_tol"], 1e-14 * (1.0 + op.rate))
     roundoff = 1e-11 * (1.0 + op.rate + np.max(np.abs(op.a_values)))
-    for path in ("fast", "direct"):
-        assert np.max(np.abs(op.rhs(u, path=path))) <= target + roundoff
+    csr = op.rate * (op.convolve(u, "direct") - u) + op.reaction(u)
+    for resid in (op.rhs(u), csr):
+        assert np.max(np.abs(resid)) <= target + roundoff
 
 
 def test_eps_star_command(tmp_path):

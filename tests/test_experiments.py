@@ -26,7 +26,7 @@ from nichewave.experiments import (
     local_kpp_solve_fd,
 )
 from nichewave import experiments
-from nichewave.errors import MonotonicityViolationError
+from nichewave.errors import MonotonicityViolationError, UnderResolvedKernelError
 from nichewave.kernels import kernel_moment
 from nichewave.operators import build_operator
 from nichewave.spectral import fd_nodes
@@ -77,7 +77,7 @@ class TestEpsStar:
             sk = rescale_kernel(tent, eps, 0.0, 1.0)
             grid = policy.grid_for(sk)
             op = build_operator(grid, sk, growth)
-            return principal_eigenvalue(op, tol=1e-10, best_effort=True).value
+            return principal_eigenvalue(op, tol=1e-10).value
 
         eps_scan = np.linspace(6.0, 6.8, 81)  # 1e-2 resolution around the root
         signs = np.array([lam(e) < 0 for e in eps_scan])
@@ -229,6 +229,15 @@ class TestInvasion:
         # infinite support: the base radius, as GridPolicy.radius_for gives it
         fat = Kernel("algebraic-tail", params={"power": 5.0})
         assert _common_policy_grid(POLICY, fat, [0.5, 2.0]).radius == 4.0
+
+    def test_matrix_refuses_an_unresolved_resident(self, bump):
+        # cutoff 0.06 < 2 h = 0.1 at eps1 = 1: the resident kernel is not resolved
+        kernel = Kernel("truncated-gaussian", params={"sigma": 0.03, "cutoff": 0.06})
+        policy = GridPolicy(base_radius=3.0, base_spacing=0.05)
+        for fill in (lambda: invasion_fitness(kernel, bump, 1.0, 1.0, 2.0, policy),
+                     lambda: build_invasion_matrix(kernel, bump, 1.0, [1.0], [2.0], policy)):
+            with pytest.raises(UnderResolvedKernelError, match="resident kernel unresolved at eps1=1"):
+                fill()
 
     def test_matrix_against_dense_oracle(self, tent):
         growth = bump_growth(1.5, 1.0, -1.0)

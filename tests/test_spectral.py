@@ -13,7 +13,6 @@ from nichewave import (
     GrowthProfile,
     IrreducibilityError,
     Kernel,
-    NonConvergenceError,
     build_grid,
     bump_growth,
     constant_growth,
@@ -55,17 +54,20 @@ class TestPrincipalEigenvalue:
             growth = random_growth(rng, 2.5)
             op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), growth)
             est = principal_eigenvalue(op, tol=1e-10)
+            assert est.met_tol
             oracle, gap = dense_lambda_p_oracle(op)
             assert est.value == pytest.approx(oracle, abs=1e-10)
             assert est.lower - 1e-13 <= oracle <= est.upper + 1e-13
 
     def test_perron_window(self, ball_op):
         est = principal_eigenvalue(ball_op, tol=1e-10)
+        assert est.met_tol
         lo, hi = ball_op.perron_window()
         assert lo - 1e-12 <= est.value <= hi + 1e-12
 
     def test_residual_contract(self, ball_op):
         est = principal_eigenvalue(ball_op, tol=1e-10)
+        assert est.met_tol
         assert est.residual <= 1e-8 * (1.0 + abs(est.value))
 
     def test_irreducible_check(self, tent):
@@ -75,17 +77,22 @@ class TestPrincipalEigenvalue:
             principal_eigenvalue(op)
 
     def test_nonconvergence_carries_bracket(self, ball_op):
-        with pytest.raises(NonConvergenceError) as err:
-            principal_eigenvalue(ball_op, tol=1e-30, maxiter=3)
-        assert err.value.bracket is not None
+        # a missed tol is recorded on the estimate, which keeps its bracket
+        est = principal_eigenvalue(ball_op, tol=1e-30, maxiter=3)
+        assert not est.met_tol
+        assert est.iterations == 3
+        assert np.isfinite(est.lower) and np.isfinite(est.upper)
 
-    def test_best_effort_returns_valid_bracket(self, ball_op):
-        est = principal_eigenvalue(ball_op, tol=1e-30, maxiter=3, best_effort=True)
-        oracle, _ = dense_lambda_p_oracle(ball_op)
-        assert est.lower <= oracle <= est.upper
+    def test_missed_tol_returns_valid_bracket(self, ball_op):
+        for solve in (principal_eigenvalue, rayleigh_lambda_v):
+            est = solve(ball_op, tol=1e-30, maxiter=3)
+            assert not est.met_tol
+            oracle, _ = dense_lambda_p_oracle(ball_op)
+            assert est.lower <= oracle <= est.upper
 
     def test_eigenfunction_flag_reported(self, torus_op):
         est = principal_eigenvalue(torus_op, tol=1e-10)
+        assert est.met_tol
         # lambda_p = -c < rate - sup a = 1 - c: strict inequality certified
         assert est.eigenfunction_certified is True
 
@@ -96,7 +103,7 @@ class TestPrincipalEigenvalue:
         kernel = rescale_kernel(Kernel("tent", dimension=2), 0.5, 0.0)
         op = build_operator(grid, kernel, bump_growth(2.0, 1.0, -1.0))
         assert (grid.size, op.reach) == (11304, 5)
-        est = principal_eigenvalue(op, tol=1e-10, best_effort=True)
+        est = principal_eigenvalue(op, tol=1e-10)
         assert est.width <= 1e-10
         assert est.sign == "negative"
 
@@ -164,18 +171,18 @@ class TestNodaSteps:
         lo, hi = STEEP_SEED_BRACKET
         for solve in (principal_eigenvalue, rayleigh_lambda_v):
             est = solve(steep_op, tol=1e-10)
-            assert est.width <= 1e-10
+            assert est.width <= 1e-10 and est.met_tol
             assert est.lower <= hi and lo <= est.upper
             assert not est.degenerate
 
     def test_unreachable_tol_fails_fast(self, steep_op):
-        with pytest.raises(NonConvergenceError) as err:
-            principal_eigenvalue(steep_op, tol=1e-30)
-        lower, upper = err.value.bracket
+        est = principal_eigenvalue(steep_op, tol=1e-30)
+        assert not est.met_tol
+        lower, upper = est.lower, est.upper
         lo, hi = STEEP_SEED_BRACKET
         assert lower <= upper <= lower + 1e-10
         assert lower <= hi and lo <= upper
-        assert err.value.iterations <= 20
+        assert est.iterations <= 20
 
     def test_near_degenerate_niches(self, tent):
         # two niches at |x| = 6: the top gap is at rounding level, and the upper
@@ -234,6 +241,7 @@ class TestArpackVector:
     def test_reruns_are_bit_identical(self, ball_op):
         for solve in (principal_eigenvalue, rayleigh_lambda_v):
             first, second = solve(ball_op, tol=1e-10), solve(ball_op, tol=1e-10)
+            assert first.met_tol
             assert (first.lower, first.upper) == (second.lower, second.upper)
             assert np.array_equal(first.eigenvector, second.eigenvector)
 
@@ -242,12 +250,14 @@ class TestLambdaV:
     def test_equals_lambda_p(self, ball_op):
         p = principal_eigenvalue(ball_op, tol=1e-10)
         v = rayleigh_lambda_v(ball_op, tol=1e-10)
+        assert p.met_tol and v.met_tol
         assert abs(p.value - v.value) <= 1e-8
 
     def test_zero_growth_torus(self, tent):
         grid = build_grid(1, 4.0, 0.125, "torus")
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), constant_growth(0.0))
         v = rayleigh_lambda_v(op, tol=1e-10)
+        assert v.met_tol
         assert v.value == pytest.approx(0.0, abs=1e-10)
         phi = v.eigenvector
         assert np.max(phi) - np.min(phi) < 1e-6  # minimizer is the constant
@@ -257,6 +267,7 @@ class TestLambdaV:
         growth = random_growth(rng, 3.0)
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), growth)
         v = rayleigh_lambda_v(op, tol=1e-10)
+        assert v.met_tol
         oracle, _ = dense_lambda_p_oracle(op)
         assert v.value == pytest.approx(oracle, abs=1e-9)
 
@@ -278,21 +289,25 @@ class TestExtrapolation:
         grid = build_grid(1, 6.0, 0.1, "ball-truncated")
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), bump)
         base = principal_eigenvalue(op, tol=1e-11)
+        assert base.met_tol
         for _ in range(10):
             delta = rng.uniform(-0.3, 0.3)
             op2 = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), bump,
                                  a_values=op.a_values + delta)
             est2 = principal_eigenvalue(op2, tol=1e-11)
+            assert est2.met_tol
             assert abs(est2.value - base.value) <= abs(delta) + 1e-9
 
     def test_order_reversal(self, tent, bump, rng):
         grid = build_grid(1, 6.0, 0.1, "ball-truncated")
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), bump)
         base = principal_eigenvalue(op, tol=1e-11)
+        assert base.met_tol
         lift = rng.uniform(0.0, 0.5, size=grid.size)
         op2 = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), bump,
                              a_values=op.a_values + lift)
         est2 = principal_eigenvalue(op2, tol=1e-11)
+        assert est2.met_tol
         assert est2.value <= base.value + 1e-9
 
 

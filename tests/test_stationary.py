@@ -117,6 +117,7 @@ class TestBallSolve:
 
     def test_subsolution_is_verified(self, ball_op):
         lam = principal_eigenvalue(ball_op, tol=1e-10)
+        assert lam.met_tol
         sub = verified_subsolution(ball_op, lam)
         assert np.min(ball_op.rhs(sub)) >= -1e-9
         assert np.all(sub > 0)
@@ -266,6 +267,7 @@ class TestTwoSidedNewton:
 
     def test_straddling_bracket_sweeps_from_above_only(self, ball_op, newton_runs):
         lam = principal_eigenvalue(ball_op, tol=1e-10)
+        assert lam.met_tol
         sol = solve_stationary_ball(ball_op, tol=1e-10, lam=replace(lam, upper=1e-3))
         assert sol.verdict == "indeterminate"
         assert np.all(sol.values == 0.0)
@@ -346,6 +348,7 @@ class TestBandedNewton:
             monkeypatch.setattr(module, "banded_solver", spy)
         op = _newton_case(case)
         lam = principal_eigenvalue(op, tol=1e-10)
+        assert lam.met_tol
         assert solve_stationary_ball(op, tol=1e-10, lam=lam).verdict == "persistent"
         both = {"nichewave.spectral", "nichewave.stationary"}
         assert picked == (both if case == "narrow-ball" else set())
