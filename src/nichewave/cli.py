@@ -3,12 +3,17 @@
     nichewave <command> <config.ini>
 
 Commands: validate, spectrum, stationary, evolve, sweep, eps-star, ess,
-fat-tail, audit. Artifacts are CSV/JSON named <command>-<label>.* in the
-configured output directory. Exit codes: 0 success, 1 config error or a
+fat-tail, audit. Every command takes the kernel family, epsilon, m and
+alpha0 from [kernel], so all of them solve with the same kernel and rate;
+sweep, eps-star, ess and audit replace only epsilon, and eps-star needs
+m = 0. [sweep] m, [ess] m and [audit] m are gone (see nichewave.config).
+Artifacts are CSV/JSON named <command>-<label>.* in the configured output
+directory. Exit codes: 0 success, 1 config error or a
 time step above the monotone bound, 2 numerical failure (partial artifacts
 retained). A lambda bracket wider than its tol is recorded as met_tol /
-lambda_met_tol = false; only spectrum exits 2 on it (not on a degenerate
-top eigenvalue).
+lambda_met_tol = false (true only when every bracket the command
+certified met its tol); only spectrum exits 2 on it, for its main ball
+(not on a degenerate top eigenvalue).
 
 Outputs carry no timestamps and floats are serialized with repr, so reruns
 with the same config are byte-identical.
@@ -63,6 +68,14 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def write_json(path: Path, payload: dict) -> None:
     payload = {"schema": 1, **payload}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n")
+
+
+def _policy(cfg: ExperimentConfig, section: str, **extra) -> GridPolicy:
+    """The eps-to-grid policy of a sweeping command's section."""
+    s = cfg[section]
+    return GridPolicy(base_radius=s["base_r"], base_spacing=s["base_h"],
+                      dimension=cfg["kernel"]["dimension"],
+                      max_cells_per_axis=cfg["grid"]["max_cells"], **extra)
 
 
 def _est_row(est, method, R, eps, m) -> list:
@@ -143,6 +156,7 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
         _est_row(est_v, "rayleigh", g["r"], kernel.epsilon, kernel.m),
     ]
     extra = {}
+    met_tol = est_p.met_tol and est_v.met_tol
     if sp["r_schedule"]:
         res = lambda_p_extrapolate_R(kernel, growth, sp["r_schedule"], g["h"],
                                      spectral_tol=sp["tol"],
@@ -152,6 +166,7 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
                  for R, e in zip(res.radii, res.estimates)]
         extra = {"extrapolated": res.final_value, "uncertainty": res.uncertainty,
                  "converged": res.converged}
+        met_tol = met_tol and all(e.met_tol for e in res.estimates)
     write_csv(outdir / f"spectrum-{label}.csv",
               ["method", "R", "eps", "m", "value", "lower", "upper", "residual", "iterations"],
               rows)
@@ -159,7 +174,7 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
         "value": est_p.value, "lower": est_p.lower, "upper": est_p.upper,
         "lambda_v": est_v.value, "equality_gap": abs(est_p.value - est_v.value),
         "eigenfunction_certified": est_p.eigenfunction_certified,
-        "sign": est_p.sign, "met_tol": est_p.met_tol and est_v.met_tol, **extra,
+        "sign": est_p.sign, "met_tol": met_tol, **extra,
     })
     print(f"spectrum: lambda_p = {est_p.value:.12g} [{est_p.lower:.12g}, {est_p.upper:.12g}] ({est_p.sign})")
     return 0
@@ -249,15 +264,11 @@ def cmd_evolve(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
 
 def cmd_sweep(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     sw = cfg["sweep"]
-    policy = GridPolicy(base_radius=sw["base_r"], base_spacing=sw["base_h"],
-                        radius_pad=sw["radius_pad"],
-                        dimension=cfg["kernel"]["dimension"],
-                        max_cells_per_axis=cfg["grid"]["max_cells"])
     direction = sw["direction"] if sw["direction"] in ("small", "large") else None
-    result = epsilon_sweep(cfg.kernel(), cfg.growth(), sw["m"], sw["epsilons"], policy,
-                           alpha0=cfg["kernel"]["alpha0"], direction=direction,
-                           solver_tol=sw["solver_tol"], spectral_tol=sw["spectral_tol"],
-                           workers=cfg.workers)
+    result = epsilon_sweep(cfg.scaled_kernel(), cfg.growth(), sw["epsilons"],
+                           _policy(cfg, "sweep", radius_pad=sw["radius_pad"]),
+                           direction=direction, solver_tol=sw["solver_tol"],
+                           spectral_tol=sw["spectral_tol"], workers=cfg.workers)
     rows = [[result.m, e.eps, e.lam.lower, e.lam.upper, e.u_sup, e.u_l2, e.u_l1,
              e.target_error, e.target_name] for e in result.entries]
     write_csv(outdir / f"sweep-{label}.csv",
@@ -272,6 +283,7 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
         "violations": violations,
         "straddles": straddles,
         "errors": [e.errors for e in result.entries],
+        "lambda_met_tol": all(e.lam.met_tol for e in result.entries),
     })
     print(f"sweep: {len(result.entries)} entries, {len(result.skipped)} skipped, coherent = {coherent}")
     return 0
@@ -279,10 +291,8 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
 
 def cmd_eps_star(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     es = cfg["eps_star"]
-    policy = GridPolicy(base_radius=es["base_r"], base_spacing=es["base_h"],
-                        dimension=cfg["kernel"]["dimension"],
-                        max_cells_per_axis=cfg["grid"]["max_cells"])
-    result = find_eps_star(cfg.kernel(), cfg.growth(), es["lo"], es["hi"], policy, tol=es["tol"])
+    result = find_eps_star(cfg.scaled_kernel(), cfg.growth(), es["lo"], es["hi"],
+                           _policy(cfg, "eps_star"), tol=es["tol"])
     rows = [[eps, est.lower, est.upper] for eps, est in result.history]
     write_csv(outdir / f"eps-star-{label}.csv", ["eps", "lambda_lo", "lambda_hi"], rows)
     write_json(outdir / f"eps-star-{label}.json", {
@@ -291,6 +301,7 @@ def cmd_eps_star(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
         "bracket": list(result.bracket) if result.bracket else None,
         "unresolved": result.unresolved,
         "note": result.note,
+        "lambda_met_tol": all(est.met_tol for _, est in result.history),
     })
     shown = f"{result.value:.6g}" if result.value is not None else result.kind
     print(f"eps-star: {result.kind} ({shown})")
@@ -299,12 +310,9 @@ def cmd_eps_star(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
 
 def cmd_ess(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     es = cfg["ess"]
-    policy = GridPolicy(base_radius=es["base_r"], base_spacing=es["base_h"],
-                        dimension=cfg["kernel"]["dimension"],
-                        max_cells_per_axis=cfg["grid"]["max_cells"])
-    matrix = build_invasion_matrix(cfg.kernel(), cfg.growth(), es["m"],
-                                   es["eps_residents"], es["eps_mutants"], policy,
-                                   alpha0=cfg["kernel"]["alpha0"], workers=cfg.workers)
+    kernel = cfg.scaled_kernel()
+    matrix = build_invasion_matrix(kernel, cfg.growth(), es["eps_residents"], es["eps_mutants"],
+                                   _policy(cfg, "ess"), workers=cfg.workers)
     rows = []
     for row in matrix.entries:
         for e in row:
@@ -313,12 +321,13 @@ def cmd_ess(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
               ["eps1", "eps2", "lambda_lo", "lambda_hi", "verdict"], rows)
     diag = matrix.diagonal()
     write_json(outdir / f"ess-{label}.json", {
-        "m": es["m"],
+        "m": kernel.m,
         "eps_residents": matrix.eps_residents,
         "eps_mutants": matrix.eps_mutants,
         "diagonal_abs_lambda": [abs(d.lam.value) for d in diag],
         "diagonal_widths": [d.lam.width for d in diag],
         "verdicts": [[e.verdict for e in row] for row in matrix.entries],
+        "lambda_met_tol": all(e.lam.met_tol for row in matrix.entries for e in row),
     })
     print(f"ess: {len(rows)} entries")
     return 0
@@ -326,10 +335,9 @@ def cmd_ess(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
 
 def cmd_fat_tail(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     ft = cfg["fat_tail"]
-    result = fat_tail_verdict(cfg.kernel(), cfg.growth(), ft["r_schedule"], ft["h"],
+    result = fat_tail_verdict(cfg.scaled_kernel(), cfg.growth(), ft["r_schedule"], ft["h"],
                               tail_target=ft["tail_target"],
                               spectral_tol=ft["spectral_tol"],
-                              dimension=cfg["kernel"]["dimension"],
                               max_cells_per_axis=cfg["grid"]["max_cells"])
     rows = [[R, e.lower, e.upper] for R, e in zip(result.radii, result.estimates)]
     write_csv(outdir / f"fat-tail-{label}.csv", ["R", "lambda_lo", "lambda_hi"], rows)
@@ -338,6 +346,7 @@ def cmd_fat_tail(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
         "evidence": result.evidence,
         "tail_mass": result.tail_mass,
         "bracket_inflation": result.bracket_inflation,
+        "lambda_met_tol": all(e.met_tol for e in result.estimates),
     })
     print(f"fat-tail: {result.verdict} ({result.evidence})")
     return 0
@@ -345,11 +354,9 @@ def cmd_fat_tail(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
 
 def cmd_audit(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     au = cfg["audit"]
-    policy = GridPolicy(base_radius=au["base_r"], base_spacing=au["base_h"],
-                        dimension=cfg["kernel"]["dimension"],
-                        max_cells_per_axis=cfg["grid"]["max_cells"])
-    fit = energy_slope_audit(cfg.kernel(), cfg.growth(), au["m"], au["epsilons"], policy,
-                             solver_tol=au["solver_tol"], workers=cfg.workers)
+    fit = energy_slope_audit(cfg.scaled_kernel(), cfg.growth(), au["epsilons"],
+                             _policy(cfg, "audit"), solver_tol=au["solver_tol"],
+                             workers=cfg.workers)
     rows = []
     for audit in fit.audits:
         for item in audit.items:

@@ -1,4 +1,4 @@
-"""INI experiment configs: documented key-value schema, unknown keys rejected.
+"""INI experiment configs: one table of keys and defaults, unknown keys rejected.
 
 Sections and keys (all optional unless a command needs them):
 
@@ -6,19 +6,28 @@ Sections and keys (all optional unless a command needs them):
                 random numbers), label (str), output_dir (str), workers (int)
     [kernel]    family, dimension, epsilon, m, alpha0, params
     [grid]      R, h, topology, max_cells
-    [growth]    family, params, radial_nonincreasing
+    [growth]    family, params
     [spectral]  tol, maxiter, R_schedule
     [stationary] R_schedule, tol, solver_tol, spectral_tol
     [evolve]    T, dt, stride, u0, tol
-    [sweep]     m, epsilons, direction, base_R, base_h, radius_pad,
+    [sweep]     epsilons, direction, base_R, base_h, radius_pad,
                 solver_tol, spectral_tol
     [eps_star]  lo, hi, tol, base_R, base_h
-    [ess]       m, eps_residents, eps_mutants, base_R, base_h
+    [ess]       eps_residents, eps_mutants, base_R, base_h
     [fat_tail]  R_schedule, h, tail_target, spectral_tol
-    [audit]     m, epsilons, base_R, base_h, solver_tol
+    [audit]     epsilons, base_R, base_h, solver_tol
 
-``params`` values are comma-separated name=value entries; a value may be a
-space-separated list of numbers (tabulated tables). Example:
+Every command takes the kernel family, epsilon, the cost exponent m and
+alpha0 from [kernel] (ExperimentConfig.scaled_kernel), so all of them
+solve with the same pair (J_eps, rate alpha0/eps^m); the commands that
+sweep epsilon (sweep, eps-star, ess, audit) replace only epsilon. The keys
+[sweep] m, [ess] m, [audit] m and [growth] radial_nonincreasing are gone,
+and a config that sets one is rejected as an unknown key.
+
+Each key's type is that of its DEFAULTS value: float, int, str, a list of
+floats (space-separated), or ``params``: comma-separated name=value
+entries, where a value may be a space-separated list of numbers
+(tabulated tables). Example:
 
     [kernel]
     family = algebraic-tail
@@ -30,61 +39,33 @@ The env var NICHEWAVE_WORKERS overrides [run] workers.
 from __future__ import annotations
 
 import configparser
+import copy
 import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .growth import GROWTH_FAMILIES, GrowthProfile
-from .kernels import FAMILIES, Kernel, ScaledKernel, rescale_kernel
-
-_F = "float"
-_I = "int"
-_S = "str"
-_B = "bool"
-_FLIST = "floats"
-_PARAMS = "params"
-
-SCHEMA: dict[str, dict[str, str]] = {
-    "run": {"seed": _I, "label": _S, "output_dir": _S, "workers": _I},
-    "kernel": {
-        "family": _S, "dimension": _I, "epsilon": _F, "m": _F, "alpha0": _F,
-        "params": _PARAMS,
-    },
-    "grid": {"r": _F, "h": _F, "topology": _S, "max_cells": _I},
-    "growth": {"family": _S, "params": _PARAMS, "radial_nonincreasing": _B},
-    "spectral": {"tol": _F, "maxiter": _I, "r_schedule": _FLIST},
-    "stationary": {"r_schedule": _FLIST, "tol": _F, "solver_tol": _F, "spectral_tol": _F},
-    "evolve": {"t": _F, "dt": _S, "stride": _F, "u0": _S, "tol": _F},
-    "sweep": {
-        "m": _F, "epsilons": _FLIST, "direction": _S, "base_r": _F, "base_h": _F,
-        "radius_pad": _F, "solver_tol": _F, "spectral_tol": _F,
-    },
-    "eps_star": {"lo": _F, "hi": _F, "tol": _F, "base_r": _F, "base_h": _F},
-    "ess": {"m": _F, "eps_residents": _FLIST, "eps_mutants": _FLIST, "base_r": _F, "base_h": _F},
-    "fat_tail": {"r_schedule": _FLIST, "h": _F, "tail_target": _F, "spectral_tol": _F},
-    "audit": {"m": _F, "epsilons": _FLIST, "base_r": _F, "base_h": _F, "solver_tol": _F},
-}
+from .kernels import Kernel, ScaledKernel, rescale_kernel
 
 DEFAULTS = {
     "run": {"seed": 0, "label": "run", "output_dir": "out", "workers": 1},
     "kernel": {"family": "tent", "dimension": 1, "epsilon": 1.0, "m": 0.0,
                "alpha0": 1.0, "params": {}},
     "grid": {"r": 6.0, "h": 0.05, "topology": "ball-truncated", "max_cells": 8192},
-    "growth": {"family": "bump", "params": {"a0": 2.0, "b": 1.0, "a_min": -1.0},
-               "radial_nonincreasing": False},
+    "growth": {"family": "bump", "params": {"a0": 2.0, "b": 1.0, "a_min": -1.0}},
     "spectral": {"tol": 1e-10, "maxiter": 600, "r_schedule": []},
     "stationary": {"r_schedule": [4.0, 6.0, 8.0, 10.0], "tol": 1e-6,
                    "solver_tol": 1e-10, "spectral_tol": 1e-10},
     "evolve": {"t": 200.0, "dt": "auto", "stride": 1.0, "u0": "constant:0.01", "tol": 1e-3},
-    "sweep": {"m": 1.0, "epsilons": [4.0, 8.0, 16.0], "direction": "large",
+    "sweep": {"epsilons": [4.0, 8.0, 16.0], "direction": "large",
               "base_r": 4.0, "base_h": 0.05, "radius_pad": 1.0,
               "solver_tol": 1e-10, "spectral_tol": 1e-10},
     "eps_star": {"lo": 0.5, "hi": 64.0, "tol": 1e-2, "base_r": 4.0, "base_h": 0.1},
-    "ess": {"m": 1.0, "eps_residents": [0.5, 1.0], "eps_mutants": [0.5, 1.0, 4.0],
+    "ess": {"eps_residents": [0.5, 1.0], "eps_mutants": [0.5, 1.0, 4.0],
             "base_r": 4.0, "base_h": 0.05},
     "fat_tail": {"r_schedule": [4.0, 8.0, 12.0], "h": 0.05, "tail_target": 1e-10,
                  "spectral_tol": 1e-10},
-    "audit": {"m": 1.0, "epsilons": [1.0, 2.0, 4.0, 8.0], "base_r": 4.0,
+    "audit": {"epsilons": [1.0, 2.0, 4.0, 8.0], "base_r": 4.0,
               "base_h": 0.05, "solver_tol": 1e-10},
 }
 
@@ -110,19 +91,15 @@ def _parse_params(raw: str) -> dict:
 
 
 def _convert(section: str, key: str, raw: str):
-    kind = SCHEMA[section][key]
+    default = DEFAULTS[section][key]
     try:
-        if kind == _F:
-            return float(raw)
-        if kind == _I:
-            return int(raw)
-        if kind == _B:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        if kind == _FLIST:
+        if isinstance(default, list):
             return [float(t) for t in raw.split()]
-        if kind == _PARAMS:
+        if isinstance(default, dict):
             return _parse_params(raw)
-        return raw.strip()
+        if isinstance(default, str):
+            return raw.strip()
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
 
@@ -146,14 +123,18 @@ class ExperimentConfig:
 
     def kernel(self) -> Kernel:
         k = self.sections["kernel"]
-        if k["family"] not in FAMILIES:
-            raise ConfigError(f"[kernel] family: unknown family {k['family']!r}")
-        params = dict(k["params"])
-        return Kernel(k["family"], dimension=k["dimension"], params=params)
+        try:
+            return Kernel(k["family"], dimension=k["dimension"], params=dict(k["params"]))
+        except ValueError as exc:  # unknown family or dimension
+            raise ConfigError(f"[kernel] {exc}") from exc
 
     def scaled_kernel(self) -> ScaledKernel:
+        """The one (J_eps, rate alpha0/eps^m) pair every command solves with."""
         k = self.sections["kernel"]
-        return rescale_kernel(self.kernel(), k["epsilon"], k["m"], k["alpha0"])
+        try:
+            return rescale_kernel(self.kernel(), k["epsilon"], k["m"], k["alpha0"])
+        except ValueError as exc:  # epsilon, m or alpha0 out of range
+            raise ConfigError(f"[kernel] {exc}") from exc
 
     def growth(self) -> GrowthProfile:
         g = self.sections["growth"]
@@ -164,20 +145,18 @@ class ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate an INI experiment config against the schema."""
+    """Parse an INI experiment config over DEFAULTS; unknown sections and keys are errors."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    sections = {name: dict(vals) for name, vals in DEFAULTS.items()}
-    sections = {name: {k: (dict(v) if isinstance(v, dict) else (list(v) if isinstance(v, list) else v))
-                       for k, v in vals.items()} for name, vals in sections.items()}
+    sections = copy.deepcopy(DEFAULTS)
     for section in parser.sections():
         name = section.lower()
-        if name not in SCHEMA:
+        if name not in DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in SCHEMA[name]:
+            if key not in DEFAULTS[name]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             sections[name][key] = _convert(name, key, raw)
     return ExperimentConfig(sections=sections)

@@ -1,5 +1,10 @@
 """Quantitative programs: budget sweeps, thresholds, limits, audits, invasion.
 
+Every program takes one ScaledKernel, the pair (J_eps, rate alpha0/eps^m)
+of the paper's fixed dispersal budget, and gets its kernel at each range
+factor by dataclasses.replace(kernel, epsilon=eps): m and alpha0 never
+change along a schedule, and no program re-derives the rate.
+
 Grid coupling follows the sweep design: for small range factors the spacing
 shrinks with eps (h = h0 min(1, eps)) so the rescaled kernel stays resolved;
 for large range factors the ball grows with the kernel reach so whole-space
@@ -13,14 +18,14 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, KernelHypothesisError, UnderResolvedKernelError
 from .grids import Grid, build_grid, snap_radius
 from .growth import GrowthProfile
-from .kernels import Kernel, kernel_moment, rescale_kernel, validate_kernel
+from .kernels import Kernel, ScaledKernel, kernel_moment, rescale_kernel, validate_kernel
 from .operators import banded_solver, build_operator
 from .spectral import (
     SpectralEstimate,
@@ -36,6 +41,9 @@ from .stationary import (
 )
 
 
+MIN_TAPS = 2  # a kernel must reach this many cells of its grid
+
+
 @dataclass(frozen=True)
 class GridPolicy:
     """Couples the range factor eps to a concrete discretization."""
@@ -43,7 +51,6 @@ class GridPolicy:
     base_radius: float = 6.0
     base_spacing: float = 0.05
     radius_pad: float = 1.0
-    min_taps: int = 2
     dimension: int = 1
     max_cells_per_axis: int = 8192
 
@@ -57,10 +64,10 @@ class GridPolicy:
     def grid_for(self, scaled_kernel, topology: str = "ball-truncated") -> Grid:
         eps = scaled_kernel.epsilon
         h = self.spacing_for(eps)
-        if scaled_kernel.support_radius < self.min_taps * h:
+        if scaled_kernel.support_radius < MIN_TAPS * h:
             raise UnderResolvedKernelError(
                 f"eps={eps}: kernel support {scaled_kernel.support_radius:.4g} "
-                f"< {self.min_taps} h = {self.min_taps * h:.4g}"
+                f"< {MIN_TAPS} h = {MIN_TAPS * h:.4g}"
             )
         R = snap_radius(self.radius_for(eps, scaled_kernel.base.support_radius), h)
         return build_grid(self.dimension, R, h, topology, self.max_cells_per_axis)
@@ -75,8 +82,6 @@ class SweepEntry:
     eps: float
     lam: SpectralEstimate
     solve: BallSolve
-    grid_radius: float
-    grid_spacing: float
     u_sup: float
     u_l2: float
     u_l1: float
@@ -109,20 +114,23 @@ class SweepResult:
         return (not violations, violations, straddles)
 
 
-def _sweep_targets(m: float, direction: str | None, sup_a: float, lambda1_fd: float | None):
+def _sweep_targets(m: float, rate: float, direction: str | None, sup_a: float,
+                   lambda1_fd: float | None):
+    """Limit targets; for m = 0 the rate alpha0 does not vanish as eps grows."""
     if direction == "small" and m == 2.0:
         lam_name, lam_target = "lambda1_fd", lambda1_fd
     elif direction == "large" and m == 0.0:
-        lam_name, lam_target = "1-sup_a", 1.0 - sup_a
+        lam_name, lam_target = f"{rate:g}-sup_a", rate - sup_a
     else:
         lam_name, lam_target = "-sup_a", -sup_a
-    u_name = "(a-1)+" if m == 0.0 else "a+"
+    u_name = f"(a-{rate:g})+" if m == 0.0 else "a+"
     return lam_name, lam_target, u_name
 
 
-def _sweep_one(kernel, growth, m, eps, policy, alpha0, direction, solver_tol, spectral_tol,
+def _sweep_one(kernel, growth, eps, policy, direction, solver_tol, spectral_tol,
                lambda1_fd, fd_reference):
-    scaled = rescale_kernel(kernel, eps, m, alpha0)
+    m = kernel.m
+    scaled = replace(kernel, epsilon=eps)
     grid = policy.grid_for(scaled)
     op = build_operator(grid, scaled, growth)
     lam = principal_eigenvalue(op, tol=spectral_tol)
@@ -130,8 +138,9 @@ def _sweep_one(kernel, growth, m, eps, policy, alpha0, direction, solver_tol, sp
     u = solve.values
     w = grid.weights
     a = op.a_values
-    lam_name, lam_target, u_name = _sweep_targets(m, direction, float(np.max(a)), lambda1_fd)
-    target_u = np.maximum(a - 1.0, 0.0) if m == 0.0 else np.maximum(a, 0.0)
+    lam_name, lam_target, u_name = _sweep_targets(m, op.rate, direction, float(np.max(a)),
+                                                  lambda1_fd)
+    target_u = np.maximum(a - op.rate, 0.0) if m == 0.0 else np.maximum(a, 0.0)
     errors = {
         f"u_sup_err_{u_name}": float(np.max(np.abs(u - target_u))),
         f"u_l2_err_{u_name}": float(np.sqrt(np.sum(w * (u - target_u) ** 2))),
@@ -155,8 +164,6 @@ def _sweep_one(kernel, growth, m, eps, policy, alpha0, direction, solver_tol, sp
         eps=eps,
         lam=lam,
         solve=solve,
-        grid_radius=grid.radius,
-        grid_spacing=grid.spacing,
         u_sup=float(np.max(u)),
         u_l2=float(np.sqrt(np.sum(w * u * u))),
         u_l1=float(np.sum(w * u)),
@@ -173,12 +180,10 @@ def _map(fn, items, workers: int) -> list:
 
 
 def epsilon_sweep(
-    kernel: Kernel,
+    kernel: ScaledKernel,
     growth: GrowthProfile,
-    m: float,
     epsilons,
     policy: GridPolicy | None = None,
-    alpha0: float = 1.0,
     direction: str | None = None,
     solver_tol: float = 1e-10,
     spectral_tol: float = 1e-10,
@@ -186,21 +191,22 @@ def epsilon_sweep(
     fd_reference=None,
     workers: int = 1,
 ) -> SweepResult:
-    """Solve the budget problem across an eps schedule; entries whose kernel
-    is unresolvable on the policy grid are skipped with a reason."""
+    """Solve the budget problem across an eps schedule at the kernel's m and
+    alpha0; entries whose kernel is unresolvable on the policy grid are
+    skipped with a reason."""
     policy = policy or GridPolicy(dimension=growth.dimension)
     epsilons = [float(e) for e in epsilons]
 
     def job(eps):
         try:
-            return _sweep_one(kernel, growth, m, eps, policy, alpha0, direction,
+            return _sweep_one(kernel, growth, eps, policy, direction,
                               solver_tol, spectral_tol, lambda1_fd, fd_reference)
         except UnderResolvedKernelError as exc:
             return exc
 
     results = _map(job, epsilons, workers)
     skipped = {e: str(r) for e, r in zip(epsilons, results) if isinstance(r, UnderResolvedKernelError)}
-    return SweepResult(m=m, entries=[r for r in results if isinstance(r, SweepEntry)], skipped=skipped)
+    return SweepResult(m=kernel.m, entries=[r for r in results if isinstance(r, SweepEntry)], skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +224,7 @@ class EpsStarResult:
 
 
 def find_eps_star(
-    kernel: Kernel,
+    kernel: ScaledKernel,
     growth: GrowthProfile,
     lo: float,
     hi: float,
@@ -228,19 +234,23 @@ def find_eps_star(
 ) -> EpsStarResult:
     """Critical range factor for m = 0 by bisection on the certified sign.
 
-    If (a-1)+ is not identically zero on the grid, persistence holds for
-    every eps and the threshold is infinite.
+    The rate alpha0 is the same at every eps. If (a - rate)+ is not
+    identically zero on the grid, persistence holds for every eps and the
+    threshold is infinite.
     """
+    if kernel.m != 0.0:
+        raise ConfigError(f"eps* is defined for m = 0, not m = {kernel.m:g}")
+    rate = kernel.rate
     policy = policy or GridPolicy(dimension=growth.dimension)
     probe = build_grid(policy.dimension, snap_radius(policy.base_radius, policy.base_spacing),
                        policy.base_spacing, "ball-truncated", policy.max_cells_per_axis)
     a_probe = probe.sample(growth.a)
-    if float(np.max(a_probe - 1.0)) > 0.0:
+    if float(np.max(a_probe - rate)) > 0.0:
         return EpsStarResult(kind="infinite", value=None, bracket=None,
-                             note="(a-1)+ not identically zero: persistence for all eps")
-    if growth.sup_a > 1.0:
+                             note=f"(a-{rate:g})+ not identically zero: persistence for all eps")
+    if growth.sup_a > rate:
         warnings.warn(
-            "analytic sup a exceeds 1 but the grid misses the spike; "
+            f"analytic sup a exceeds the rate {rate:g} but the grid misses the spike; "
             "eps* finiteness pre-check may be unreliable", stacklevel=2,
         )
 
@@ -248,7 +258,7 @@ def find_eps_star(
     unresolved: list[float] = []
 
     def lam_at(eps: float) -> SpectralEstimate:
-        scaled = rescale_kernel(kernel, eps, 0.0, 1.0)
+        scaled = replace(kernel, epsilon=eps)
         grid = policy.grid_for(scaled)
         op = build_operator(grid, scaled, growth)
         est = principal_eigenvalue(op, tol=spectral_tol)
@@ -392,13 +402,15 @@ def asymptotic_limit_check(
 ) -> LimitCheck:
     """Tabulate distances to the theoretical limit along an eps schedule.
 
-    direction "large": targets a+ ((a-1)+ for m=0) and the large-eps
+    The sweep runs on one ScaledKernel of cost exponent m and alpha0.
+    direction "large": targets a+ ((a-alpha0)+ for m=0) and the large-eps
     spectral limits; "small": -sup a for m < 2, the local-Laplacian pair
-    (lambda_1, v) for m = 2. Non-monotone error decrease is reported as a
-    finding with grid-refinement advice, not raised.
+    (lambda_1, v) of alpha0 sigma Lap for m = 2. Non-monotone error decrease
+    is reported as a finding with grid-refinement advice, not raised.
     """
     if direction not in ("small", "large"):
         raise ConfigError("direction must be 'small' or 'large'")
+    template = rescale_kernel(kernel, 1.0, m, alpha0)  # the sweep replaces epsilon
     policy = policy or GridPolicy(dimension=growth.dimension)
     order = sorted(float(e) for e in epsilons)
     order = order[::-1] if direction == "small" else order
@@ -407,7 +419,7 @@ def asymptotic_limit_check(
     fd_reference = None
     lambda1_fd = None
     if direction == "small" and m == 2.0:
-        sigma = kernel_moment(kernel, 2.0) / (2.0 * growth.dimension)
+        sigma = alpha0 * kernel_moment(kernel, 2.0) / (2.0 * growth.dimension)
         R_fd = snap_radius(policy.base_radius, fd_spacing)
         fd = local_kpp_solve_fd(growth, sigma, R_fd, fd_spacing, tol=solver_tol)
         lambda1_fd = fd.lambda1.value
@@ -417,7 +429,7 @@ def asymptotic_limit_check(
         fd_reference = (fd.nodes, fd.values, core)
 
     sweep = epsilon_sweep(
-        kernel, growth, m, order, policy, alpha0, direction,
+        template, growth, order, policy, direction,
         solver_tol, spectral_tol, lambda1_fd, fd_reference, workers,
     )
     notes = [f"eps={e}: skipped ({r})" for e, r in sweep.skipped.items()]
@@ -526,9 +538,8 @@ class EnergySlopeFit:
 
 
 def energy_slope_audit(
-    kernel: Kernel,
+    kernel: ScaledKernel,
     growth: GrowthProfile,
-    m: float,
     epsilons,
     policy: GridPolicy | None = None,
     solver_tol: float = 1e-10,
@@ -537,15 +548,13 @@ def energy_slope_audit(
 ) -> EnergySlopeFit:
     """Audit every entry of a sweep and fit log E vs log eps (slope ~ m)."""
     policy = policy or GridPolicy(dimension=growth.dimension)
-    sweep = epsilon_sweep(kernel, growth, m, sorted(epsilons), policy,
+    sweep = epsilon_sweep(kernel, growth, sorted(epsilons), policy,
                           solver_tol=solver_tol, spectral_tol=spectral_tol, workers=workers)
     audits = []
     eps_list, energies = [], []
     for entry in sweep.entries:
-        scaled = rescale_kernel(kernel, entry.eps, m, 1.0)
-        grid = build_grid(policy.dimension, entry.grid_radius, entry.grid_spacing,
-                          "ball-truncated", policy.max_cells_per_axis)
-        op = build_operator(grid, scaled, growth)
+        scaled = replace(kernel, epsilon=entry.eps)
+        op = build_operator(policy.grid_for(scaled), scaled, growth)
         audit = apriori_estimate_audit(op, entry.solve.values, entry.lam)
         audits.append(audit)
         if entry.solve.verdict == "persistent":
@@ -554,7 +563,7 @@ def energy_slope_audit(
     slope = math.nan
     if len(energies) >= 2 and all(e > 0 for e in energies):
         slope = float(np.polyfit(np.log(eps_list), np.log(energies), 1)[0])
-    return EnergySlopeFit(m=m, epsilons=eps_list, energies=energies, slope=slope, audits=audits)
+    return EnergySlopeFit(m=kernel.m, epsilons=eps_list, energies=energies, slope=slope, audits=audits)
 
 
 # ---------------------------------------------------------------------------
@@ -592,25 +601,23 @@ def _common_policy_grid(policy: GridPolicy, kernel: Kernel, epsilons) -> Grid:
     return build_grid(policy.dimension, R, h, "ball-truncated", policy.max_cells_per_axis)
 
 
-def _resident(kernel, growth, m, eps1, epsilons, policy, alpha0, solver_tol, spectral_tol):
+def _resident(kernel, growth, eps1, epsilons, policy, solver_tol, spectral_tol):
     """(grid, u*_{eps1}) on the common grid of epsilons; the resident kernel
-    must span min_taps cells of it."""
-    grid = _common_policy_grid(policy, kernel, epsilons)
-    res_kernel = rescale_kernel(kernel, eps1, m, alpha0)
-    if res_kernel.support_radius < policy.min_taps * grid.spacing:
+    must span MIN_TAPS cells of it."""
+    grid = _common_policy_grid(policy, kernel.base, epsilons)
+    res_kernel = replace(kernel, epsilon=eps1)
+    if res_kernel.support_radius < MIN_TAPS * grid.spacing:
         raise UnderResolvedKernelError(f"resident kernel unresolved at eps1={eps1}")
     res_op = build_operator(grid, res_kernel, growth)
     return grid, solve_stationary_ball(res_op, tol=solver_tol, spectral_tol=spectral_tol).values
 
 
 def invasion_fitness(
-    kernel: Kernel,
+    kernel: ScaledKernel,
     growth: GrowthProfile,
-    m: float,
     eps1: float,
     eps2: float,
     policy: GridPolicy | None = None,
-    alpha0: float = 1.0,
     solver_tol: float = 1e-10,
     spectral_tol: float = 1e-10,
     resident: tuple[Grid, np.ndarray] | None = None,
@@ -620,11 +627,11 @@ def invasion_fitness(
     Negative certified sign means the mutant invades the resident equilibrium.
     """
     policy = policy or GridPolicy(dimension=growth.dimension)
-    grid, u_star = resident or _resident(kernel, growth, m, eps1, (eps1, eps2), policy, alpha0,
+    grid, u_star = resident or _resident(kernel, growth, eps1, (eps1, eps2), policy,
                                          solver_tol, spectral_tol)
 
-    mut_kernel = rescale_kernel(kernel, eps2, m, alpha0)
-    if mut_kernel.support_radius < policy.min_taps * grid.spacing:
+    mut_kernel = replace(kernel, epsilon=eps2)
+    if mut_kernel.support_radius < MIN_TAPS * grid.spacing:
         raise UnderResolvedKernelError(f"mutant kernel unresolved at eps2={eps2}")
     a_eff = grid.sample(growth.a) - u_star
     mut_op = build_operator(grid, mut_kernel, growth=None, a_values=a_eff)
@@ -640,13 +647,11 @@ def invasion_fitness(
 
 
 def build_invasion_matrix(
-    kernel: Kernel,
+    kernel: ScaledKernel,
     growth: GrowthProfile,
-    m: float,
     eps_residents,
     eps_mutants=None,
     policy: GridPolicy | None = None,
-    alpha0: float = 1.0,
     solver_tol: float = 1e-10,
     spectral_tol: float = 1e-10,
     workers: int = 1,
@@ -658,10 +663,10 @@ def build_invasion_matrix(
     eps_mutants = [float(e) for e in (eps_mutants if eps_mutants is not None else eps_residents)]
 
     def row(e1):
-        resident = _resident(kernel, growth, m, e1, [e1] + eps_mutants, policy, alpha0,
+        resident = _resident(kernel, growth, e1, [e1] + eps_mutants, policy,
                              solver_tol, spectral_tol)
         return [
-            invasion_fitness(kernel, growth, m, e1, e2, policy, alpha0,
+            invasion_fitness(kernel, growth, e1, e2, policy,
                              solver_tol, spectral_tol, resident=resident)
             for e2 in eps_mutants
         ]
@@ -689,13 +694,12 @@ class FatTailResult:
 
 
 def fat_tail_verdict(
-    kernel: Kernel,
+    kernel: ScaledKernel,
     growth: GrowthProfile,
     radii,
     spacing: float,
     tail_target: float = 1e-10,
     spectral_tol: float = 1e-10,
-    dimension: int = 1,
     max_cells_per_axis: int = 8192,
 ) -> FatTailResult:
     """Persistence/extinction for non-compact kernels under H5.
@@ -704,13 +708,12 @@ def fat_tail_verdict(
     tail-inflated upper bound of lim_R lambda_p(L_R + a) to be negative;
     extinction requires the whole-space lower bound -sup a to be positive.
     """
-    report = validate_kernel(kernel)
+    report = validate_kernel(kernel.base)
     if not (report.h1 and report.h2_center_positive and report.h5_finite_moment):
         raise KernelHypothesisError(f"kernel fails hypotheses: {report.messages}")
     if kernel.compactly_supported:
         raise ConfigError("fat-tail verdict is for non-compactly supported kernels")
 
-    scaled = rescale_kernel(kernel, 1.0, 0.0, 1.0)
     window = _tail_window(kernel, tail_target)
     estimates = []
     used = []
@@ -718,14 +721,14 @@ def fat_tail_verdict(
     # not spectral.radius_walk: the reach is capped at n - 1 cells and the taps
     # renormalized, so each R has its own kernel and lambda_p may rise with R
     for R in sorted(float(r) for r in radii):
-        grid = build_grid(dimension, snap_radius(R, spacing), spacing,
+        grid = build_grid(kernel.dimension, snap_radius(R, spacing), spacing,
                           "ball-truncated", max_cells_per_axis)
-        op = build_operator(grid, scaled, growth, tap_window=window)
+        op = build_operator(grid, kernel, growth, tap_window=window)
         est = principal_eigenvalue(op, tol=spectral_tol)
         tail_mass = max(tail_mass, op.tail_mass)
         estimates.append(est)
         used.append(grid.radius)
-    inflation = 2.0 * scaled.rate * tail_mass
+    inflation = 2.0 * kernel.rate * tail_mass
 
     if estimates and min(e.upper for e in estimates) + inflation < 0.0:
         return FatTailResult(
@@ -746,7 +749,7 @@ def fat_tail_verdict(
     )
 
 
-def _tail_window(kernel: Kernel, tail_target: float) -> float:
+def _tail_window(kernel: ScaledKernel, tail_target: float) -> float:
     w = max(kernel.support_radius, 1.0) if math.isfinite(kernel.support_radius) else 1.0
     while kernel.mass_beyond(w) > tail_target and w < 1e9:
         w *= 2.0

@@ -96,7 +96,8 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
     estimator 'cw' brackets by the two Collatz-Wielandt quotients (lambda_p
     contract); 'rayleigh' uses the weighted Rayleigh quotient as the upper
     (variational) side of the lambda_v contract. It stops at width <= tol,
-    at maxiter, or at the floating floor, and returns its best bracket.
+    after maxiter products, or when a step moves neither side of the bracket
+    (the floating floor), and returns its best bracket.
     """
     _check_irreducible(op)
     c = _shift_constant(op)
@@ -116,9 +117,8 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
         noda = banded_solver(stencil, lambda sigma: a + c - sigma, op.size)
 
     best = (-math.inf, math.inf)
-    stalled = 0
     iterations = 0
-    while iterations < maxiter:
+    while True:
         iterations += 1
         bphi = bmat @ phi
         q = bphi / phi
@@ -130,16 +130,12 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
             upper = min(upper, -rq_a)
         prev = best
         best = (max(best[0], lower), min(best[1], upper))
-        width = best[1] - best[0]
-        if width <= tol:
+        # a step that moves neither side has reached the floating floor:
+        # Collatz-Wielandt bounds never worsen under a power step of B >= 0
+        if best[1] - best[0] <= tol or best == prev or iterations >= maxiter:
             break
         if stencil is None:
-            stalled = stalled + 1 if width > 0.999 * (prev[1] - prev[0]) else 0
-            if stalled >= 60:
-                break  # bracket hit its floating floor for this instance
             nxt = np.maximum(bphi, _POSITIVE_FLOOR)
-        elif best == prev:
-            break  # the last Noda step moved neither side: the floating floor
         else:
             try:
                 nxt = noda(cw_hi, phi)
@@ -149,7 +145,7 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
                 break
         phi = nxt / np.max(nxt)
 
-    a_phi = bmat @ phi - c * phi
+    a_phi = bphi - c * phi  # every exit leaves phi as the last product saw it
     rq_a = float(phi @ (op.grid.weights * a_phi)) / float(phi @ (op.grid.weights * phi))
     value = float(np.clip(-rq_a, best[0], best[1]))
     residual = float(np.max(np.abs(a_phi + value * phi)))

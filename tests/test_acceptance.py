@@ -279,7 +279,7 @@ def test_08_m0_limits():
     env_ok = sup_err <= envelope
 
     growth = bump_growth(0.8, 1.0, -1.0)
-    star = find_eps_star(TENT, growth, 4.0, 10.0, policy, tol=1e-2)
+    star = find_eps_star(rescale_kernel(TENT, 1.0, 0.0), growth, 4.0, 10.0, policy, tol=1e-2)
     star_ok = star.kind == "finite"
     scan_ok = False
     if star_ok:
@@ -331,7 +331,8 @@ def test_10_apriori_audit():
     slope_fail = []
     item_fail = []
     for m, (growth, policy) in cases.items():
-        fit = energy_slope_audit(TENT, growth, m, [1, 2, 4, 8], policy, solver_tol=1e-9)
+        fit = energy_slope_audit(rescale_kernel(TENT, 1.0, m), growth, [1, 2, 4, 8], policy,
+                                 solver_tol=1e-9)
         if abs(fit.slope - m) > 0.2:
             slope_fail.append((m, fit.slope))
         for audit in fit.audits:
@@ -347,12 +348,14 @@ def test_11_ess_neutrality_and_invasion():
     policy = GridPolicy(base_radius=4.0, base_spacing=0.05)
     diag_fail = []
     for eps in (1.0, 2.0):
-        entry = invasion_fitness(TENT, BUMP, 1.0, eps, eps, policy, solver_tol=1e-10)
+        entry = invasion_fitness(rescale_kernel(TENT, 1.0, 1.0), BUMP, eps, eps, policy,
+                                 solver_tol=1e-10)
         if abs(entry.lam.value) > entry.lam.width + 1e-6:
             diag_fail.append((eps, entry.lam.value))
     invade_fail = []
     for eps1 in (2.0, 4.0):
-        entry = invasion_fitness(TENT, BUMP, 1.0, eps1, 8.0 * eps1, policy, solver_tol=1e-9)
+        entry = invasion_fitness(rescale_kernel(TENT, 1.0, 1.0), BUMP, eps1, 8.0 * eps1, policy,
+                                 solver_tol=1e-9)
         if entry.lam.upper >= 0.0:
             invade_fail.append((eps1, entry.lam.upper))
     ok = not diag_fail and not invade_fail
@@ -361,7 +364,7 @@ def test_11_ess_neutrality_and_invasion():
 
 
 def test_12_fat_tail_criteria():
-    kernel = Kernel("algebraic-tail", params={"power": 5.0})
+    kernel = rescale_kernel(Kernel("algebraic-tail", params={"power": 5.0}), 1.0, 0.0)
     persist = fat_tail_verdict(kernel, bump_growth(1.0, 1.0, -1.0), [4, 8], 0.05)
     extinct = fat_tail_verdict(kernel, constant_growth(-0.1), [4, 8], 0.05)
     indet = fat_tail_verdict(kernel, bump_growth(0.2, 4.0, -1.0), [4, 8], 0.05)
@@ -413,13 +416,13 @@ output_dir = {td}/out
 
 [kernel]
 family = tent
+m = 1
 
 [growth]
 family = bump
 params = a0=2, b=1, a_min=-1
 
 [sweep]
-m = 1
 epsilons = 2 4
 base_R = 4
 base_h = 0.1

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nichewave import build_grid
+from nichewave import Kernel, build_grid, bump_growth, rescale_kernel
 from nichewave.config import load_config
 from nichewave.cli import main
+from nichewave.experiments import fat_tail_verdict
 from nichewave.operators import build_operator
 
 
@@ -133,13 +134,13 @@ def test_sweep_artifacts_and_reproducibility(tmp_path):
     body = """
 [kernel]
 family = tent
+m = 1
 
 [growth]
 family = bump
 params = a0=2, b=1, a_min=-1
 
 [sweep]
-m = 1
 epsilons = 4 8
 base_R = 4
 base_h = 0.1
@@ -374,13 +375,13 @@ def test_ess_command(tmp_path):
     code, out = run_cli(tmp_path, "ess", """
 [kernel]
 family = tent
+m = 1
 
 [growth]
 family = bump
 params = a0=2, b=1, a_min=-1
 
 [ess]
-m = 1
 eps_residents = 1
 eps_mutants = 1 2
 base_R = 3
@@ -417,13 +418,13 @@ def test_audit_command(tmp_path):
     code, out = run_cli(tmp_path, "audit", """
 [kernel]
 family = tent
+m = 1
 
 [growth]
 family = bump
 params = a0=2, b=1, a_min=-1
 
 [audit]
-m = 1
 epsilons = 1 2 4 8
 base_R = 4
 base_h = 0.05
@@ -433,6 +434,128 @@ solver_tol = 1e-9
     payload = json.loads((out / "audit-t.json").read_text())
     assert payload["all_passed"] is True
     assert abs(payload["slope"] - 1.0) <= 0.2
+
+
+_BUMP = """
+[growth]
+family = bump
+params = a0=2, b=1, a_min=-1
+"""
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("epsilon = 0", "epsilon must be positive"),
+    ("m = 3", "m must lie in [0, 2]"),
+    ("alpha0 = -1", "alpha0 must be positive"),
+    ("dimension = 3", "dimension must be 1 or 2"),
+])
+def test_out_of_range_kernel_exits_one(tmp_path, capsys, setting, message):
+    code, _ = run_cli(tmp_path, "spectrum", f"[kernel]\nfamily = tent\n{setting}\n\n[grid]\nR = 2\nh = 0.1\n"
+                      + _BUMP)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [kernel]") and message in err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("sweep", "m"), ("ess", "m"), ("audit", "m"), ("growth", "radial_nonincreasing"),
+])
+def test_removed_keys_are_unknown(tmp_path, capsys, section, key):
+    code, _ = run_cli(tmp_path, "validate", f"[{section}]\n{key} = 1\n")
+    assert code == 1
+    assert f"unknown key {key!r} in section [{section}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spectral_tol, met", [("1e-30", False), ("1e-10", True)])
+def test_sweep_records_missed_spectral_tol(tmp_path, spectral_tol, met):
+    code, out = run_cli(tmp_path, "sweep", f"""
+[kernel]
+family = tent
+m = 1
+{_BUMP}
+[sweep]
+epsilons = 4 8
+base_R = 4
+base_h = 0.1
+spectral_tol = {spectral_tol}
+""")
+    assert code == 0
+    assert json.loads((out / "sweep-t.json").read_text())["lambda_met_tol"] is met
+
+
+# Every command solves with the [kernel] rate alpha0 / eps^m.
+
+def test_eps_star_uses_the_kernel_rate(tmp_path):
+    # sup a = 2 < alpha0 = 4: the threshold is finite (lambda_p >= 0 by eps = 16)
+    code, out = run_cli(tmp_path, "eps-star", f"""
+[kernel]
+family = tent
+alpha0 = 4
+{_BUMP}
+[eps_star]
+lo = 0.5
+hi = 64
+base_R = 4
+base_h = 0.1
+""")
+    assert code == 0
+    payload = json.loads((out / "eps-star-t.json").read_text())
+    assert payload["kind"] == "finite"
+    assert 4.0 < payload["value"] < 16.0
+    assert payload["lambda_met_tol"] is True
+
+
+def test_eps_star_refuses_a_nonzero_m(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "eps-star", "[kernel]\nfamily = tent\nm = 1\n" + _BUMP)
+    assert code == 1
+    assert "eps* is defined for m = 0" in capsys.readouterr().err
+
+
+def test_audit_uses_the_kernel_rate(tmp_path):
+    energies = {}
+    for alpha0 in (1, 4):
+        code, out = run_cli(tmp_path, "audit", f"""
+[kernel]
+family = tent
+m = 1
+alpha0 = {alpha0}
+{_BUMP}
+[audit]
+epsilons = 1 2
+base_R = 4
+base_h = 0.1
+solver_tol = 1e-9
+""")
+        assert code == 0
+        energies[alpha0] = json.loads((out / "audit-t.json").read_text())["energies"]
+    assert len(energies[1]) == len(energies[4]) == 2
+    assert all(abs(e1 - e4) > 1e-3 for e1, e4 in zip(energies[1], energies[4]))
+
+
+def test_fat_tail_uses_the_kernel_rate(tmp_path):
+    code, out = run_cli(tmp_path, "fat-tail", """
+[kernel]
+family = algebraic-tail
+params = power=5
+alpha0 = 2
+
+[growth]
+family = bump
+params = a0=1, b=1, a_min=-1
+
+[fat_tail]
+R_schedule = 4 8
+h = 0.05
+""")
+    assert code == 0
+    kernel = rescale_kernel(Kernel("algebraic-tail", params={"power": 5.0}), 1, 0, 2)
+    res = fat_tail_verdict(kernel, bump_growth(1.0, 1.0, -1.0), [4, 8], 0.05)
+    payload = json.loads((out / "fat-tail-t.json").read_text())
+    assert (payload["verdict"], payload["bracket_inflation"]) == (res.verdict, res.bracket_inflation)
+    assert payload["bracket_inflation"] == 2.0 * 2.0 * payload["tail_mass"]  # 2 rate tail_mass
+    rows = [line.split(",") for line in (out / "fat-tail-t.csv").read_text().splitlines()[1:]]
+    assert [[float(v) for v in row] for row in rows] == [
+        [R, e.lower, e.upper] for R, e in zip(res.radii, res.estimates)]
 
 
 def test_missing_config_exits_one():

@@ -36,7 +36,7 @@ POLICY = GridPolicy(base_radius=4.0, base_spacing=0.05)
 
 class TestSweep:
     def test_large_eps_m1_errors_decrease(self, tent, bump):
-        res = epsilon_sweep(tent, bump, 1.0, [4, 8], POLICY, direction="large",
+        res = epsilon_sweep(rescale_kernel(tent, 1.0, 1.0), bump, [4, 8], POLICY, direction="large",
                             solver_tol=1e-9, spectral_tol=1e-9)
         assert len(res.entries) == 2
         e4, e8 = res.entries
@@ -45,16 +45,27 @@ class TestSweep:
         ok, violations, straddles = res.coherence(1e-9)
         assert ok and straddles == 0
 
+    def test_m0_targets_use_the_rate(self, tent, bump):
+        # for m = 0 the rate alpha0 stays as eps grows: u -> (a - alpha0)+, lambda_p -> alpha0 - sup a
+        policy = GridPolicy(base_radius=4.0, base_spacing=0.1)
+        entry, = epsilon_sweep(rescale_kernel(tent, 1.0, 0.0, 1.5), bump, [8], policy,
+                               direction="large").entries
+        a = bump.a(policy.grid_for(rescale_kernel(tent, 8.0, 0.0)).points[:, 0])
+        assert entry.errors["lam_err_1.5-sup_a"] == abs(entry.lam.value - (1.5 - a.max()))
+        assert entry.target_name == "u_sup_err_(a-1.5)+"
+
     def test_under_resolved_entries_skipped(self, tent, bump):
         coarse = GridPolicy(base_radius=4.5, base_spacing=0.75)
         for workers in (1, 2):
-            res = epsilon_sweep(tent, bump, 0.0, [0.25, 4.0], coarse, workers=workers)
+            res = epsilon_sweep(rescale_kernel(tent, 1.0, 0.0), bump, [0.25, 4.0], coarse,
+                                workers=workers)
             assert 0.25 in res.skipped
             assert [e.eps for e in res.entries] == [4.0]
 
     def test_parallel_matches_serial(self, tent, bump):
-        serial = epsilon_sweep(tent, bump, 1.0, [2, 4], POLICY, solver_tol=1e-9)
-        threaded = epsilon_sweep(tent, bump, 1.0, [2, 4], POLICY, solver_tol=1e-9, workers=2)
+        kernel = rescale_kernel(tent, 1.0, 1.0)
+        serial = epsilon_sweep(kernel, bump, [2, 4], POLICY, solver_tol=1e-9)
+        threaded = epsilon_sweep(kernel, bump, [2, 4], POLICY, solver_tol=1e-9, workers=2)
         for a, b in zip(serial.entries, threaded.entries):
             assert a.lam.value == b.lam.value
             assert a.u_sup == b.u_sup
@@ -62,13 +73,13 @@ class TestSweep:
 
 class TestEpsStar:
     def test_infinite_when_growth_exceeds_one(self, tent, bump):
-        res = find_eps_star(tent, bump, 0.5, 64.0, POLICY)
+        res = find_eps_star(rescale_kernel(tent, 1.0, 0.0), bump, 0.5, 64.0, POLICY)
         assert res.kind == "infinite"
 
     def test_finite_threshold_against_dense_scan(self, tent):
         growth = bump_growth(0.8, 1.0, -1.0)
         policy = GridPolicy(base_radius=4.0, base_spacing=0.1)
-        res = find_eps_star(tent, growth, 4.0, 10.0, policy, tol=1e-2)
+        res = find_eps_star(rescale_kernel(tent, 1.0, 0.0), growth, 4.0, 10.0, policy, tol=1e-2)
         assert res.kind == "finite"
         # dense scan oracle at the same discretization
         from nichewave.spectral import principal_eigenvalue
@@ -90,7 +101,7 @@ class TestEpsStar:
         growth = GrowthProfile("tabulated", params={
             "r": [0.0, 0.02, 1.0, 2.0], "values": [1.5, -0.5, -0.8, -1.0]})
         with pytest.warns(UserWarning, match="spike"):
-            find_eps_star(tent, growth, 0.5, 2.0, POLICY)
+            find_eps_star(rescale_kernel(tent, 1.0, 0.0), growth, 0.5, 2.0, POLICY)
 
 
 class TestLocalKPP:
@@ -208,18 +219,21 @@ class TestAudit:
         assert audit.all_passed, [(i.name, i.detail) for i in audit.items if not i.passed]
 
     def test_energy_slope_near_m(self, tent, bump):
-        fit = energy_slope_audit(tent, bump, 1.0, [1, 2, 4, 8], POLICY, solver_tol=1e-9)
+        fit = energy_slope_audit(rescale_kernel(tent, 1.0, 1.0), bump, [1, 2, 4, 8], POLICY,
+                                 solver_tol=1e-9)
         assert abs(fit.slope - 1.0) <= 0.2
         assert all(a.all_passed for a in fit.audits)
 
 
 class TestInvasion:
     def test_resident_is_neutral_against_itself(self, tent, bump):
-        entry = invasion_fitness(tent, bump, 1.0, 1.0, 1.0, POLICY, solver_tol=1e-10)
+        entry = invasion_fitness(rescale_kernel(tent, 1.0, 1.0), bump, 1.0, 1.0, POLICY,
+                                 solver_tol=1e-10)
         assert abs(entry.lam.value) <= entry.lam.width + 1e-6
 
     def test_large_range_mutant_invades(self, tent, bump):
-        entry = invasion_fitness(tent, bump, 1.0, 2.0, 16.0, POLICY, solver_tol=1e-9)
+        entry = invasion_fitness(rescale_kernel(tent, 1.0, 1.0), bump, 2.0, 16.0, POLICY,
+                                 solver_tol=1e-9)
         assert entry.verdict == "invades"
         assert entry.lam.upper < 0
 
@@ -232,18 +246,19 @@ class TestInvasion:
 
     def test_matrix_refuses_an_unresolved_resident(self, bump):
         # cutoff 0.06 < 2 h = 0.1 at eps1 = 1: the resident kernel is not resolved
-        kernel = Kernel("truncated-gaussian", params={"sigma": 0.03, "cutoff": 0.06})
+        kernel = rescale_kernel(Kernel("truncated-gaussian", params={"sigma": 0.03, "cutoff": 0.06}),
+                                1.0, 1.0)
         policy = GridPolicy(base_radius=3.0, base_spacing=0.05)
-        for fill in (lambda: invasion_fitness(kernel, bump, 1.0, 1.0, 2.0, policy),
-                     lambda: build_invasion_matrix(kernel, bump, 1.0, [1.0], [2.0], policy)):
+        for fill in (lambda: invasion_fitness(kernel, bump, 1.0, 2.0, policy),
+                     lambda: build_invasion_matrix(kernel, bump, [1.0], [2.0], policy)):
             with pytest.raises(UnderResolvedKernelError, match="resident kernel unresolved at eps1=1"):
                 fill()
 
     def test_matrix_against_dense_oracle(self, tent):
         growth = bump_growth(1.5, 1.0, -1.0)
         policy = GridPolicy(base_radius=3.0, base_spacing=0.25)
-        mat = build_invasion_matrix(tent, growth, 1.0, [1.0, 2.0], [1.0, 2.0], policy,
-                                    solver_tol=1e-10)
+        mat = build_invasion_matrix(rescale_kernel(tent, 1.0, 1.0), growth, [1.0, 2.0], [1.0, 2.0],
+                                    policy, solver_tol=1e-10)
         from nichewave.stationary import solve_stationary_ball
 
         for i, e1 in enumerate(mat.eps_residents):
@@ -261,27 +276,27 @@ class TestInvasion:
 class TestFatTail:
     def test_persistence_with_positive_core(self):
         kernel = Kernel("algebraic-tail", params={"power": 5.0})
-        res = fat_tail_verdict(kernel, bump_growth(1.0, 1.0, -1.0), [4, 8], 0.05)
+        res = fat_tail_verdict(rescale_kernel(kernel, 1.0, 0.0), bump_growth(1.0, 1.0, -1.0), [4, 8], 0.05)
         assert res.verdict == "persistence"
         assert res.inflated_upper < 0
 
     def test_extinction_with_uniformly_negative_growth(self):
         kernel = Kernel("algebraic-tail", params={"power": 5.0})
-        res = fat_tail_verdict(kernel, constant_growth(-0.1), [4, 8], 0.05)
+        res = fat_tail_verdict(rescale_kernel(kernel, 1.0, 0.0), constant_growth(-0.1), [4, 8], 0.05)
         assert res.verdict == "extinction"
 
     def test_indeterminate_band_is_surfaced(self):
         kernel = Kernel("algebraic-tail", params={"power": 5.0})
-        res = fat_tail_verdict(kernel, bump_growth(0.2, 4.0, -1.0), [4, 8], 0.05)
+        res = fat_tail_verdict(rescale_kernel(kernel, 1.0, 0.0), bump_growth(0.2, 4.0, -1.0), [4, 8], 0.05)
         assert res.verdict == "indeterminate"
 
     def test_h5_violation_rejected(self):
         kernel = Kernel("algebraic-tail", params={"power": 2.5})
         with pytest.raises(KernelHypothesisError):
-            fat_tail_verdict(kernel, constant_growth(-0.1), [4], 0.1)
+            fat_tail_verdict(rescale_kernel(kernel, 1.0, 0.0), constant_growth(-0.1), [4], 0.1)
 
     def test_compact_kernel_rejected(self, tent):
         from nichewave import ConfigError
 
         with pytest.raises(ConfigError):
-            fat_tail_verdict(tent, constant_growth(-0.1), [4], 0.1)
+            fat_tail_verdict(rescale_kernel(tent, 1.0, 0.0), constant_growth(-0.1), [4], 0.1)

@@ -5,12 +5,16 @@
   ``import a.b`` counts as used only where ``a.b`` itself is used.
 - No handler catches ``Exception``/``BaseException`` or everything (bare
   ``except:``); each one names the errors it expects.
+- Every config key in ``config.DEFAULTS`` is read: its name appears as a
+  string subscript (``section["key"]``) somewhere in the package.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from nichewave.config import DEFAULTS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nichewave"
 MODULES = sorted(SRC.glob("*.py"))
@@ -59,6 +63,12 @@ def blanket_handlers(tree: ast.Module) -> list[int]:
     return lines
 
 
+def string_subscripts(tree: ast.Module) -> set[str]:
+    return {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)}
+
+
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -80,6 +90,22 @@ def test_checks_catch_what_they_name():
         "try:\n    pass\nexcept:\n    pass\n"
         "try:\n    pass\nexcept (ValueError, Exception):\n    pass\n"
         "try:\n    pass\nexcept KeyError:\n    pass\n"
+        'cfg["grid"]["r"]\nrows[0]\nd[key]\n'
     )
     assert unused_imports(tree) == ["from x import y", "import os", "import scipy.linalg"]
     assert blanket_handlers(tree) == [8, 12]
+    assert string_subscripts(tree) == {"grid", "r"}
+
+
+# [run] seed is accepted and read by no code: no computation draws random
+# numbers, but perfbench writes it into every config it runs so that a run
+# records its seed.
+UNREAD_BY_DESIGN = {("run", "seed")}
+
+
+def test_every_config_key_is_read():
+    read = set().union(*(string_subscripts(_tree(p)) for p in MODULES))
+    unread = [(section, key) for section, keys in DEFAULTS.items() for key in keys
+              if key not in read and (section, key) not in UNREAD_BY_DESIGN]
+    assert unread == []
+

@@ -238,6 +238,24 @@ class TestArpackVector:
         assert est.width <= 1e-10
         assert est.iterations <= 3  # the ARPACK vector needs no power steps
 
+    @pytest.mark.parametrize("dimension,topology,radius,spacing", [
+        (1, "torus", 3.0, 0.25), (2, "ball-truncated", 3.0, 0.25), (1, "ball-truncated", 8.0, 0.02),
+    ], ids=["torus", "2d-ball", "1d-ball-q50"])
+    def test_unreachable_tol_stops_at_the_floor(self, dimension, topology, radius, spacing):
+        # a CSR step that moves neither side of the bracket ends the loop; a
+        # 60-step stall counter ran 76-103 products on these before it gave up
+        op = build_operator(build_grid(dimension, radius, spacing, topology),
+                            rescale_kernel(Kernel("tent", dimension=dimension), 1.0, 0.0),
+                            bump_growth(2.0, 1.0, -1.0, dimension=dimension))
+        assert op.band_stencil() is None
+        oracle, _ = dense_lambda_p_oracle(op)
+        for solve in (principal_eigenvalue, rayleigh_lambda_v):
+            est = solve(op, tol=1e-30)
+            assert not est.met_tol
+            assert est.iterations < 60
+            assert est.width <= 1e-14
+            assert est.lower - 1e-13 <= oracle <= est.upper + 1e-13
+
     def test_reruns_are_bit_identical(self, ball_op):
         for solve in (principal_eigenvalue, rayleigh_lambda_v):
             first, second = solve(ball_op, tol=1e-10), solve(ball_op, tol=1e-10)
