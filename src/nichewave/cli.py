@@ -112,6 +112,7 @@ def _u0_from_spec(spec: str, grid, stationary_values):
 
 
 def cmd_validate(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
+    cfg.scaled_kernel()  # [kernel] epsilon, m and alpha0 in range, as every solving command needs
     kernel = cfg.kernel()
     report = validate_kernel(kernel)
     write_json(outdir / f"validate-{label}.json", {
@@ -368,6 +369,7 @@ def cmd_audit(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
         "energies": fit.energies,
         "slope": fit.slope,
         "all_passed": all(a.all_passed for a in fit.audits),
+        "lambda_met_tol": fit.lambda_met_tol,
     })
     print(f"audit: slope = {fit.slope:.4g} (m = {fit.m}), all passed = {all(a.all_passed for a in fit.audits)}")
     return 0

@@ -535,6 +535,7 @@ class EnergySlopeFit:
     energies: list[float]
     slope: float
     audits: list[AuditResult]
+    lambda_met_tol: bool              # every sweep entry's lambda_p bracket met its tol
 
 
 def energy_slope_audit(
@@ -563,7 +564,8 @@ def energy_slope_audit(
     slope = math.nan
     if len(energies) >= 2 and all(e > 0 for e in energies):
         slope = float(np.polyfit(np.log(eps_list), np.log(energies), 1)[0])
-    return EnergySlopeFit(m=kernel.m, epsilons=eps_list, energies=energies, slope=slope, audits=audits)
+    return EnergySlopeFit(m=kernel.m, epsilons=eps_list, energies=energies, slope=slope, audits=audits,
+                          lambda_met_tol=all(e.lam.met_tol for e in sweep.entries))
 
 
 # ---------------------------------------------------------------------------

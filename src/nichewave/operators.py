@@ -9,15 +9,18 @@ paths evaluate the identical sum
 restricted to the ball (hostile exterior: this *is* the truncated operator)
 or wrapped around the torus (validation device).
 
-The operator is assembled once as a CSR stencil matrix, O(n (2q+1)^N)
-memory. Its matvec sums nonnegative taps times the input, which lets
-Collatz-Wielandt quotients keep per-entry relative accuracy on steep
+The stencil path adds one shifted copy of u per nonzero tap, scaled by
+that tap, in lexicographic offset order; no matrix is stored, so memory is
+O(n + (2q+1)^N). Its summands are nonnegative taps times the input, which
+lets Collatz-Wielandt quotients keep per-entry relative accuracy on steep
 eigenvector tails, so every certified bracket uses it. The other path is
 one circular FFT convolution on a box of L cells per axis: L = n on the
 torus, and L >= n + q on the ball, where every wrapped tap lands off the
 grid. It has absolute error ~1e-16 ||u||, is faster at large reach, and
 serves the rhs, time stepping, the Newton CG solves and the ARPACK
-eigenvector.
+eigenvector. The assembled CSR forms (``conv_matrix``, ``matrix``) add the
+same summands in the same order; they are oracles for tests and the dense
+eigenvalue check, not part of any solve.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np
 import scipy.sparse
 from scipy.fft import next_fast_len, rfftn, irfftn
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .errors import MonotonicityViolationError, UnderResolvedKernelError
 from .grids import Grid
@@ -57,24 +61,40 @@ def banded_solver(stencil: np.ndarray, slope, n: int):
     """solve(u, R) = A(u)^{-1} R with A(u) = T - diag(slope(u)), by banded LU.
 
     T is the n x n Toeplitz band of the constant (2q+1)-tap ``stencil``, cut
-    off at both ends of the line (a Dirichlet or hostile exterior). The band
-    is filled once; each call writes the diagonal stencil[q] - slope(u) and
-    solves with ``scipy.linalg.solve_banded`` (LAPACK gtsv for q = 1, gbsv
-    otherwise). A nonpositive diagonal means A(u) is not an M-matrix and
-    raises MonotonicityViolationError. Partial-pivoted LU makes no per-entry
-    accuracy claim on the result: callers check its sign where they need
-    one, and every certified bound is computed from the CSR matrix.
+    off at both ends of the line (a Dirichlet or hostile exterior). Each call
+    writes the band with the diagonal stencil[q] - slope(u) and solves it by
+    LAPACK gtsv for q = 1 (through ``scipy.linalg.solve_banded``) and gbsv
+    otherwise. gbsv factors in place in one Fortran-ordered (3q+1) x n array
+    held by the solver: q rows of LU fill above the band, zeroed and refilled
+    on every call. A nonpositive diagonal means A(u) is not an M-matrix and
+    raises MonotonicityViolationError; a non-finite band or right-hand side
+    raises ValueError. Partial-pivoted LU makes no per-entry accuracy claim
+    on the result: callers check its sign where they need one, and every
+    certified bound is computed from the stencil product.
     """
     q = (len(stencil) - 1) // 2
-    bands = np.repeat(stencil[::-1, None], n, axis=1)
+    fill = q if q > 1 else 0
+    band = np.empty((fill + 2 * q + 1, n), order="F")
 
     def solve(u, rhs):
         diag = stencil[q] - slope(u)
         if np.min(diag) <= 0.0:
             raise MonotonicityViolationError(
                 "-J(hi) has a nonpositive diagonal, so it is not an M-matrix; is f concave in s?")
-        bands[q] = diag
-        return solve_banded((q, q), bands, rhs)
+        if not (np.all(np.isfinite(stencil)) and np.all(np.isfinite(diag))
+                and np.all(np.isfinite(rhs))):
+            raise ValueError("banded solve: the band or right-hand side is not finite")
+        band[:fill] = 0.0
+        band[fill:] = stencil[::-1, None]
+        band[fill + q] = diag
+        if q == 1:
+            return solve_banded((1, 1), band, rhs, check_finite=False)
+        _, _, x, info = dgbsv(q, q, band, rhs, overwrite_ab=True)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of gbsv")
+        return x
 
     return solve
 
@@ -122,7 +142,7 @@ def sample_taps(kernel: ScaledKernel, grid: Grid, window_radius: float | None = 
 
 @dataclass
 class DiscreteOperator:
-    """Assembled/matrix-free representation of rate*(J_eps * . - I) + a."""
+    """Matrix-free representation of rate*(J_eps * . - I) + a."""
 
     grid: Grid
     kernel: ScaledKernel
@@ -131,7 +151,7 @@ class DiscreteOperator:
     taps: np.ndarray
     tail_mass: float
     reach: int
-    _conv_matrix: Optional[scipy.sparse.csr_array] = field(default=None, repr=False)
+    _stencil_plan: Optional[tuple] = field(default=None, repr=False)
     _fft_plan: Optional[tuple] = field(default=None, repr=False)
     _kmass: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -153,19 +173,19 @@ class DiscreteOperator:
     def convolve(self, u: np.ndarray, path: str = "fast") -> np.ndarray:
         """(J_eps * u) restricted to the grid; exterior contributes zero.
 
-        "direct" is the CSR product. "fast" scatters u into a zeroed box of L
-        cells per axis, convolves circularly with the taps folded onto that
-        box, and gathers the grid points back. On the torus L = n, so the
-        wrap is the periodic sum. On the ball L = next_fast_len(n + q): a tap
-        that wraps lands at a box index >= n, off the grid, so the circular
-        sum equals the truncated one. Flat index and tap spectrum are cached
-        on first use; the box is allocated per call, so threads may share
-        one operator.
+        "direct" is the stencil sum (``stencil_product``). "fast" scatters u
+        into a zeroed box of L cells per axis, convolves circularly with the
+        taps folded onto that box, and gathers the grid points back. On the
+        torus L = n, so the wrap is the periodic sum. On the ball
+        L = next_fast_len(n + q): a tap that wraps lands at a box index >= n,
+        off the grid, so the circular sum equals the truncated one. Flat index
+        and tap spectrum are cached on first use; the box is allocated per
+        call, so threads may share one operator.
         """
         if u.shape != (self.size,):
             raise ValueError(f"expected grid function of length {self.size}")
         if path == "direct":
-            return self.conv_matrix() @ u
+            return self.stencil_product(u)
         if path != "fast":
             raise ValueError(f"unknown convolution path {path!r}")
         if self._fft_plan is None:
@@ -193,56 +213,92 @@ class DiscreteOperator:
         np.add.at(kper, np.ix_(*[wrap] * self.grid.dimension), self.taps)
         return kper
 
-    # --- assembled forms ------------------------------------------------------
+    # --- stencil sum and its assembled forms ------------------------------------
+
+    def _stencil(self) -> tuple:
+        """(deltas, values, centre, base, box_size, pad), cached on first use.
+
+        The nonzero taps, and always the centre tap, in lexicographic offset
+        order: their flat offsets ``deltas`` in a box zero-padded by ``pad``
+        cells per side, their matrix entries h^N * tap, and the index of the
+        centre among them. ``base`` is each grid point's flat index in that
+        box, rising with the point index. On the torus the wrapped taps are
+        laid out over the signed offsets -(n-1)..n-1 per axis, so wrapping
+        becomes the same walk with pad n - 1. O(n + (2q+1)^N) memory.
+        """
+        if self._stencil_plan is None:
+            grid, N = self.grid, self.grid.dimension
+            if grid.topology == "torus":
+                pad = grid.cells_per_axis - 1
+                signed = np.arange(-pad, pad + 1) % grid.cells_per_axis
+                taps = self._wrapped_taps()[np.ix_(*[signed] * N)]
+            else:
+                pad, taps = self.reach, self.taps
+            keep = taps != 0.0
+            keep[(pad,) * N] = True
+            offsets = np.argwhere(keep) - pad
+            side = grid.cells_per_axis + 2 * pad
+            strides = side ** np.arange(N - 1, -1, -1)
+            centre = int(np.flatnonzero(~offsets.any(axis=1))[0])
+            self._stencil_plan = (offsets @ strides, taps[keep] * grid.spacing**N, centre,
+                                  (grid.box_index + pad) @ strides, side**N, pad)
+        return self._stencil_plan
+
+    def stencil_product(self, u: np.ndarray, shift: Optional[float] = None) -> np.ndarray:
+        """C u, or (A + shift I) u = (rate (C - I) + diag(a) + shift I) u when shift is set.
+
+        u is scattered into a fresh zero-padded box (threads may share one
+        operator). Then, tap by tap in lexicographic offset order, the output
+        adds coefficient * (u shifted by the tap's offset): h^N tap for C,
+        rate (h^N tap) off the centre for A, and at the centre
+        rate (h^N tap - 1) + a + shift times u. These are the summands of a
+        CSR row of ``matrix(shift)`` in its column order, so the result is
+        bit-identical to that product. The shifted copies are contiguous
+        slices of the flat box over the span of the grid; cells off the grid
+        in that span are computed and dropped.
+        """
+        deltas, values, centre, base, box_size, _ = self._stencil()
+        box = np.zeros(box_size)
+        box[base] = u
+        if shift is None:
+            coeffs, diag = values, values[centre]
+        else:
+            coeffs = self.rate * values
+            diag = self.rate * (values[centre] - 1.0)
+            if self.a_values is not None:
+                diag = diag + self.a_values
+            diag = diag + shift
+        lo = base[0]
+        span = base[-1] + 1 - lo
+        rows = base - lo
+        out = np.zeros(span)
+        for k, d in enumerate(deltas):
+            if k == centre:
+                out[rows] += diag * u
+            else:
+                out += coeffs[k] * box[lo + d:lo + d + span]
+        return out[rows]
 
     def conv_matrix(self) -> scipy.sparse.csr_array:
-        """CSR matrix C with C[i,j] = h^N J_eps(x_i - x_j) (torus: wrapped), cached.
+        """CSR matrix C with C[i,j] = h^N J_eps(x_i - x_j) (torus: wrapped).
 
-        indptr/indices/data are built directly from a box lookup. Offsets are
-        walked in lexicographic order, so column indices rise along each row.
-        On the torus the wrapped taps are laid out over the signed offsets
-        -(n-1)..n-1 per axis, which turns wrapping into the same walk. Rows
-        go in blocks so temporaries stay O(n (2q+1)).
+        Assembled on every call from the stencil walk, O(n (2q+1)^N) memory;
+        a test oracle, not used by any solve. The diagonal is always stored
+        and column indices rise along each row.
         """
-        if self._conv_matrix is not None:
-            return self._conv_matrix
-        grid, N = self.grid, self.grid.dimension
-        if grid.topology == "torus":
-            reach = grid.cells_per_axis - 1
-            signed = np.arange(-reach, reach + 1) % grid.cells_per_axis
-            taps = self._wrapped_taps()[np.ix_(*[signed] * N)]
-        else:
-            reach, taps = self.reach, self.taps
-        keep = taps != 0.0
-        keep[(reach,) * N] = True  # stored diagonal: matrix() sets it in place
-        offsets = np.argwhere(keep) - reach
-        values = taps[keep] * grid.spacing**N
-
-        lookup = grid.box_lookup(pad=reach).ravel()
-        strides = np.cumprod((1,) + (grid.cells_per_axis + 2 * reach,) * (N - 1))[::-1]
-        base = (grid.box_index + reach) @ strides
-        delta = offsets @ strides
-
-        n = self.size
-        block = max(1, n * (2 * self.reach + 1) // delta.size)
-        counts, indices, data = [], [], []
-        for lo in range(0, n, block):
-            cols = lookup[base[lo:lo + block, None] + delta[None, :]]
-            on_grid = cols >= 0
-            counts.append(on_grid.sum(axis=1))
-            indices.append(cols[on_grid])
-            data.append(np.broadcast_to(values, cols.shape)[on_grid])
-        indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+        deltas, values, _, base, _, pad = self._stencil()
+        cols = self.grid.box_lookup(pad=pad).ravel()[base[:, None] + deltas[None, :]]
+        on_grid = cols >= 0
+        indptr = np.concatenate(([0], np.cumsum(on_grid.sum(axis=1))))
         index_dtype = np.int32 if indptr[-1] < 2**31 else np.int64
-        self._conv_matrix = scipy.sparse.csr_array(
-            (np.concatenate(data), np.concatenate(indices).astype(index_dtype),
+        return scipy.sparse.csr_array(
+            (np.broadcast_to(values, cols.shape)[on_grid], cols[on_grid].astype(index_dtype),
              indptr.astype(index_dtype)),
-            shape=(n, n),
+            shape=(self.size, self.size),
         )
-        return self._conv_matrix
 
     def matrix(self, shift: float = 0.0) -> scipy.sparse.csr_array:
-        """Assembled CSR A = rate (C - I) + diag(a) + shift I."""
+        """Assembled CSR A = rate (C - I) + diag(a) + shift I; a test oracle."""
         C = self.conv_matrix()
         diag = self.rate * (C.diagonal() - 1.0)
         if self.a_values is not None:

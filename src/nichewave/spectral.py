@@ -12,15 +12,17 @@ The sup/inf test-function definitions of lambda_p and lambda_p' are
 realized on the grid by exactly these two quotients; their collapse to a
 requested width is the bracket certificate.
 
-The quotients come only from the CSR matrix, whose nonnegative summands
-keep per-entry relative accuracy on steep eigenvector tails; phi never
-enters a bound. On 1-D balls of narrow reach phi comes from Noda steps
+The quotients come only from the stencil product B phi
+(``DiscreteOperator.stencil_product``), a sum of nonnegative taps times
+shifted copies of phi that keeps per-entry relative accuracy on steep
+eigenvector tails; no matrix is assembled, and phi never enters a bound.
+On 1-D balls of narrow reach phi comes from Noda steps
 phi <- (sigma I - B)^{-1} phi, sigma the upper quotient, by one banded
 M-matrix solve (Noda, Numer. Math. 17, 1971): six steps reach 1e-12 where
-CSR steps stall near 1e-8. Elsewhere it comes from ARPACK (Lehoucq,
-Sorensen & Yang, ARPACK Users' Guide, 1998) on the matrix-free FFT
-operator, and CSR steps phi <- B phi polish its tail (absolute error
-~1e-16 ||u||).
+power steps stall near 1e-8. Elsewhere it comes from ARPACK (Lehoucq,
+Sorensen & Yang, ARPACK Users' Guide, 1998) on the FFT operator (absolute
+error ~1e-16 ||u||), and power steps phi <- B phi by the stencil product
+polish its tail.
 
 Every estimate carries the narrowest bracket certified and met_tol (width
 <= tol). A miss is recorded, never raised; a caller that needs the width
@@ -91,8 +93,9 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
     """Shared certification engine; returns a SpectralEstimate.
 
     phi comes from Noda steps where ``op.band_stencil()`` applies, and
-    otherwise from ARPACK (the start vector if ARPACK fails) and CSR steps
-    phi <- B phi. Every bracket comes from the CSR product B phi, B = A + cI.
+    otherwise from ARPACK (the start vector if ARPACK fails) and power steps
+    phi <- B phi. Every bracket comes from the stencil product B phi,
+    B = A + cI, which adds the summands of a CSR row of B in its order.
     estimator 'cw' brackets by the two Collatz-Wielandt quotients (lambda_p
     contract); 'rayleigh' uses the weighted Rayleigh quotient as the upper
     (variational) side of the lambda_v contract. It stops at width <= tol,
@@ -101,7 +104,6 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
     """
     _check_irreducible(op)
     c = _shift_constant(op)
-    bmat = op.matrix(shift=c)
 
     phi = start / np.max(start)
     stencil = op.band_stencil()
@@ -120,7 +122,7 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
     iterations = 0
     while True:
         iterations += 1
-        bphi = bmat @ phi
+        bphi = op.stencil_product(phi, shift=c)
         q = bphi / phi
         cw_lo, cw_hi = float(np.min(q)), float(np.max(q))
         lower = c - cw_hi
@@ -224,8 +226,8 @@ def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-
     rise beyond the two bracket widths raises
     DiscretizationInconsistencyError. This is the only such check.
     Consumers stop the walk by break. A consumer should drop op before it
-    asks for the next ball: op caches its CSR matrix, which would otherwise
-    stay alive while the next ball is certified.
+    asks for the next ball: op caches its stencil walk, FFT plan and kernel
+    mass, which would otherwise stay alive while the next ball is certified.
     """
     radii = sorted(float(R) for R in radii)
     if not radii:
@@ -279,7 +281,7 @@ def lambda_p_extrapolate_R(
     converged = False
     for R, op, est in radius_walk(kernel, growth, radii, spacing, spectral_tol, dimension,
                                   max_cells_per_axis):
-        del op  # only lambda_p is kept; free the CSR matrix before the next ball
+        del op  # only lambda_p is kept; free the operator before the next ball
         estimates.append(est)
         used.append(R)
         if len(estimates) >= 2 and estimates[-2].value - est.value <= tol:

@@ -385,7 +385,7 @@ def solve_stationary_wholespace(
             lower_start = np.zeros(grid.size)
             lower_start[idx_new] = prev_vals[idx_old]
         sol = solve_stationary_ball(op, tol=solver_tol, lam=lam, lower_start=lower_start)
-        del op  # free its CSR matrix before the walk certifies the next ball
+        del op  # free its cached plans before the walk certifies the next ball
         change = math.inf
         if prev_vals is not None:
             diff = sol.values[idx_new] - prev_vals[idx_old]

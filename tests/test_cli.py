@@ -457,6 +457,19 @@ def test_out_of_range_kernel_exits_one(tmp_path, capsys, setting, message):
     assert err.startswith("config error: [kernel]") and message in err
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("epsilon = 0", "epsilon must be positive"),
+    ("m = 3", "m must lie in [0, 2]"),
+    ("alpha0 = -1", "alpha0 must be positive"),
+])
+def test_validate_checks_the_scaled_kernel(tmp_path, capsys, setting, message):
+    # validate refuses what every solving command refuses
+    code, _ = run_cli(tmp_path, "validate", f"[kernel]\nfamily = tent\n{setting}\n")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [kernel]") and message in err
+
+
 @pytest.mark.parametrize("section, key", [
     ("sweep", "m"), ("ess", "m"), ("audit", "m"), ("growth", "radial_nonincreasing"),
 ])
@@ -530,6 +543,22 @@ solver_tol = 1e-9
         energies[alpha0] = json.loads((out / "audit-t.json").read_text())["energies"]
     assert len(energies[1]) == len(energies[4]) == 2
     assert all(abs(e1 - e4) > 1e-3 for e1, e4 in zip(energies[1], energies[4]))
+
+
+def test_audit_records_lambda_met_tol(tmp_path):
+    code, out = run_cli(tmp_path, "audit", f"""
+[kernel]
+family = tent
+m = 1
+{_BUMP}
+[audit]
+epsilons = 2 4
+base_R = 4
+base_h = 0.1
+solver_tol = 1e-9
+""")
+    assert code == 0
+    assert json.loads((out / "audit-t.json").read_text())["lambda_met_tol"] is True
 
 
 def test_fat_tail_uses_the_kernel_rate(tmp_path):

@@ -224,6 +224,13 @@ class TestAudit:
         assert abs(fit.slope - 1.0) <= 0.2
         assert all(a.all_passed for a in fit.audits)
 
+    @pytest.mark.parametrize("spectral_tol, met", [(1e-30, False), (None, True)])
+    def test_records_lambda_met_tol(self, tent, bump, spectral_tol, met):
+        tol = {} if spectral_tol is None else {"spectral_tol": spectral_tol}
+        fit = energy_slope_audit(rescale_kernel(tent, 1.0, 1.0), bump, [2, 4],
+                                 GridPolicy(base_radius=4.0, base_spacing=0.1), solver_tol=1e-9, **tol)
+        assert fit.lambda_met_tol is met
+
 
 class TestInvasion:
     def test_resident_is_neutral_against_itself(self, tent, bump):

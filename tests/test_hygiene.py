@@ -7,6 +7,9 @@
   ``except:``); each one names the errors it expects.
 - Every config key in ``config.DEFAULTS`` is read: its name appears as a
   string subscript (``section["key"]``) somewhere in the package.
+- No ``.matrix(...)`` or ``.conv_matrix(...)`` call appears outside
+  ``operators`` and ``spectral.dense_lambda_p_oracle``: the assembled CSR
+  forms are oracles, and no solve path builds one.
 """
 
 import ast
@@ -69,6 +72,13 @@ def string_subscripts(tree: ast.Module) -> set[str]:
             and isinstance(node.slice.value, str)}
 
 
+def assembly_calls(tree: ast.Module) -> list[int]:
+    """Lines of every ``<expr>.matrix(...)`` or ``<expr>.conv_matrix(...)`` call."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("matrix", "conv_matrix"))
+
+
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -109,3 +119,27 @@ def test_every_config_key_is_read():
               if key not in read and (section, key) not in UNREAD_BY_DESIGN]
     assert unread == []
 
+
+
+# (module, function) that may assemble: the dense eigenvalue oracle
+ASSEMBLY_ALLOWED = {("spectral.py", "dense_lambda_p_oracle")}
+
+
+def test_no_assembly_outside_operators():
+    found = []
+    for path in MODULES:
+        if path.name == "operators.py":
+            continue
+        tree = _tree(path)
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) in ASSEMBLY_ALLOWED:
+                allowed.update(range(node.lineno, node.end_lineno + 1))
+        found += [f"{path.name}:{line}" for line in assembly_calls(tree) if line not in allowed]
+    assert found == []
+
+
+def test_assembly_check_catches_what_it_names():
+    tree = ast.parse("op.matrix(shift=1.0)\nop.conv_matrix()\nbuild_invasion_matrix(k)\n"
+                     "matrix.entries\nf = op.matrix\n")
+    assert assembly_calls(tree) == [1, 2]

@@ -1,14 +1,17 @@
 import itertools
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from nichewave import (
     Kernel,
+    MonotonicityViolationError,
     UnderResolvedKernelError,
     build_grid,
     bump_growth,
@@ -16,7 +19,8 @@ from nichewave import (
     rescale_kernel,
     weighted_symmetrize,
 )
-from nichewave.operators import build_operator, sample_taps
+from nichewave.operators import DiscreteOperator, banded_solver, build_operator, sample_taps
+from nichewave.spectral import _shift_constant, principal_eigenvalue, rayleigh_lambda_v
 
 
 class TestConvolution:
@@ -269,3 +273,98 @@ class TestIdentities:
         diff = u[:, None] - u[None, :]
         brute = 0.5 * np.sum(w[:, None] * w[None, :] * C * diff**2)
         assert op.energy(u) == pytest.approx(brute, rel=1e-12)
+
+
+def _steep_ball_op():
+    """1-D m = 2, eps = 0.05, h = 0.0025 ball: rate 400, reach 20."""
+    grid = build_grid(1, 4.0, 0.0025, "ball-truncated")
+    return build_operator(grid, rescale_kernel(Kernel("tent"), 0.05, 2.0), bump_growth(2.0, 1.0, -1.0))
+
+
+STENCIL_OPS = ([(_assembly_op, case) for case in ASSEMBLY_CASES]
+               + [(_circular_op, case) for case in CIRCULAR_CASES]
+               + [(_steep_ball_op, ())])
+
+
+class TestStencilProduct:
+    @pytest.mark.parametrize("make, case", STENCIL_OPS,
+                             ids=[str(case) if case else "steep-ball" for _, case in STENCIL_OPS])
+    def test_bit_identical_to_assembled(self, make, case, rng):
+        op = make(*case)
+        c = _shift_constant(op)
+        for _ in range(3):
+            phi = rng.random(op.size) + 1e-3
+            assert np.array_equal(op.stencil_product(phi, shift=c), op.matrix(shift=c) @ phi)
+            assert np.array_equal(op.convolve(phi, "direct"), op.conv_matrix() @ phi)
+
+    @pytest.mark.parametrize("make", [
+        _steep_ball_op,  # Noda steps on the band
+        lambda: _assembly_op(2, 3.0, 0.25, "ball-truncated", 0.8),  # ARPACK and power steps
+        lambda: _assembly_op(1, 4.0, 0.125, "torus", 1.0),
+    ], ids=["banded-1d-ball", "arpack-2d-ball", "torus"])
+    def test_no_assembly_on_the_certified_path(self, make, monkeypatch):
+        op = make()
+
+        def assembled(*args, **kwargs):
+            raise AssertionError("a certified eigenvalue assembled a matrix")
+
+        monkeypatch.setattr(DiscreteOperator, "matrix", assembled)
+        monkeypatch.setattr(DiscreteOperator, "conv_matrix", assembled)
+        for certify in (principal_eigenvalue, rayleigh_lambda_v):
+            est = certify(op, tol=1e-8)
+            assert est.met_tol and est.lower <= est.value <= est.upper
+
+    def test_threads_share_one_operator(self, rng):
+        # a fresh operator, so the cached walk is also built under contention
+        op = _circular_op(2, 2.0, 0.1, "ball-truncated", "tent")
+        inputs = [rng.random(op.size) for _ in range(32)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda u: op.stencil_product(u, shift=1.0), inputs,
+                                         timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for u, out in zip(inputs, threaded):
+            assert np.array_equal(out, op.stencil_product(u, shift=1.0))
+
+    def test_certified_eigenvalue_memory_is_linear(self):
+        # assembling the CSR matrix of this ball (n = 2828, 41 x 41 taps) peaks near 90 MB
+        grid = build_grid(2, 3.0, 0.1, "ball-truncated")
+        op = build_operator(grid, rescale_kernel(Kernel("tent", dimension=2), 2.0, 0.0),
+                            bump_growth(2.0, 1.0, -1.0, dimension=2))
+        tracemalloc.start()
+        try:
+            est = principal_eigenvalue(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.met_tol
+        assert peak < 16e6
+
+
+class TestBandedSolver:
+    @pytest.mark.parametrize("q", [1, 2, 20])
+    def test_matches_solve_banded_on_every_call(self, q, rng):
+        # the solver refills its one LAPACK array, which gbsv overwrites, on each call
+        n = 200
+        stencil = -rng.random(2 * q + 1)
+        stencil[q] = 2.0 * q + 1.0
+        solve = banded_solver(stencil, lambda u: u, n)
+        bands = np.repeat(stencil[::-1, None], n, axis=1)
+        for _ in range(3):
+            u, rhs = rng.random(n), rng.random(n)
+            bands[q] = stencil[q] - u
+            assert np.array_equal(solve(u, rhs), solve_banded((q, q), bands, rhs))
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_rejects_what_is_not_an_m_matrix_or_not_finite(self, q):
+        stencil = np.full(2 * q + 1, -0.1)
+        stencil[q] = 1.0
+        solve = banded_solver(stencil, lambda u: u, 10)
+        with pytest.raises(MonotonicityViolationError):
+            solve(np.full(10, 2.0), np.ones(10))
+        for u, rhs in [(np.full(10, np.nan), np.ones(10)), (np.zeros(10), np.full(10, np.inf))]:
+            with pytest.raises(ValueError, match="not finite"):
+                solve(u, rhs)
