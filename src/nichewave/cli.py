@@ -7,6 +7,8 @@ fat-tail, audit. Every command takes the kernel family, epsilon, m and
 alpha0 from [kernel], so all of them solve with the same kernel and rate;
 sweep, eps-star, ess and audit replace only epsilon, and eps-star needs
 m = 0. [sweep] m, [ess] m and [audit] m are gone (see nichewave.config).
+The commands that walk an eps schedule solve one eps after another in one
+thread; [run] workers accepts only 1.
 Artifacts are CSV/JSON named <command>-<label>.* in the configured output
 directory. Exit codes: 0 success, 1 config error or a
 time step above the monotone bound, 2 numerical failure (partial artifacts
@@ -269,7 +271,7 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     result = epsilon_sweep(cfg.scaled_kernel(), cfg.growth(), sw["epsilons"],
                            _policy(cfg, "sweep", radius_pad=sw["radius_pad"]),
                            direction=direction, solver_tol=sw["solver_tol"],
-                           spectral_tol=sw["spectral_tol"], workers=cfg.workers)
+                           spectral_tol=sw["spectral_tol"])
     rows = [[result.m, e.eps, e.lam.lower, e.lam.upper, e.u_sup, e.u_l2, e.u_l1,
              e.target_error, e.target_name] for e in result.entries]
     write_csv(outdir / f"sweep-{label}.csv",
@@ -313,7 +315,7 @@ def cmd_ess(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     es = cfg["ess"]
     kernel = cfg.scaled_kernel()
     matrix = build_invasion_matrix(kernel, cfg.growth(), es["eps_residents"], es["eps_mutants"],
-                                   _policy(cfg, "ess"), workers=cfg.workers)
+                                   _policy(cfg, "ess"))
     rows = []
     for row in matrix.entries:
         for e in row:
@@ -356,8 +358,7 @@ def cmd_fat_tail(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
 def cmd_audit(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     au = cfg["audit"]
     fit = energy_slope_audit(cfg.scaled_kernel(), cfg.growth(), au["epsilons"],
-                             _policy(cfg, "audit"), solver_tol=au["solver_tol"],
-                             workers=cfg.workers)
+                             _policy(cfg, "audit"), solver_tol=au["solver_tol"])
     rows = []
     for audit in fit.audits:
         for item in audit.items:

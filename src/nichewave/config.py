@@ -3,7 +3,8 @@
 Sections and keys (all optional unless a command needs them):
 
     [run]       seed (int, accepted but unused: no computation draws
-                random numbers), label (str), output_dir (str), workers (int)
+                random numbers), label (str), output_dir (str),
+                workers (int, 1 only: every schedule runs in order)
     [kernel]    family, dimension, epsilon, m, alpha0, params
     [grid]      R, h, topology, max_cells
     [growth]    family, params
@@ -33,14 +34,16 @@ entries, where a value may be a space-separated list of numbers
     family = algebraic-tail
     params = power=5
 
-The env var NICHEWAVE_WORKERS overrides [run] workers.
+[run] workers accepts 1 and nothing else: every command solves its eps
+schedule one eps after another, so a config asking for more workers is
+rejected rather than run in order silently. No environment variable
+overrides a config value.
 """
 
 from __future__ import annotations
 
 import configparser
 import copy
-import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -111,16 +114,6 @@ class ExperimentConfig:
     def __getitem__(self, section: str) -> dict:
         return self.sections[section]
 
-    @property
-    def workers(self) -> int:
-        env = os.environ.get("NICHEWAVE_WORKERS")
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                raise ConfigError(f"NICHEWAVE_WORKERS={env!r} is not an integer")
-        return max(1, self.sections["run"]["workers"])
-
     def kernel(self) -> Kernel:
         k = self.sections["kernel"]
         try:
@@ -159,4 +152,8 @@ def load_config(path: str) -> ExperimentConfig:
             if key not in DEFAULTS[name]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             sections[name][key] = _convert(name, key, raw)
+    workers = sections["run"]["workers"]
+    if workers != 1:
+        raise ConfigError(f"[run] workers = {workers}: schedules run in order, "
+                          "so only workers = 1 is accepted")
     return ExperimentConfig(sections=sections)

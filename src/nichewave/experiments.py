@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -173,12 +172,6 @@ def _sweep_one(kernel, growth, eps, policy, direction, solver_tol, spectral_tol,
     )
 
 
-def _map(fn, items, workers: int) -> list:
-    """list(map(fn, items)); on a thread pool only when workers > 1."""
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list((pool.map if workers > 1 else map)(fn, items))
-
-
 def epsilon_sweep(
     kernel: ScaledKernel,
     growth: GrowthProfile,
@@ -189,24 +182,19 @@ def epsilon_sweep(
     spectral_tol: float = 1e-10,
     lambda1_fd: float | None = None,
     fd_reference=None,
-    workers: int = 1,
 ) -> SweepResult:
-    """Solve the budget problem across an eps schedule at the kernel's m and
-    alpha0; entries whose kernel is unresolvable on the policy grid are
-    skipped with a reason."""
+    """Solve the budget problem at each eps of the schedule, in order, at the
+    kernel's m and alpha0; entries whose kernel is unresolvable on the policy
+    grid are skipped with a reason."""
     policy = policy or GridPolicy(dimension=growth.dimension)
-    epsilons = [float(e) for e in epsilons]
-
-    def job(eps):
+    result = SweepResult(m=kernel.m, entries=[])
+    for eps in (float(e) for e in epsilons):
         try:
-            return _sweep_one(kernel, growth, eps, policy, direction,
-                              solver_tol, spectral_tol, lambda1_fd, fd_reference)
+            result.entries.append(_sweep_one(kernel, growth, eps, policy, direction, solver_tol,
+                                             spectral_tol, lambda1_fd, fd_reference))
         except UnderResolvedKernelError as exc:
-            return exc
-
-    results = _map(job, epsilons, workers)
-    skipped = {e: str(r) for e, r in zip(epsilons, results) if isinstance(r, UnderResolvedKernelError)}
-    return SweepResult(m=kernel.m, entries=[r for r in results if isinstance(r, SweepEntry)], skipped=skipped)
+            result.skipped[eps] = str(exc)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -398,18 +386,23 @@ def asymptotic_limit_check(
     spectral_tol: float = 1e-10,
     fd_spacing: float = 0.01,
     core_radius: float | None = None,
-    workers: int = 1,
 ) -> LimitCheck:
     """Tabulate distances to the theoretical limit along an eps schedule.
 
-    The sweep runs on one ScaledKernel of cost exponent m and alpha0.
-    direction "large": targets a+ ((a-alpha0)+ for m=0) and the large-eps
-    spectral limits; "small": -sup a for m < 2, the local-Laplacian pair
-    (lambda_1, v) of alpha0 sigma Lap for m = 2. Non-monotone error decrease
-    is reported as a finding with grid-refinement advice, not raised.
+    The sweep runs on one ScaledKernel of cost exponent m and alpha0, one eps
+    after another. direction "large": targets a+ ((a-alpha0)+ for m=0) and
+    the large-eps spectral limits; "small": -sup a for m < 2, the
+    local-Laplacian pair (lambda_1, v) of alpha0 sigma Lap for m = 2. That
+    pair comes from a 1-D finite-difference solve, so m = 2 toward small eps
+    needs a 1-D growth profile and raises ConfigError otherwise.
+    Non-monotone error decrease is reported as a finding with
+    grid-refinement advice, not raised.
     """
     if direction not in ("small", "large"):
         raise ConfigError("direction must be 'small' or 'large'")
+    if direction == "small" and m == 2.0 and growth.dimension != 1:
+        raise ConfigError(f"the m = 2 small-eps limit has a 1-D local reference only, "
+                          f"not {growth.dimension}-D")
     template = rescale_kernel(kernel, 1.0, m, alpha0)  # the sweep replaces epsilon
     policy = policy or GridPolicy(dimension=growth.dimension)
     order = sorted(float(e) for e in epsilons)
@@ -430,7 +423,7 @@ def asymptotic_limit_check(
 
     sweep = epsilon_sweep(
         template, growth, order, policy, direction,
-        solver_tol, spectral_tol, lambda1_fd, fd_reference, workers,
+        solver_tol, spectral_tol, lambda1_fd, fd_reference,
     )
     notes = [f"eps={e}: skipped ({r})" for e, r in sweep.skipped.items()]
 
@@ -493,9 +486,11 @@ class AuditResult:
         return all(i.passed for i in self.items)
 
 
-def apriori_estimate_audit(op, u: np.ndarray, lam: SpectralEstimate,
-                           slack: float = 1e-8) -> AuditResult:
-    """Check the stationary a-priori estimates on one converged solve."""
+_AUDIT_SLACK = 1e-8  # allowance on each a-priori inequality
+
+
+def apriori_estimate_audit(op, u: np.ndarray, lam: SpectralEstimate) -> AuditResult:
+    """Check the stationary a-priori estimates on one converged solve, each to _AUDIT_SLACK."""
     w = op.grid.weights
     a = op.a_values
     eps = op.kernel.epsilon
@@ -506,24 +501,24 @@ def apriori_estimate_audit(op, u: np.ndarray, lam: SpectralEstimate,
 
     l2 = float(np.sqrt(np.sum(w * u * u)))
     bound1 = math.sqrt(c1)
-    items = [AuditItem("i_l2_bound", l2 <= bound1 + slack, bound1 - l2,
+    items = [AuditItem("i_l2_bound", l2 <= bound1 + _AUDIT_SLACK, bound1 - l2,
                        f"||u||_2 = {l2:.6g} vs sqrt(M int a+) = {bound1:.6g}")]
 
     energy = op.energy(u)
     c2 = 4.0 * c1 * M
     bound2 = c2 * eps**m
-    items.append(AuditItem("ii_energy_bound", energy <= bound2 + slack, bound2 - energy,
+    items.append(AuditItem("ii_energy_bound", energy <= bound2 + _AUDIT_SLACK, bound2 - energy,
                            f"E = {energy:.6g} vs C2 eps^m = {bound2:.6g}"))
 
     supp = a > 0.0
     sup_u_core = float(np.max(u[supp])) if np.any(supp) else 0.0
     floor = -lam.upper / 2.0
-    items.append(AuditItem("iii_sup_lower", sup_u_core >= floor - slack, sup_u_core - floor,
+    items.append(AuditItem("iii_sup_lower", sup_u_core >= floor - _AUDIT_SLACK, sup_u_core - floor,
                            f"sup_supp(a+) u = {sup_u_core:.6g} vs -lambda_p/2 = {floor:.6g}"))
 
     lower = np.maximum(a - op.rate, 0.0)
     worst = float(np.min(u - lower))
-    items.append(AuditItem("iv_pointwise_lower", worst >= -slack, worst,
+    items.append(AuditItem("iv_pointwise_lower", worst >= -_AUDIT_SLACK, worst,
                            f"min(u - (a - rate)+) = {worst:.3g}"))
     return AuditResult(eps=eps, m=m, items=items, energy=energy)
 
@@ -545,12 +540,12 @@ def energy_slope_audit(
     policy: GridPolicy | None = None,
     solver_tol: float = 1e-10,
     spectral_tol: float = 1e-10,
-    workers: int = 1,
 ) -> EnergySlopeFit:
-    """Audit every entry of a sweep and fit log E vs log eps (slope ~ m)."""
+    """Audit every entry of a sweep over the sorted eps schedule and fit
+    log E vs log eps (slope ~ m)."""
     policy = policy or GridPolicy(dimension=growth.dimension)
     sweep = epsilon_sweep(kernel, growth, sorted(epsilons), policy,
-                          solver_tol=solver_tol, spectral_tol=spectral_tol, workers=workers)
+                          solver_tol=solver_tol, spectral_tol=spectral_tol)
     audits = []
     eps_list, energies = [], []
     for entry in sweep.entries:
@@ -656,25 +651,20 @@ def build_invasion_matrix(
     policy: GridPolicy | None = None,
     solver_tol: float = 1e-10,
     spectral_tol: float = 1e-10,
-    workers: int = 1,
 ) -> InvasionMatrix:
-    """Fill the strategy grid; each resident equilibrium is solved once on a
-    grid sized for the largest kernel it meets."""
+    """Fill the strategy grid row by row; each resident equilibrium is solved
+    once on a grid sized for the largest kernel it meets."""
     policy = policy or GridPolicy(dimension=growth.dimension)
     eps_residents = [float(e) for e in eps_residents]
     eps_mutants = [float(e) for e in (eps_mutants if eps_mutants is not None else eps_residents)]
-
-    def row(e1):
+    entries = []
+    for e1 in eps_residents:
         resident = _resident(kernel, growth, e1, [e1] + eps_mutants, policy,
                              solver_tol, spectral_tol)
-        return [
-            invasion_fitness(kernel, growth, e1, e2, policy,
-                             solver_tol, spectral_tol, resident=resident)
-            for e2 in eps_mutants
-        ]
-
-    return InvasionMatrix(eps_residents=eps_residents, eps_mutants=eps_mutants,
-                          entries=_map(row, eps_residents, workers))
+        entries.append([invasion_fitness(kernel, growth, e1, e2, policy,
+                                         solver_tol, spectral_tol, resident=resident)
+                        for e2 in eps_mutants])
+    return InvasionMatrix(eps_residents=eps_residents, eps_mutants=eps_mutants, entries=entries)
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,19 @@ paths evaluate the identical sum
 restricted to the ball (hostile exterior: this *is* the truncated operator)
 or wrapped around the torus (validation device).
 
-The stencil path adds one shifted copy of u per nonzero tap, scaled by
-that tap, in lexicographic offset order; no matrix is stored, so memory is
-O(n + (2q+1)^N). Its summands are nonnegative taps times the input, which
-lets Collatz-Wielandt quotients keep per-entry relative accuracy on steep
-eigenvector tails, so every certified bracket uses it. The other path is
-one circular FFT convolution on a box of L cells per axis: L = n on the
-torus, and L >= n + q on the ball, where every wrapped tap lands off the
-grid. It has absolute error ~1e-16 ||u||, is faster at large reach, and
-serves the rhs, time stepping, the Newton CG solves and the ARPACK
-eigenvector. The assembled CSR forms (``conv_matrix``, ``matrix``) add the
-same summands in the same order; they are oracles for tests and the dense
-eigenvalue check, not part of any solve.
+The stencil path (``stencil_product``) adds one shifted copy of u per
+nonzero tap, scaled by that tap, in lexicographic offset order; no matrix
+is stored, so memory is O(n + (2q+1)^N). Its summands are nonnegative taps
+times the input, which lets Collatz-Wielandt quotients keep per-entry
+relative accuracy on steep eigenvector tails, so every certified bracket
+uses it. The other path (``convolve``) is one circular FFT convolution on a
+box of L cells per axis: L = n on the torus, and L >= n + q on the ball,
+where every wrapped tap lands off the grid. It has absolute error
+~1e-16 ||u||, is faster at large reach, and serves the rhs, time stepping,
+the Newton CG solves and the ARPACK eigenvector. The assembled CSR forms
+(``conv_matrix``, ``matrix``) add the same summands in the same order; they
+are oracles for tests and the dense eigenvalue check, not part of any
+solve.
 """
 
 from __future__ import annotations
@@ -170,24 +171,20 @@ class DiscreteOperator:
 
     # --- convolution paths --------------------------------------------------
 
-    def convolve(self, u: np.ndarray, path: str = "fast") -> np.ndarray:
-        """(J_eps * u) restricted to the grid; exterior contributes zero.
+    def convolve(self, u: np.ndarray) -> np.ndarray:
+        """(J_eps * u) restricted to the grid by FFT; exterior contributes zero.
 
-        "direct" is the stencil sum (``stencil_product``). "fast" scatters u
-        into a zeroed box of L cells per axis, convolves circularly with the
-        taps folded onto that box, and gathers the grid points back. On the
-        torus L = n, so the wrap is the periodic sum. On the ball
+        Scatters u into a zeroed box of L cells per axis, convolves circularly
+        with the taps folded onto that box, and gathers the grid points back.
+        On the torus L = n, so the wrap is the periodic sum. On the ball
         L = next_fast_len(n + q): a tap that wraps lands at a box index >= n,
-        off the grid, so the circular sum equals the truncated one. Flat index
-        and tap spectrum are cached on first use; the box is allocated per
-        call, so threads may share one operator.
+        off the grid, so the circular sum equals the truncated one. The same
+        sum term by term is ``stencil_product(u)``. Flat index and tap
+        spectrum are cached on first use; the box is allocated per call, so
+        threads may share one operator.
         """
         if u.shape != (self.size,):
             raise ValueError(f"expected grid function of length {self.size}")
-        if path == "direct":
-            return self.stencil_product(u)
-        if path != "fast":
-            raise ValueError(f"unknown convolution path {path!r}")
         if self._fft_plan is None:
             n = self.grid.cells_per_axis
             length = n if self.grid.topology == "torus" else next_fast_len(n + self.reach, real=True)

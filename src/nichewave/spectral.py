@@ -342,7 +342,7 @@ def scaling_invariance_check(
     )
 
 
-def local_lambda1_fd(a_fn, sigma: float, radius: float, spacing: float, tol: float = 1e-12) -> SpectralEstimate:
+def local_lambda1_fd(a_fn, sigma: float, radius: float, spacing: float) -> SpectralEstimate:
     """Smallest eigenvalue of -sigma Lap - a on (-R, R), Dirichlet, 1-D FD.
 
     Standard second-order central differences on interior nodes.

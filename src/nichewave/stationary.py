@@ -3,8 +3,9 @@
 The scheme is ball exhaustion. On each ball the problem is solved by
 two-sided monotone Newton, squeezed between a verified discrete
 sub-solution theta * phi_p and a verified discrete super-solution
-(exponential-tail profile matched to the hostile exterior, or a constant
-barrier); every iterate stays a verified sub- or super-solution, so the
+(exponential-tail profile matched to the hostile exterior, its decay
+exponent chosen from the operator's own taps, or a constant barrier);
+every iterate stays a verified sub- or super-solution, so the
 final pair encloses the solution. Each Newton step solves with -J(hi)
 exactly by banded LU on 1-D balls of narrow reach
 (``operators.banded_solver``, shared with the lambda_p eigen steps and the
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import (
@@ -36,7 +36,8 @@ from .operators import DiscreteOperator, banded_solver
 from .spectral import SpectralEstimate, principal_eigenvalue, radius_walk
 
 _SUB_SLACK = 1e-11
-_RATIO_FLOOR = 1e-300
+_RATIO_FLOOR = 1e-300  # verify_uniqueness skips entries at or below it
+_MAX_BACKTRACKS = 60   # halvings of a super-solution exponent or sub-solution amplitude
 
 
 @dataclass
@@ -50,29 +51,26 @@ class Supersolution:
     match_radius: float | None = None
 
 
-def _exp_moment(kernel, alpha: float) -> float:
-    """integral of J_eps(z) e^{alpha |z|} dz for a compactly supported kernel."""
-    base = kernel.base
-    eps = kernel.epsilon
-    N = base.dimension
-    omega = 2.0 if N == 1 else 2.0 * math.pi
-    val, _ = quad(
-        lambda r: base.profile(r) * math.exp(alpha * eps * r) * r ** (N - 1),
-        0.0,
-        base.support_radius,
-        limit=200,
-    )
-    return omega * val
+def decay_margin(op: DiscreteOperator, alpha: float, nu: float) -> float:
+    """h(alpha) = rate (sum_k h^N tap_k e^{alpha |z_k|} - 1) - nu/2 over the
+    operator's taps at offsets z_k.
+
+    Since e^{-alpha |x - z|} <= e^{alpha |z|} e^{-alpha |x|} on the grid,
+    the discrete exterior inequality of C e^{-alpha |x|} needs h(alpha) < 0.
+    Increasing in alpha, h(0) = -nu/2.
+    """
+    h, N = op.grid.spacing, op.grid.dimension
+    offsets = np.arange(-op.reach, op.reach + 1) * h
+    dist = np.sqrt(sum(g * g for g in np.meshgrid(*[offsets] * N, indexing="ij")))
+    return op.rate * (float(np.sum(op.taps * np.exp(alpha * dist))) * h**N - 1.0) - 0.5 * nu
 
 
-def decay_margin(kernel, alpha: float, nu: float) -> float:
-    """h(alpha) = rate (int J_eps e^{alpha|z|} - 1) - nu/2; super-solution
-    exterior inequality needs h(alpha) < 0. Increasing in alpha, h(0) = -nu/2."""
-    return kernel.rate * (_exp_moment(kernel, alpha) - 1.0) - 0.5 * nu
-
-
-def build_supersolution(op: DiscreteOperator, tol: float = 1e-8, max_backtracks: int = 60) -> Supersolution:
+def build_supersolution(op: DiscreteOperator, tol: float = 1e-8) -> Supersolution:
     """Uniform discrete super-solution: 2M on the core, C e^{-alpha|x|} outside.
+
+    alpha starts at 1 and is halved until ``decay_margin`` of the operator's
+    taps is negative, then halved further until the whole profile passes the
+    discrete check.
 
     Falls back to a constant barrier on the torus, for non-hostile growth,
     or for kernels without compact support. The returned profile satisfies
@@ -115,14 +113,14 @@ def build_supersolution(op: DiscreteOperator, tol: float = 1e-8, max_backtracks:
         return Supersolution(values=values, kind="constant", margin=margin)
 
     alpha = 1.0
-    for _ in range(max_backtracks):
-        if decay_margin(op.kernel, alpha, nu) < 0:
+    for _ in range(_MAX_BACKTRACKS):
+        if decay_margin(op, alpha, nu) < 0:
             break
         alpha *= 0.5
     else:
         raise SupersolutionConstructionError("no decay exponent with h(alpha) < 0")
 
-    for _ in range(max_backtracks):
+    for _ in range(_MAX_BACKTRACKS):
         plateau = 2.0 * m_core
         amplitude = plateau * math.exp(2.0 * alpha * r0)
         values = np.minimum(amplitude * np.exp(-alpha * norms), plateau)
@@ -150,20 +148,19 @@ def _residual_slack(op: DiscreteOperator, lam: SpectralEstimate) -> float:
     return _SUB_SLACK * (1.0 + op.rate + (abs(lam.sup_a) if lam.sup_a else 1.0))
 
 
-def verified_subsolution(op: DiscreteOperator, lam: SpectralEstimate, ceiling: np.ndarray | None = None,
-                         max_backtracks: int = 60) -> np.ndarray:
+def verified_subsolution(op: DiscreteOperator, lam: SpectralEstimate,
+                         ceiling: np.ndarray | None = None) -> np.ndarray:
     """theta * phi_p with theta = -lambda_p/2, halved until the discrete
     sub-solution inequality holds pointwise (and the ceiling is respected)."""
     if lam.value >= 0:
         raise ConfigError("sub-solution needs a negative lambda_p")
     return halved_subsolution(op.rhs, lam.eigenvector, -lam.value / 2.0,
-                              _residual_slack(op, lam), ceiling, max_backtracks)
+                              _residual_slack(op, lam), ceiling)
 
 
-def halved_subsolution(residual, phi, theta: float, slack: float, ceiling=None,
-                       max_backtracks: int = 60) -> np.ndarray:
+def halved_subsolution(residual, phi, theta: float, slack: float, ceiling=None) -> np.ndarray:
     """theta * phi, theta halved until residual >= -slack pointwise and theta phi <= ceiling."""
-    for _ in range(max_backtracks):
+    for _ in range(_MAX_BACKTRACKS):
         sub = theta * phi
         if np.all(residual(sub) >= -slack) and (ceiling is None or np.all(sub <= ceiling + 1e-15)):
             return sub
@@ -429,17 +426,16 @@ class UniquenessReport:
     skipped: int
 
 
-def verify_uniqueness(op: DiscreteOperator, u: np.ndarray, v: np.ndarray,
-                      floor: float = _RATIO_FLOOR) -> UniquenessReport:
+def verify_uniqueness(op: DiscreteOperator, u: np.ndarray, v: np.ndarray) -> UniquenessReport:
     """Energy-identity defect D = sum w v u [f(x,u)/u - f(x,v)/v].
 
     D vanishes when u = v and is strictly positive for v >= u, v != u by
-    strict decrease of f(x,s)/s; entries below the positivity floor are
+    strict decrease of f(x,s)/s; entries at or below _RATIO_FLOOR are
     skipped to avoid 0/0.
     """
     w = op.grid.weights
     pts = op.points_arg
-    mask = (u > floor) & (v > floor)
+    mask = (u > _RATIO_FLOOR) & (v > _RATIO_FLOOR)
     fu = np.zeros_like(u)
     fv = np.zeros_like(v)
     fu[mask] = op.growth.f(pts, u)[mask] / u[mask]

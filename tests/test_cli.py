@@ -344,7 +344,7 @@ R_schedule = 3
     op = build_operator(build_grid(1, 3.0, 0.1), cfg.scaled_kernel(), cfg.growth())
     target = max(cfg["stationary"]["solver_tol"], 1e-14 * (1.0 + op.rate))
     roundoff = 1e-11 * (1.0 + op.rate + np.max(np.abs(op.a_values)))
-    csr = op.rate * (op.convolve(u, "direct") - u) + op.reaction(u)
+    csr = op.rate * (op.stencil_product(u) - u) + op.reaction(u)
     for resid in (op.rhs(u), csr):
         assert np.max(np.abs(resid)) <= target + roundoff
 
@@ -477,6 +477,21 @@ def test_removed_keys_are_unknown(tmp_path, capsys, section, key):
     code, _ = run_cli(tmp_path, "validate", f"[{section}]\n{key} = 1\n")
     assert code == 1
     assert f"unknown key {key!r} in section [{section}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers, code", [(2, 1), (1, 0)])
+def test_run_workers_accepts_only_one(tmp_path, capsys, workers, code):
+    # the [run] section every benchmark config writes, workers included
+    config = tmp_path / "config.ini"
+    config.write_text(f"[run]\nseed = 1\nlabel = t\noutput_dir = {tmp_path / 'out'}\n"
+                      f"workers = {workers}\n\n[kernel]\nm = 1\n\n"
+                      "[sweep]\nepsilons = 4\nbase_R = 4\nbase_h = 0.1\n")
+    assert main(["sweep", str(config)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("config error: [run] workers = 2") and "in order" in err
+    else:
+        assert err == "" and (tmp_path / "out" / "sweep-t.csv").is_file()
 
 
 @pytest.mark.parametrize("spectral_tol, met", [("1e-30", False), ("1e-10", True)])

@@ -10,6 +10,9 @@
 - No ``.matrix(...)`` or ``.conv_matrix(...)`` call appears outside
   ``operators`` and ``spectral.dense_lambda_p_oracle``: the assembled CSR
   forms are oracles, and no solve path builds one.
+- No module imports ``concurrent.futures``, ``threading`` or
+  ``multiprocessing``: every schedule runs in order in one thread. Only
+  ``kernels`` imports ``scipy.integrate``, so quadrature lives in one module.
 """
 
 import ast
@@ -79,6 +82,34 @@ def assembly_calls(tree: ast.Module) -> list[int]:
                   and node.func.attr in ("matrix", "conv_matrix"))
 
 
+# imported module -> the files of src/nichewave that may import it
+RESTRICTED_IMPORTS = {
+    "concurrent.futures": set(),
+    "threading": set(),
+    "multiprocessing": set(),
+    "scipy.integrate": {"kernels.py"},
+}
+
+
+def restricted_imports(tree: ast.Module, filename: str) -> list[str]:
+    """The modules of RESTRICTED_IMPORTS that ``filename`` imports but may not,
+    also through a submodule (``import multiprocessing.pool``) or a
+    from-import (``from scipy import integrate``)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            found.update(".".join(parts[:k]) for k in range(1, len(parts) + 1))
+    return sorted(m for m in found & RESTRICTED_IMPORTS.keys()
+                  if filename not in RESTRICTED_IMPORTS[m])
+
+
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -143,3 +174,19 @@ def test_assembly_check_catches_what_it_names():
     tree = ast.parse("op.matrix(shift=1.0)\nop.conv_matrix()\nbuild_invasion_matrix(k)\n"
                      "matrix.entries\nf = op.matrix\n")
     assert assembly_calls(tree) == [1, 2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_restricted_imports(path):
+    assert restricted_imports(_tree(path), path.name) == []
+
+
+def test_import_check_catches_what_it_names():
+    tree = ast.parse("from concurrent.futures import ThreadPoolExecutor\nimport threading\n"
+                     "import multiprocessing.pool\nfrom scipy import integrate\n"
+                     "from . import threads\nimport scipy.linalg\n")
+    assert restricted_imports(tree, "experiments.py") == [
+        "concurrent.futures", "multiprocessing", "scipy.integrate", "threading"]
+    assert restricted_imports(ast.parse("from scipy.integrate import quad\n"), "kernels.py") == []
+    assert restricted_imports(ast.parse("import scipy.integrate\n"), "stationary.py") == [
+        "scipy.integrate"]

@@ -60,9 +60,9 @@ class TestSupersolution:
     def test_decay_margin_monotone_in_alpha(self, ball_op):
         nu = ball_op.growth.nu
         alphas = [0.1, 0.4, 0.8, 1.6]
-        vals = [decay_margin(ball_op.kernel, a, nu) for a in alphas]
+        vals = [decay_margin(ball_op, a, nu) for a in alphas]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-        assert decay_margin(ball_op.kernel, 0.0, nu) == pytest.approx(-nu / 2, abs=1e-9)
+        assert decay_margin(ball_op, 0.0, nu) == pytest.approx(-nu / 2, abs=1e-9)
 
     def test_doubling_nu_shrinks_admissible_alpha(self, ball_op):
         # h increasing in alpha means the admissible set {h < 0} is an interval
@@ -71,7 +71,7 @@ class TestSupersolution:
             lo, hi = 0.0, 8.0
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if decay_margin(ball_op.kernel, mid, nu) < 0:
+                if decay_margin(ball_op, mid, nu) < 0:
                     lo = mid
                 else:
                     hi = mid
@@ -99,7 +99,7 @@ class TestBallSolve:
         x = ball_op.grid.points[:, 0]
         a = ball_op.a_values
         # independent evaluation of rate (J*u - u) + u (a - u) via the dense path
-        direct = ball_op.rate * (ball_op.convolve(sol.values, "direct") - sol.values) \
+        direct = ball_op.rate * (ball_op.stencil_product(sol.values) - sol.values) \
             + sol.values * (a - sol.values)
         assert np.max(np.abs(direct)) <= 1e-8
 
@@ -232,7 +232,7 @@ class TestTwoSidedNewton:
         assert 0 < steps <= 15
         # independent residual: CSR path and the logistic law written out
         def F(u):
-            return op.rate * (op.convolve(u, "direct") - u) + u * (op.a_values - u)
+            return op.rate * (op.stencil_product(u) - u) + u * (op.a_values - u)
 
         slack = 1e-11 * (1.0 + op.rate + np.max(op.a_values))
         for k, (hi, lo) in enumerate(zip(his, los)):
