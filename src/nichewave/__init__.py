@@ -41,7 +41,6 @@ from .spectral import (
     SpectralEstimate,
     dense_lambda_p_oracle,
     lambda_p_extrapolate_R,
-    local_lambda1_fd,
     principal_eigenvalue,
     rayleigh_lambda_v,
     scaling_invariance_check,

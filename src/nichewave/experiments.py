@@ -21,23 +21,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, KernelHypothesisError, UnderResolvedKernelError
+from .errors import ConfigError, KernelHypothesisError, ResourceLimitError, UnderResolvedKernelError
 from .grids import Grid, build_grid, snap_radius
 from .growth import GrowthProfile
 from .kernels import Kernel, ScaledKernel, kernel_moment, rescale_kernel, validate_kernel
-from .operators import banded_solver, build_operator
-from .spectral import (
-    SpectralEstimate,
-    fd_nodes,
-    local_lambda1_fd,
-    principal_eigenvalue,
-)
-from .stationary import (
-    BallSolve,
-    halved_subsolution,
-    solve_stationary_ball,
-    two_sided_newton,
-)
+from .operators import build_operator
+from .spectral import SpectralEstimate, principal_eigenvalue
+from .stationary import BallSolve, solve_stationary_ball
 
 
 MIN_TAPS = 2  # a kernel must reach this many cells of its grid
@@ -185,14 +175,14 @@ def epsilon_sweep(
 ) -> SweepResult:
     """Solve the budget problem at each eps of the schedule, in order, at the
     kernel's m and alpha0; entries whose kernel is unresolvable on the policy
-    grid are skipped with a reason."""
+    grid, or whose grid exceeds its cell limit, are skipped with a reason."""
     policy = policy or GridPolicy(dimension=growth.dimension)
     result = SweepResult(m=kernel.m, entries=[])
     for eps in (float(e) for e in epsilons):
         try:
             result.entries.append(_sweep_one(kernel, growth, eps, policy, direction, solver_tol,
                                              spectral_tol, lambda1_fd, fd_reference))
-        except UnderResolvedKernelError as exc:
+        except (UnderResolvedKernelError, ResourceLimitError) as exc:
             result.skipped[eps] = str(exc)
     return result
 
@@ -301,40 +291,29 @@ def local_kpp_solve_fd(
     spacing: float,
     tol: float = 1e-10,
 ) -> LocalKPPResult:
-    """sigma v'' + f(x, v) = 0 on (-R, R), Dirichlet; zero when lambda_1 >= 0.
+    """sigma v'' + f(x, v) = 0 on (-R, R), Dirichlet, by central differences;
+    zero unless the certified bracket on lambda_1 is negative.
 
-    The same two-sided monotone Newton as the nonlocal solver
-    (``stationary.two_sided_newton``), squeezed between the sub-solution
-    theta phi_1 and the constant barrier max S. -J(v) = -sigma Delta_h -
-    diag(d_s f) is tridiagonal with stencil [-sigma/h^2, 2 sigma/h^2,
-    -sigma/h^2], so each step is the banded solve
-    ``operators.banded_solver`` of 1-D nonlocal balls (Newton and lambda_p).
+    The FD Laplacian is the nonlocal operator at range h. With C the
+    nearest-neighbour jump kernel (1/2 at +-h) and rate = 2 sigma / h^2, the
+    paper's m = 2 scaling at eps = h,
+
+        sigma Delta_h u = (2 sigma / h^2) (u_{i-1}/2 + u_{i+1}/2 - u_i) = rate (C u - u),
+
+    and the hostile exterior of the grid of cell centres -R + h .. R - h is
+    the Dirichlet boundary. So lambda_1 is ``principal_eigenvalue`` of that
+    operator (a certified Collatz-Wielandt bracket) and v is
+    ``solve_stationary_ball`` on it, both on the banded q = 1 path.
     """
-    lam1 = local_lambda1_fd(growth.a, sigma, radius, spacing)
-    nodes = fd_nodes(radius, spacing)
-    a_nodes = np.asarray(growth.a(nodes), dtype=float)
-    if lam1.lower >= 0.0 or lam1.value >= 0.0:
-        return LocalKPPResult(nodes=nodes, values=np.zeros_like(nodes), lambda1=lam1,
-                              residual=0.0, iterations=0)
-    sup_s = float(np.max(growth.saturation(nodes)))
-    barrier = sup_s if sup_s > 0 else 1.0
-    off = sigma / spacing**2
-
-    def rhs(v):
-        lap = -2.0 * v
-        lap[:-1] += v[1:]
-        lap[1:] += v[:-1]
-        return off * lap + growth.f(nodes, v, a_nodes)
-
-    slack = 1e-11 * (1.0 + 2.0 * off)
-    sub = halved_subsolution(rhs, lam1.eigenvector, -lam1.value / 2.0, slack)
-    target = max(tol * min(1.0, -lam1.value), 1e-13)
-    solve = banded_solver(np.array([-off, 2.0 * off, -off]),
-                          lambda v: growth.dfds(nodes, v, a_nodes), nodes.size)
-    v, _, steps = two_sided_newton(rhs, solve, np.full_like(nodes, barrier), sub, target, slack,
-                                   value_slack=slack / min(1.0, -lam1.value))
-    return LocalKPPResult(nodes=nodes, values=v, lambda1=lam1, residual=float(np.max(np.abs(rhs(v)))),
-                          iterations=steps)
+    if sigma <= 0:
+        raise ConfigError("diffusion coefficient must be positive")
+    jump = Kernel("tabulated", params={"r": [0.0, 1.0], "values": [0.0, 1.0]})
+    grid = build_grid(1, radius - spacing / 2.0, spacing)
+    op = build_operator(grid, ScaledKernel(jump, epsilon=spacing, m=2.0, alpha0=2.0 * sigma), growth)
+    lam1 = principal_eigenvalue(op)
+    solve = solve_stationary_ball(op, tol=tol, lam=lam1)
+    return LocalKPPResult(nodes=grid.points[:, 0], values=solve.values, lambda1=lam1,
+                          residual=solve.residual, iterations=solve.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +371,11 @@ def asymptotic_limit_check(
     The sweep runs on one ScaledKernel of cost exponent m and alpha0, one eps
     after another. direction "large": targets a+ ((a-alpha0)+ for m=0) and
     the large-eps spectral limits; "small": -sup a for m < 2, the
-    local-Laplacian pair (lambda_1, v) of alpha0 sigma Lap for m = 2. That
-    pair comes from a 1-D finite-difference solve, so m = 2 toward small eps
-    needs a 1-D growth profile and raises ConfigError otherwise.
+    local-Laplacian pair (lambda_1, v) of sigma Lap, sigma = alpha0 D_2(J)/(2N),
+    for m = 2. That pair comes from ``local_kpp_solve_fd``, the same certified
+    eigen-solve and ball solve on the nonlocal operator at range fd_spacing.
+    It is 1-D, so m = 2 toward small eps needs a 1-D growth profile and
+    raises ConfigError otherwise.
     Non-monotone error decrease is reported as a finding with
     grid-refinement advice, not raised.
     """

@@ -104,8 +104,10 @@ def sample_taps(kernel: ScaledKernel, grid: Grid, window_radius: float | None = 
     """Sample the scaled kernel at integer grid offsets and renormalize.
 
     Returns (taps, tail_mass, reach) where taps has shape (2q+1,)*N with the
-    zero offset at the center, tail_mass is the continuum mass left outside
-    the sampled window, and reach = q (offsets per side).
+    zero offset at the center, tail_mass is the continuum mass of a
+    non-compact kernel left outside the sampled window (0 for a compact
+    kernel: only the fat-tail verdict reads it, and it refuses those), and
+    reach = q (offsets per side).
     """
     h = grid.spacing
     support = kernel.support_radius
@@ -134,10 +136,7 @@ def sample_taps(kernel: ScaledKernel, grid: Grid, window_radius: float | None = 
     if total <= 0:
         raise UnderResolvedKernelError("kernel vanishes on every sampled offset")
     taps = raw / total
-    tail_mass = kernel.mass_beyond(q * h) if not math.isfinite(support) else 0.0
-    # finite support wider than the ball box: dropped taps count as tail too
-    if math.isfinite(support) and grid.topology == "ball-truncated" and q * h < support - 1e-12:
-        tail_mass = kernel.mass_beyond(q * h)
+    tail_mass = 0.0 if math.isfinite(support) else kernel.mass_beyond(q * h)
     return taps, float(tail_mass), q
 
 

@@ -26,7 +26,10 @@ polish its tail.
 
 Every estimate carries the narrowest bracket certified and met_tol (width
 <= tol). A miss is recorded, never raised; a caller that needs the width
-checks met_tol.
+checks met_tol. ``_certified_iteration`` builds every SpectralEstimate, so
+this is the one eigen-solver: the local FD reference lambda_1 of the m = 2
+limit is lambda_p of the nonlocal operator at range h
+(``experiments.local_kpp_solve_fd``), bracketed the same way.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackError
 
@@ -55,7 +57,6 @@ class SpectralEstimate:
     upper: float
     eigenvector: np.ndarray
     residual: float
-    method: str
     iterations: int
     met_tol: bool                     # width <= the requested tol
     sup_a: float | None = None
@@ -161,7 +162,6 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
         upper=best[1],
         eigenvector=phi,
         residual=residual,
-        method="perron-cw" if estimator == "cw" else "rayleigh",
         iterations=iterations,
         met_tol=bool(best[1] - best[0] <= tol),
         sup_a=sup_a,
@@ -340,48 +340,3 @@ def scaling_invariance_check(
         difference=est2.value - est1.value,
         combined_width=est1.width + est2.width,
     )
-
-
-def local_lambda1_fd(a_fn, sigma: float, radius: float, spacing: float) -> SpectralEstimate:
-    """Smallest eigenvalue of -sigma Lap - a on (-R, R), Dirichlet, 1-D FD.
-
-    Standard second-order central differences on interior nodes.
-    """
-    if sigma <= 0:
-        raise ConfigError("diffusion coefficient must be positive")
-    m = round(2.0 * radius / spacing)
-    if abs(2.0 * radius / spacing - m) > 1e-9:
-        raise ConfigError("2R/h must be an integer for the FD grid")
-    if m < 3:
-        raise ConfigError("FD grid too coarse")
-    nodes = -radius + spacing * np.arange(1, m)
-    a = np.asarray(a_fn(nodes), dtype=float)
-    diag = 2.0 * sigma / spacing**2 - a
-    off = np.full(m - 2, -sigma / spacing**2)
-    vals, vecs = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    lam = float(vals[0])
-    vec = vecs[:, 0]
-    if vec.sum() < 0:
-        vec = -vec
-    vec = vec / np.max(np.abs(vec))
-    resid_vec = diag * vec - lam * vec
-    resid_vec[:-1] += off * vec[1:]
-    resid_vec[1:] += off * vec[:-1]
-    res2 = float(np.linalg.norm(resid_vec) / np.linalg.norm(vec))
-    return SpectralEstimate(
-        value=lam,
-        lower=lam - res2,
-        upper=lam + res2,
-        eigenvector=vec,
-        residual=float(np.max(np.abs(resid_vec))),
-        method="fd-laplacian",
-        iterations=1,
-        met_tol=True,  # a direct tridiagonal solve; the residual sets the bracket
-        sup_a=float(np.max(a)),
-        eigenfunction_certified=True,
-    )
-
-
-def fd_nodes(radius: float, spacing: float) -> np.ndarray:
-    m = round(2.0 * radius / spacing)
-    return -radius + spacing * np.arange(1, m)

@@ -8,9 +8,10 @@ exponent chosen from the operator's own taps, or a constant barrier);
 every iterate stays a verified sub- or super-solution, so the
 final pair encloses the solution. Each Newton step solves with -J(hi)
 exactly by banded LU on 1-D balls of narrow reach
-(``operators.banded_solver``, shared with the lambda_p eigen steps and the
-local FD reference in ``experiments``), and by Jacobi-preconditioned CG on
-2-D balls, the torus and wide reach. The balls come from
+(``operators.banded_solver``, shared with the lambda_p eigen steps), and by
+Jacobi-preconditioned CG on 2-D balls, the torus and wide reach. The local
+FD reference of the m = 2 limit is a ball solve too, on the nonlocal
+operator at range h (``experiments.local_kpp_solve_fd``). The balls come from
 ``spectral.radius_walk``, which also certifies lambda_p on each one and
 checks its domain monotonicity; the walk stops once the solution stops
 changing. Every verdict is tied to a certified lambda_p bracket; brackets
@@ -151,18 +152,19 @@ def _residual_slack(op: DiscreteOperator, lam: SpectralEstimate) -> float:
 def verified_subsolution(op: DiscreteOperator, lam: SpectralEstimate,
                          ceiling: np.ndarray | None = None) -> np.ndarray:
     """theta * phi_p with theta = -lambda_p/2, halved until the discrete
-    sub-solution inequality holds pointwise (and the ceiling is respected)."""
+    sub-solution inequality op.rhs >= -slack holds pointwise and theta phi_p
+    stays below the ceiling.
+
+    The one sub-solution of every stationary solve: nonlocal balls and the
+    local FD reference (the nonlocal operator at range h) alike.
+    """
     if lam.value >= 0:
         raise ConfigError("sub-solution needs a negative lambda_p")
-    return halved_subsolution(op.rhs, lam.eigenvector, -lam.value / 2.0,
-                              _residual_slack(op, lam), ceiling)
-
-
-def halved_subsolution(residual, phi, theta: float, slack: float, ceiling=None) -> np.ndarray:
-    """theta * phi, theta halved until residual >= -slack pointwise and theta phi <= ceiling."""
+    theta = -lam.value / 2.0
+    slack = _residual_slack(op, lam)
     for _ in range(_MAX_BACKTRACKS):
-        sub = theta * phi
-        if np.all(residual(sub) >= -slack) and (ceiling is None or np.all(sub <= ceiling + 1e-15)):
+        sub = theta * lam.eigenvector
+        if np.all(op.rhs(sub) >= -slack) and (ceiling is None or np.all(sub <= ceiling + 1e-15)):
             return sub
         theta *= 0.5
     raise NonConvergenceError("no admissible sub-solution amplitude found")
@@ -455,7 +457,6 @@ __all__ = [
     "UniquenessReport",
     "build_supersolution",
     "verified_subsolution",
-    "halved_subsolution",
     "two_sided_newton",
     "decay_margin",
     "solve_stationary_ball",

@@ -161,6 +161,30 @@ spectral_tol = 1e-9
     assert json.loads((out / "sweep-t.json").read_text())["coherent"] is True
 
 
+def test_sweep_skips_an_eps_whose_grid_is_too_large(tmp_path):
+    # eps = 0.01 needs h = 5e-4 on R = 4 + 0.01: 16040 cells, beyond the 8192 limit
+    code, out = run_cli(tmp_path, "sweep", """
+[kernel]
+family = tent
+m = 2
+
+[growth]
+family = bump
+params = a0=2, b=1, a_min=-1
+
+[sweep]
+epsilons = 0.4 0.01
+direction = small
+base_R = 4
+base_h = 0.05
+""")
+    assert code == 0
+    payload = json.loads((out / "sweep-t.json").read_text())
+    assert payload["epsilons"] == [0.4]
+    assert "16040 cells per axis exceeds the limit 8192" in payload["skipped"]["0.01"]
+    assert len((out / "sweep-t.csv").read_text().splitlines()) == 2
+
+
 def test_stationary_and_evolve_roundtrip(tmp_path):
     body = """
 [kernel]

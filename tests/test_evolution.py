@@ -91,7 +91,7 @@ class TestLongTimeVerdict:
     def test_uniform_damping_extinction_with_envelope(self, tent):
         grid = build_grid(1, 4.0, 0.125, "ball-truncated")
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), constant_growth(-0.1))
-        lam = SpectralEstimate(0.1, 0.1, 0.12, np.ones(grid.size), 0.0, "perron-cw", 1,
+        lam = SpectralEstimate(0.1, 0.1, 0.12, np.ones(grid.size), 0.0, 1,
                                met_tol=True)
         u0 = np.full(grid.size, 0.8)
         dt = stable_step(op, 0.8)
@@ -111,7 +111,7 @@ class TestLongTimeVerdict:
         assert res.final_dist_l1 <= 1e-3
 
     def test_straddling_bracket_is_undecided(self, ball_op):
-        fake = SpectralEstimate(0.0, -1e-3, 1e-3, np.ones(ball_op.size), 0.0, "perron-cw", 1,
+        fake = SpectralEstimate(0.0, -1e-3, 1e-3, np.ones(ball_op.size), 0.0, 1,
                                 met_tol=True)
         u0 = np.full(ball_op.size, 0.01)
         res = long_time_verdict(ball_op, u0, 5.0, 1e-3, fake)

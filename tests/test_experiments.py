@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
 
 from nichewave import (
     GrowthProfile,
@@ -10,8 +9,10 @@ from nichewave import (
     bump_growth,
     constant_growth,
     dense_lambda_p_oracle,
+    principal_eigenvalue,
     rescale_kernel,
 )
+from nichewave import experiments
 from nichewave.experiments import (
     GridPolicy,
     _common_policy_grid,
@@ -25,11 +26,10 @@ from nichewave.experiments import (
     invasion_fitness,
     local_kpp_solve_fd,
 )
-from nichewave import experiments
 from nichewave.errors import ConfigError, MonotonicityViolationError, UnderResolvedKernelError
 from nichewave.kernels import kernel_moment
 from nichewave.operators import build_operator
-from nichewave.spectral import fd_nodes
+from nichewave.stationary import solve_stationary_ball
 
 POLICY = GridPolicy(base_radius=4.0, base_spacing=0.05)
 
@@ -72,8 +72,6 @@ class TestEpsStar:
         res = find_eps_star(rescale_kernel(tent, 1.0, 0.0), growth, 4.0, 10.0, policy, tol=1e-2)
         assert res.kind == "finite"
         # dense scan oracle at the same discretization
-        from nichewave.spectral import principal_eigenvalue
-
         def lam(eps):
             sk = rescale_kernel(tent, eps, 0.0, 1.0)
             grid = policy.grid_for(sk)
@@ -92,6 +90,18 @@ class TestEpsStar:
             "r": [0.0, 0.02, 1.0, 2.0], "values": [1.5, -0.5, -0.8, -1.0]})
         with pytest.warns(UserWarning, match="spike"):
             find_eps_star(rescale_kernel(tent, 1.0, 0.0), growth, 0.5, 2.0, POLICY)
+
+
+def _record_ops(monkeypatch, name):
+    """The operators passed to experiments.<name>, one per call."""
+    ops, real = [], getattr(experiments, name)
+
+    def spy(op, **kwargs):
+        ops.append(op)
+        return real(op, **kwargs)
+
+    monkeypatch.setattr(experiments, name, spy)
+    return ops
 
 
 class TestLocalKPP:
@@ -141,34 +151,30 @@ class TestLocalKPP:
             raise AssertionError("damped FD oracle did not converge")
         assert np.max(np.abs(res.values - v)) <= 1e-9
 
-    def test_shared_banded_solve_is_bit_identical(self, tent, bump, monkeypatch):
+    def test_values_are_the_ball_solve_on_the_range_h_operator(self, tent, bump, monkeypatch):
         # the FD grid of acceptance test 07: sigma = m_2(tent) / 2, R = 4, h = 0.01
         sigma, radius, h = kernel_moment(tent, 2.0) / 2.0, 4.0, 0.01
-        calls = []
-        real = experiments.two_sided_newton
-
-        def spy(*args, **kwargs):
-            calls.append((args, kwargs))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "two_sided_newton", spy)
+        calls = _record_ops(monkeypatch, "solve_stationary_ball")
         res = local_kpp_solve_fd(bump, sigma, radius, h, tol=1e-8)
+        (op,) = calls
+        assert op.reach == 1 and op.rate == 2.0 * sigma / h**2
+        assert np.array_equal(res.nodes, op.grid.points[:, 0])
+        sol = solve_stationary_ball(op, tol=1e-8, lam=principal_eigenvalue(op))
+        assert res.iterations == sol.iterations
+        assert np.array_equal(res.values, sol.values)
 
-        # oracle: the tridiagonal solve the FD reference used to build itself
-        nodes = fd_nodes(radius, h)
-        a_nodes = np.asarray(bump.a(nodes), dtype=float)
-        off = sigma / h**2
-
-        def own_solve(v, r):
-            bands = np.empty((3, v.size))
-            bands[0], bands[2] = -off, -off
-            bands[1] = 2.0 * off - bump.dfds(nodes, v, a_nodes)
-            return solve_banded((1, 1), bands, r)
-
-        (args, kwargs), = calls
-        v, _, steps = real(args[0], own_solve, *args[2:], **kwargs)
-        assert res.iterations == steps == 7
-        assert np.array_equal(res.values, v)
+    def test_operator_is_the_dirichlet_laplacian(self, bump, monkeypatch):
+        sigma, radius, h = 1.0 / 12.0, 2.0, 0.05
+        calls = _record_ops(monkeypatch, "principal_eigenvalue")
+        res = local_kpp_solve_fd(bump, sigma, radius, h)
+        (op,) = calls
+        assert np.allclose(res.nodes, -radius + h * np.arange(1, round(2 * radius / h)),
+                           rtol=0.0, atol=1e-12)
+        u = np.random.default_rng(3).uniform(-1.0, 1.0, op.size)
+        padded = np.concatenate(([0.0], u, [0.0]))  # Dirichlet ends
+        lap = sigma * (padded[:-2] - 2.0 * padded[1:-1] + padded[2:]) / h**2
+        for product in (op.stencil_product(u) - u, op.convolve(u) - u):
+            assert np.max(np.abs(op.rate * product - lap)) <= 1e-12 * op.rate
 
     def test_nonpositive_diagonal_is_refused(self):
         # f = s (1 - s)(2 - s) rises through f(1.8) < 0 with slope 0.92 > 2 sigma / h^2

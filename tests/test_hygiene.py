@@ -10,6 +10,8 @@
 - No ``.matrix(...)`` or ``.conv_matrix(...)`` call appears outside
   ``operators`` and ``spectral.dense_lambda_p_oracle``: the assembled CSR
   forms are oracles, and no solve path builds one.
+- ``SpectralEstimate(...)`` is built only in ``spectral._certified_iteration``:
+  every eigenvalue estimate carries a bracket that routine certified.
 - No module imports ``concurrent.futures``, ``threading`` or
   ``multiprocessing``: every schedule runs in order in one thread. Only
   ``kernels`` imports ``scipy.integrate``, so quadrature lives in one module.
@@ -80,6 +82,22 @@ def assembly_calls(tree: ast.Module) -> list[int]:
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr in ("matrix", "conv_matrix"))
+
+
+def estimate_constructions(tree: ast.Module) -> list[int]:
+    """Lines of every ``SpectralEstimate(...)`` or ``<expr>.SpectralEstimate(...)`` call."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and (_dotted(node.func) or "").split(".")[-1] == "SpectralEstimate")
+
+
+def lines_outside(filename: str, tree: ast.Module, lines, allowed) -> list[str]:
+    """'file:line' for each of ``lines`` outside the functions (file, name) in ``allowed``."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and (filename, node.name) in allowed:
+            inside.update(range(node.lineno, node.end_lineno + 1))
+    return [f"{filename}:{line}" for line in lines if line not in inside]
 
 
 # imported module -> the files of src/nichewave that may import it
@@ -162,11 +180,7 @@ def test_no_assembly_outside_operators():
         if path.name == "operators.py":
             continue
         tree = _tree(path)
-        allowed = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and (path.name, node.name) in ASSEMBLY_ALLOWED:
-                allowed.update(range(node.lineno, node.end_lineno + 1))
-        found += [f"{path.name}:{line}" for line in assembly_calls(tree) if line not in allowed]
+        found += lines_outside(path.name, tree, assembly_calls(tree), ASSEMBLY_ALLOWED)
     assert found == []
 
 
@@ -174,6 +188,29 @@ def test_assembly_check_catches_what_it_names():
     tree = ast.parse("op.matrix(shift=1.0)\nop.conv_matrix()\nbuild_invasion_matrix(k)\n"
                      "matrix.entries\nf = op.matrix\n")
     assert assembly_calls(tree) == [1, 2]
+
+
+# (module, function) that may build a SpectralEstimate: the certification engine
+ESTIMATE_ALLOWED = {("spectral.py", "_certified_iteration")}
+
+
+def test_estimates_come_only_from_the_certified_iteration():
+    found = []
+    for path in MODULES:
+        tree = _tree(path)
+        found += lines_outside(path.name, tree, estimate_constructions(tree), ESTIMATE_ALLOWED)
+    assert found == []
+
+
+def test_estimate_check_catches_what_it_names():
+    source = ("def _certified_iteration():\n    return SpectralEstimate(1.0)\n"
+              "def local():\n    return spectral.SpectralEstimate(2.0)\n"
+              "est: SpectralEstimate = f()\nMySpectralEstimate(3.0)\nSpectralEstimate\n")
+    tree = ast.parse(source)
+    assert estimate_constructions(tree) == [2, 4]
+    assert lines_outside("spectral.py", tree, [2, 4], ESTIMATE_ALLOWED) == ["spectral.py:4"]
+    assert lines_outside("experiments.py", tree, [2, 4], ESTIMATE_ALLOWED) == [
+        "experiments.py:2", "experiments.py:4"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -19,6 +19,7 @@ from nichewave import (
     rescale_kernel,
     weighted_symmetrize,
 )
+from nichewave import kernels
 from nichewave.operators import DiscreteOperator, banded_solver, build_operator, sample_taps
 from nichewave.spectral import _shift_constant, principal_eigenvalue, rayleigh_lambda_v
 
@@ -56,6 +57,16 @@ class TestConvolution:
         grid = build_grid(1, 4.0, 0.125, "ball-truncated")
         with pytest.raises(UnderResolvedKernelError):
             sample_taps(rescale_kernel(tent, 0.05, 0.0), grid)
+
+    def test_compact_kernel_has_no_tail_mass(self, tent, monkeypatch):
+        # support 1 is not a multiple of h = 0.3: the taps stop at 0.9, and no quadrature runs
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quad called")
+
+        monkeypatch.setattr(kernels, "quad", no_quad)
+        _, tail_mass, reach = sample_taps(rescale_kernel(tent, 1.0, 0.0),
+                                          build_grid(1, 3.0, 0.3, "ball-truncated"))
+        assert (tail_mass, reach) == (0.0, 3)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31))

@@ -19,13 +19,13 @@ from nichewave import (
     dense_lambda_p_oracle,
     kernel_moment,
     lambda_p_extrapolate_R,
-    local_lambda1_fd,
     principal_eigenvalue,
     rayleigh_lambda_v,
     rescale_kernel,
     scaling_invariance_check,
 )
 from nichewave import spectral
+from nichewave.experiments import local_kpp_solve_fd
 from nichewave.operators import build_operator
 from nichewave.spectral import _arpack_vector, radius_walk
 from nichewave.stationary import solve_stationary_wholespace
@@ -397,25 +397,38 @@ class TestScalingInvariance:
         assert abs(chk.difference) <= max(1e-6, chk.combined_width)
 
 
+def fd_lambda1(growth, sigma, radius, spacing):
+    return local_kpp_solve_fd(growth, sigma, radius, spacing).lambda1
+
+
 class TestLocalFD:
     def test_closed_form_constant(self):
         sigma, R, c = 1.0 / 12.0, 2.0, 1.0
-        est = local_lambda1_fd(lambda x: np.full_like(x, c), sigma, R, 0.005)
+        est = fd_lambda1(constant_growth(c), sigma, R, 0.005)
         exact = sigma * (np.pi / (2 * R)) ** 2 - c
         assert est.value == pytest.approx(exact, abs=5e-6)
 
     def test_second_order_convergence(self):
         sigma, R, c = 0.25, 2.0, 0.5
         exact = sigma * (np.pi / (2 * R)) ** 2 - c
-        errs = [abs(local_lambda1_fd(lambda x: np.full_like(x, c), sigma, R, h).value - exact)
+        errs = [abs(fd_lambda1(constant_growth(c), sigma, R, h).value - exact)
                 for h in (0.08, 0.04, 0.02)]
         assert errs[1] <= 0.30 * errs[0]
         assert errs[2] <= 0.30 * errs[1]
+
+    @pytest.mark.parametrize("h", [0.08, 0.04, 0.02, 0.01, 0.005])
+    def test_bracket_contains_the_discrete_eigenvalue(self, h):
+        # -sigma Delta_h on the 2R/h - 1 interior nodes, Dirichlet: 4 sigma/h^2 sin^2(pi h / 4R)
+        sigma, R, c = 1.0 / 12.0, 2.0, 1.0
+        est = fd_lambda1(constant_growth(c), sigma, R, h)
+        exact = 4.0 * sigma / h**2 * np.sin(np.pi * h / (4.0 * R)) ** 2 - c
+        assert est.met_tol
+        assert est.lower <= exact <= est.upper
 
     def test_tent_diffusion_coefficient(self, tent):
         assert kernel_moment(tent, 2.0) / 2.0 == pytest.approx(1.0 / 12.0, abs=1e-12)
 
     def test_ground_state_positive(self, bump):
-        est = local_lambda1_fd(bump.a, 1.0 / 12.0, 4.0, 0.01)
+        est = fd_lambda1(bump, 1.0 / 12.0, 4.0, 0.01)
         assert np.all(est.eigenvector > -1e-12)
         assert est.lower <= est.value <= est.upper
