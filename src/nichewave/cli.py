@@ -45,7 +45,12 @@ from .experiments import (
 from .grids import build_grid
 from .kernels import validate_kernel
 from .operators import build_operator
-from .spectral import lambda_p_extrapolate_R, principal_eigenvalue, rayleigh_lambda_v
+from .spectral import (
+    DEFAULT_MAXITER,
+    lambda_p_extrapolate_R,
+    principal_eigenvalue,
+    rayleigh_lambda_v,
+)
 from .stationary import solve_stationary_wholespace
 
 CONFIG_ERRORS = (errors.ConfigError, errors.InvalidKernelError,
@@ -161,10 +166,14 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     extra = {}
     met_tol = est_p.met_tol and est_v.met_tol
     if sp["r_schedule"]:
+        # the walk's ball at [grid] R is op itself when op is a ball and was
+        # solved with the walk's arguments, so its estimate is reused
+        same_solve = g["topology"] == "ball-truncated" and sp["maxiter"] == DEFAULT_MAXITER
         res = lambda_p_extrapolate_R(kernel, growth, sp["r_schedule"], g["h"],
                                      spectral_tol=sp["tol"],
                                      dimension=cfg["kernel"]["dimension"],
-                                     max_cells_per_axis=g["max_cells"])
+                                     max_cells_per_axis=g["max_cells"],
+                                     known=(g["r"], op, est_p) if same_solve else None)
         rows += [_est_row(e, "perron-cw", R, kernel.epsilon, kernel.m)
                  for R, e in zip(res.radii, res.estimates)]
         extra = {"extrapolated": res.final_value, "uncertainty": res.uncertainty,

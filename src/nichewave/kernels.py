@@ -4,6 +4,13 @@ A kernel J is a radially symmetric probability density on R^N. The
 dispersal-budget rescaling replaces J by the pair (J_eps, rate) with
 J_eps(z) = eps^{-N} J(z/eps) and rate = alpha0/eps^m, which keeps the
 budget integral rate * D_m(J_eps) independent of eps.
+
+Radial integrals (moments, tail mass) are exact for the piecewise-polynomial
+families, tent, truncated-quadratic and tabulated: on each piece the profile
+is a polynomial in r, and every term c r^(k+s) integrates in closed form for
+any real s >= 0. Only truncated-gaussian, exponential-tail and algebraic-tail
+use adaptive quadrature, and ``scipy.integrate`` is imported inside those
+branches, so a run on a compact polynomial kernel never loads it.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InfiniteMomentError, InvalidKernelError
 
@@ -134,6 +140,21 @@ class Kernel:
             out = np.interp(r, rt, vt, right=0.0)
         return out
 
+    def _pieces(self):
+        """(edges, coef) with J(r) = sum_k coef[i, k] r^k on [edges[i], edges[i+1]]
+        and J = 0 past edges[-1]; None for a family that is not piecewise polynomial."""
+        c = self._normalization
+        if self.family == "tent":
+            return np.array([0.0, 1.0]), c * np.array([[1.0, -1.0]])
+        if self.family == "truncated-quadratic":
+            return np.array([0.0, 1.0]), c * np.array([[1.0, 0.0, -1.0]])
+        if self.family == "tabulated":
+            r = np.asarray(self.params["r"], dtype=float)
+            v = np.asarray(self.params["values"], dtype=float)
+            slope = np.diff(v) / np.diff(r)
+            return r, np.column_stack([v[:-1] - slope * r[:-1], slope])
+        return None
+
     def evaluate(self, points):
         """Kernel value at displacement vectors (n,) for N=1 or (n, N)."""
         z = np.asarray(points, dtype=float)
@@ -153,11 +174,17 @@ class Kernel:
         return True
 
     def mass_beyond(self, radius: float) -> float:
-        """Continuum kernel mass outside the ball of given radius."""
+        """Continuum kernel mass outside the ball of given radius: exact for the
+        piecewise-polynomial families, by quadrature for the others."""
         if radius >= self.support_radius:
             return 0.0
         omega = _sphere_measure(self.dimension)
         N = self.dimension
+        pieces = self._pieces()
+        if pieces is not None:
+            return omega * _radial_integral(pieces, N - 1, lower=radius)
+        from scipy.integrate import quad
+
         upper = self.support_radius if self.compactly_supported else math.inf
         val, _ = quad(lambda r: self.profile(r) * r ** (N - 1), radius, upper, limit=200)
         return omega * val
@@ -222,18 +249,44 @@ def rescale_kernel(kernel: Kernel, epsilon: float, m: float, alpha0: float = 1.0
     return ScaledKernel(base=kernel, epsilon=float(epsilon), m=float(m), alpha0=float(alpha0))
 
 
-def kernel_moment(kernel, p: float, tol: float = 1e-9) -> float:
-    """D_p(J) = integral of J(z)|z|^p over R^N by radial quadrature.
+def _radial_integral(pieces, s: float, lower: float = 0.0) -> float:
+    """Exact integral of J(r) r^s over r >= lower for J given by ``pieces``, s >= 0.
 
-    |z| is the Euclidean norm. Raises InfiniteMomentError when the tail
-    decay (known per family) cannot pay for |z|^p.
+    Each term c r^(k+s) of a piece [a, b] (clipped to r >= lower) contributes
+    c (b^(k+s+1) - a^(k+s+1)) / (k+s+1).
+    """
+    edges, coef = pieces
+    a = np.maximum(edges[:-1], lower)[:, None]
+    b = np.maximum(edges[1:], lower)[:, None]
+    power = s + 1.0 + np.arange(coef.shape[1])
+    return float(np.sum(coef * (b**power - a**power) / power))
+
+
+def kernel_moment(kernel, p: float, tol: float = 1e-9) -> float:
+    """D_p(J) = integral of J(z)|z|^p over R^N = omega_N int_0^S J(r) r^(p+N-1) dr.
+
+    |z| is the Euclidean norm and p any real >= 0. Exact for tent,
+    truncated-quadratic and tabulated kernels (closed form per polynomial
+    piece, ``tol`` unused). Truncated-gaussian, exponential-tail and
+    algebraic-tail use adaptive quadrature, which must report an error below
+    max(tol, tol |D_p|) or InfiniteMomentError is raised. For a ScaledKernel
+    the value is eps^p D_p(J) of its base kernel J. Raises
+    InfiniteMomentError when the tail decay (known per family) cannot pay
+    for |z|^p.
     """
     if p < 0:
         raise ValueError("moment order must be nonnegative")
     if not kernel.moment_converges(p):
         raise InfiniteMomentError(f"moment p={p} diverges for this kernel")
+    if isinstance(kernel, ScaledKernel):
+        return kernel.epsilon**p * kernel_moment(kernel.base, p, tol)
     N = kernel.dimension
     omega = _sphere_measure(N)
+    pieces = kernel._pieces()
+    if pieces is not None:
+        return omega * _radial_integral(pieces, p + N - 1)
+    from scipy.integrate import quad
+
     upper = kernel.support_radius if kernel.compactly_supported else math.inf
     val, err = quad(
         lambda r: kernel.profile(r) * r ** (p + N - 1),

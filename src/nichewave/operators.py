@@ -212,7 +212,7 @@ class DiscreteOperator:
     # --- stencil sum and its assembled forms ------------------------------------
 
     def _stencil(self) -> tuple:
-        """(deltas, values, centre, base, box_size, pad), cached on first use.
+        """(deltas, values, centre, base, box_size, pad, clips), cached on first use.
 
         The nonzero taps, and always the centre tap, in lexicographic offset
         order: their flat offsets ``deltas`` in a box zero-padded by ``pad``
@@ -220,24 +220,36 @@ class DiscreteOperator:
         centre among them. ``base`` is each grid point's flat index in that
         box, rising with the point index. On the torus the wrapped taps are
         laid out over the signed offsets -(n-1)..n-1 per axis, so wrapping
-        becomes the same walk with pad n - 1. O(n + (2q+1)^N) memory.
+        becomes the same walk with pad n - 1. ``clips`` holds per tap the
+        range [start, stop) of output cells, counted from the first grid
+        point, that the tap can reach from inside the unpadded box [0, n)^N,
+        and the flat box index its source slice starts at; every other output
+        cell would read padding. O(n + (2q+1)^N) memory.
         """
         if self._stencil_plan is None:
             grid, N = self.grid, self.grid.dimension
+            n = grid.cells_per_axis
             if grid.topology == "torus":
-                pad = grid.cells_per_axis - 1
-                signed = np.arange(-pad, pad + 1) % grid.cells_per_axis
+                pad = n - 1
+                signed = np.arange(-pad, pad + 1) % n
                 taps = self._wrapped_taps()[np.ix_(*[signed] * N)]
             else:
                 pad, taps = self.reach, self.taps
             keep = taps != 0.0
             keep[(pad,) * N] = True
             offsets = np.argwhere(keep) - pad
-            side = grid.cells_per_axis + 2 * pad
+            side = n + 2 * pad
             strides = side ** np.arange(N - 1, -1, -1)
             centre = int(np.flatnonzero(~offsets.any(axis=1))[0])
-            self._stencil_plan = (offsets @ strides, taps[keep] * grid.spacing**N, centre,
-                                  (grid.box_index + pad) @ strides, side**N, pad)
+            base = (grid.box_index + pad) @ strides
+            deltas = offsets @ strides
+            lo, span = base[0], base[-1] + 1 - base[0]
+            starts = np.maximum((np.maximum(-offsets, 0) + pad) @ strides - lo, 0)
+            stops = np.minimum((np.minimum(n - 1 - offsets, n - 1) + pad) @ strides - lo + 1, span)
+            stops = np.maximum(stops, starts)
+            clips = list(zip(starts.tolist(), stops.tolist(), (lo + deltas + starts).tolist()))
+            self._stencil_plan = (deltas, taps[keep] * grid.spacing**N, centre, base, side**N,
+                                  pad, clips)
         return self._stencil_plan
 
     def stencil_product(self, u: np.ndarray, shift: Optional[float] = None) -> np.ndarray:
@@ -250,10 +262,12 @@ class DiscreteOperator:
         rate (h^N tap - 1) + a + shift times u. These are the summands of a
         CSR row of ``matrix(shift)`` in its column order, so the result is
         bit-identical to that product. The shifted copies are contiguous
-        slices of the flat box over the span of the grid; cells off the grid
-        in that span are computed and dropped.
+        slices of the flat box, each clipped to the output cells its offset
+        can reach from the grid's box: a skipped cell would only add zero
+        padding, and a sum that starts at +0.0 is unchanged by adding a zero.
+        Cells off the grid inside a slice are computed and dropped.
         """
-        deltas, values, centre, base, box_size, _ = self._stencil()
+        _, values, centre, base, box_size, _, clips = self._stencil()
         box = np.zeros(box_size)
         box[base] = u
         if shift is None:
@@ -264,15 +278,13 @@ class DiscreteOperator:
             if self.a_values is not None:
                 diag = diag + self.a_values
             diag = diag + shift
-        lo = base[0]
-        span = base[-1] + 1 - lo
-        rows = base - lo
-        out = np.zeros(span)
-        for k, d in enumerate(deltas):
+        rows = base - base[0]
+        out = np.zeros(base[-1] + 1 - base[0])
+        for k, (start, stop, src) in enumerate(clips):
             if k == centre:
                 out[rows] += diag * u
             else:
-                out += coeffs[k] * box[lo + d:lo + d + span]
+                out[start:stop] += coeffs[k] * box[src:src + stop - start]
         return out[rows]
 
     def conv_matrix(self) -> scipy.sparse.csr_array:
@@ -282,7 +294,7 @@ class DiscreteOperator:
         a test oracle, not used by any solve. The diagonal is always stored
         and column indices rise along each row.
         """
-        deltas, values, _, base, _, pad = self._stencil()
+        deltas, values, _, base, _, pad, _ = self._stencil()
         cols = self.grid.box_lookup(pad=pad).ravel()[base[:, None] + deltas[None, :]]
         on_grid = cols >= 0
         indptr = np.concatenate(([0], np.cumsum(on_grid.sum(axis=1))))

@@ -188,7 +188,11 @@ def _arpack_vector(op, c, phi):
     return np.abs(vecs[:, order[-1]]), bool(gap < DEGENERACY_GAP)
 
 
-def principal_eigenvalue(op, tol: float = 1e-10, maxiter: int = 600) -> SpectralEstimate:
+# step budget of every eigen-solve that does not name one (radius_walk's balls)
+DEFAULT_MAXITER = 600
+
+
+def principal_eigenvalue(op, tol: float = 1e-10, maxiter: int = DEFAULT_MAXITER) -> SpectralEstimate:
     """lambda_p(L_R + a) with a certified Collatz-Wielandt bracket.
 
     The bracket is valid whether or not it reached tol; met_tol says which.
@@ -196,7 +200,7 @@ def principal_eigenvalue(op, tol: float = 1e-10, maxiter: int = 600) -> Spectral
     return _certified_iteration(op, tol, maxiter, "cw", np.ones(op.size))
 
 
-def rayleigh_lambda_v(op, tol: float = 1e-10, maxiter: int = 600) -> SpectralEstimate:
+def rayleigh_lambda_v(op, tol: float = 1e-10, maxiter: int = DEFAULT_MAXITER) -> SpectralEstimate:
     """lambda_v by Rayleigh-quotient minimization on the symmetric operator.
 
     Shares the shifted iteration but certifies the upper side variationally;
@@ -217,7 +221,7 @@ def dense_lambda_p_oracle(op) -> tuple[float, float]:
 
 
 def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-10,
-                dimension: int = 1, max_cells_per_axis: int = 8192):
+                dimension: int = 1, max_cells_per_axis: int = 8192, known=None):
     """Yield (R, op, lambda_p) ball by ball along an increasing R schedule.
 
     The schedule must be non-empty and every radius a multiple of h
@@ -228,6 +232,10 @@ def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-
     Consumers stop the walk by break. A consumer should drop op before it
     asks for the next ball: op caches its stencil walk, FFT plan and kernel
     mass, which would otherwise stay alive while the next ball is certified.
+    ``known`` = (R, op, lambda_p) is a ball the caller already built from
+    the same kernel, growth and spacing and certified by
+    principal_eigenvalue(op, tol=spectral_tol) with the default maxiter; the
+    walk yields it at R instead of solving that ball again.
     """
     radii = sorted(float(R) for R in radii)
     if not radii:
@@ -237,9 +245,12 @@ def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-
             raise ConfigError(f"schedule radius {R} is not a multiple of h={spacing}")
     prev_R = prev = None
     for R in radii:
-        op = build_operator(build_grid(dimension, R, spacing, "ball-truncated", max_cells_per_axis),
-                            kernel, growth)
-        lam = principal_eigenvalue(op, tol=spectral_tol)
+        if known is not None and R == known[0]:
+            _, op, lam = known
+        else:
+            op = build_operator(build_grid(dimension, R, spacing, "ball-truncated",
+                                           max_cells_per_axis), kernel, growth)
+            lam = principal_eigenvalue(op, tol=spectral_tol)
         if prev is not None and lam.value > prev.value + prev.width + lam.width + 1e-13:
             raise DiscretizationInconsistencyError(
                 f"lambda_p increased from {prev.value} (R={prev_R}) to {lam.value} (R={R})"
@@ -270,17 +281,19 @@ def lambda_p_extrapolate_R(
     spectral_tol: float = 1e-10,
     dimension: int = 1,
     max_cells_per_axis: int = 8192,
+    known=None,
 ) -> ExtrapolationResult:
     """Whole-space lambda_p read as the limit of lambda_p(L_R + a) on radius_walk.
 
     Stops once one step of the walk lowers lambda_p by at most tol
     (converged); the uncertainty is that last decrease, inf after one ball.
+    ``known`` is passed to radius_walk.
     """
     estimates = []
     used = []
     converged = False
     for R, op, est in radius_walk(kernel, growth, radii, spacing, spectral_tol, dimension,
-                                  max_cells_per_axis):
+                                  max_cells_per_axis, known):
         del op  # only lambda_p is kept; free the operator before the next ball
         estimates.append(est)
         used.append(R)

@@ -1,5 +1,6 @@
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nichewave import Kernel, build_grid, bump_growth, rescale_kernel
+from nichewave import Kernel, build_grid, bump_growth, cli, rescale_kernel, spectral
 from nichewave.config import load_config
 from nichewave.cli import main
 from nichewave.experiments import fat_tail_verdict
@@ -68,6 +69,50 @@ R_schedule = 4 6
     main_row, r4_row = rows[0], rows[2]
     assert r4_row[:4] == ["perron-cw", "4.0", "1.0", "0.0"]
     assert r4_row[4:7] == main_row[4:7]  # the same operator, so the same bracket
+
+
+def test_spectrum_certifies_each_ball_once(tmp_path, monkeypatch):
+    # [grid] R = 2 is also on the schedule: at the walk's maxiter its estimate
+    # is reused; at another maxiter the same ball is solved again, and both
+    # runs write the same bytes
+    solve = spectral.principal_eigenvalue
+    calls = Counter()
+
+    def spy(op, *args, **kwargs):
+        calls[(op.grid.topology, op.grid.radius)] += 1
+        return solve(op, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "principal_eigenvalue", spy)
+    monkeypatch.setattr(cli, "principal_eigenvalue", spy)
+    written, counts = {}, {}
+    for maxiter in (spectral.DEFAULT_MAXITER, spectral.DEFAULT_MAXITER + 1):
+        calls.clear()
+        (tmp_path / str(maxiter)).mkdir()
+        code, out = run_cli(tmp_path / str(maxiter), "spectrum", f"""
+[kernel]
+family = tent
+epsilon = 0.5
+m = 2
+
+[grid]
+R = 2
+h = 0.05
+
+[growth]
+family = bump
+params = a0=2, b=1, a_min=-1
+
+[spectral]
+R_schedule = 3 2
+maxiter = {maxiter}
+""")
+        assert code == 0
+        written[maxiter] = [(out / f"spectrum-t.{ext}").read_bytes() for ext in ("csv", "json")]
+        counts[maxiter] = dict(calls)
+    reuse, again = counts.values()
+    assert reuse == {("ball-truncated", 2.0): 1, ("ball-truncated", 3.0): 1}
+    assert again == {("ball-truncated", 2.0): 2, ("ball-truncated", 3.0): 1}
+    assert written[spectral.DEFAULT_MAXITER] == written[spectral.DEFAULT_MAXITER + 1]
 
 
 def test_validate_negative_kernel_exits_one(tmp_path):

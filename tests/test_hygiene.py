@@ -13,11 +13,18 @@
 - ``SpectralEstimate(...)`` is built only in ``spectral._certified_iteration``:
   every eigenvalue estimate carries a bracket that routine certified.
 - No module imports ``concurrent.futures``, ``threading`` or
-  ``multiprocessing``: every schedule runs in order in one thread. Only
-  ``kernels`` imports ``scipy.integrate``, so quadrature lives in one module.
+  ``multiprocessing``: every schedule runs in order in one thread.
+- ``scipy.integrate`` is imported only inside functions of ``kernels``,
+  never at module level: quadrature lives in one module, and only the
+  families that need it load it. A fresh ``import nichewave.cli`` loads
+  neither ``scipy.integrate`` nor ``scipy.optimize`` (checked in a
+  subprocess).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,7 +107,8 @@ def lines_outside(filename: str, tree: ast.Module, lines, allowed) -> list[str]:
     return [f"{filename}:{line}" for line in lines if line not in inside]
 
 
-# imported module -> the files of src/nichewave that may import it
+# imported module -> the files of src/nichewave whose functions may import it;
+# no file may import one of these at module level
 RESTRICTED_IMPORTS = {
     "concurrent.futures": set(),
     "threading": set(),
@@ -112,7 +120,11 @@ RESTRICTED_IMPORTS = {
 def restricted_imports(tree: ast.Module, filename: str) -> list[str]:
     """The modules of RESTRICTED_IMPORTS that ``filename`` imports but may not,
     also through a submodule (``import multiprocessing.pool``) or a
-    from-import (``from scipy import integrate``)."""
+    from-import (``from scipy import integrate``). An import inside a
+    function (or method) is allowed in the files RESTRICTED_IMPORTS names
+    for that module; a module-level import never is."""
+    local = {id(inner) for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             for inner in ast.walk(node)}
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -121,11 +133,11 @@ def restricted_imports(tree: ast.Module, filename: str) -> list[str]:
             names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        for name in names:
-            parts = name.split(".")
-            found.update(".".join(parts[:k]) for k in range(1, len(parts) + 1))
-    return sorted(m for m in found & RESTRICTED_IMPORTS.keys()
-                  if filename not in RESTRICTED_IMPORTS[m])
+        prefixes = {".".join(name.split(".")[:k]) for name in names
+                    for k in range(1, name.count(".") + 2)}
+        found.update(m for m in prefixes & RESTRICTED_IMPORTS.keys()
+                     if not (id(node) in local and filename in RESTRICTED_IMPORTS[m]))
+    return sorted(found)
 
 
 def _tree(path: Path) -> ast.Module:
@@ -224,6 +236,20 @@ def test_import_check_catches_what_it_names():
                      "from . import threads\nimport scipy.linalg\n")
     assert restricted_imports(tree, "experiments.py") == [
         "concurrent.futures", "multiprocessing", "scipy.integrate", "threading"]
-    assert restricted_imports(ast.parse("from scipy.integrate import quad\n"), "kernels.py") == []
+    local = "class K:\n    def mass(self):\n        from scipy.integrate import quad\n"
+    assert restricted_imports(ast.parse(local), "kernels.py") == []
+    assert restricted_imports(ast.parse("def f():\n    import scipy.integrate\n"), "kernels.py") == []
+    assert restricted_imports(ast.parse("from scipy.integrate import quad\n"), "kernels.py") == [
+        "scipy.integrate"]
+    assert restricted_imports(ast.parse(local), "stationary.py") == ["scipy.integrate"]
     assert restricted_imports(ast.parse("import scipy.integrate\n"), "stationary.py") == [
         "scipy.integrate"]
+
+
+def test_cli_import_loads_no_quadrature():
+    code = ("import sys, nichewave.cli\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

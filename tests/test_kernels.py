@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from nichewave import (
     InfiniteMomentError,
@@ -114,3 +115,54 @@ class TestRescaling:
             rescale_kernel(tent, -1.0, 0.0)
         with pytest.raises(ValueError):
             rescale_kernel(tent, 1.0, 3.0)
+
+
+TABLE = {"r": [0.0, 0.5, 1.25, 2.0], "values": [1.0, 0.7, 0.2, 0.05]}
+OMEGA = {1: 2.0, 2: 2.0 * math.pi}
+
+
+def quad_radial(profile, edges, s, lower=0.0):
+    """Oracle: integral of profile(r) r^s over lower <= r <= edges[-1], piece by
+    piece; a piece from 0 carries r^s as quad's algebraic weight."""
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        a = max(a, lower)
+        if b <= a:
+            continue
+        if a == 0.0:
+            val, _ = quad(profile, a, b, weight="alg", wvar=(s, 0.0), epsabs=0.0, epsrel=2e-14)
+        else:
+            val, _ = quad(lambda r: profile(r) * r**s, a, b, epsabs=0.0, epsrel=2e-14)
+        total += val
+    return total
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("family,params", [("tent", {}), ("truncated-quadratic", {}),
+                                           ("tabulated", TABLE)])
+class TestExactMoments:
+    """Closed-form moments of the piecewise-polynomial families against quad."""
+
+    def test_moments_match_quadrature(self, family, params, dimension):
+        k = Kernel(family, dimension=dimension, params=params)
+        edges = params.get("r", [0.0, 1.0])
+        for p in (0.0, 0.5, 1.5, 2.0, dimension + 1.0):
+            oracle = OMEGA[dimension] * quad_radial(k.profile, edges, p + dimension - 1)
+            assert kernel_moment(k, p) == pytest.approx(oracle, rel=1e-13, abs=0.0), p
+
+    def test_scaled_moment_and_budget(self, family, params, dimension):
+        base = Kernel(family, dimension=dimension, params=params)
+        sk = rescale_kernel(base, 0.3, 0.5, 2.0)
+        edges = [0.3 * r for r in params.get("r", [0.0, 1.0])]
+        for p in (0.5, 2.0):
+            oracle = OMEGA[dimension] * quad_radial(sk.profile, edges, p + dimension - 1)
+            assert kernel_moment(sk, p) == pytest.approx(oracle, rel=1e-13, abs=0.0), p
+        assert sk.budget_defect() <= 1e-13 * sk.alpha0 * kernel_moment(base, 0.5)
+
+    def test_mass_beyond_inside_support(self, family, params, dimension):
+        k = Kernel(family, dimension=dimension, params=params)
+        edges = params.get("r", [0.0, 1.0])
+        for radius in (0.3, 0.8):
+            oracle = OMEGA[dimension] * quad_radial(k.profile, edges, dimension - 1, lower=radius)
+            assert k.mass_beyond(radius) == pytest.approx(oracle, rel=1e-13, abs=0.0), radius
+        assert k.mass_beyond(k.support_radius) == 0.0

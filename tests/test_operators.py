@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
@@ -19,7 +20,6 @@ from nichewave import (
     rescale_kernel,
     weighted_symmetrize,
 )
-from nichewave import kernels
 from nichewave.operators import DiscreteOperator, banded_solver, build_operator, sample_taps
 from nichewave.spectral import _shift_constant, principal_eigenvalue, rayleigh_lambda_v
 
@@ -63,7 +63,7 @@ class TestConvolution:
         def no_quad(*args, **kwargs):
             raise AssertionError("quad called")
 
-        monkeypatch.setattr(kernels, "quad", no_quad)
+        monkeypatch.setattr(scipy.integrate, "quad", no_quad)
         _, tail_mass, reach = sample_taps(rescale_kernel(tent, 1.0, 0.0),
                                           build_grid(1, 3.0, 0.3, "ball-truncated"))
         assert (tail_mass, reach) == (0.0, 3)
