@@ -45,12 +45,7 @@ from .experiments import (
 from .grids import build_grid
 from .kernels import validate_kernel
 from .operators import build_operator
-from .spectral import (
-    DEFAULT_MAXITER,
-    lambda_p_extrapolate_R,
-    principal_eigenvalue,
-    rayleigh_lambda_v,
-)
+from .spectral import lambda_p_extrapolate_R, principal_eigenvalue, rayleigh_lambda_v
 from .stationary import solve_stationary_wholespace
 
 CONFIG_ERRORS = (errors.ConfigError, errors.InvalidKernelError,
@@ -81,7 +76,6 @@ def _policy(cfg: ExperimentConfig, section: str, **extra) -> GridPolicy:
     """The eps-to-grid policy of a sweeping command's section."""
     s = cfg[section]
     return GridPolicy(base_radius=s["base_r"], base_spacing=s["base_h"],
-                      dimension=cfg["kernel"]["dimension"],
                       max_cells_per_axis=cfg["grid"]["max_cells"], **extra)
 
 
@@ -155,7 +149,7 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     growth = cfg.growth()
     g = cfg["grid"]
     sp = cfg["spectral"]
-    grid = build_grid(cfg["kernel"]["dimension"], g["r"], g["h"], g["topology"], g["max_cells"])
+    grid = build_grid(kernel.dimension, g["r"], g["h"], g["topology"], g["max_cells"])
     op = build_operator(grid, kernel, growth)
     est_p = _certified(principal_eigenvalue(op, tol=sp["tol"], maxiter=sp["maxiter"]), sp["tol"])
     est_v = _certified(rayleigh_lambda_v(op, tol=sp["tol"], maxiter=sp["maxiter"]), sp["tol"])
@@ -166,14 +160,13 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     extra = {}
     met_tol = est_p.met_tol and est_v.met_tol
     if sp["r_schedule"]:
-        # the walk's ball at [grid] R is op itself when op is a ball and was
-        # solved with the walk's arguments, so its estimate is reused
-        same_solve = g["topology"] == "ball-truncated" and sp["maxiter"] == DEFAULT_MAXITER
+        # the walk solves with the same tol and maxiter, so a ball op is the
+        # walk's ball at [grid] R and its estimate is reused
+        ball = g["topology"] == "ball-truncated"
         res = lambda_p_extrapolate_R(kernel, growth, sp["r_schedule"], g["h"],
-                                     spectral_tol=sp["tol"],
-                                     dimension=cfg["kernel"]["dimension"],
+                                     spectral_tol=sp["tol"], maxiter=sp["maxiter"],
                                      max_cells_per_axis=g["max_cells"],
-                                     known=(g["r"], op, est_p) if same_solve else None)
+                                     known=(g["r"], op, est_p) if ball else None)
         rows += [_est_row(e, "perron-cw", R, kernel.epsilon, kernel.m)
                  for R, e in zip(res.radii, res.estimates)]
         extra = {"extrapolated": res.final_value, "uncertainty": res.uncertainty,
@@ -203,7 +196,6 @@ def _solve_stationary(cfg: ExperimentConfig):
         tol=st["tol"],
         solver_tol=st["solver_tol"],
         spectral_tol=st["spectral_tol"],
-        dimension=cfg["kernel"]["dimension"],
         max_cells_per_axis=g["max_cells"],
     )
 
@@ -217,8 +209,8 @@ def _r_schedule_record(sol) -> dict:
 
 def cmd_stationary(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     sol = _solve_stationary(cfg)
-    grid = sol.grid
-    a_vals = grid.sample(cfg.growth().a)
+    grid = sol.op.grid
+    a_vals = sol.op.a_values
     zero = np.zeros(grid.size)
     sub = sol.sub if sol.sub is not None else zero
     sup = sol.super_ if sol.super_ is not None else zero
@@ -249,8 +241,8 @@ def cmd_evolve(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     ev = cfg["evolve"]
     dt = None if ev["dt"] == "auto" else _evolve_float("dt", ev["dt"])
     sol = _solve_stationary(cfg)
-    grid = sol.grid
-    op = build_operator(grid, cfg.scaled_kernel(), cfg.growth())
+    op = sol.op
+    grid = op.grid
     u0 = _u0_from_spec(ev["u0"], grid, sol.values if sol.verdict == "persistent" else None)
     stationary_ref = sol.values if sol.verdict == "persistent" else None
     verdict = long_time_verdict(op, u0, ev["t"], ev["tol"], sol.lambda_p_used,

@@ -18,6 +18,9 @@ Sections and keys (all optional unless a command needs them):
     [fat_tail]  R_schedule, h, tail_target, spectral_tol
     [audit]     epsilons, base_R, base_h, solver_tol
 
+[kernel] dimension is the one N: it goes to the Kernel, and every grid
+takes N from the kernel, so no other key or section sets it.
+
 Every command takes the kernel family, epsilon, the cost exponent m and
 alpha0 from [kernel] (ExperimentConfig.scaled_kernel), so all of them
 solve with the same pair (J_eps, rate alpha0/eps^m); the commands that
@@ -133,8 +136,7 @@ class ExperimentConfig:
         g = self.sections["growth"]
         if g["family"] not in GROWTH_FAMILIES:
             raise ConfigError(f"[growth] family: unknown family {g['family']!r}")
-        return GrowthProfile(g["family"], dimension=self.sections["kernel"]["dimension"],
-                             params=dict(g["params"]))
+        return GrowthProfile(g["family"], params=dict(g["params"]))
 
 
 def load_config(path: str) -> ExperimentConfig:

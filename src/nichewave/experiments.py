@@ -8,9 +8,10 @@ change along a schedule, and no program re-derives the rate.
 Grid coupling follows the sweep design: for small range factors the spacing
 shrinks with eps (h = h0 min(1, eps)) so the rescaled kernel stays resolved;
 for large range factors the ball grows with the kernel reach so whole-space
-behaviour is not clipped. Every "limit" claim is a monotone-decrease-of-error
-statement over a finite schedule plus an empirical rate, never absolute
-closeness at one eps.
+behaviour is not clipped. GridPolicy couples eps to h and R only: every
+grid lives in the kernel's dimension N. Every "limit" claim is a
+monotone-decrease-of-error statement over a finite schedule plus an
+empirical rate, never absolute closeness at one eps.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class GridPolicy:
     base_radius: float = 6.0
     base_spacing: float = 0.05
     radius_pad: float = 1.0
-    dimension: int = 1
     max_cells_per_axis: int = 8192
 
     def spacing_for(self, eps: float) -> float:
@@ -59,7 +59,7 @@ class GridPolicy:
                 f"< {MIN_TAPS} h = {MIN_TAPS * h:.4g}"
             )
         R = snap_radius(self.radius_for(eps, scaled_kernel.base.support_radius), h)
-        return build_grid(self.dimension, R, h, topology, self.max_cells_per_axis)
+        return build_grid(scaled_kernel.dimension, R, h, topology, self.max_cells_per_axis)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,7 @@ def epsilon_sweep(
     """Solve the budget problem at each eps of the schedule, in order, at the
     kernel's m and alpha0; entries whose kernel is unresolvable on the policy
     grid, or whose grid exceeds its cell limit, are skipped with a reason."""
-    policy = policy or GridPolicy(dimension=growth.dimension)
+    policy = policy or GridPolicy()
     result = SweepResult(m=kernel.m, entries=[])
     for eps in (float(e) for e in epsilons):
         try:
@@ -219,8 +219,8 @@ def find_eps_star(
     if kernel.m != 0.0:
         raise ConfigError(f"eps* is defined for m = 0, not m = {kernel.m:g}")
     rate = kernel.rate
-    policy = policy or GridPolicy(dimension=growth.dimension)
-    probe = build_grid(policy.dimension, snap_radius(policy.base_radius, policy.base_spacing),
+    policy = policy or GridPolicy()
+    probe = build_grid(kernel.dimension, snap_radius(policy.base_radius, policy.base_spacing),
                        policy.base_spacing, "ball-truncated", policy.max_cells_per_axis)
     a_probe = probe.sample(growth.a)
     if float(np.max(a_probe - rate)) > 0.0:
@@ -374,18 +374,18 @@ def asymptotic_limit_check(
     local-Laplacian pair (lambda_1, v) of sigma Lap, sigma = alpha0 D_2(J)/(2N),
     for m = 2. That pair comes from ``local_kpp_solve_fd``, the same certified
     eigen-solve and ball solve on the nonlocal operator at range fd_spacing.
-    It is 1-D, so m = 2 toward small eps needs a 1-D growth profile and
-    raises ConfigError otherwise.
+    It is 1-D, so m = 2 toward small eps needs a 1-D kernel and raises
+    ConfigError otherwise.
     Non-monotone error decrease is reported as a finding with
     grid-refinement advice, not raised.
     """
     if direction not in ("small", "large"):
         raise ConfigError("direction must be 'small' or 'large'")
-    if direction == "small" and m == 2.0 and growth.dimension != 1:
+    if direction == "small" and m == 2.0 and kernel.dimension != 1:
         raise ConfigError(f"the m = 2 small-eps limit has a 1-D local reference only, "
-                          f"not {growth.dimension}-D")
+                          f"not {kernel.dimension}-D")
     template = rescale_kernel(kernel, 1.0, m, alpha0)  # the sweep replaces epsilon
-    policy = policy or GridPolicy(dimension=growth.dimension)
+    policy = policy or GridPolicy()
     order = sorted(float(e) for e in epsilons)
     order = order[::-1] if direction == "small" else order
 
@@ -393,7 +393,7 @@ def asymptotic_limit_check(
     fd_reference = None
     lambda1_fd = None
     if direction == "small" and m == 2.0:
-        sigma = alpha0 * kernel_moment(kernel, 2.0) / (2.0 * growth.dimension)
+        sigma = alpha0 * kernel_moment(kernel, 2.0) / (2.0 * kernel.dimension)
         R_fd = snap_radius(policy.base_radius, fd_spacing)
         fd = local_kpp_solve_fd(growth, sigma, R_fd, fd_spacing, tol=solver_tol)
         lambda1_fd = fd.lambda1.value
@@ -524,7 +524,7 @@ def energy_slope_audit(
 ) -> EnergySlopeFit:
     """Audit every entry of a sweep over the sorted eps schedule and fit
     log E vs log eps (slope ~ m)."""
-    policy = policy or GridPolicy(dimension=growth.dimension)
+    policy = policy or GridPolicy()
     sweep = epsilon_sweep(kernel, growth, sorted(epsilons), policy,
                           solver_tol=solver_tol, spectral_tol=spectral_tol)
     audits = []
@@ -576,7 +576,7 @@ def _common_policy_grid(policy: GridPolicy, kernel: Kernel, epsilons) -> Grid:
     """One grid that resolves the smallest eps and reaches the largest."""
     h = policy.spacing_for(min(epsilons))
     R = snap_radius(policy.radius_for(max(epsilons), kernel.support_radius), h)
-    return build_grid(policy.dimension, R, h, "ball-truncated", policy.max_cells_per_axis)
+    return build_grid(kernel.dimension, R, h, "ball-truncated", policy.max_cells_per_axis)
 
 
 def _resident(kernel, growth, eps1, epsilons, policy, solver_tol, spectral_tol):
@@ -604,7 +604,7 @@ def invasion_fitness(
 
     Negative certified sign means the mutant invades the resident equilibrium.
     """
-    policy = policy or GridPolicy(dimension=growth.dimension)
+    policy = policy or GridPolicy()
     grid, u_star = resident or _resident(kernel, growth, eps1, (eps1, eps2), policy,
                                          solver_tol, spectral_tol)
 
@@ -635,7 +635,7 @@ def build_invasion_matrix(
 ) -> InvasionMatrix:
     """Fill the strategy grid row by row; each resident equilibrium is solved
     once on a grid sized for the largest kernel it meets."""
-    policy = policy or GridPolicy(dimension=growth.dimension)
+    policy = policy or GridPolicy()
     eps_residents = [float(e) for e in eps_residents]
     eps_mutants = [float(e) for e in (eps_mutants if eps_mutants is not None else eps_residents)]
     entries = []

@@ -21,7 +21,6 @@ class Grid:
     what makes kernel-tap lookups and nested-R comparisons exact.
     """
 
-    dimension: int
     radius: float
     spacing: float
     topology: str
@@ -29,6 +28,10 @@ class Grid:
     weights: np.ndarray     # (n,) midpoint weights, all h^N
     cells_per_axis: int
     box_index: np.ndarray   # (n, N) integer cell indices into the box
+
+    @property
+    def dimension(self) -> int:
+        return self.points.shape[1]
 
     @property
     def size(self) -> int:
@@ -116,7 +119,6 @@ def build_grid(
 
     weights = np.full(pts.shape[0], spacing**dimension)
     return Grid(
-        dimension=dimension,
         radius=float(radius),
         spacing=float(spacing),
         topology=topology,

@@ -2,6 +2,7 @@
 
 The default reaction is logistic, f(x, s) = s (a(x) - s), whose saturation
 is S(x) = a^+(x). A general KPP triple (f, a, S) can be supplied instead.
+A profile depends on |x| only; the space dimension N belongs to the kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ GROWTH_FAMILIES = ("bump", "plateau", "constant", "tabulated")
 @dataclass(frozen=True)
 class GrowthProfile:
     family: str
-    dimension: int = 1
     params: dict = field(default_factory=dict)
     # general KPP triple; None selects the logistic defaults built on a()
     f_fn: Callable | None = None
@@ -163,9 +163,9 @@ class GrowthProfile:
         return self.radius_where_a_below(-0.5 * self.nu)
 
 
-def bump_growth(a0: float, b: float = 1.0, a_min: float = -1.0, dimension: int = 1) -> GrowthProfile:
-    return GrowthProfile("bump", dimension=dimension, params={"a0": a0, "b": b, "a_min": a_min})
+def bump_growth(a0: float, b: float = 1.0, a_min: float = -1.0) -> GrowthProfile:
+    return GrowthProfile("bump", params={"a0": a0, "b": b, "a_min": a_min})
 
 
-def constant_growth(value: float, dimension: int = 1) -> GrowthProfile:
-    return GrowthProfile("constant", dimension=dimension, params={"value": value})
+def constant_growth(value: float) -> GrowthProfile:
+    return GrowthProfile("constant", params={"value": value})

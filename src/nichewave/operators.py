@@ -36,7 +36,7 @@ from scipy.fft import next_fast_len, rfftn, irfftn
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbsv
 
-from .errors import MonotonicityViolationError, UnderResolvedKernelError
+from .errors import ConfigError, MonotonicityViolationError, UnderResolvedKernelError
 from .grids import Grid
 from .growth import GrowthProfile
 from .kernels import Kernel, ScaledKernel, rescale_kernel
@@ -388,7 +388,10 @@ def build_operator(
     tap_window: float | None = None,
 ) -> DiscreteOperator:
     """Assemble the discrete operator; ``kernel`` may be a base Kernel
-    (used at scale eps=1, rate 1) or an explicitly rescaled one."""
+    (used at scale eps=1, rate 1) or an explicitly rescaled one. The grid
+    must live in the kernel's dimension N (ConfigError otherwise)."""
+    if grid.dimension != kernel.dimension:
+        raise ConfigError(f"a {kernel.dimension}-D kernel on a {grid.dimension}-D grid")
     if isinstance(kernel, Kernel):
         kernel = rescale_kernel(kernel, 1.0, 0.0, 1.0)
     taps, tail_mass, reach = sample_taps(kernel, grid, window_radius=tap_window)

@@ -188,7 +188,7 @@ def _arpack_vector(op, c, phi):
     return np.abs(vecs[:, order[-1]]), bool(gap < DEGENERACY_GAP)
 
 
-# step budget of every eigen-solve that does not name one (radius_walk's balls)
+# step budget of every eigen-solve that does not name one
 DEFAULT_MAXITER = 600
 
 
@@ -221,10 +221,12 @@ def dense_lambda_p_oracle(op) -> tuple[float, float]:
 
 
 def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-10,
-                dimension: int = 1, max_cells_per_axis: int = 8192, known=None):
+                max_cells_per_axis: int = 8192, known=None, maxiter: int = DEFAULT_MAXITER):
     """Yield (R, op, lambda_p) ball by ball along an increasing R schedule.
 
-    The schedule must be non-empty and every radius a multiple of h
+    The balls live in the kernel's dimension, and each lambda_p is
+    principal_eigenvalue(op, tol=spectral_tol, maxiter=maxiter). The
+    schedule must be non-empty and every radius a multiple of h
     (ConfigError otherwise), so the ball lattices nest exactly. On nested
     balls lambda_p(L_R + a) is non-increasing in R (domain monotonicity); a
     rise beyond the two bracket widths raises
@@ -232,10 +234,8 @@ def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-
     Consumers stop the walk by break. A consumer should drop op before it
     asks for the next ball: op caches its stencil walk, FFT plan and kernel
     mass, which would otherwise stay alive while the next ball is certified.
-    ``known`` = (R, op, lambda_p) is a ball the caller already built from
-    the same kernel, growth and spacing and certified by
-    principal_eigenvalue(op, tol=spectral_tol) with the default maxiter; the
-    walk yields it at R instead of solving that ball again.
+    ``known`` = (R, op, lambda_p) is a ball the caller already built and
+    certified the same way; the walk yields it at R instead of solving it again.
     """
     radii = sorted(float(R) for R in radii)
     if not radii:
@@ -248,9 +248,9 @@ def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-
         if known is not None and R == known[0]:
             _, op, lam = known
         else:
-            op = build_operator(build_grid(dimension, R, spacing, "ball-truncated",
+            op = build_operator(build_grid(kernel.dimension, R, spacing, "ball-truncated",
                                            max_cells_per_axis), kernel, growth)
-            lam = principal_eigenvalue(op, tol=spectral_tol)
+            lam = principal_eigenvalue(op, tol=spectral_tol, maxiter=maxiter)
         if prev is not None and lam.value > prev.value + prev.width + lam.width + 1e-13:
             raise DiscretizationInconsistencyError(
                 f"lambda_p increased from {prev.value} (R={prev_R}) to {lam.value} (R={R})"
@@ -279,21 +279,21 @@ def lambda_p_extrapolate_R(
     spacing: float,
     tol: float = 1e-8,
     spectral_tol: float = 1e-10,
-    dimension: int = 1,
     max_cells_per_axis: int = 8192,
     known=None,
+    maxiter: int = DEFAULT_MAXITER,
 ) -> ExtrapolationResult:
     """Whole-space lambda_p read as the limit of lambda_p(L_R + a) on radius_walk.
 
     Stops once one step of the walk lowers lambda_p by at most tol
     (converged); the uncertainty is that last decrease, inf after one ball.
-    ``known`` is passed to radius_walk.
+    ``known`` and maxiter are passed to radius_walk.
     """
     estimates = []
     used = []
     converged = False
-    for R, op, est in radius_walk(kernel, growth, radii, spacing, spectral_tol, dimension,
-                                  max_cells_per_axis, known):
+    for R, op, est in radius_walk(kernel, growth, radii, spacing, spectral_tol,
+                                  max_cells_per_axis, known, maxiter):
         del op  # only lambda_p is kept; free the operator before the next ball
         estimates.append(est)
         used.append(R)
@@ -329,21 +329,19 @@ def scaling_invariance_check(
     radius: float,
     spacing: float,
     spectral_tol: float = 1e-10,
-    dimension: int = 1,
 ) -> ScalingCheck:
     """Compare lambda_p(M + a) with lambda_p(M_eps + a_eps), a_eps(x) = a(x/eps).
 
     The scaled side is discretized on the mapped grid (radius eps R, spacing
     eps h), which is the exact discrete change of variables.
     """
-    grid1 = build_grid(dimension, radius, spacing, "ball-truncated")
+    grid1 = build_grid(kernel.dimension, radius, spacing, "ball-truncated")
     op1 = build_operator(grid1, kernel, growth)
     est1 = principal_eigenvalue(op1, tol=spectral_tol)
 
-    grid2 = build_grid(dimension, epsilon * radius, epsilon * spacing, "ball-truncated")
+    grid2 = build_grid(kernel.dimension, epsilon * radius, epsilon * spacing, "ball-truncated")
     scaled = rescale_kernel(kernel, epsilon, 0.0, 1.0)  # rate stays 1
-    pts = grid2.points[:, 0] if dimension == 1 else grid2.points
-    a_scaled = growth.a(pts / epsilon)
+    a_scaled = grid2.sample(lambda x: growth.a(x / epsilon))
     op2 = build_operator(grid2, scaled, growth=None, a_values=a_scaled)
     est2 = principal_eigenvalue(op2, tol=spectral_tol)
 

@@ -336,7 +336,7 @@ def solve_stationary_ball(
 
 @dataclass
 class StationarySolution:
-    grid: object
+    op: DiscreteOperator               # the operator of the ball the walk ended on
     values: np.ndarray
     residual: float
     sub: np.ndarray | None
@@ -360,7 +360,6 @@ def solve_stationary_wholespace(
     tol: float = 1e-8,
     solver_tol: float = 1e-10,
     spectral_tol: float = 1e-10,
-    dimension: int = 1,
     max_cells_per_axis: int = 8192,
 ) -> StationarySolution:
     """Whole-space equilibrium as the monotone limit of ball solutions.
@@ -369,13 +368,14 @@ def solve_stationary_wholespace(
     lambda_p certified and non-increasing in R) and solves each one, started
     from the previous ball's solution. Asserts u_{R_k} <= u_{R_{k+1}} on the
     common lattice and stops once the sup-norm change drops below tol. The
-    verdict comes from the certified bracket at the largest ball solved.
+    verdict comes from the certified bracket at the largest ball solved,
+    whose operator the solution keeps.
     """
+    last_R = max(map(float, radii), default=None)
     prev_grid = None
     prev_vals = None
     history: list[tuple[float, float]] = []
-    last: BallSolve | None = None
-    for R, op, lam in radius_walk(kernel, growth, radii, spacing, spectral_tol, dimension,
+    for R, op, lam in radius_walk(kernel, growth, radii, spacing, spectral_tol,
                                   max_cells_per_axis):
         grid = op.grid
         lower_start = None
@@ -384,7 +384,6 @@ def solve_stationary_wholespace(
             lower_start = np.zeros(grid.size)
             lower_start[idx_new] = prev_vals[idx_old]
         sol = solve_stationary_ball(op, tol=solver_tol, lam=lam, lower_start=lower_start)
-        del op  # free its cached plans before the walk certifies the next ball
         change = math.inf
         if prev_vals is not None:
             diff = sol.values[idx_new] - prev_vals[idx_old]
@@ -400,23 +399,24 @@ def solve_stationary_wholespace(
                 float(np.max(sol.values[outside])) if np.any(outside) else 0.0,
             )
         history.append((R, change))
-        prev_grid, prev_vals, last = grid, sol.values, sol
-        if change <= tol and last.verdict != "indeterminate":
+        if (change <= tol and sol.verdict != "indeterminate") or R == last_R:
             break
+        prev_grid, prev_vals = grid, sol.values
+        del op  # free its cached plans before the walk certifies the next ball
 
-    if last.verdict == "persistent" and last.super_ is not None:
-        if np.any(last.values > last.super_ + 100.0 * solver_tol):
+    if sol.verdict == "persistent" and sol.super_ is not None:
+        if np.any(sol.values > sol.super_ + 100.0 * solver_tol):
             raise MonotonicityViolationError("solution escaped its super-solution")
     return StationarySolution(
-        grid=prev_grid,
-        values=last.values,
-        residual=last.residual,
-        sub=last.sub,
-        super_=last.super_,
-        lambda_p_used=last.lambda_estimate,
+        op=op,
+        values=sol.values,
+        residual=sol.residual,
+        sub=sol.sub,
+        super_=sol.super_,
+        lambda_p_used=sol.lambda_estimate,
         R_history=history,
-        verdict=last.verdict,
-        attempted=last.attempted,
+        verdict=sol.verdict,
+        attempted=sol.attempted,
         r_converged=history[-1][1] <= tol,
     )
 

@@ -72,9 +72,9 @@ R_schedule = 4 6
 
 
 def test_spectrum_certifies_each_ball_once(tmp_path, monkeypatch):
-    # [grid] R = 2 is also on the schedule: at the walk's maxiter its estimate
-    # is reused; at another maxiter the same ball is solved again, and both
-    # runs write the same bytes
+    # [grid] R = 2 is also on the schedule: the walk solves with [spectral]
+    # maxiter, so at any maxiter its estimate is reused, and both runs write
+    # the same bytes
     solve = spectral.principal_eigenvalue
     calls = Counter()
 
@@ -109,10 +109,36 @@ maxiter = {maxiter}
         assert code == 0
         written[maxiter] = [(out / f"spectrum-t.{ext}").read_bytes() for ext in ("csv", "json")]
         counts[maxiter] = dict(calls)
-    reuse, again = counts.values()
-    assert reuse == {("ball-truncated", 2.0): 1, ("ball-truncated", 3.0): 1}
-    assert again == {("ball-truncated", 2.0): 2, ("ball-truncated", 3.0): 1}
+    for count in counts.values():
+        assert count == {("ball-truncated", 2.0): 1, ("ball-truncated", 3.0): 1}
     assert written[spectral.DEFAULT_MAXITER] == written[spectral.DEFAULT_MAXITER + 1]
+
+
+def test_spectrum_r_schedule_honours_maxiter(tmp_path):
+    # the schedule's balls get the [spectral] maxiter of the main torus rows;
+    # their brackets then miss tol, which met_tol records without an exit 2
+    code, out = run_cli(tmp_path, "spectrum", """
+[kernel]
+family = tent
+
+[grid]
+R = 2
+h = 0.125
+topology = torus
+
+[growth]
+family = bump
+params = a0=2, b=1, a_min=-1
+
+[spectral]
+R_schedule = 3 4
+maxiter = 2
+""")
+    assert code == 0
+    rows = [line.split(",") for line in (out / "spectrum-t.csv").read_text().splitlines()[1:]]
+    assert [row[1] for row in rows[2:]] == ["3.0", "4.0"]
+    assert all(int(row[-1]) <= 2 for row in rows)
+    assert json.loads((out / "spectrum-t.json").read_text())["met_tol"] is False
 
 
 def test_validate_negative_kernel_exits_one(tmp_path):

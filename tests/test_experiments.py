@@ -54,6 +54,19 @@ class TestSweep:
         assert entry.errors["lam_err_1.5-sup_a"] == abs(entry.lam.value - (1.5 - a.max()))
         assert entry.target_name == "u_sup_err_(a-1.5)+"
 
+    @pytest.mark.parametrize("policy", [None, GridPolicy(base_radius=2.5, base_spacing=0.2)],
+                             ids=["default-policy", "policy"])
+    def test_grids_take_n_from_the_kernel(self, bump, policy, monkeypatch):
+        # a 2-D kernel with a growth profile of |x| solves on 2-D grids,
+        # with or without a policy; the default policy is shrunk to stay small
+        if policy is None:
+            monkeypatch.setattr(experiments, "GridPolicy",
+                                lambda **kw: GridPolicy(base_radius=2.5, base_spacing=0.2, **kw))
+        kernel = rescale_kernel(Kernel("tent", dimension=2), 1.0, 0.0)
+        entry, = epsilon_sweep(kernel, bump, [1.0], policy).entries
+        grid = build_grid(2, 3.6, 0.2)
+        assert entry.solve.values.size == entry.lam.eigenvector.size == grid.size
+
     def test_under_resolved_entries_skipped(self, tent, bump):
         coarse = GridPolicy(base_radius=4.5, base_spacing=0.75)
         res = epsilon_sweep(rescale_kernel(tent, 1.0, 0.0), bump, [0.25, 4.0], coarse)
@@ -196,11 +209,12 @@ class TestLimitCheck:
         assert chk.lambda_target_name == "lam_err_lambda1_fd"
 
     def test_m2_small_eps_needs_a_1d_niche(self):
-        # the local reference is a 1-D FD solve; a 2-D niche has none to compare with
-        with pytest.raises(ConfigError, match="1-D local reference"):
-            asymptotic_limit_check(Kernel("tent", dimension=2), bump_growth(2.0, dimension=2),
-                                   2.0, "small", [0.8, 0.4],
-                                   GridPolicy(base_radius=2.5, base_spacing=0.2, dimension=2))
+        # the local reference is a 1-D FD solve; a niche in the 2-D kernel's
+        # space has none to compare with, whatever the growth profile
+        for growth in (bump_growth(2.0, 1.0, -1.0), constant_growth(-0.1)):
+            with pytest.raises(ConfigError, match="1-D local reference only, not 2-D"):
+                asymptotic_limit_check(Kernel("tent", dimension=2), growth, 2.0, "small",
+                                       [0.8, 0.4], GridPolicy(base_radius=2.5, base_spacing=0.2))
 
     def test_m0_large_eps(self, tent, bump):
         policy = GridPolicy(base_radius=4.0, base_spacing=0.1)

@@ -12,6 +12,10 @@
   forms are oracles, and no solve path builds one.
 - ``SpectralEstimate(...)`` is built only in ``spectral._certified_iteration``:
   every eigenvalue estimate carries a bracket that routine certified.
+- ``dimension`` is a parameter or a dataclass field only of
+  ``grids.build_grid``, ``kernels.Kernel`` and ``kernels._sphere_measure``:
+  the space dimension N is set on the kernel, and every grid built for a
+  kernel reads ``kernel.dimension``.
 - No module imports ``concurrent.futures``, ``threading`` or
   ``multiprocessing``: every schedule runs in order in one thread.
 - ``scipy.integrate`` is imported only inside functions of ``kernels``,
@@ -105,6 +109,25 @@ def lines_outside(filename: str, tree: ast.Module, lines, allowed) -> list[str]:
         if isinstance(node, ast.FunctionDef) and (filename, node.name) in allowed:
             inside.update(range(node.lineno, node.end_lineno + 1))
     return [f"{filename}:{line}" for line in lines if line not in inside]
+
+
+def dimension_knobs(tree: ast.Module) -> list[str]:
+    """Names of the functions (``<lambda>`` for a lambda) that take a
+    ``dimension`` parameter and of the classes with a ``dimension`` field,
+    a class-level annotated name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                p for p in (args.vararg, args.kwarg) if p is not None]
+            if any(p.arg == "dimension" for p in params):
+                found.append(getattr(node, "name", "<lambda>"))
+        elif isinstance(node, ast.ClassDef):
+            if any(isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                   and stmt.target.id == "dimension" for stmt in node.body):
+                found.append(node.name)
+    return sorted(found)
 
 
 # imported module -> the files of src/nichewave whose functions may import it;
@@ -223,6 +246,30 @@ def test_estimate_check_catches_what_it_names():
     assert lines_outside("spectral.py", tree, [2, 4], ESTIMATE_ALLOWED) == ["spectral.py:4"]
     assert lines_outside("experiments.py", tree, [2, 4], ESTIMATE_ALLOWED) == [
         "experiments.py:2", "experiments.py:4"]
+
+
+# (module, function or class) that may take N as a parameter or field: the
+# kernel carries N, and build_grid is told it by the caller that holds the kernel
+DIMENSION_ALLOWED = {("grids.py", "build_grid"), ("kernels.py", "Kernel"),
+                     ("kernels.py", "_sphere_measure")}
+
+
+def test_only_the_kernel_and_build_grid_take_a_dimension():
+    found = {(path.name, name) for path in MODULES for name in dimension_knobs(_tree(path))}
+    assert found == DIMENSION_ALLOWED
+
+
+def test_dimension_check_catches_what_it_names():
+    tree = ast.parse(
+        "@dataclass\nclass Policy:\n    dimension: int = 1\n"
+        "class Plain:\n    dimension = 1\n    other: int = 2\n"
+        "def walk(kernel, dimension=1):\n    pass\n"
+        "def solve(kernel, *, dimension):\n    pass\n"
+        "class Grid:\n    @property\n    def dimension(self):\n        return 2\n"
+        "f = lambda dimension: dimension\n"
+        "n = grid.dimension\nbuild_grid(dimension=2)\n"
+    )
+    assert dimension_knobs(tree) == ["<lambda>", "Policy", "solve", "walk"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from nichewave import (
+    ConfigError,
     Kernel,
     MonotonicityViolationError,
     UnderResolvedKernelError,
@@ -52,6 +53,14 @@ class TestConvolution:
         op = build_operator(grid, rescale_kernel(k2, 1.0, 0.0))
         u = rng.random(grid.size)
         assert np.allclose(op.stencil_product(u), op.convolve(u), atol=1e-12)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_grid_must_match_the_kernel_dimension(self, dimension):
+        grid = build_grid(3 - dimension, 2.0, 0.25, "ball-truncated")
+        kernel = Kernel("tent", dimension=dimension)
+        for k in (kernel, rescale_kernel(kernel, 1.0, 0.0)):
+            with pytest.raises(ConfigError, match=f"{dimension}-D kernel on a {3 - dimension}-D grid"):
+                build_operator(grid, k, bump_growth(2.0, 1.0, -1.0))
 
     def test_under_resolved_kernel_rejected(self, tent):
         grid = build_grid(1, 4.0, 0.125, "ball-truncated")
@@ -344,7 +353,7 @@ class TestStencilProduct:
         # assembling the CSR matrix of this ball (n = 2828, 41 x 41 taps) peaks near 90 MB
         grid = build_grid(2, 3.0, 0.1, "ball-truncated")
         op = build_operator(grid, rescale_kernel(Kernel("tent", dimension=2), 2.0, 0.0),
-                            bump_growth(2.0, 1.0, -1.0, dimension=2))
+                            bump_growth(2.0, 1.0, -1.0))
         tracemalloc.start()
         try:
             est = principal_eigenvalue(op)

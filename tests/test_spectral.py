@@ -207,7 +207,7 @@ class TestNodaSteps:
         assert principal_eigenvalue(ball_op, tol=1e-10).width <= 1e-10
         op2 = build_operator(build_grid(2, 2.0, 0.25, "ball-truncated"),
                              rescale_kernel(Kernel("tent", dimension=2), 1.0, 0.0),
-                             bump_growth(2.0, 1.0, -1.0, dimension=2))
+                             bump_growth(2.0, 1.0, -1.0))
         with pytest.raises(AssertionError, match="eigsh called"):
             principal_eigenvalue(op2, tol=1e-10)
 
@@ -246,7 +246,7 @@ class TestArpackVector:
         # 60-step stall counter ran 76-103 products on these before it gave up
         op = build_operator(build_grid(dimension, radius, spacing, topology),
                             rescale_kernel(Kernel("tent", dimension=dimension), 1.0, 0.0),
-                            bump_growth(2.0, 1.0, -1.0, dimension=dimension))
+                            bump_growth(2.0, 1.0, -1.0))
         assert op.band_stencil() is None
         oracle, _ = dense_lambda_p_oracle(op)
         for solve in (principal_eigenvalue, rayleigh_lambda_v):

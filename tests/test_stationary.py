@@ -135,7 +135,7 @@ class TestWholeSpace:
         grid16 = build_grid(1, 16.0, 0.1, "ball-truncated")
         op16 = build_operator(grid16, rescale_kernel(tent, 1.0, 0.0), bump)
         oracle = solve_stationary_ball(op16, tol=1e-10)
-        i_small, i_big = sol.grid.common_with(grid16)
+        i_small, i_big = sol.op.grid.common_with(grid16)
         assert np.max(np.abs(sol.values[i_small] - oracle.values[i_big])) <= 1e-5
 
     def test_sandwiched_below_supersolution(self, tent, bump):
@@ -149,6 +149,14 @@ class TestWholeSpace:
         met = solve_stationary_wholespace(tent, bump, [4, 6, 8], 0.1, tol=1e-6)
         assert met.r_converged
         assert met.R_history[-1][1] <= 1e-6
+
+    def test_balls_take_n_from_the_kernel(self):
+        kernel = Kernel("tent", dimension=2)
+        sol = solve_stationary_wholespace(kernel, bump_growth(2.0, 1.0, -1.0), [2.0, 2.4], 0.2,
+                                          tol=1e-30)
+        assert [R for R, _ in sol.R_history] == [2.0, 2.4]
+        assert sol.op.grid.dimension == 2
+        assert sol.values.size == sol.op.size == build_grid(2, 2.4, 0.2).size
 
     def test_nonpositive_growth_gives_zero(self, tent):
         growth = bump_growth(-0.2, 1.0, -1.0)  # a <= 0 everywhere
@@ -214,7 +222,7 @@ def _newton_case(name):
     if name == "2d-ball":
         return build_operator(build_grid(2, 3.0, 0.2, "ball-truncated"),
                               rescale_kernel(Kernel("tent", dimension=2), 1.0, 0.0),
-                              bump_growth(2.0, 1.0, -1.0, dimension=2))
+                              bump_growth(2.0, 1.0, -1.0))
     return build_operator(build_grid(1, 4.0, 0.125, "torus"),
                           rescale_kernel(Kernel("tent"), 1.0, 0.0), constant_growth(1.5))
 
