@@ -88,7 +88,13 @@ class GrowthProfile:
         return np.maximum(self.a(x), 0.0)
 
     def lipschitz_f(self, s_max: float, points, a_values: np.ndarray) -> float:
-        """sup |d_s f| over the grid and s in [0, s_max]."""
+        """sup |d_s f| over the grid and s in [0, s_max].
+
+        Exact for the logistic default. A general KPP triple is sampled at
+        s = 0, s_max / 2 and s_max, which is exact when f is concave in s:
+        d_s f is then nonincreasing, so |d_s f| peaks at s = 0 or s = s_max.
+        The stationary Newton solves assume the same concavity.
+        """
         if self.dfds_fn is None:
             # logistic: |a - 2s| is maximal at an endpoint in s
             return float(max(np.max(np.abs(a_values)), np.max(np.abs(a_values - 2.0 * s_max))))

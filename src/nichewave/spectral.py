@@ -94,8 +94,9 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
     """Shared certification engine; returns a SpectralEstimate.
 
     phi comes from Noda steps where ``op.band_stencil()`` applies, and
-    otherwise from ARPACK (the start vector if ARPACK fails) and power steps
-    phi <- B phi. Every bracket comes from the stencil product B phi,
+    otherwise from ARPACK and power steps phi <- B phi. Off the band the
+    start vector is kept, without ARPACK, when its own bracket already meets
+    tol or when ARPACK fails. Every bracket comes from the stencil product B phi,
     B = A + cI, which adds the summands of a CSR row of B in its order.
     estimator 'cw' brackets by the two Collatz-Wielandt quotients (lambda_p
     contract); 'rayleigh' uses the weighted Rayleigh quotient as the upper
@@ -107,13 +108,20 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
     c = _shift_constant(op)
 
     phi = start / np.max(start)
+    bphi = op.stencil_product(phi, shift=c)
     stencil = op.band_stencil()
     degenerate = False
     if stencil is None:
-        vec, degenerate = _arpack_vector(op, c, phi)
-        if vec is not None:
-            phi = np.maximum(vec, _POSITIVE_FLOOR)
-            phi = phi / np.max(phi)
+        q = bphi / phi
+        # the loop's first width; a start vector that meets tol is kept, since
+        # ARPACK is not bit-reproducible on an exact one (the flat eigenvector
+        # of constant growth on the torus)
+        if (c - float(np.min(q))) - (c - float(np.max(q))) > tol:
+            vec, degenerate = _arpack_vector(op, c, phi)
+            if vec is not None:
+                phi = np.maximum(vec, _POSITIVE_FLOOR)
+                phi = phi / np.max(phi)
+                bphi = op.stencil_product(phi, shift=c)
     else:
         # sigma I - B = rate (I - C) - diag(a + c - sigma)
         a = op.a_values if op.a_values is not None else 0.0
@@ -123,7 +131,6 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
     iterations = 0
     while True:
         iterations += 1
-        bphi = op.stencil_product(phi, shift=c)
         q = bphi / phi
         cw_lo, cw_hi = float(np.min(q)), float(np.max(q))
         lower = c - cw_hi
@@ -147,6 +154,7 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
             if not np.all(np.isfinite(nxt) & (nxt > 0.0)):
                 break
         phi = nxt / np.max(nxt)
+        bphi = op.stencil_product(phi, shift=c)
 
     a_phi = bphi - c * phi  # every exit leaves phi as the last product saw it
     rq_a = float(phi @ (op.grid.weights * a_phi)) / float(phi @ (op.grid.weights * phi))
@@ -285,27 +293,32 @@ def lambda_p_extrapolate_R(
 ) -> ExtrapolationResult:
     """Whole-space lambda_p read as the limit of lambda_p(L_R + a) on radius_walk.
 
-    Stops once one step of the walk lowers lambda_p by at most tol
-    (converged); the uncertainty is that last decrease, inf after one ball.
-    ``known`` and maxiter are passed to radius_walk.
+    The uncertainty of a step is |decrease| plus both bracket widths, inf
+    after one ball. The walk stops at the first step that does not raise
+    lambda_p and whose uncertainty is at most tol (converged); a rise within
+    the brackets never counts as converged. ``known`` and maxiter are passed
+    to radius_walk.
     """
     estimates = []
     used = []
     converged = False
+    uncertainty = math.inf
     for R, op, est in radius_walk(kernel, growth, radii, spacing, spectral_tol,
                                   max_cells_per_axis, known, maxiter):
         del op  # only lambda_p is kept; free the operator before the next ball
         estimates.append(est)
         used.append(R)
-        if len(estimates) >= 2 and estimates[-2].value - est.value <= tol:
-            converged = True
-            break
-    uncertainty = (estimates[-2].value - estimates[-1].value) if len(estimates) >= 2 else math.inf
+        if len(estimates) >= 2:
+            decrease = estimates[-2].value - est.value
+            uncertainty = abs(decrease) + estimates[-2].width + est.width
+            if decrease >= 0.0 and uncertainty <= tol:
+                converged = True
+                break
     return ExtrapolationResult(
         radii=used,
         estimates=estimates,
         final_value=estimates[-1].value,
-        uncertainty=max(uncertainty, 0.0),
+        uncertainty=uncertainty,
         converged=converged,
     )
 

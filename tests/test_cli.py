@@ -46,6 +46,31 @@ params = value=1.5
     assert len(csv) == 3  # header + perron-cw + rayleigh
 
 
+def test_spectrum_torus_constant_reruns_are_byte_identical(tmp_path):
+    # the flat start vector is the eigenvector: its own bracket meets tol, so
+    # no ARPACK call can make a rerun differ in the last bits
+    written = []
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        code, out = run_cli(tmp_path / run, "spectrum", """
+[kernel]
+family = tent
+
+[grid]
+R = 4
+h = 0.125
+topology = torus
+
+[growth]
+family = constant
+params = value=1.5
+""")
+        assert code == 0
+        written.append([(out / f"spectrum-t.{ext}").read_bytes() for ext in ("csv", "json")])
+    assert written[0] == written[1]
+    assert json.loads(written[0][1])["value"] == -1.5
+
+
 def test_spectrum_r_schedule_uses_the_scaled_kernel(tmp_path):
     code, out = run_cli(tmp_path, "spectrum", """
 [kernel]
@@ -139,6 +164,36 @@ maxiter = 2
     assert [row[1] for row in rows[2:]] == ["3.0", "4.0"]
     assert all(int(row[-1]) <= 2 for row in rows)
     assert json.loads((out / "spectrum-t.json").read_text())["met_tol"] is False
+
+
+def test_spectrum_r_schedule_rise_is_not_converged(tmp_path):
+    # maxiter = 2 leaves the R = 3 and R = 4 brackets about 3.2 wide, and
+    # lambda_p rises inside them: no decrease, so no convergence, and the
+    # uncertainty is the rise plus both widths
+    code, out = run_cli(tmp_path, "spectrum", """
+[kernel]
+family = tent
+
+[grid]
+R = 2
+h = 0.125
+topology = torus
+
+[growth]
+family = bump
+params = a0=2, b=1, a_min=-1
+
+[spectral]
+R_schedule = 3 4
+maxiter = 2
+""")
+    assert code == 0
+    rows = [line.split(",") for line in (out / "spectrum-t.csv").read_text().splitlines()[1:]]
+    (v3, lo3, hi3), (v4, lo4, hi4) = [[float(x) for x in row[4:7]] for row in rows[2:]]
+    assert v4 > v3
+    payload = json.loads((out / "spectrum-t.json").read_text())
+    assert payload["converged"] is False
+    assert payload["uncertainty"] == abs(v3 - v4) + (hi3 - lo3) + (hi4 - lo4)
 
 
 def test_validate_negative_kernel_exits_one(tmp_path):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from nichewave import (
+    Kernel,
     MonotonicityViolationError,
     SpectralEstimate,
     StepSizeError,
@@ -70,6 +73,113 @@ class TestEvolve:
         _, high = evolve(ball_op, np.maximum(sol.values, u0), 10.0, dt=dt)
         assert np.all(low <= mid + 1e-11)
         assert np.all(mid <= high + 1e-11)
+
+
+def reference_evolve(op, u0, horizon, dt, stride=1.0, stationary=None, enforce=None):
+    """evolve as a plain loop that takes every step."""
+    u = np.asarray(u0, dtype=float).copy()
+    w = op.grid.weights
+    n_steps = int(math.ceil(horizon / dt - 1e-12))
+    rows, inc_ok, dec_ok, next_record = [], True, True, stride
+
+    def record(t):
+        dsup = np.max(np.abs(u - stationary)) if stationary is not None else math.nan
+        dl1 = np.sum(w * np.abs(u - stationary)) if stationary is not None else math.nan
+        rows.append((t, np.max(np.abs(u)), dsup, dl1, np.sum(w * u)))
+
+    record(0.0)
+    for step in range(1, n_steps + 1):
+        u_new = u + dt * op.rhs(u)
+        drop, rise = np.min(u_new - u), np.max(u_new - u)
+        assert not (enforce == "increasing" and drop < -1e-12)
+        assert not (enforce == "decreasing" and rise > 1e-12)
+        inc_ok, dec_ok = inc_ok and drop >= -1e-12, dec_ok and rise <= 1e-12
+        u = u_new
+        t = step * dt
+        if t + 1e-12 >= next_record or step == n_steps:
+            record(t)
+            while next_record <= t + 1e-12:
+                next_record += stride
+    flag = "increasing" if inc_ok else "decreasing" if dec_ok else "neither"
+    return [np.asarray(col) for col in zip(*rows)], flag, u, n_steps
+
+
+def tent_bump_ball(dimension, epsilon, m, spacing, radius):
+    grid = build_grid(dimension, radius, spacing, "ball-truncated")
+    return build_operator(grid, rescale_kernel(Kernel("tent", dimension=dimension), epsilon, m),
+                          bump_growth(2.0, 1.0, -1.0))
+
+
+class TestFixedPointStop:
+    @staticmethod
+    def counted_evolve(op, monkeypatch, *args, **kwargs):
+        calls = []
+        rhs = op.rhs
+        monkeypatch.setattr(op, "rhs", lambda u: calls.append(1) or rhs(u))
+        return evolve(op, *args, **kwargs), len(calls)
+
+    @staticmethod
+    def assert_same_run(trace, u, reference):
+        """Compare with reference_evolve's output; return its step count."""
+        columns, flag, u_ref, n_steps = reference
+        got = [trace.times, trace.sup_norm, trace.dist_sup, trace.dist_l1, trace.mass]
+        for col, ref in zip(got, columns):
+            assert np.array_equal(col, ref, equal_nan=True)
+        assert trace.monotone_flag == flag
+        assert np.array_equal(u, u_ref)
+        return n_steps
+
+    @pytest.fixture(scope="class")
+    def settling(self):
+        # the state settles bit for bit at step 257 of 600
+        op = tent_bump_ball(1, 1.0, 0.0, 0.05, 6.0)
+        return op, solve_stationary_ball(op, tol=1e-10)
+
+    def test_settled_run_stops_stepping(self, settling, monkeypatch):
+        op, sol = settling
+        u0 = np.full(op.size, 0.01)
+        reference = reference_evolve(op, u0, 100.0, stable_step(op, 0.01), stationary=sol.values)
+        (trace, u), calls = self.counted_evolve(op, monkeypatch, u0, 100.0, stationary=sol.values)
+        assert calls < self.assert_same_run(trace, u, reference)
+
+    @pytest.mark.parametrize("kind, enforce", [("sub", "increasing"), ("super", "decreasing")])
+    def test_settled_enforced_run(self, settling, monkeypatch, kind, enforce):
+        op, sol = settling
+        u0 = sol.sub if kind == "sub" else sol.super_
+        reference = reference_evolve(op, u0, 100.0, stable_step(op, float(np.max(u0))), enforce=enforce)
+        (trace, u), calls = self.counted_evolve(op, monkeypatch, u0, 100.0, enforce=enforce)
+        assert calls < self.assert_same_run(trace, u, reference)
+        assert trace.monotone_flag == enforce
+
+    def test_unsettled_run_takes_every_step(self, monkeypatch):
+        # m = 2, eps = 0.1: the state keeps changing in its last bits to T
+        op = tent_bump_ball(1, 0.1, 2.0, 0.005, 4.0)
+        u0 = np.full(op.size, 0.01)
+        reference = reference_evolve(op, u0, 30.0, stable_step(op, 0.01))
+        (trace, u), calls = self.counted_evolve(op, monkeypatch, u0, 30.0)
+        assert calls == self.assert_same_run(trace, u, reference) == 3150
+
+
+@pytest.mark.parametrize("dimension, spacing", [(1, 0.05), (2, 0.2)])
+def test_step_is_the_bound_of_the_proof(dimension, spacing, rng):
+    # dPhi_i/du_i = 1 - dt (rate (1 - c_ii) - d_s f) >= 0 on [0, s_max]
+    op = tent_bump_ball(dimension, 1.0, 0.0, spacing, 3.0)
+    s_max = 2.5
+    dt = stable_step(op, s_max)
+    slopes = [op.reaction_slope(np.full(op.size, s)) for s in (0.0, s_max)]
+    assert dt == pytest.approx(1.0 / (op.rate + max(np.max(np.abs(d)) for d in slopes)), rel=1e-15)
+    c_ii = op.taps[(op.reach,) * dimension] * spacing**dimension
+    for d_s_f in slopes:
+        assert np.all(1.0 - dt * (op.rate * (1.0 - c_ii) - d_s_f) >= 0.0)
+
+    u0 = rng.uniform(0.0, s_max - 1.0, size=op.size)
+    v0 = u0 + rng.uniform(0.0, 1.0, size=op.size)
+    _, uT = evolve(op, u0, 5.0, dt=dt)
+    _, vT = evolve(op, v0, 5.0, dt=dt)
+    assert np.all(uT <= vT + 1e-11)
+    sol = solve_stationary_ball(op, tol=1e-10)
+    assert comparison_monotonicity_test(op, sol.sub, "sub", horizon=5.0) == "increasing"
+    assert comparison_monotonicity_test(op, sol.super_, "super", horizon=5.0) == "decreasing"
 
 
 class TestComparisonMonotonicity:

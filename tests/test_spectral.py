@@ -151,6 +151,22 @@ class TestWarmStart:
         assert est.width <= 1e-10
         assert est.iterations > 3
 
+    def test_exact_start_vector_skips_arpack(self, torus_op, tent, bump, monkeypatch):
+        # constant growth on the torus: the ones vector is the eigenvector
+        calls = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+        est = principal_eigenvalue(torus_op, tol=1e-10)
+        assert (est.lower, est.upper, est.iterations, calls) == (-1.5, -1.5, 1, [])
+        op = build_operator(build_grid(1, 4.0, 0.125, "torus"), rescale_kernel(tent, 1.0, 0.0), bump)
+        assert principal_eigenvalue(op, tol=1e-10).met_tol
+        assert calls == [1]
+
 
 # the spectrum-1d-steep bench config and the bracket the seed certified at tol 1e-7
 STEEP_SEED_BRACKET = (-1.711749820961586, -1.711749721820297)
@@ -302,6 +318,18 @@ class TestExtrapolation:
         res = lambda_p_extrapolate_R(tent, bump, [6, 8, 10], 0.1, tol=1e-15)
         big = lambda_p_extrapolate_R(tent, bump, [20], 0.1, tol=1e-15)
         assert res.values[-1] == pytest.approx(big.values[-1], abs=1e-6)
+
+    def test_uncertainty_counts_both_widths(self, tent, bump):
+        loose = lambda_p_extrapolate_R(tent, bump, [6, 8], 0.1, tol=1e-8)
+        first, second = loose.estimates
+        assert loose.converged and first.value >= second.value
+        assert loose.uncertainty == abs(first.value - second.value) + first.width + second.width
+        assert loose.uncertainty <= 1e-8
+        # tol above the decrease but below the decrease plus the widths
+        tight = lambda_p_extrapolate_R(tent, bump, [6, 8], 0.1, tol=0.5 * loose.uncertainty)
+        assert first.value - second.value <= tight.uncertainty * 0.5
+        assert not tight.converged
+        assert tight.uncertainty == loose.uncertainty
 
     def test_lipschitz_in_a(self, tent, bump, rng):
         grid = build_grid(1, 6.0, 0.1, "ball-truncated")
