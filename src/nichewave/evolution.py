@@ -9,6 +9,7 @@ Accuracy order is deliberately traded for provable monotone structure.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,9 @@ from .operators import DiscreteOperator
 from .spectral import SpectralEstimate
 
 _STEP_SLACK = 1e-12
+# Longest period of a repeating Euler orbit that evolve recognises. The orbits
+# measured on 1-D and 2-D tent/bump balls ended in periods 1, 2 and 4.
+_ORBIT_WINDOW = 8
 
 
 @dataclass
@@ -62,10 +66,13 @@ def evolve(
 
     ``enforce`` = "increasing" / "decreasing" turns the pointwise comparison
     of consecutive steps into a hard assertion (sub/super-solution runs).
-    Once a step leaves u unchanged bit for bit, op.rhs is not called again:
-    each later step would compute the same u, so the remaining records hold
-    the monitors of that u, computed once, and the trace and final state are
-    those of the full loop.
+    In exact arithmetic the monotone orbit converges; in floating point it
+    may end in a fixed point or a short cycle. Once a step computes, bit for
+    bit, one of the last _ORBIT_WINDOW (8) states, the orbit repeats with
+    that period p <= 8, and op.rhs is not called again: each later state is
+    one of those p states, whose monitors are computed once. The trace, the
+    monotone flag and the final state are those of the full loop, since the
+    steps of one period were all taken and checked.
     """
     u = np.asarray(u0, dtype=float).copy()
     if np.any(u < 0):
@@ -89,12 +96,13 @@ def evolve(
 
     times = [0.0]
     rows = [monitors(u)]
-    frozen = None  # the monitors of u once a step has left it unchanged
+    recent = deque([(float(np.sum(u)), u)], maxlen=_ORBIT_WINDOW)  # (sum, state)
+    orbit, orbit_rows, phase = None, None, 0  # once a state repeats: one period
 
     next_record = stride
     for step in range(1, n_steps + 1):
         t = step * dt
-        if frozen is None:
+        if orbit is None:
             u_new = u + dt * op.rhs(u)
             change = u_new - u
             drop, rise = float(np.min(change)), float(np.max(change))
@@ -105,10 +113,19 @@ def evolve(
             inc_ok = inc_ok and drop >= -_STEP_SLACK
             dec_ok = dec_ok and rise <= _STEP_SLACK
             u = u_new
-            if drop == rise == 0.0:
-                frozen = monitors(u)
+            total = float(np.sum(u))
+            start = next((k for k, (s, v) in enumerate(recent)
+                          if s == total and np.array_equal(v, u)), None)
+            if start is None:
+                recent.append((total, u))
+            else:
+                orbit = [v for _, v in recent][start:]
+                orbit_rows = [monitors(v) for v in orbit]
+        else:
+            phase = (phase + 1) % len(orbit)
+            u = orbit[phase]
         if t + 1e-12 >= next_record or step == n_steps:
-            row = frozen if frozen is not None else monitors(u)
+            row = orbit_rows[phase] if orbit is not None else monitors(u)
             if not math.isfinite(row[0]):
                 raise NumericalFailureError(f"non-finite state at t={t:.4f}")
             times.append(t)

@@ -14,9 +14,10 @@ nonzero tap, scaled by that tap, in lexicographic offset order; no matrix
 is stored, so memory is O(n + (2q+1)^N). Its summands are nonnegative taps
 times the input, which lets Collatz-Wielandt quotients keep per-entry
 relative accuracy on steep eigenvector tails, so every certified bracket
-uses it. The other path (``convolve``) is one circular FFT convolution on a
-box of L cells per axis: L = n on the torus, and L >= n + q on the ball,
-where every wrapped tap lands off the grid. It has absolute error
+uses it. The other path (``convolve``) is one circular FFT convolution,
+by numpy's pocketfft, on a box of L cells per axis: L = n on the torus, and
+on the ball the smallest 5-smooth length (2^a 3^b 5^c) >= n + q, where
+every wrapped tap lands off the grid. It has absolute error
 ~1e-16 ||u||, is faster at large reach, and serves the rhs, time stepping,
 the Newton CG solves and the ARPACK eigenvector. The assembled CSR forms
 (``conv_matrix``, ``matrix``) add the same summands in the same order; they
@@ -32,7 +33,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse
-from scipy.fft import next_fast_len, rfftn, irfftn
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbsv
 
@@ -98,6 +98,22 @@ def banded_solver(stencil: np.ndarray, slope, n: int):
         return x
 
     return solve
+
+
+def fast_length(target: int) -> int:
+    """Smallest 2^a 3^b 5^c >= target, a length pocketfft transforms fast."""
+    best = 1 << (target - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            length = odd
+            while length < target:
+                length *= 2
+            best = min(best, length)
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def sample_taps(kernel: ScaledKernel, grid: Grid, window_radius: float | None = None):
@@ -174,26 +190,28 @@ class DiscreteOperator:
         """(J_eps * u) restricted to the grid by FFT; exterior contributes zero.
 
         Scatters u into a zeroed box of L cells per axis, convolves circularly
-        with the taps folded onto that box, and gathers the grid points back.
-        On the torus L = n, so the wrap is the periodic sum. On the ball
-        L = next_fast_len(n + q): a tap that wraps lands at a box index >= n,
-        off the grid, so the circular sum equals the truncated one. The same
-        sum term by term is ``stencil_product(u)``. Flat index and tap
-        spectrum are cached on first use; the box is allocated per call, so
-        threads may share one operator.
+        with the taps folded onto that box by numpy's real FFT, and gathers
+        the grid points back. On the torus L = n, so the wrap is the periodic
+        sum. On the ball L = fast_length(n + q), the smallest 5-smooth length
+        >= n + q: a tap that wraps lands at a box index >= n, off the grid, so
+        the circular sum equals the truncated one. The same sum term by term
+        is ``stencil_product(u)``. Flat index and tap spectrum are cached on
+        first use; the box is allocated per call, so threads may share one
+        operator.
         """
         if u.shape != (self.size,):
             raise ValueError(f"expected grid function of length {self.size}")
         if self._fft_plan is None:
             n = self.grid.cells_per_axis
-            length = n if self.grid.topology == "torus" else next_fast_len(n + self.reach, real=True)
+            length = n if self.grid.topology == "torus" else fast_length(n + self.reach)
             shape = (length,) * self.grid.dimension
             flat = np.ravel_multi_index(tuple(self.grid.box_index.T), shape)
-            self._fft_plan = (shape, flat, rfftn(self._wrapped_taps(length)))
+            self._fft_plan = (shape, flat, np.fft.rfftn(self._wrapped_taps(length)))
         shape, flat, spectrum = self._fft_plan
         box = np.zeros(shape)
         box.reshape(-1)[flat] = u
-        out = irfftn(rfftn(box) * spectrum, shape).reshape(-1)[flat]
+        axes = tuple(range(len(shape)))
+        out = np.fft.irfftn(np.fft.rfftn(box) * spectrum, shape, axes).reshape(-1)[flat]
         out *= self.grid.spacing**self.grid.dimension
         return out
 

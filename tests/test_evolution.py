@@ -159,6 +159,35 @@ class TestFixedPointStop:
         (trace, u), calls = self.counted_evolve(op, monkeypatch, u0, 30.0)
         assert calls == self.assert_same_run(trace, u, reference) == 3150
 
+    @pytest.mark.parametrize("period", [2, 3])
+    def test_cycling_run_stops_stepping(self, monkeypatch, period):
+        # a stub rhs walks exact dyadic states: u0 -> s_0 -> ... -> s_{p-1} -> s_0
+        op = tent_bump_ball(1, 1.0, 0.0, 0.25, 2.0)
+        profile = np.round(np.linspace(16.0, 64.0, op.size)) / 64.0  # multiples of 2^-6
+        u0 = np.full(op.size, 0.5)
+        cycle = [profile * (k + 1) / 4.0 for k in range(period)]
+        successor = {u0.tobytes(): cycle[0]}
+        successor.update((s.tobytes(), cycle[(k + 1) % period]) for k, s in enumerate(cycle))
+        dt = 2.0 ** math.floor(math.log2(stable_step(op, float(np.max(cycle[-1])))))
+        monkeypatch.setattr(op, "rhs", lambda u: (successor[u.tobytes()] - u) / dt)
+        stationary = np.full(op.size, 0.75)
+        reference = reference_evolve(op, u0, 10.0, dt, stride=5 * dt, stationary=stationary)
+        (trace, u), calls = self.counted_evolve(op, monkeypatch, u0, 10.0, dt=dt,
+                                                stride=5 * dt, stationary=stationary)
+        assert self.assert_same_run(trace, u, reference) > 10 * period
+        assert calls == period + 1  # the step back to s_0 is the last one taken
+
+    @pytest.mark.parametrize("radius", [3.0, 4.0])
+    def test_evolve_2d_runs_match_the_full_loop(self, radius):
+        # the evolve-2d balls; whether and where they settle depends on the
+        # FFT's last bits, so only the output is compared
+        op = tent_bump_ball(2, 2.0, 0.0, 0.1, radius)
+        u0 = np.full(op.size, 0.01)
+        stationary = solve_stationary_ball(op, tol=1e-10).values
+        reference = reference_evolve(op, u0, 100.0, stable_step(op, 0.01), stationary=stationary)
+        trace, u = evolve(op, u0, 100.0, stationary=stationary)
+        self.assert_same_run(trace, u, reference)
+
 
 @pytest.mark.parametrize("dimension, spacing", [(1, 0.05), (2, 0.2)])
 def test_step_is_the_bound_of_the_proof(dimension, spacing, rng):

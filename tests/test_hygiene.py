@@ -20,8 +20,11 @@
   ``multiprocessing``: every schedule runs in order in one thread.
 - ``scipy.integrate`` is imported only inside functions of ``kernels``,
   never at module level: quadrature lives in one module, and only the
-  families that need it load it. A fresh ``import nichewave.cli`` loads
-  neither ``scipy.integrate`` nor ``scipy.optimize`` (checked in a
+  families that need it load it.
+- No module imports ``scipy.fft``: the convolution uses numpy's FFT, so the
+  import does not pull in ``scipy.special``.
+- A fresh ``import nichewave.cli`` loads none of ``scipy.integrate``,
+  ``scipy.optimize``, ``scipy.fft`` and ``scipy.special`` (checked in a
   subprocess).
 """
 
@@ -137,6 +140,7 @@ RESTRICTED_IMPORTS = {
     "threading": set(),
     "multiprocessing": set(),
     "scipy.integrate": {"kernels.py"},
+    "scipy.fft": set(),
 }
 
 
@@ -291,11 +295,15 @@ def test_import_check_catches_what_it_names():
     assert restricted_imports(ast.parse(local), "stationary.py") == ["scipy.integrate"]
     assert restricted_imports(ast.parse("import scipy.integrate\n"), "stationary.py") == [
         "scipy.integrate"]
+    fft = "from scipy.fft import rfftn\ndef f():\n    from scipy import fft\n"
+    assert restricted_imports(ast.parse(fft), "operators.py") == ["scipy.fft"]
+    assert restricted_imports(ast.parse("import numpy.fft\n"), "operators.py") == []
 
 
 def test_cli_import_loads_no_quadrature():
     code = ("import sys, nichewave.cli\n"
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft',\n"
+            "                         'scipy.special') if m in sys.modules))")
     path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)

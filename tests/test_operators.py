@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,13 @@ from nichewave import (
     rescale_kernel,
     weighted_symmetrize,
 )
-from nichewave.operators import DiscreteOperator, banded_solver, build_operator, sample_taps
+from nichewave.operators import (
+    DiscreteOperator,
+    banded_solver,
+    build_operator,
+    fast_length,
+    sample_taps,
+)
 from nichewave.spectral import _shift_constant, principal_eigenvalue, rayleigh_lambda_v
 
 
@@ -238,6 +245,10 @@ class TestCircularFFT:
             u = rng.random(op.size)
             direct = op.conv_matrix() @ u
             assert np.max(np.abs(op.convolve(u) - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_box_length_is_scipys_fast_real_length(self):
+        lengths = [fast_length(t) for t in range(1, 5001)]
+        assert lengths == [scipy.fft.next_fast_len(t, real=True) for t in range(1, 5001)]
 
     @pytest.mark.parametrize("case", CIRCULAR_CASES[2:4])
     def test_capped_reach_spans_the_box(self, case):
