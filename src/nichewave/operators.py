@@ -22,7 +22,8 @@ every wrapped tap lands off the grid. It has absolute error
 the Newton CG solves and the ARPACK eigenvector. The assembled CSR forms
 (``conv_matrix``, ``matrix``) add the same summands in the same order; they
 are oracles for tests and the dense eigenvalue check, not part of any
-solve.
+solve. This module imports ``scipy.sparse`` only inside them: the test
+oracles and the off-band solves (ARPACK, CG) are all that load it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbsv
 
@@ -305,13 +305,15 @@ class DiscreteOperator:
                 out[start:stop] += coeffs[k] * box[src:src + stop - start]
         return out[rows]
 
-    def conv_matrix(self) -> scipy.sparse.csr_array:
+    def conv_matrix(self):
         """CSR matrix C with C[i,j] = h^N J_eps(x_i - x_j) (torus: wrapped).
 
         Assembled on every call from the stencil walk, O(n (2q+1)^N) memory;
         a test oracle, not used by any solve. The diagonal is always stored
         and column indices rise along each row.
         """
+        import scipy.sparse
+
         deltas, values, _, base, _, pad, _ = self._stencil()
         cols = self.grid.box_lookup(pad=pad).ravel()[base[:, None] + deltas[None, :]]
         on_grid = cols >= 0
@@ -323,8 +325,10 @@ class DiscreteOperator:
             shape=(self.size, self.size),
         )
 
-    def matrix(self, shift: float = 0.0) -> scipy.sparse.csr_array:
+    def matrix(self, shift: float = 0.0):
         """Assembled CSR A = rate (C - I) + diag(a) + shift I; a test oracle."""
+        import scipy.sparse
+
         C = self.conv_matrix()
         diag = self.rate * (C.diagonal() - 1.0)
         if self.a_values is not None:

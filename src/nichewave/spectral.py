@@ -22,7 +22,10 @@ M-matrix solve (Noda, Numer. Math. 17, 1971): six steps reach 1e-12 where
 power steps stall near 1e-8. Elsewhere it comes from ARPACK (Lehoucq,
 Sorensen & Yang, ARPACK Users' Guide, 1998) on the FFT operator (absolute
 error ~1e-16 ||u||), and power steps phi <- B phi by the stencil product
-polish its tail.
+polish its tail. The FFT product also decides whether the start vector is
+kept without ARPACK; only the kept phi goes through the stencil product.
+ARPACK is the one use of ``scipy.sparse`` here, imported on its first
+call, so a banded 1-D solve never loads it.
 
 Every estimate carries the narrowest bracket certified and met_tol (width
 <= tol). A miss is recorded, never raised; a caller that needs the width
@@ -38,8 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
-from scipy.sparse.linalg import ArpackError
 
 from .errors import ConfigError, DiscretizationInconsistencyError, IrreducibilityError
 from .grids import build_grid
@@ -95,9 +96,10 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
 
     phi comes from Noda steps where ``op.band_stencil()`` applies, and
     otherwise from ARPACK and power steps phi <- B phi. Off the band the
-    start vector is kept, without ARPACK, when its own bracket already meets
-    tol or when ARPACK fails. Every bracket comes from the stencil product B phi,
-    B = A + cI, which adds the summands of a CSR row of B in its order.
+    start vector is kept, without ARPACK, when the quotients of its FFT
+    product B phi already lie within tol or when ARPACK fails. Every bracket
+    comes from the stencil product B phi, B = A + cI, which adds the
+    summands of a CSR row of B in its order; it runs once per iteration.
     estimator 'cw' brackets by the two Collatz-Wielandt quotients (lambda_p
     contract); 'rayleigh' uses the weighted Rayleigh quotient as the upper
     (variational) side of the lambda_v contract. It stops at width <= tol,
@@ -108,24 +110,23 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
     c = _shift_constant(op)
 
     phi = start / np.max(start)
-    bphi = op.stencil_product(phi, shift=c)
     stencil = op.band_stencil()
     degenerate = False
     if stencil is None:
-        q = bphi / phi
-        # the loop's first width; a start vector that meets tol is kept, since
-        # ARPACK is not bit-reproducible on an exact one (the flat eigenvector
-        # of constant growth on the torus)
-        if (c - float(np.min(q))) - (c - float(np.max(q))) > tol:
+        # the start vector's width by the FFT product; one that meets tol is
+        # kept, since ARPACK is not bit-reproducible on an exact one (the flat
+        # eigenvector of constant growth on the torus)
+        q = _fft_product(op, c, phi) / phi
+        if float(np.max(q)) - float(np.min(q)) > tol:
             vec, degenerate = _arpack_vector(op, c, phi)
             if vec is not None:
                 phi = np.maximum(vec, _POSITIVE_FLOOR)
                 phi = phi / np.max(phi)
-                bphi = op.stencil_product(phi, shift=c)
     else:
         # sigma I - B = rate (I - C) - diag(a + c - sigma)
         a = op.a_values if op.a_values is not None else 0.0
         noda = banded_solver(stencil, lambda sigma: a + c - sigma, op.size)
+    bphi = op.stencil_product(phi, shift=c)
 
     best = (-math.inf, math.inf)
     iterations = 0
@@ -178,18 +179,24 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
     )
 
 
+def _fft_product(op, c, v):
+    """B v = (A + cI) v by the FFT convolution; absolute error ~1e-16 ||v||."""
+    return op.apply(v, include_growth=op.a_values is not None) + c * v
+
+
 def _arpack_vector(op, c, phi):
     """Perron vector of B = A + cI by ARPACK on the FFT matvec; flags tiny gaps.
 
     v0 = phi keeps reruns bit-identical. build_grid gives n >= 3, so k = 2 < n.
     """
-    growth = op.a_values is not None
+    import scipy.sparse.linalg
+
     bop = scipy.sparse.linalg.LinearOperator(
-        (op.size, op.size), matvec=lambda v: op.apply(v, include_growth=growth) + c * v, dtype=float
+        (op.size, op.size), matvec=lambda v: _fft_product(op, c, v), dtype=float
     )
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(bop, k=2, which="LA", v0=phi, tol=1e-12, maxiter=5000)
-    except (ArpackError, np.linalg.LinAlgError):  # ArpackNoConvergence is an ArpackError
+    except (scipy.sparse.linalg.ArpackError, np.linalg.LinAlgError):  # incl. ArpackNoConvergence
         return None, False
     order = np.argsort(vals)
     gap = float(vals[order[-1]] - vals[order[-2]])

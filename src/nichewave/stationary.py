@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import (
     ConfigError,
@@ -228,7 +227,11 @@ def _cg_solver(op: DiscreteOperator, atol: float):
 
     Used where the banded LU does not apply or does not pay: 2-D balls, the
     torus (wrapped taps) and 1-D balls whose reach exceeds BANDED_MAX_REACH.
+    It is the one user of ``scipy.sparse`` here and imports it, so a banded
+    1-D solve never loads it.
     """
+    from scipy.sparse.linalg import LinearOperator, cg
+
     n = op.size
     c_diag = op.taps[(op.reach,) * op.grid.dimension] * op.grid.spacing**op.grid.dimension
 

@@ -23,9 +23,13 @@
   families that need it load it.
 - No module imports ``scipy.fft``: the convolution uses numpy's FFT, so the
   import does not pull in ``scipy.special``.
+- ``scipy.sparse`` is imported only inside functions of ``operators`` (the
+  CSR test oracles), ``spectral`` (ARPACK) and ``stationary`` (CG), never at
+  module level: only off-band solves and the oracles load it.
 - A fresh ``import nichewave.cli`` loads none of ``scipy.integrate``,
-  ``scipy.optimize``, ``scipy.fft`` and ``scipy.special`` (checked in a
-  subprocess).
+  ``scipy.optimize``, ``scipy.fft``, ``scipy.special`` and ``scipy.sparse``,
+  and a banded 1-D eigenvalue and ball solve leave ``scipy.sparse`` unloaded
+  where a 2-D ball solve loads it (both checked in a subprocess).
 """
 
 import ast
@@ -141,6 +145,7 @@ RESTRICTED_IMPORTS = {
     "multiprocessing": set(),
     "scipy.integrate": {"kernels.py"},
     "scipy.fft": set(),
+    "scipy.sparse": {"operators.py", "spectral.py", "stationary.py"},
 }
 
 
@@ -298,13 +303,40 @@ def test_import_check_catches_what_it_names():
     fft = "from scipy.fft import rfftn\ndef f():\n    from scipy import fft\n"
     assert restricted_imports(ast.parse(fft), "operators.py") == ["scipy.fft"]
     assert restricted_imports(ast.parse("import numpy.fft\n"), "operators.py") == []
+    cg = "def f():\n    from scipy.sparse.linalg import cg\n"
+    assert restricted_imports(ast.parse(cg), "stationary.py") == []
+    assert restricted_imports(ast.parse(cg), "experiments.py") == ["scipy.sparse"]
+    assert restricted_imports(ast.parse("import scipy.sparse.linalg\n"), "spectral.py") == [
+        "scipy.sparse"]
+    assert restricted_imports(ast.parse("def f():\n    from scipy import sparse\n"),
+                              "cli.py") == ["scipy.sparse"]
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this nichewave."""
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    return run.stdout.strip()
 
 
 def test_cli_import_loads_no_quadrature():
     code = ("import sys, nichewave.cli\n"
             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft',\n"
-            "                         'scipy.special') if m in sys.modules))")
-    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+            "                         'scipy.special', 'scipy.sparse') if m in sys.modules))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_only_off_band_solves_load_sparse():
+    code = ("import sys\n"
+            "from nichewave import Kernel, build_grid, build_operator, bump_growth, rescale_kernel\n"
+            "from nichewave.stationary import solve_stationary_ball\n"
+            "for N in (1, 2):\n"
+            "    op = build_operator(build_grid(N, 2.0, 0.25, 'ball-truncated'),\n"
+            "                        rescale_kernel(Kernel('tent', dimension=N), 1.0, 0.0),\n"
+            "                        bump_growth(2.0, 1.0, -1.0))\n"
+            "    banded = op.band_stencil() is not None\n"
+            "    verdict = solve_stationary_ball(op).verdict\n"
+            "    print(N, banded, verdict, 'scipy.sparse' in sys.modules)\n")
+    assert _fresh_python(code).splitlines() == ["1 True persistent False",
+                                                "2 False persistent True"]

@@ -26,7 +26,7 @@ from nichewave import (
 )
 from nichewave import spectral
 from nichewave.experiments import local_kpp_solve_fd
-from nichewave.operators import build_operator
+from nichewave.operators import DiscreteOperator, build_operator
 from nichewave.spectral import _arpack_vector, radius_walk
 from nichewave.stationary import solve_stationary_wholespace
 
@@ -180,6 +180,13 @@ def steep_op():
     return op
 
 
+def ball_2d():
+    """A 2-D ball: no band, so its eigenvector comes from ARPACK."""
+    return build_operator(build_grid(2, 2.0, 0.25, "ball-truncated"),
+                          rescale_kernel(Kernel("tent", dimension=2), 1.0, 0.0),
+                          bump_growth(2.0, 1.0, -1.0))
+
+
 class TestNodaSteps:
     """Eigenvectors of 1-D balls of narrow reach come from banded Noda steps."""
 
@@ -221,11 +228,24 @@ class TestNodaSteps:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", never)
         assert ball_op.band_stencil() is not None
         assert principal_eigenvalue(ball_op, tol=1e-10).width <= 1e-10
-        op2 = build_operator(build_grid(2, 2.0, 0.25, "ball-truncated"),
-                             rescale_kernel(Kernel("tent", dimension=2), 1.0, 0.0),
-                             bump_growth(2.0, 1.0, -1.0))
         with pytest.raises(AssertionError, match="eigsh called"):
-            principal_eigenvalue(op2, tol=1e-10)
+            principal_eigenvalue(ball_2d(), tol=1e-10)
+
+    def test_one_stencil_product_per_iteration_off_the_band(self, monkeypatch):
+        # the FFT product decides whether the start vector is kept; only the
+        # kept phi, here ARPACK's, goes through the stencil product
+        calls = []
+        product = DiscreteOperator.stencil_product
+
+        def spy(self, u, shift=None):
+            calls.append(u.copy())
+            return product(self, u, shift)
+
+        monkeypatch.setattr(DiscreteOperator, "stencil_product", spy)
+        est = principal_eigenvalue(ball_2d(), tol=1e-10)
+        assert est.met_tol
+        assert len(calls) == est.iterations
+        assert not np.all(calls[0] == 1.0)  # the discarded ones vector never got one
 
 
 class TestArpackVector:
