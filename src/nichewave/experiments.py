@@ -50,7 +50,8 @@ class GridPolicy:
         reach = eps * support_radius if math.isfinite(support_radius) else 0.0
         return self.base_radius + self.radius_pad * reach
 
-    def grid_for(self, scaled_kernel, topology: str = "ball-truncated") -> Grid:
+    def grid_for(self, scaled_kernel) -> Grid:
+        """The ball of radius_for(eps) and spacing_for(eps) for a scaled kernel."""
         eps = scaled_kernel.epsilon
         h = self.spacing_for(eps)
         if scaled_kernel.support_radius < MIN_TAPS * h:
@@ -59,7 +60,7 @@ class GridPolicy:
                 f"< {MIN_TAPS} h = {MIN_TAPS * h:.4g}"
             )
         R = snap_radius(self.radius_for(eps, scaled_kernel.base.support_radius), h)
-        return build_grid(scaled_kernel.dimension, R, h, topology, self.max_cells_per_axis)
+        return build_grid(scaled_kernel.dimension, R, h, "ball-truncated", self.max_cells_per_axis)
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +409,13 @@ def asymptotic_limit_check(
     )
     notes = [f"eps={e}: skipped ({r})" for e, r in sweep.skipped.items()]
 
-    lam_errors, u_errors = [], []
-    lam_name = u_name = ""
-    for e in sweep.entries:
-        lam_keys = [k for k in e.errors if k.startswith("lam_err_")]
-        u_key = e.target_name if e.target_name.startswith("u_") else None
-        if lam_keys:
-            lam_name = lam_keys[0]
-            lam_errors.append(e.errors[lam_keys[0]])
-        if u_key:
-            u_name = u_key
-            u_errors.append(e.errors[u_key])
+    entries = sweep.entries
+    lam_key = "lam_err_" + _sweep_targets(m, template.rate, direction, growth.sup_a, lambda1_fd)[0]
+    lam_errors = [e.errors[lam_key] for e in entries]
+    u_errors = [e.target_error for e in entries]
 
     lam_mono = _tail_monotone(lam_errors)
-    u_mono = _tail_monotone(u_errors) if u_errors else True
+    u_mono = _tail_monotone(u_errors)
     if not lam_mono or not u_mono:
         notes.append("non-monotone error decrease: refine base_spacing or widen base_radius")
     eps_used = sweep.epsilons
@@ -434,9 +428,9 @@ def asymptotic_limit_check(
         lambda_monotone=lam_mono,
         u_monotone=u_mono,
         lambda_rate=_empirical_rate(eps_used, lam_errors, direction),
-        u_rate=_empirical_rate(eps_used, u_errors, direction) if u_errors else math.nan,
-        lambda_target_name=lam_name,
-        u_target_name=u_name,
+        u_rate=_empirical_rate(eps_used, u_errors, direction),
+        lambda_target_name=lam_key if entries else "",
+        u_target_name=entries[-1].target_name if entries else "",
         sweep=sweep,
         fd=fd,
         notes=notes,

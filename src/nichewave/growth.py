@@ -70,16 +70,19 @@ class GrowthProfile:
 
     # --- reaction ----------------------------------------------------------
 
-    def f(self, x, s, a_values=None):
-        """f(x, s); the logistic default reads a(x) from ``a_values`` when given."""
+    def f(self, x, s, a_values):
+        """f(x, s) at the points x; the logistic default s (a - s) reads a(x)
+        from ``a_values``, the operator's a(x) at those points."""
         if self.f_fn is not None:
             return self.f_fn(x, s)
-        return s * ((self.a(x) if a_values is None else a_values) - s)
+        return s * (a_values - s)
 
-    def dfds(self, x, s, a_values=None):
+    def dfds(self, x, s, a_values):
+        """d_s f(x, s) at the points x; the logistic default a - 2 s reads
+        a(x) from ``a_values``, the operator's a(x) at those points."""
         if self.dfds_fn is not None:
             return self.dfds_fn(x, s)
-        return (self.a(x) if a_values is None else a_values) - 2.0 * np.asarray(s, dtype=float)
+        return a_values - 2.0 * np.asarray(s, dtype=float)
 
     def saturation(self, x):
         """S(x) with f(x, S(x)) <= 0; logistic default a^+(x)."""

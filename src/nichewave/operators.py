@@ -1,8 +1,10 @@
 """Discrete nonlocal dispersal operators rate * (J_eps * u - u) + a(x) u.
 
-Grid points live on an integer lattice, kernel taps are sampled at integer
-offsets and renormalized to exact unit discrete mass, and both application
-paths evaluate the identical sum
+Every operator carries a(x) = d_s f(x, 0) as the array ``a_values`` on its
+grid; pure dispersal is the case a = 0, not a separate form. Grid points
+live on an integer lattice, kernel taps are sampled at integer offsets and
+renormalized to exact unit discrete mass, and both application paths
+evaluate the identical sum
 
     out_i = sum_j w_j J_eps(x_i - x_j) u_j
 
@@ -158,12 +160,16 @@ def sample_taps(kernel: ScaledKernel, grid: Grid, window_radius: float | None = 
 
 @dataclass
 class DiscreteOperator:
-    """Matrix-free representation of rate*(J_eps * . - I) + a."""
+    """Matrix-free representation of rate*(J_eps * . - I) + a.
+
+    ``a_values`` is a(x) on the grid, the operator's only carrier of it;
+    ``growth`` is needed only for the nonlinear reaction f(x, u).
+    """
 
     grid: Grid
     kernel: ScaledKernel
     growth: Optional[GrowthProfile]
-    a_values: Optional[np.ndarray]
+    a_values: np.ndarray
     taps: np.ndarray
     tail_mass: float
     reach: int
@@ -292,10 +298,7 @@ class DiscreteOperator:
             coeffs, diag = values, values[centre]
         else:
             coeffs = self.rate * values
-            diag = self.rate * (values[centre] - 1.0)
-            if self.a_values is not None:
-                diag = diag + self.a_values
-            diag = diag + shift
+            diag = self.rate * (values[centre] - 1.0) + self.a_values + shift
         rows = base - base[0]
         out = np.zeros(base[-1] + 1 - base[0])
         for k, (start, stop, src) in enumerate(clips):
@@ -330,9 +333,7 @@ class DiscreteOperator:
         import scipy.sparse
 
         C = self.conv_matrix()
-        diag = self.rate * (C.diagonal() - 1.0)
-        if self.a_values is not None:
-            diag += self.a_values
+        diag = self.rate * (C.diagonal() - 1.0) + self.a_values
         A = scipy.sparse.csr_array((self.rate * C.data, C.indices, C.indptr), shape=C.shape)
         A.setdiag(diag + shift)
         return A
@@ -349,14 +350,10 @@ class DiscreteOperator:
 
     # --- operator application ---------------------------------------------------
 
-    def apply(self, u: np.ndarray, include_growth: bool = True) -> np.ndarray:
-        """rate (J_eps * u - u), plus a(x) u when include_growth is set."""
-        out = self.rate * (self.convolve(u) - u)
-        if include_growth:
-            if self.a_values is None:
-                raise ValueError("operator has no growth linearization attached")
-            out = out + self.a_values * u
-        return out
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """A u = rate (J_eps * u - u) + a(x) u by the FFT convolution: the
+        operator ``matrix()`` assembles, with a = 0 for pure dispersal."""
+        return self.rate * (self.convolve(u) - u) + self.a_values * u
 
     def reaction(self, u: np.ndarray) -> np.ndarray:
         return self.growth.f(self.points_arg, u, self.a_values)
@@ -367,7 +364,7 @@ class DiscreteOperator:
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         """Full stationary residual rate (J_eps * u - u) + f(x, u)."""
-        return self.apply(u, include_growth=False) + self.reaction(u)
+        return self.rate * (self.convolve(u) - u) + self.reaction(u)
 
     # --- certified ingredients ---------------------------------------------------
 
@@ -383,10 +380,9 @@ class DiscreteOperator:
         Gershgorin row sums give lambda_max <= max(a - rate (1 - k)); the
         coordinate Rayleigh quotient gives lambda_max >= max(a) - rate.
         """
-        a = self.a_values if self.a_values is not None else np.zeros(self.size)
         k = self.kernel_mass()
-        lo = -float(np.max(a - self.rate * (1.0 - k)))
-        hi = self.rate - float(np.max(a))
+        lo = -float(np.max(self.a_values - self.rate * (1.0 - k)))
+        hi = self.rate - float(np.max(self.a_values))
         return lo, hi
 
     def energy(self, u: np.ndarray) -> float:
@@ -411,19 +407,23 @@ def build_operator(
 ) -> DiscreteOperator:
     """Assemble the discrete operator; ``kernel`` may be a base Kernel
     (used at scale eps=1, rate 1) or an explicitly rescaled one. The grid
-    must live in the kernel's dimension N (ConfigError otherwise)."""
+    must live in the kernel's dimension N (ConfigError otherwise).
+
+    a(x) is stored as an array: the caller's ``a_values``, else ``growth.a``
+    sampled on the grid, else zeros (pure dispersal). ``growth`` is needed
+    only by ``reaction`` and ``reaction_slope``."""
     if grid.dimension != kernel.dimension:
         raise ConfigError(f"a {kernel.dimension}-D kernel on a {grid.dimension}-D grid")
     if isinstance(kernel, Kernel):
         kernel = rescale_kernel(kernel, 1.0, 0.0, 1.0)
     taps, tail_mass, reach = sample_taps(kernel, grid, window_radius=tap_window)
-    if a_values is None and growth is not None:
-        a_values = grid.sample(growth.a)
+    if a_values is None:
+        a_values = np.zeros(grid.size) if growth is None else grid.sample(growth.a)
     return DiscreteOperator(
         grid=grid,
         kernel=kernel,
         growth=growth,
-        a_values=None if a_values is None else np.asarray(a_values, dtype=float),
+        a_values=np.asarray(a_values, dtype=float),
         taps=taps,
         tail_mass=tail_mass,
         reach=reach,

@@ -87,8 +87,7 @@ def _check_irreducible(op) -> None:
 
 
 def _shift_constant(op) -> float:
-    amax = float(np.max(np.abs(op.a_values))) if op.a_values is not None else 0.0
-    return 1.0 + amax + op.rate
+    return 1.0 + float(np.max(np.abs(op.a_values))) + op.rate
 
 
 def _certified_iteration(op, tol, maxiter, estimator, start):
@@ -124,8 +123,7 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
                 phi = phi / np.max(phi)
     else:
         # sigma I - B = rate (I - C) - diag(a + c - sigma)
-        a = op.a_values if op.a_values is not None else 0.0
-        noda = banded_solver(stencil, lambda sigma: a + c - sigma, op.size)
+        noda = banded_solver(stencil, lambda sigma: op.a_values + c - sigma, op.size)
     bphi = op.stencil_product(phi, shift=c)
 
     best = (-math.inf, math.inf)
@@ -161,10 +159,7 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
     rq_a = float(phi @ (op.grid.weights * a_phi)) / float(phi @ (op.grid.weights * phi))
     value = float(np.clip(-rq_a, best[0], best[1]))
     residual = float(np.max(np.abs(a_phi + value * phi)))
-    sup_a = float(np.max(op.a_values)) if op.a_values is not None else None
-    certified = None
-    if sup_a is not None:
-        certified = bool(best[1] < op.rate - sup_a)
+    sup_a = float(np.max(op.a_values))
     return SpectralEstimate(
         value=value,
         lower=best[0],
@@ -174,14 +169,15 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
         iterations=iterations,
         met_tol=bool(best[1] - best[0] <= tol),
         sup_a=sup_a,
-        eigenfunction_certified=certified,
+        eigenfunction_certified=bool(best[1] < op.rate - sup_a),
         degenerate=degenerate,
     )
 
 
 def _fft_product(op, c, v):
-    """B v = (A + cI) v by the FFT convolution; absolute error ~1e-16 ||v||."""
-    return op.apply(v, include_growth=op.a_values is not None) + c * v
+    """B v = (A + cI) v, A = ``op.apply``, by the FFT convolution; absolute
+    error ~1e-16 ||v||."""
+    return op.apply(v) + c * v
 
 
 def _arpack_vector(op, c, phi):
@@ -301,10 +297,10 @@ def lambda_p_extrapolate_R(
     """Whole-space lambda_p read as the limit of lambda_p(L_R + a) on radius_walk.
 
     The uncertainty of a step is |decrease| plus both bracket widths, inf
-    after one ball. The walk stops at the first step that does not raise
-    lambda_p and whose uncertainty is at most tol (converged); a rise within
-    the brackets never counts as converged. ``known`` and maxiter are passed
-    to radius_walk.
+    after one ball. The walk stops at the first step whose uncertainty is at
+    most tol and whose rise of lambda_p, if any, is at most the two bracket
+    widths (converged): the brackets then still overlap, the rise
+    radius_walk allows. ``known`` and maxiter are passed to radius_walk.
     """
     estimates = []
     used = []
@@ -316,9 +312,10 @@ def lambda_p_extrapolate_R(
         estimates.append(est)
         used.append(R)
         if len(estimates) >= 2:
-            decrease = estimates[-2].value - est.value
-            uncertainty = abs(decrease) + estimates[-2].width + est.width
-            if decrease >= 0.0 and uncertainty <= tol:
+            prev = estimates[-2]
+            decrease = prev.value - est.value
+            uncertainty = abs(decrease) + prev.width + est.width
+            if -decrease <= prev.width + est.width and uncertainty <= tol:
                 converged = True
                 break
     return ExtrapolationResult(

@@ -439,12 +439,11 @@ def verify_uniqueness(op: DiscreteOperator, u: np.ndarray, v: np.ndarray) -> Uni
     skipped to avoid 0/0.
     """
     w = op.grid.weights
-    pts = op.points_arg
     mask = (u > _RATIO_FLOOR) & (v > _RATIO_FLOOR)
     fu = np.zeros_like(u)
     fv = np.zeros_like(v)
-    fu[mask] = op.growth.f(pts, u)[mask] / u[mask]
-    fv[mask] = op.growth.f(pts, v)[mask] / v[mask]
+    fu[mask] = op.reaction(u)[mask] / u[mask]
+    fv[mask] = op.reaction(v)[mask] / v[mask]
     defect = float(np.sum(w[mask] * v[mask] * u[mask] * (fu[mask] - fv[mask])))
     return UniquenessReport(
         defect=defect,

@@ -196,6 +196,38 @@ maxiter = 2
     assert payload["uncertainty"] == abs(v3 - v4) + (hi3 - lo3) + (hi4 - lo4)
 
 
+def test_spectrum_r_schedule_rise_at_the_floor_converges(tmp_path):
+    # lambda_p rises by 6.7e-16 from R = 6 to R = 8, well inside the two
+    # brackets (6e-10 and 5e-15 wide): the step converges, and R = 10 is
+    # never solved
+    code, out = run_cli(tmp_path, "spectrum", """
+[kernel]
+family = tent
+
+[grid]
+R = 6
+h = 0.1
+
+[growth]
+family = bump
+params = a0=2, b=1, a_min=-1
+
+[spectral]
+tol = 1e-7
+R_schedule = 6 8 10
+""")
+    assert code == 0
+    rows = [line.split(",") for line in (out / "spectrum-t.csv").read_text().splitlines()[1:]]
+    assert [row[1] for row in rows[2:]] == ["6.0", "8.0"]
+    (v6, lo6, hi6), (v8, lo8, hi8) = [[float(x) for x in row[4:7]] for row in rows[2:]]
+    assert 0.0 < v8 - v6 <= (hi6 - lo6) + (hi8 - lo8)
+    payload = json.loads((out / "spectrum-t.json").read_text())
+    assert payload["converged"] is True
+    assert payload["extrapolated"] == v8
+    assert payload["uncertainty"] == abs(v6 - v8) + (hi6 - lo6) + (hi8 - lo8)
+    assert payload["uncertainty"] <= 1e-7
+
+
 def test_validate_negative_kernel_exits_one(tmp_path):
     code, _ = run_cli(tmp_path, "validate", """
 [kernel]

@@ -222,9 +222,19 @@ class TestLimitCheck:
                                      solver_tol=1e-9, spectral_tol=1e-9)
         assert chk.lambda_monotone
         assert chk.lambda_target_name == "lam_err_1-sup_a"
+        assert chk.u_target_name == "u_sup_err_(a-1)+"
+        assert chk.u_errors == [e.errors["u_sup_err_(a-1)+"] for e in chk.sweep.entries]
         # Lemma 6.2 / remark envelope at the largest range factor
         final_sup_err = chk.sweep.entries[-1].errors["u_sup_err_(a-1)+"]
         assert final_sup_err <= 1.0 / 32.0**0.25 + 1e-6
+
+
+    def test_every_eps_skipped_leaves_no_target(self, tent, bump):
+        policy = GridPolicy(base_radius=4.0, base_spacing=0.1, max_cells_per_axis=10)
+        chk = asymptotic_limit_check(tent, bump, 1.0, "large", [4, 8], policy)
+        assert chk.epsilons == [] and chk.lambda_errors == [] and chk.u_errors == []
+        assert (chk.lambda_target_name, chk.u_target_name) == ("", "")
+        assert len(chk.notes) == 2
 
 
 class TestAudit:

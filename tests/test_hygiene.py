@@ -16,6 +16,9 @@
   ``grids.build_grid``, ``kernels.Kernel`` and ``kernels._sphere_measure``:
   the space dimension N is set on the kernel, and every grid built for a
   kernel reads ``kernel.dimension``.
+- ``a_values`` is compared with ``None`` only in ``operators.build_operator``:
+  every operator carries a(x) as an array (zeros for pure dispersal), so no
+  solve path branches on a missing growth linearization.
 - No module imports ``concurrent.futures``, ``threading`` or
   ``multiprocessing``: every schedule runs in order in one thread.
 - ``scipy.integrate`` is imported only inside functions of ``kernels``,
@@ -134,6 +137,21 @@ def dimension_knobs(tree: ast.Module) -> list[str]:
             if any(isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
                    and stmt.target.id == "dimension" for stmt in node.body):
                 found.append(node.name)
+    return sorted(found)
+
+
+def a_values_none_tests(tree: ast.Module) -> list[int]:
+    """Lines of every comparison of ``a_values`` (a name or an attribute)
+    with ``None``, by ``is``, ``is not``, ``==`` or ``!=``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare) or not all(
+                isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)) for op in node.ops):
+            continue
+        operands = [node.left, *node.comparators]
+        if any((_dotted(o) or "").split(".")[-1] == "a_values" for o in operands) and any(
+                isinstance(o, ast.Constant) and o.value is None for o in operands):
+            found.append(node.lineno)
     return sorted(found)
 
 
@@ -279,6 +297,30 @@ def test_dimension_check_catches_what_it_names():
         "n = grid.dimension\nbuild_grid(dimension=2)\n"
     )
     assert dimension_knobs(tree) == ["<lambda>", "Policy", "solve", "walk"]
+
+
+# (module, function) that may meet a missing a(x): the one place that fills it in
+A_VALUES_NONE_ALLOWED = {("operators.py", "build_operator")}
+
+
+def test_a_values_is_never_none_past_build_operator():
+    found = []
+    for path in MODULES:
+        tree = _tree(path)
+        found += lines_outside(path.name, tree, a_values_none_tests(tree), A_VALUES_NONE_ALLOWED)
+    assert found == []
+
+
+def test_a_values_check_catches_what_it_names():
+    source = ("def build_operator(a_values=None):\n    if a_values is None:\n        pass\n"
+              "def _shift_constant(op):\n    return 0.0 if op.a_values is None else 1.0\n"
+              "ok = self.a_values is not None\nok = None == growth.a_values\n"
+              "ok = a_values == 0.0\nok = a is None\nok = op.a_values < None\n")
+    tree = ast.parse(source)
+    assert a_values_none_tests(tree) == [2, 5, 6, 7]
+    assert lines_outside("operators.py", tree, [2, 5, 6, 7], A_VALUES_NONE_ALLOWED) == [
+        "operators.py:5", "operators.py:6", "operators.py:7"]
+    assert lines_outside("spectral.py", tree, [2], A_VALUES_NONE_ALLOWED) == ["spectral.py:2"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -97,15 +97,29 @@ class TestConvolution:
 
 class TestApply:
     def test_constant_in_kernel_of_torus_operator(self, torus_op):
-        u = np.full(torus_op.size, 3.7)
-        out = torus_op.apply(u, include_growth=False)
+        dispersal = build_operator(torus_op.grid, torus_op.kernel)
+        u = np.full(dispersal.size, 3.7)
+        out = dispersal.apply(u)
         assert np.max(np.abs(out)) < 1e-12
 
     def test_boundary_mass_deficit(self, ball_op):
-        ones = np.ones(ball_op.size)
-        out = ball_op.apply(ones, include_growth=False)
+        dispersal = build_operator(ball_op.grid, ball_op.kernel)
+        ones = np.ones(dispersal.size)
+        out = dispersal.apply(ones)
         assert np.all(out <= 1e-14)
         assert out[0] < -1e-3 and out[-1] < -1e-3  # strict deficit near the edge
+
+    def test_growthless_ball_is_pure_dispersal(self, tent, rng):
+        # a = 0 is an operator like any other: zeros in a_values, and a
+        # certified lambda_p with sup_a = 0
+        op = build_operator(build_grid(1, 4.0, 0.125, "ball-truncated"),
+                            rescale_kernel(tent, 1.0, 0.0, 2.0))
+        u = rng.random(op.size)
+        assert np.array_equal(op.a_values, np.zeros(op.size))
+        assert np.array_equal(op.apply(u), op.rate * (op.convolve(u) - u))
+        est = principal_eigenvalue(op)
+        assert est.sup_a == 0.0
+        assert isinstance(est.eigenfunction_certified, bool)
 
     def test_matrix_is_oracle_for_matrix_free(self, tent):
         growth = bump_growth(1.0, 1.0, -1.0)
