@@ -26,7 +26,6 @@ from .errors import (
 )
 from .kernels import (
     Kernel,
-    ScaledKernel,
     ValidationReport,
     kernel_moment,
     rescale_kernel,

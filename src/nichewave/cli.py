@@ -3,10 +3,11 @@
     nichewave <command> <config.ini>
 
 Commands: validate, spectrum, stationary, evolve, sweep, eps-star, ess,
-fat-tail, audit. Every command takes the kernel family, epsilon, m and
-alpha0 from [kernel], so all of them solve with the same kernel and rate;
+fat-tail, audit. Every command takes one Kernel, family, epsilon, m and
+alpha0, from [kernel], so all of them solve with the same kernel and rate;
 sweep, eps-star, ess and audit replace only epsilon, and eps-star needs
-m = 0. [sweep] m, [ess] m and [audit] m are gone (see nichewave.config).
+m = 0. validate checks the hypotheses on J itself, that Kernel at
+epsilon = 1. [sweep] m, [ess] m and [audit] m are gone (see nichewave.config).
 The commands that walk an eps schedule solve one eps after another in one
 thread; [run] workers accepts only 1.
 Artifacts are CSV/JSON named <command>-<label>.* in the configured output
@@ -27,6 +28,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -113,9 +115,8 @@ def _u0_from_spec(spec: str, grid, stationary_values):
 
 
 def cmd_validate(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
-    cfg.scaled_kernel()  # [kernel] epsilon, m and alpha0 in range, as every solving command needs
-    kernel = cfg.kernel()
-    report = validate_kernel(kernel)
+    kernel = cfg.scaled_kernel()  # [kernel] epsilon, m and alpha0 in range, as every solving command needs
+    report = validate_kernel(replace(kernel, epsilon=1.0))  # J itself
     write_json(outdir / f"validate-{label}.json", {
         "family": kernel.family,
         "h1_nonnegative": report.h1_nonnegative,
@@ -214,14 +215,8 @@ def cmd_stationary(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     zero = np.zeros(grid.size)
     sub = sol.sub if sol.sub is not None else zero
     sup = sol.super_ if sol.super_ is not None else zero
-    if grid.dimension == 1:
-        header = ["x", "u", "sub", "super", "a"]
-        rows = [[grid.points[i, 0], sol.values[i], sub[i], sup[i], a_vals[i]]
-                for i in range(grid.size)]
-    else:
-        header = ["x", "y", "u", "sub", "super", "a"]
-        rows = [[grid.points[i, 0], grid.points[i, 1], sol.values[i], sub[i], sup[i], a_vals[i]]
-                for i in range(grid.size)]
+    header = ["x", "y"][:grid.dimension] + ["u", "sub", "super", "a"]
+    rows = [[*grid.points[i], sol.values[i], sub[i], sup[i], a_vals[i]] for i in range(grid.size)]
     write_csv(outdir / f"stationary-{label}.csv", header, rows)
     write_json(outdir / f"stationary-{label}.json", {
         "verdict": sol.verdict,

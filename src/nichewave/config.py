@@ -21,9 +21,9 @@ Sections and keys (all optional unless a command needs them):
 [kernel] dimension is the one N: it goes to the Kernel, and every grid
 takes N from the kernel, so no other key or section sets it.
 
-Every command takes the kernel family, epsilon, the cost exponent m and
-alpha0 from [kernel] (ExperimentConfig.scaled_kernel), so all of them
-solve with the same pair (J_eps, rate alpha0/eps^m); the commands that
+Every command takes one Kernel from [kernel] (ExperimentConfig.scaled_kernel):
+the family, epsilon, the cost exponent m and alpha0, so all of them solve
+with the same pair (J_eps, rate alpha0/eps^m); the commands that
 sweep epsilon (sweep, eps-star, ess, audit) replace only epsilon. The keys
 [sweep] m, [ess] m, [audit] m and [growth] radial_nonincreasing are gone,
 and a config that sets one is rejected as an unknown key.
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .growth import GROWTH_FAMILIES, GrowthProfile
-from .kernels import Kernel, ScaledKernel, rescale_kernel
+from .kernels import Kernel
 
 DEFAULTS = {
     "run": {"seed": 0, "label": "run", "output_dir": "out", "workers": 1},
@@ -117,19 +117,13 @@ class ExperimentConfig:
     def __getitem__(self, section: str) -> dict:
         return self.sections[section]
 
-    def kernel(self) -> Kernel:
+    def scaled_kernel(self) -> Kernel:
+        """The one kernel, J_eps at rate alpha0/eps^m, every command solves with."""
         k = self.sections["kernel"]
         try:
-            return Kernel(k["family"], dimension=k["dimension"], params=dict(k["params"]))
-        except ValueError as exc:  # unknown family or dimension
-            raise ConfigError(f"[kernel] {exc}") from exc
-
-    def scaled_kernel(self) -> ScaledKernel:
-        """The one (J_eps, rate alpha0/eps^m) pair every command solves with."""
-        k = self.sections["kernel"]
-        try:
-            return rescale_kernel(self.kernel(), k["epsilon"], k["m"], k["alpha0"])
-        except ValueError as exc:  # epsilon, m or alpha0 out of range
+            return Kernel(k["family"], dimension=k["dimension"], params=dict(k["params"]),
+                          epsilon=k["epsilon"], m=k["m"], alpha0=k["alpha0"])
+        except ValueError as exc:  # unknown family or dimension; epsilon, m or alpha0 out of range
             raise ConfigError(f"[kernel] {exc}") from exc
 
     def growth(self) -> GrowthProfile:

@@ -1,9 +1,9 @@
 """Quantitative programs: budget sweeps, thresholds, limits, audits, invasion.
 
-Every program takes one ScaledKernel, the pair (J_eps, rate alpha0/eps^m)
-of the paper's fixed dispersal budget, and gets its kernel at each range
-factor by dataclasses.replace(kernel, epsilon=eps): m and alpha0 never
-change along a schedule, and no program re-derives the rate.
+Every program takes one Kernel, which carries the pair (J_eps, rate
+alpha0/eps^m) of the paper's fixed dispersal budget, and gets its kernel at
+each range factor by dataclasses.replace(kernel, epsilon=eps): m and alpha0
+never change along a schedule, and no program re-derives the rate.
 
 Grid coupling follows the sweep design: for small range factors the spacing
 shrinks with eps (h = h0 min(1, eps)) so the rescaled kernel stays resolved;
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, KernelHypothesisError, ResourceLimitError, UnderResolvedKernelError
 from .grids import Grid, build_grid, snap_radius
 from .growth import GrowthProfile
-from .kernels import Kernel, ScaledKernel, kernel_moment, rescale_kernel, validate_kernel
+from .kernels import Kernel, kernel_moment, rescale_kernel, validate_kernel
 from .operators import build_operator
 from .spectral import SpectralEstimate, principal_eigenvalue
 from .stationary import BallSolve, solve_stationary_ball
@@ -46,21 +46,22 @@ class GridPolicy:
     def spacing_for(self, eps: float) -> float:
         return self.base_spacing * min(1.0, eps)
 
-    def radius_for(self, eps: float, support_radius: float) -> float:
-        reach = eps * support_radius if math.isfinite(support_radius) else 0.0
+    def radius_for(self, kernel: Kernel) -> float:
+        """base_radius padded by the kernel's reach, if its support is compact."""
+        reach = kernel.support_radius if kernel.compactly_supported else 0.0
         return self.base_radius + self.radius_pad * reach
 
-    def grid_for(self, scaled_kernel) -> Grid:
-        """The ball of radius_for(eps) and spacing_for(eps) for a scaled kernel."""
-        eps = scaled_kernel.epsilon
+    def grid_for(self, kernel: Kernel) -> Grid:
+        """The ball of radius_for(kernel) and spacing_for(eps) at the kernel's eps."""
+        eps = kernel.epsilon
         h = self.spacing_for(eps)
-        if scaled_kernel.support_radius < MIN_TAPS * h:
+        if kernel.support_radius < MIN_TAPS * h:
             raise UnderResolvedKernelError(
-                f"eps={eps}: kernel support {scaled_kernel.support_radius:.4g} "
+                f"eps={eps}: kernel support {kernel.support_radius:.4g} "
                 f"< {MIN_TAPS} h = {MIN_TAPS * h:.4g}"
             )
-        R = snap_radius(self.radius_for(eps, scaled_kernel.base.support_radius), h)
-        return build_grid(scaled_kernel.dimension, R, h, "ball-truncated", self.max_cells_per_axis)
+        R = snap_radius(self.radius_for(kernel), h)
+        return build_grid(kernel.dimension, R, h, "ball-truncated", self.max_cells_per_axis)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +165,7 @@ def _sweep_one(kernel, growth, eps, policy, direction, solver_tol, spectral_tol,
 
 
 def epsilon_sweep(
-    kernel: ScaledKernel,
+    kernel: Kernel,
     growth: GrowthProfile,
     epsilons,
     policy: GridPolicy | None = None,
@@ -203,7 +204,7 @@ class EpsStarResult:
 
 
 def find_eps_star(
-    kernel: ScaledKernel,
+    kernel: Kernel,
     growth: GrowthProfile,
     lo: float,
     hi: float,
@@ -310,7 +311,7 @@ def local_kpp_solve_fd(
         raise ConfigError("diffusion coefficient must be positive")
     jump = Kernel("tabulated", params={"r": [0.0, 1.0], "values": [0.0, 1.0]})
     grid = build_grid(1, radius - spacing / 2.0, spacing)
-    op = build_operator(grid, ScaledKernel(jump, epsilon=spacing, m=2.0, alpha0=2.0 * sigma), growth)
+    op = build_operator(grid, rescale_kernel(jump, spacing, 2.0, 2.0 * sigma), growth)
     lam1 = principal_eigenvalue(op)
     solve = solve_stationary_ball(op, tol=tol, lam=lam1)
     return LocalKPPResult(nodes=grid.points[:, 0], values=solve.values, lambda1=lam1,
@@ -369,11 +370,11 @@ def asymptotic_limit_check(
 ) -> LimitCheck:
     """Tabulate distances to the theoretical limit along an eps schedule.
 
-    The sweep runs on one ScaledKernel of cost exponent m and alpha0, one eps
-    after another. direction "large": targets a+ ((a-alpha0)+ for m=0) and
-    the large-eps spectral limits; "small": -sup a for m < 2, the
-    local-Laplacian pair (lambda_1, v) of sigma Lap, sigma = alpha0 D_2(J)/(2N),
-    for m = 2. That pair comes from ``local_kpp_solve_fd``, the same certified
+    ``kernel`` gives J: its own scale is replaced, and the sweep runs on J_eps
+    at cost exponent m and alpha0, one eps after another. direction "large":
+    targets a+ ((a-alpha0)+ for m=0) and the large-eps spectral limits;
+    "small": -sup a for m < 2, the local-Laplacian pair (lambda_1, v) of
+    sigma Lap, sigma = alpha0 D_2(J)/(2N), for m = 2. That pair comes from ``local_kpp_solve_fd``, the same certified
     eigen-solve and ball solve on the nonlocal operator at range fd_spacing.
     It is 1-D, so m = 2 toward small eps needs a 1-D kernel and raises
     ConfigError otherwise.
@@ -394,7 +395,7 @@ def asymptotic_limit_check(
     fd_reference = None
     lambda1_fd = None
     if direction == "small" and m == 2.0:
-        sigma = alpha0 * kernel_moment(kernel, 2.0) / (2.0 * kernel.dimension)
+        sigma = alpha0 * kernel_moment(template, 2.0) / (2.0 * kernel.dimension)
         R_fd = snap_radius(policy.base_radius, fd_spacing)
         fd = local_kpp_solve_fd(growth, sigma, R_fd, fd_spacing, tol=solver_tol)
         lambda1_fd = fd.lambda1.value
@@ -509,7 +510,7 @@ class EnergySlopeFit:
 
 
 def energy_slope_audit(
-    kernel: ScaledKernel,
+    kernel: Kernel,
     growth: GrowthProfile,
     epsilons,
     policy: GridPolicy | None = None,
@@ -569,14 +570,14 @@ class InvasionMatrix:
 def _common_policy_grid(policy: GridPolicy, kernel: Kernel, epsilons) -> Grid:
     """One grid that resolves the smallest eps and reaches the largest."""
     h = policy.spacing_for(min(epsilons))
-    R = snap_radius(policy.radius_for(max(epsilons), kernel.support_radius), h)
+    R = snap_radius(policy.radius_for(replace(kernel, epsilon=max(epsilons))), h)
     return build_grid(kernel.dimension, R, h, "ball-truncated", policy.max_cells_per_axis)
 
 
 def _resident(kernel, growth, eps1, epsilons, policy, solver_tol, spectral_tol):
     """(grid, u*_{eps1}) on the common grid of epsilons; the resident kernel
     must span MIN_TAPS cells of it."""
-    grid = _common_policy_grid(policy, kernel.base, epsilons)
+    grid = _common_policy_grid(policy, kernel, epsilons)
     res_kernel = replace(kernel, epsilon=eps1)
     if res_kernel.support_radius < MIN_TAPS * grid.spacing:
         raise UnderResolvedKernelError(f"resident kernel unresolved at eps1={eps1}")
@@ -585,7 +586,7 @@ def _resident(kernel, growth, eps1, epsilons, policy, solver_tol, spectral_tol):
 
 
 def invasion_fitness(
-    kernel: ScaledKernel,
+    kernel: Kernel,
     growth: GrowthProfile,
     eps1: float,
     eps2: float,
@@ -619,7 +620,7 @@ def invasion_fitness(
 
 
 def build_invasion_matrix(
-    kernel: ScaledKernel,
+    kernel: Kernel,
     growth: GrowthProfile,
     eps_residents,
     eps_mutants=None,
@@ -661,7 +662,7 @@ class FatTailResult:
 
 
 def fat_tail_verdict(
-    kernel: ScaledKernel,
+    kernel: Kernel,
     growth: GrowthProfile,
     radii,
     spacing: float,
@@ -675,7 +676,7 @@ def fat_tail_verdict(
     tail-inflated upper bound of lim_R lambda_p(L_R + a) to be negative;
     extinction requires the whole-space lower bound -sup a to be positive.
     """
-    report = validate_kernel(kernel.base)
+    report = validate_kernel(replace(kernel, epsilon=1.0))
     if not (report.h1 and report.h2_center_positive and report.h5_finite_moment):
         raise KernelHypothesisError(f"kernel fails hypotheses: {report.messages}")
     if kernel.compactly_supported:
@@ -716,7 +717,7 @@ def fat_tail_verdict(
     )
 
 
-def _tail_window(kernel: ScaledKernel, tail_target: float) -> float:
+def _tail_window(kernel: Kernel, tail_target: float) -> float:
     w = max(kernel.support_radius, 1.0) if math.isfinite(kernel.support_radius) else 1.0
     while kernel.mass_beyond(w) > tail_target and w < 1e9:
         w *= 2.0

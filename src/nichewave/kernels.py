@@ -3,7 +3,10 @@
 A kernel J is a radially symmetric probability density on R^N. The
 dispersal-budget rescaling replaces J by the pair (J_eps, rate) with
 J_eps(z) = eps^{-N} J(z/eps) and rate = alpha0/eps^m, which keeps the
-budget integral rate * D_m(J_eps) independent of eps.
+budget integral rate * D_m(J_eps) independent of eps. One ``Kernel``
+carries the whole pair: its family and params define J, and its epsilon,
+m and alpha0 (default 1, 0, 1: J itself at rate 1) set the scale. Every
+value it reports, profile, support, tail mass and moments, is J_eps's.
 
 Radial integrals (moments, tail mass) are exact for the piecewise-polynomial
 families, tent, truncated-quadratic and tabulated: on each piece the profile
@@ -16,7 +19,7 @@ branches, so a run on a compact polynomial kernel never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,7 +47,8 @@ def _sphere_measure(dimension: int) -> float:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Radially symmetric dispersal kernel from a closed-form family.
+    """Radially symmetric dispersal kernel J_eps from a closed-form family J,
+    at the budget rate alpha0/eps^m.
 
     ``params`` are family specific:
 
@@ -58,6 +62,9 @@ class Kernel:
     family: str
     dimension: int = 1
     params: dict = field(default_factory=dict)
+    epsilon: float = 1.0
+    m: float = 0.0
+    alpha0: float = 1.0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -76,9 +83,24 @@ class Kernel:
                 raise InvalidKernelError("tabulated kernel needs increasing radii starting at 0")
             if not np.all(np.isfinite(v)):
                 raise InvalidKernelError("tabulated kernel has non-finite samples")
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        if not 0.0 <= self.m <= 2.0:
+            raise ValueError("cost exponent m must lie in [0, 2]")
+        if self.alpha0 <= 0:
+            raise ValueError("alpha0 must be positive")
+
+    @property
+    def rate(self) -> float:
+        return self.alpha0 / self.epsilon**self.m
 
     @property
     def support_radius(self) -> float:
+        return self.epsilon * self._unit_support_radius
+
+    @property
+    def _unit_support_radius(self) -> float:
+        """Support radius of J itself (eps = 1)."""
         if self.family in ("tent", "truncated-quadratic"):
             return 1.0
         if self.family == "truncated-gaussian":
@@ -117,8 +139,12 @@ class Kernel:
         return 1.0  # tabulated: samples taken as given
 
     def profile(self, r):
-        """Kernel value at radius r (vectorized)."""
+        """J_eps at radius r (vectorized)."""
         r = np.asarray(r, dtype=float)
+        return self._unit_profile(r / self.epsilon) / self.epsilon**self.dimension
+
+    def _unit_profile(self, r):
+        """J itself (eps = 1) at radius r."""
         c = self._normalization
         if self.family == "tent":
             out = c * np.maximum(0.0, 1.0 - r)
@@ -156,13 +182,13 @@ class Kernel:
         return None
 
     def evaluate(self, points):
-        """Kernel value at displacement vectors (n,) for N=1 or (n, N)."""
-        z = np.asarray(points, dtype=float)
+        """J_eps at displacement vectors (n,) for N=1 or (n, N)."""
+        z = np.asarray(points, dtype=float) / self.epsilon
         if self.dimension == 1:
             r = np.abs(z) if z.ndim <= 1 else np.abs(z[..., 0])
         else:
             r = np.sqrt(np.sum(z * z, axis=-1))
-        return self.profile(r)
+        return self._unit_profile(r) / self.epsilon**self.dimension
 
     __call__ = evaluate
 
@@ -174,9 +200,12 @@ class Kernel:
         return True
 
     def mass_beyond(self, radius: float) -> float:
-        """Continuum kernel mass outside the ball of given radius: exact for the
-        piecewise-polynomial families, by quadrature for the others."""
-        if radius >= self.support_radius:
+        """Continuum mass of J_eps outside the ball of given radius, which is J's
+        mass outside radius/eps: exact for the piecewise-polynomial families,
+        by quadrature for the others."""
+        radius = radius / self.epsilon
+        upper = self._unit_support_radius
+        if radius >= upper:
             return 0.0
         omega = _sphere_measure(self.dimension)
         N = self.dimension
@@ -185,68 +214,15 @@ class Kernel:
             return omega * _radial_integral(pieces, N - 1, lower=radius)
         from scipy.integrate import quad
 
-        upper = self.support_radius if self.compactly_supported else math.inf
-        val, _ = quad(lambda r: self.profile(r) * r ** (N - 1), radius, upper, limit=200)
+        val, _ = quad(lambda r: self._unit_profile(r) * r ** (N - 1), radius, upper, limit=200)
         return omega * val
 
 
-@dataclass(frozen=True)
-class ScaledKernel:
-    """Budget-rescaled kernel J_eps with dispersal rate alpha0/eps^m."""
-
-    base: Kernel
-    epsilon: float
-    m: float
-    alpha0: float = 1.0
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 <= self.m <= 2.0:
-            raise ValueError("cost exponent m must lie in [0, 2]")
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
-
-    @property
-    def rate(self) -> float:
-        return self.alpha0 / self.epsilon**self.m
-
-    @property
-    def dimension(self) -> int:
-        return self.base.dimension
-
-    @property
-    def support_radius(self) -> float:
-        return self.epsilon * self.base.support_radius
-
-    @property
-    def compactly_supported(self) -> bool:
-        return self.base.compactly_supported
-
-    def profile(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.base.profile(r / self.epsilon) / self.epsilon**self.dimension
-
-    def evaluate(self, points):
-        z = np.asarray(points, dtype=float)
-        return self.base.evaluate(z / self.epsilon) / self.epsilon**self.dimension
-
-    __call__ = evaluate
-
-    def moment_converges(self, p: float) -> bool:
-        return self.base.moment_converges(p)
-
-    def mass_beyond(self, radius: float) -> float:
-        return self.base.mass_beyond(radius / self.epsilon)
-
-    def budget_defect(self) -> float:
-        """|rate * D_m(J_eps) - alpha0 * D_m(J)|; zero in exact arithmetic."""
-        return abs(self.rate * kernel_moment(self, self.m) - self.alpha0 * kernel_moment(self.base, self.m))
-
-
-def rescale_kernel(kernel: Kernel, epsilon: float, m: float, alpha0: float = 1.0) -> ScaledKernel:
-    """Rescale a base kernel under the dispersal budget with cost |z|^m."""
-    return ScaledKernel(base=kernel, epsilon=float(epsilon), m=float(m), alpha0=float(alpha0))
+def rescale_kernel(kernel: Kernel, epsilon: float, m: float, alpha0: float = 1.0) -> Kernel:
+    """J at range factor epsilon and rate alpha0/epsilon^m under the dispersal
+    budget with cost |z|^m. It sets the kernel's scale, replacing the one it
+    had: scales do not compose."""
+    return replace(kernel, epsilon=float(epsilon), m=float(m), alpha0=float(alpha0))
 
 
 def _radial_integral(pieces, s: float, lower: float = 0.0) -> float:
@@ -262,15 +238,15 @@ def _radial_integral(pieces, s: float, lower: float = 0.0) -> float:
     return float(np.sum(coef * (b**power - a**power) / power))
 
 
-def kernel_moment(kernel, p: float, tol: float = 1e-9) -> float:
-    """D_p(J) = integral of J(z)|z|^p over R^N = omega_N int_0^S J(r) r^(p+N-1) dr.
+def kernel_moment(kernel: Kernel, p: float, tol: float = 1e-9) -> float:
+    """D_p(J_eps) = integral of J_eps(z)|z|^p over R^N = eps^p D_p(J), with
+    D_p(J) = omega_N int_0^S J(r) r^(p+N-1) dr.
 
     |z| is the Euclidean norm and p any real >= 0. Exact for tent,
     truncated-quadratic and tabulated kernels (closed form per polynomial
     piece, ``tol`` unused). Truncated-gaussian, exponential-tail and
     algebraic-tail use adaptive quadrature, which must report an error below
-    max(tol, tol |D_p|) or InfiniteMomentError is raised. For a ScaledKernel
-    the value is eps^p D_p(J) of its base kernel J. Raises
+    max(tol, tol |D_p(J)|) or InfiniteMomentError is raised. Raises
     InfiniteMomentError when the tail decay (known per family) cannot pay
     for |z|^p.
     """
@@ -278,20 +254,17 @@ def kernel_moment(kernel, p: float, tol: float = 1e-9) -> float:
         raise ValueError("moment order must be nonnegative")
     if not kernel.moment_converges(p):
         raise InfiniteMomentError(f"moment p={p} diverges for this kernel")
-    if isinstance(kernel, ScaledKernel):
-        return kernel.epsilon**p * kernel_moment(kernel.base, p, tol)
     N = kernel.dimension
     omega = _sphere_measure(N)
     pieces = kernel._pieces()
     if pieces is not None:
-        return omega * _radial_integral(pieces, p + N - 1)
+        return kernel.epsilon**p * (omega * _radial_integral(pieces, p + N - 1))
     from scipy.integrate import quad
 
-    upper = kernel.support_radius if kernel.compactly_supported else math.inf
     val, err = quad(
-        lambda r: kernel.profile(r) * r ** (p + N - 1),
+        lambda r: kernel._unit_profile(r) * r ** (p + N - 1),
         0.0,
-        upper,
+        kernel._unit_support_radius,
         limit=400,
         epsabs=min(0.01 * tol, 1.49e-8),
         epsrel=1e-11,
@@ -300,7 +273,7 @@ def kernel_moment(kernel, p: float, tol: float = 1e-9) -> float:
     err *= omega
     if not math.isfinite(val) or err > max(tol, tol * abs(val)):
         raise InfiniteMomentError(f"moment quadrature failed: value={val}, err={err}")
-    return val
+    return kernel.epsilon**p * val
 
 
 @dataclass
@@ -326,9 +299,9 @@ class ValidationReport:
         return self.h1 and self.h2_center_positive and self.h5_finite_moment
 
 
-def validate_kernel(kernel, tol: float = 1e-8) -> ValidationReport:
+def validate_kernel(kernel: Kernel, tol: float = 1e-8) -> ValidationReport:
     """Check hypotheses H1 (nonnegative, symmetric, unit mass), H2 (J(0)>0)
-    and H5 (finite (N+1)-th absolute moment) on a kernel or scaled kernel."""
+    and H5 (finite (N+1)-th absolute moment) on J_eps at the kernel's scale."""
     messages = []
     N = kernel.dimension
     probe_r = _probe_radii(kernel)

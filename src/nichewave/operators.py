@@ -41,7 +41,7 @@ from scipy.linalg.lapack import dgbsv
 from .errors import ConfigError, MonotonicityViolationError, UnderResolvedKernelError
 from .grids import Grid
 from .growth import GrowthProfile
-from .kernels import Kernel, ScaledKernel, rescale_kernel
+from .kernels import Kernel
 
 
 # Widest 1-D kernel reach q on which the M-matrix solves (Newton steps and
@@ -118,8 +118,8 @@ def fast_length(target: int) -> int:
     return best
 
 
-def sample_taps(kernel: ScaledKernel, grid: Grid, window_radius: float | None = None):
-    """Sample the scaled kernel at integer grid offsets and renormalize.
+def sample_taps(kernel: Kernel, grid: Grid, window_radius: float | None = None):
+    """Sample J_eps at integer grid offsets and renormalize.
 
     Returns (taps, tail_mass, reach) where taps has shape (2q+1,)*N with the
     zero offset at the center, tail_mass is the continuum mass of a
@@ -167,7 +167,7 @@ class DiscreteOperator:
     """
 
     grid: Grid
-    kernel: ScaledKernel
+    kernel: Kernel
     growth: Optional[GrowthProfile]
     a_values: np.ndarray
     taps: np.ndarray
@@ -400,13 +400,13 @@ class DiscreteOperator:
 
 def build_operator(
     grid: Grid,
-    kernel,
+    kernel: Kernel,
     growth: GrowthProfile | None = None,
     a_values: np.ndarray | None = None,
     tap_window: float | None = None,
 ) -> DiscreteOperator:
-    """Assemble the discrete operator; ``kernel`` may be a base Kernel
-    (used at scale eps=1, rate 1) or an explicitly rescaled one. The grid
+    """Assemble the discrete operator of J_eps at the kernel's own rate
+    alpha0/eps^m (a kernel at its default scale is J at rate 1). The grid
     must live in the kernel's dimension N (ConfigError otherwise).
 
     a(x) is stored as an array: the caller's ``a_values``, else ``growth.a``
@@ -414,8 +414,6 @@ def build_operator(
     only by ``reaction`` and ``reaction_slope``."""
     if grid.dimension != kernel.dimension:
         raise ConfigError(f"a {kernel.dimension}-D kernel on a {grid.dimension}-D grid")
-    if isinstance(kernel, Kernel):
-        kernel = rescale_kernel(kernel, 1.0, 0.0, 1.0)
     taps, tail_mass, reach = sample_taps(kernel, grid, window_radius=tap_window)
     if a_values is None:
         a_values = np.zeros(grid.size) if growth is None else grid.sample(growth.a)

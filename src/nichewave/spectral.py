@@ -60,8 +60,8 @@ class SpectralEstimate:
     residual: float
     iterations: int
     met_tol: bool                     # width <= the requested tol
-    sup_a: float | None = None
-    eigenfunction_certified: bool | None = None
+    sup_a: float                      # max of a(x) on the grid
+    eigenfunction_certified: bool     # upper < rate - sup_a
     degenerate: bool = False
 
     @property

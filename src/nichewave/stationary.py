@@ -45,10 +45,6 @@ class Supersolution:
     values: np.ndarray
     kind: str            # "exponential" or "constant"
     margin: float        # max of the stationary residual on the grid (<= tol)
-    alpha: float | None = None
-    amplitude: float | None = None
-    plateau: float | None = None
-    match_radius: float | None = None
 
 
 def decay_margin(op: DiscreteOperator, alpha: float, nu: float) -> float:
@@ -126,15 +122,7 @@ def build_supersolution(op: DiscreteOperator, tol: float = 1e-8) -> Supersolutio
         values = np.minimum(amplitude * np.exp(-alpha * norms), plateau)
         margin = float(np.max(op.rhs(values)))
         if margin <= tol:
-            return Supersolution(
-                values=values,
-                kind="exponential",
-                margin=margin,
-                alpha=alpha,
-                amplitude=amplitude,
-                plateau=plateau,
-                match_radius=2.0 * r0,
-            )
+            return Supersolution(values=values, kind="exponential", margin=margin)
         alpha *= 0.5
         if alpha < 1e-12:
             break
@@ -145,7 +133,7 @@ def build_supersolution(op: DiscreteOperator, tol: float = 1e-8) -> Supersolutio
 
 def _residual_slack(op: DiscreteOperator, lam: SpectralEstimate) -> float:
     """Roundoff allowance on the sign of the stationary residual."""
-    return _SUB_SLACK * (1.0 + op.rate + (abs(lam.sup_a) if lam.sup_a else 1.0))
+    return _SUB_SLACK * (1.0 + op.rate + abs(lam.sup_a))
 
 
 def verified_subsolution(op: DiscreteOperator, lam: SpectralEstimate,

@@ -652,6 +652,18 @@ def test_validate_checks_the_scaled_kernel(tmp_path, capsys, setting, message):
     assert err.startswith("config error: [kernel]") and message in err
 
 
+def test_validate_reports_the_unscaled_kernel(tmp_path):
+    # mass and H5 moment are J's own, whatever epsilon, m and alpha0 scale it to
+    reports = []
+    for i, scale in enumerate(("", "epsilon = 0.25\nm = 2\nalpha0 = 3\n")):
+        (tmp_path / str(i)).mkdir()
+        code, out = run_cli(tmp_path / str(i), "validate", "[kernel]\nfamily = tent\n" + scale)
+        assert code == 0
+        reports.append((out / "validate-t.json").read_text())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["h5_moment"] == pytest.approx(1.0 / 6.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("section, key", [
     ("sweep", "m"), ("ess", "m"), ("audit", "m"), ("growth", "radial_nonincreasing"),
 ])

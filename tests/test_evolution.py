@@ -231,7 +231,8 @@ class TestLongTimeVerdict:
         grid = build_grid(1, 4.0, 0.125, "ball-truncated")
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), constant_growth(-0.1))
         lam = SpectralEstimate(0.1, 0.1, 0.12, np.ones(grid.size), 0.0, 1,
-                               met_tol=True)
+                               met_tol=True, sup_a=float(np.max(op.a_values)),
+                               eigenfunction_certified=True)
         u0 = np.full(grid.size, 0.8)
         dt = stable_step(op, 0.8)
         res = long_time_verdict(op, u0, 120.0, 1e-3, lam, dt=dt)
@@ -251,7 +252,8 @@ class TestLongTimeVerdict:
 
     def test_straddling_bracket_is_undecided(self, ball_op):
         fake = SpectralEstimate(0.0, -1e-3, 1e-3, np.ones(ball_op.size), 0.0, 1,
-                                met_tol=True)
+                                met_tol=True, sup_a=float(np.max(ball_op.a_values)),
+                                eigenfunction_certified=False)
         u0 = np.full(ball_op.size, 0.01)
         res = long_time_verdict(ball_op, u0, 5.0, 1e-3, fake)
         assert res.verdict == "undecided"

@@ -16,6 +16,11 @@
   ``grids.build_grid``, ``kernels.Kernel`` and ``kernels._sphere_measure``:
   the space dimension N is set on the kernel, and every grid built for a
   kernel reads ``kernel.dimension``.
+- ``kernels.Kernel`` is the one kernel dataclass (no other dataclass in the
+  package has a name ending in ``Kernel``), no ``isinstance`` names a kernel
+  type and no ``.base`` attribute is read: a kernel carries its own scale
+  (epsilon, m, alpha0), so no code branches on, or reaches through, a
+  wrapper of it.
 - ``a_values`` is compared with ``None`` only in ``operators.build_operator``:
   every operator carries a(x) as an array (zeros for pure dispersal), so no
   solve path branches on a missing growth linearization.
@@ -153,6 +158,31 @@ def a_values_none_tests(tree: ast.Module) -> list[int]:
                 isinstance(o, ast.Constant) and o.value is None for o in operands):
             found.append(node.lineno)
     return sorted(found)
+
+
+def kernel_type_branches(tree: ast.Module) -> list[int]:
+    """Lines of every ``isinstance(x, T)`` whose T, or a member of a tuple T,
+    names a kernel type (a name ending in ``Kernel``), and of every read of a
+    ``.base`` attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _dotted(node.func) == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any((_dotted(k) or "").endswith("Kernel") for k in kinds):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "base" and isinstance(node.ctx, ast.Load):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def kernel_dataclasses(tree: ast.Module) -> list[str]:
+    """Names of the classes decorated ``@dataclass`` (called or not) whose
+    name ends in ``Kernel``."""
+    return sorted(
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Kernel")
+        and any((_dotted(d.func if isinstance(d, ast.Call) else d) or "").split(".")[-1] == "dataclass"
+                for d in node.decorator_list))
 
 
 # imported module -> the files of src/nichewave whose functions may import it;
@@ -321,6 +351,38 @@ def test_a_values_check_catches_what_it_names():
     assert lines_outside("operators.py", tree, [2, 5, 6, 7], A_VALUES_NONE_ALLOWED) == [
         "operators.py:5", "operators.py:6", "operators.py:7"]
     assert lines_outside("spectral.py", tree, [2], A_VALUES_NONE_ALLOWED) == ["spectral.py:2"]
+
+
+def test_one_kernel_type():
+    assert [f"{p.name}:{line}" for p in MODULES for line in kernel_type_branches(_tree(p))] == []
+    assert [(p.name, name) for p in MODULES for name in kernel_dataclasses(_tree(p))] == [
+        ("kernels.py", "Kernel")]
+
+
+def test_kernel_type_check_catches_what_it_names():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\nclass Kernel:\n    family: str\n"
+        "@dataclasses.dataclass\nclass ScaledKernel:\n    base: Kernel\n"
+        "class PlainKernel:\n    pass\n"
+        "def build_operator(kernel):\n"
+        "    if isinstance(kernel, Kernel):\n        pass\n"
+        "    if isinstance(kernel, (kernels.ScaledKernel, float)):\n        pass\n"
+        "    r = kernel.base.support_radius\n"
+        "    isinstance(x, dict)\n    policy.base_radius\n    obj.base = 1\n"
+    )
+    assert kernel_type_branches(tree) == [10, 12, 14]
+    assert kernel_dataclasses(tree) == ["Kernel", "ScaledKernel"]
+    # the two-type design planted back into the real modules fails the check
+    ops = (SRC / "operators.py").read_text()
+    anchor = "    taps, tail_mass, reach = sample_taps("
+    branched = ops.replace(anchor, "    if isinstance(kernel, Kernel):\n"
+                           "        kernel = rescale_kernel(kernel, 1.0, 0.0, 1.0)\n" + anchor)
+    assert branched != ops and len(kernel_type_branches(ast.parse(branched))) == 1
+    wrapped = (SRC / "kernels.py").read_text() + (
+        "\n\n@dataclass(frozen=True)\nclass ScaledKernel:\n    base: Kernel\n    epsilon: float\n\n"
+        "    @property\n    def dimension(self) -> int:\n        return self.base.dimension\n")
+    assert kernel_dataclasses(ast.parse(wrapped)) == ["Kernel", "ScaledKernel"]
+    assert len(kernel_type_branches(ast.parse(wrapped))) == 1
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,6 +79,12 @@ class TestMoments:
             kernel_moment(k, 4.0)  # needs power > 4 + 1
 
 
+def budget_defect(kernel: Kernel) -> float:
+    """|rate * D_m(J_eps) - alpha0 * D_m(J)|; zero in exact arithmetic."""
+    unit = replace(kernel, epsilon=1.0)
+    return abs(kernel.rate * kernel_moment(kernel, kernel.m) - kernel.alpha0 * kernel_moment(unit, kernel.m))
+
+
 class TestRescaling:
     def test_rate_and_support(self, tent):
         sk = rescale_kernel(tent, 2.0, 2.0, 1.0)
@@ -108,13 +115,25 @@ class TestRescaling:
         # moment change of variables
         assert kernel_moment(sk, p) == pytest.approx(eps**p * kernel_moment(base, p), rel=1e-8)
         # budget identity: rate * D_m(J_eps) = alpha0 * D_m(J), eps-free
-        assert sk.budget_defect() <= 1e-8 * max(1.0, kernel_moment(base, m))
+        assert budget_defect(sk) <= 1e-8 * max(1.0, kernel_moment(base, m))
 
     def test_preconditions(self, tent):
         with pytest.raises(ValueError):
             rescale_kernel(tent, -1.0, 0.0)
         with pytest.raises(ValueError):
             rescale_kernel(tent, 1.0, 3.0)
+        # the family and table checks come before the scale checks
+        with pytest.raises(ValueError, match="unknown kernel family"):
+            Kernel("nope", epsilon=-1.0)
+        with pytest.raises(InvalidKernelError):
+            Kernel("tabulated", params={"r": [0.0, 1.0], "values": [1.0, math.nan]}, alpha0=-1.0)
+
+    def test_rescaling_sets_the_scale(self, tent):
+        # the defaults are J at rate 1, and a second rescale replaces the first
+        assert (tent.epsilon, tent.m, tent.alpha0, tent.rate) == (1.0, 0.0, 1.0, 1.0)
+        twice = rescale_kernel(rescale_kernel(tent, 0.5, 1.0, 3.0), 2.0, 2.0)
+        assert twice == Kernel("tent", epsilon=2.0, m=2.0) == rescale_kernel(tent, 2.0, 2.0)
+        assert twice.mass_beyond(1.0) == tent.mass_beyond(0.5)
 
 
 TABLE = {"r": [0.0, 0.5, 1.25, 2.0], "values": [1.0, 0.7, 0.2, 0.05]}
@@ -157,7 +176,7 @@ class TestExactMoments:
         for p in (0.5, 2.0):
             oracle = OMEGA[dimension] * quad_radial(sk.profile, edges, p + dimension - 1)
             assert kernel_moment(sk, p) == pytest.approx(oracle, rel=1e-13, abs=0.0), p
-        assert sk.budget_defect() <= 1e-13 * sk.alpha0 * kernel_moment(base, 0.5)
+        assert budget_defect(sk) <= 1e-13 * sk.alpha0 * kernel_moment(base, 0.5)
 
     def test_mass_beyond_inside_support(self, family, params, dimension):
         k = Kernel(family, dimension=dimension, params=params)

@@ -122,6 +122,18 @@ class TestBallSolve:
         assert np.min(ball_op.rhs(sub)) >= -1e-9
         assert np.all(sub > 0)
 
+    def test_residual_slack_at_zero_growth(self, tent):
+        # max a = 0.0 exactly adds |max a| = 0 to the slack scale, as
+        # max a -> 0 from below does: no jump at zero
+        grid = build_grid(1, 2.0, 0.25, "ball-truncated")
+        slacks = []
+        for value in (0.0, -1e-300):
+            op = build_operator(grid, tent, constant_growth(value))
+            lam = principal_eigenvalue(op)
+            assert lam.sup_a == value
+            slacks.append(stationary._residual_slack(op, lam))
+        assert slacks[0] == slacks[1] == stationary._SUB_SLACK * (1.0 + op.rate)
+
 
 class TestWholeSpace:
     def test_monotone_in_R_and_converged(self, tent, bump):
