@@ -158,7 +158,6 @@ def comparison_monotonicity_test(
     u0: np.ndarray,
     kind: str,
     horizon: float = 10.0,
-    dt: float | None = None,
 ) -> str:
     """Verify u0 is a discrete sub/super-solution, run, and assert the
     corresponding time monotonicity pointwise (slack 1e-12 per step)."""
@@ -174,7 +173,7 @@ def comparison_monotonicity_test(
         enforce = "decreasing"
     else:
         raise ValueError("kind must be 'sub' or 'super'")
-    trace, _ = evolve(op, u0, horizon, dt=dt, enforce=enforce)
+    trace, _ = evolve(op, u0, horizon, enforce=enforce)
     return trace.monotone_flag
 
 
@@ -182,7 +181,6 @@ def comparison_monotonicity_test(
 class LongTimeVerdict:
     verdict: str               # "extinction" | "persistence-converged" | "undecided"
     trace: EvolutionTrace
-    final_state: np.ndarray
     final_sup: float
     final_dist_sup: float
     final_dist_l1: float
@@ -203,7 +201,7 @@ def long_time_verdict(
     A bracket straddling zero is reported undecided regardless of the
     integration evidence (never assert the dichotomy without a certificate).
     """
-    trace, u = evolve(op, u0, horizon, dt=dt, stride=stride, stationary=stationary)
+    trace, _ = evolve(op, u0, horizon, dt=dt, stride=stride, stationary=stationary)
     final_sup = float(trace.sup_norm[-1])
     final_dsup = float(trace.dist_sup[-1])
     final_dl1 = float(trace.dist_l1[-1])
@@ -222,7 +220,6 @@ def long_time_verdict(
     return LongTimeVerdict(
         verdict=verdict,
         trace=trace,
-        final_state=u,
         final_sup=final_sup,
         final_dist_sup=final_dsup,
         final_dist_l1=final_dl1,

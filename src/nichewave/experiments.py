@@ -10,8 +10,8 @@ shrinks with eps (h = h0 min(1, eps)) so the rescaled kernel stays resolved;
 for large range factors the ball grows with the kernel reach so whole-space
 behaviour is not clipped. GridPolicy couples eps to h and R only: every
 grid lives in the kernel's dimension N. Every "limit" claim is a
-monotone-decrease-of-error statement over a finite schedule plus an
-empirical rate, never absolute closeness at one eps.
+monotone-decrease-of-error statement over a finite schedule, never
+absolute closeness at one eps.
 """
 
 from __future__ import annotations
@@ -210,7 +210,6 @@ def find_eps_star(
     hi: float,
     policy: GridPolicy | None = None,
     tol: float = 1e-2,
-    spectral_tol: float = 1e-10,
 ) -> EpsStarResult:
     """Critical range factor for m = 0 by bisection on the certified sign.
 
@@ -241,9 +240,9 @@ def find_eps_star(
         scaled = replace(kernel, epsilon=eps)
         grid = policy.grid_for(scaled)
         op = build_operator(grid, scaled, growth)
-        est = principal_eigenvalue(op, tol=spectral_tol)
+        est = principal_eigenvalue(op, tol=1e-10)
         if est.sign == "straddle":
-            for sharper in (spectral_tol * 1e-2, spectral_tol * 1e-3):
+            for sharper in (1e-12, 1e-13):
                 est = principal_eigenvalue(op, tol=sharper)
                 if est.sign != "straddle":
                     break
@@ -325,14 +324,11 @@ def local_kpp_solve_fd(
 @dataclass
 class LimitCheck:
     m: float
-    direction: str
     epsilons: list[float]           # ordered toward the limit
     lambda_errors: list[float]
     u_errors: list[float]
     lambda_monotone: bool
     u_monotone: bool
-    lambda_rate: float
-    u_rate: float
     lambda_target_name: str
     u_target_name: str
     sweep: SweepResult
@@ -340,19 +336,12 @@ class LimitCheck:
     notes: list[str] = field(default_factory=list)
 
 
-def _tail_monotone(errors: list[float], k: int = 3) -> bool:
-    tail = errors[-min(k, len(errors)):]
+FD_SPACING = 0.01  # spacing of the local FD reference of the m = 2 limit
+
+
+def _tail_monotone(errors: list[float]) -> bool:
+    tail = errors[-3:]
     return all(b < a for a, b in zip(tail, tail[1:]))
-
-
-def _empirical_rate(epsilons, errors, direction) -> float:
-    if len(errors) < 2 or any(e <= 0 for e in errors):
-        return math.nan
-    x = np.log(np.asarray(epsilons, dtype=float))
-    y = np.log(np.asarray(errors, dtype=float))
-    slope = float(np.polyfit(x, y, 1)[0])
-    # toward eps -> 0 a positive slope means decay; report decay order
-    return slope if direction == "small" else -slope
 
 
 def asymptotic_limit_check(
@@ -362,23 +351,25 @@ def asymptotic_limit_check(
     direction: str,
     epsilons,
     policy: GridPolicy | None = None,
-    alpha0: float = 1.0,
     solver_tol: float = 1e-10,
     spectral_tol: float = 1e-10,
-    fd_spacing: float = 0.01,
-    core_radius: float | None = None,
 ) -> LimitCheck:
     """Tabulate distances to the theoretical limit along an eps schedule.
 
-    ``kernel`` gives J: its own scale is replaced, and the sweep runs on J_eps
-    at cost exponent m and alpha0, one eps after another. direction "large":
-    targets a+ ((a-alpha0)+ for m=0) and the large-eps spectral limits;
-    "small": -sup a for m < 2, the local-Laplacian pair (lambda_1, v) of
-    sigma Lap, sigma = alpha0 D_2(J)/(2N), for m = 2. That pair comes from ``local_kpp_solve_fd``, the same certified
-    eigen-solve and ball solve on the nonlocal operator at range fd_spacing.
-    It is 1-D, so m = 2 toward small eps needs a 1-D kernel and raises
-    ConfigError otherwise.
-    Non-monotone error decrease is reported as a finding with
+    ``kernel`` gives J and alpha0: its epsilon and m are replaced, and the
+    sweep runs on J_eps at cost exponent m and the kernel's alpha0, one eps
+    after another. m is a parameter, not read from the kernel, because
+    ``perfbench/workloads.py`` passes it positionally.
+
+    direction "large": targets a+ ((a-alpha0)+ for m=0) and the large-eps
+    spectral limits; "small": -sup a for m < 2, the local-Laplacian pair
+    (lambda_1, v) of sigma Lap, sigma = alpha0 D_2(J)/(2N), for m = 2. That
+    pair comes from ``local_kpp_solve_fd``, the same certified eigen-solve
+    and ball solve on the nonlocal operator at range FD_SPACING, and the u
+    error is taken on the core |x| <= core_radius + 1 of a hostile growth
+    (half the policy radius otherwise). It is 1-D, so m = 2 toward small
+    eps needs a 1-D kernel and raises ConfigError otherwise. A non-monotone
+    decrease over the last three errors is reported as a finding with
     grid-refinement advice, not raised.
     """
     if direction not in ("small", "large"):
@@ -386,7 +377,7 @@ def asymptotic_limit_check(
     if direction == "small" and m == 2.0 and kernel.dimension != 1:
         raise ConfigError(f"the m = 2 small-eps limit has a 1-D local reference only, "
                           f"not {kernel.dimension}-D")
-    template = rescale_kernel(kernel, 1.0, m, alpha0)  # the sweep replaces epsilon
+    template = rescale_kernel(kernel, 1.0, m, kernel.alpha0)  # the sweep replaces epsilon
     policy = policy or GridPolicy()
     order = sorted(float(e) for e in epsilons)
     order = order[::-1] if direction == "small" else order
@@ -395,13 +386,11 @@ def asymptotic_limit_check(
     fd_reference = None
     lambda1_fd = None
     if direction == "small" and m == 2.0:
-        sigma = alpha0 * kernel_moment(template, 2.0) / (2.0 * kernel.dimension)
-        R_fd = snap_radius(policy.base_radius, fd_spacing)
-        fd = local_kpp_solve_fd(growth, sigma, R_fd, fd_spacing, tol=solver_tol)
+        sigma = kernel.alpha0 * kernel_moment(template, 2.0) / (2.0 * kernel.dimension)
+        R_fd = snap_radius(policy.base_radius, FD_SPACING)
+        fd = local_kpp_solve_fd(growth, sigma, R_fd, FD_SPACING, tol=solver_tol)
         lambda1_fd = fd.lambda1.value
-        core = core_radius if core_radius is not None else (
-            growth.core_radius + 1.0 if growth.hostile else policy.base_radius / 2.0
-        )
+        core = growth.core_radius + 1.0 if growth.hostile else policy.base_radius / 2.0
         fd_reference = (fd.nodes, fd.values, core)
 
     sweep = epsilon_sweep(
@@ -419,17 +408,13 @@ def asymptotic_limit_check(
     u_mono = _tail_monotone(u_errors)
     if not lam_mono or not u_mono:
         notes.append("non-monotone error decrease: refine base_spacing or widen base_radius")
-    eps_used = sweep.epsilons
     return LimitCheck(
         m=m,
-        direction=direction,
-        epsilons=eps_used,
+        epsilons=sweep.epsilons,
         lambda_errors=lam_errors,
         u_errors=u_errors,
         lambda_monotone=lam_mono,
         u_monotone=u_mono,
-        lambda_rate=_empirical_rate(eps_used, lam_errors, direction),
-        u_rate=_empirical_rate(eps_used, u_errors, direction),
         lambda_target_name=lam_key if entries else "",
         u_target_name=entries[-1].target_name if entries else "",
         sweep=sweep,
@@ -548,7 +533,6 @@ class InvasionEntry:
     eps1: float
     eps2: float
     lam: SpectralEstimate
-    resident_sup: float
     verdict: str        # "invades" | "resists" | "neutral"
 
 
@@ -574,7 +558,7 @@ def _common_policy_grid(policy: GridPolicy, kernel: Kernel, epsilons) -> Grid:
     return build_grid(kernel.dimension, R, h, "ball-truncated", policy.max_cells_per_axis)
 
 
-def _resident(kernel, growth, eps1, epsilons, policy, solver_tol, spectral_tol):
+def _resident(kernel, growth, eps1, epsilons, policy, solver_tol):
     """(grid, u*_{eps1}) on the common grid of epsilons; the resident kernel
     must span MIN_TAPS cells of it."""
     grid = _common_policy_grid(policy, kernel, epsilons)
@@ -582,7 +566,7 @@ def _resident(kernel, growth, eps1, epsilons, policy, solver_tol, spectral_tol):
     if res_kernel.support_radius < MIN_TAPS * grid.spacing:
         raise UnderResolvedKernelError(f"resident kernel unresolved at eps1={eps1}")
     res_op = build_operator(grid, res_kernel, growth)
-    return grid, solve_stationary_ball(res_op, tol=solver_tol, spectral_tol=spectral_tol).values
+    return grid, solve_stationary_ball(res_op, tol=solver_tol).values
 
 
 def invasion_fitness(
@@ -592,7 +576,6 @@ def invasion_fitness(
     eps2: float,
     policy: GridPolicy | None = None,
     solver_tol: float = 1e-10,
-    spectral_tol: float = 1e-10,
     resident: tuple[Grid, np.ndarray] | None = None,
 ) -> InvasionEntry:
     """Bracketed lambda_p(M_{eps2,m} + a - u*_{eps1}) on a shared grid.
@@ -600,23 +583,21 @@ def invasion_fitness(
     Negative certified sign means the mutant invades the resident equilibrium.
     """
     policy = policy or GridPolicy()
-    grid, u_star = resident or _resident(kernel, growth, eps1, (eps1, eps2), policy,
-                                         solver_tol, spectral_tol)
+    grid, u_star = resident or _resident(kernel, growth, eps1, (eps1, eps2), policy, solver_tol)
 
     mut_kernel = replace(kernel, epsilon=eps2)
     if mut_kernel.support_radius < MIN_TAPS * grid.spacing:
         raise UnderResolvedKernelError(f"mutant kernel unresolved at eps2={eps2}")
     a_eff = grid.sample(growth.a) - u_star
     mut_op = build_operator(grid, mut_kernel, growth=None, a_values=a_eff)
-    lam = principal_eigenvalue(mut_op, tol=spectral_tol)
+    lam = principal_eigenvalue(mut_op)
     if lam.upper < 0:
         verdict = "invades"
     elif lam.lower > 0:
         verdict = "resists"
     else:
         verdict = "neutral"
-    return InvasionEntry(eps1=eps1, eps2=eps2, lam=lam,
-                         resident_sup=float(np.max(u_star)), verdict=verdict)
+    return InvasionEntry(eps1=eps1, eps2=eps2, lam=lam, verdict=verdict)
 
 
 def build_invasion_matrix(
@@ -626,7 +607,6 @@ def build_invasion_matrix(
     eps_mutants=None,
     policy: GridPolicy | None = None,
     solver_tol: float = 1e-10,
-    spectral_tol: float = 1e-10,
 ) -> InvasionMatrix:
     """Fill the strategy grid row by row; each resident equilibrium is solved
     once on a grid sized for the largest kernel it meets."""
@@ -635,10 +615,9 @@ def build_invasion_matrix(
     eps_mutants = [float(e) for e in (eps_mutants if eps_mutants is not None else eps_residents)]
     entries = []
     for e1 in eps_residents:
-        resident = _resident(kernel, growth, e1, [e1] + eps_mutants, policy,
-                             solver_tol, spectral_tol)
-        entries.append([invasion_fitness(kernel, growth, e1, e2, policy,
-                                         solver_tol, spectral_tol, resident=resident)
+        resident = _resident(kernel, growth, e1, [e1] + eps_mutants, policy, solver_tol)
+        entries.append([invasion_fitness(kernel, growth, e1, e2, policy, solver_tol,
+                                         resident=resident)
                         for e2 in eps_mutants])
     return InvasionMatrix(eps_residents=eps_residents, eps_mutants=eps_mutants, entries=entries)
 
@@ -699,22 +678,16 @@ def fat_tail_verdict(
     inflation = 2.0 * kernel.rate * tail_mass
 
     if estimates and min(e.upper for e in estimates) + inflation < 0.0:
-        return FatTailResult(
-            verdict="persistence", estimates=estimates, radii=used,
-            tail_mass=tail_mass, bracket_inflation=inflation,
-            evidence="lim_R lambda_p(L_R + a) upper bound (tail-inflated) < 0",
-        )
-    if growth.sup_a < 0.0:
-        return FatTailResult(
-            verdict="extinction", estimates=estimates, radii=used,
-            tail_mass=tail_mass, bracket_inflation=inflation,
-            evidence=f"lambda_p(M + a) >= -sup a = {-growth.sup_a:.6g} > 0",
-        )
-    return FatTailResult(
-        verdict="indeterminate", estimates=estimates, radii=used,
-        tail_mass=tail_mass, bracket_inflation=inflation,
-        evidence="neither criterion certified: gap between (i) and (ii) surfaced",
-    )
+        verdict = "persistence"
+        evidence = "lim_R lambda_p(L_R + a) upper bound (tail-inflated) < 0"
+    elif growth.sup_a < 0.0:
+        verdict = "extinction"
+        evidence = f"lambda_p(M + a) >= -sup a = {-growth.sup_a:.6g} > 0"
+    else:
+        verdict = "indeterminate"
+        evidence = "neither criterion certified: gap between (i) and (ii) surfaced"
+    return FatTailResult(verdict=verdict, estimates=estimates, radii=used, tail_mass=tail_mass,
+                         bracket_inflation=inflation, evidence=evidence)
 
 
 def _tail_window(kernel: Kernel, tail_target: float) -> float:

@@ -181,17 +181,6 @@ class Kernel:
             return r, np.column_stack([v[:-1] - slope * r[:-1], slope])
         return None
 
-    def evaluate(self, points):
-        """J_eps at displacement vectors (n,) for N=1 or (n, N)."""
-        z = np.asarray(points, dtype=float) / self.epsilon
-        if self.dimension == 1:
-            r = np.abs(z) if z.ndim <= 1 else np.abs(z[..., 0])
-        else:
-            r = np.sqrt(np.sum(z * z, axis=-1))
-        return self._unit_profile(r) / self.epsilon**self.dimension
-
-    __call__ = evaluate
-
     def moment_converges(self, p: float) -> bool:
         if self.compactly_supported or self.family == "exponential-tail":
             return True
@@ -299,37 +288,30 @@ class ValidationReport:
         return self.h1 and self.h2_center_positive and self.h5_finite_moment
 
 
-def validate_kernel(kernel: Kernel, tol: float = 1e-8) -> ValidationReport:
-    """Check hypotheses H1 (nonnegative, symmetric, unit mass), H2 (J(0)>0)
-    and H5 (finite (N+1)-th absolute moment) on J_eps at the kernel's scale."""
+_VALIDATION_TOL = 1e-8  # slack on J >= 0 and on |mass - 1|, and the mass quadrature's tol
+
+
+def validate_kernel(kernel: Kernel) -> ValidationReport:
+    """Check hypotheses H1 (nonnegative, unit mass), H2 (J(0)>0) and H5
+    (finite (N+1)-th absolute moment) on J_eps at the kernel's scale, to
+    _VALIDATION_TOL (the H5 moment quadrature to 1e-7). H1's symmetry
+    J(z) = J(-z) is reported true without a probe: a kernel is its radial
+    profile at |z|, so it is even by construction."""
     messages = []
     N = kernel.dimension
-    probe_r = _probe_radii(kernel)
-    vals = kernel.profile(probe_r)
+    vals = kernel.profile(_probe_radii(kernel))
     if not np.all(np.isfinite(vals)):
         raise InvalidKernelError("kernel has non-finite values on its support")
 
-    nonneg = bool(np.all(vals >= -tol))
+    nonneg = bool(np.all(vals >= -_VALIDATION_TOL))
     if not nonneg:
         messages.append("H1: negative kernel values found")
 
-    # symmetry: radial evaluation is even by construction; probe the vector
-    # form to catch broken evaluate() overrides.
-    if N == 1:
-        sym_pts = probe_r[probe_r > 0]
-        sym = bool(np.allclose(kernel.evaluate(sym_pts), kernel.evaluate(-sym_pts), rtol=0, atol=tol))
-    else:
-        rs = probe_r[probe_r > 0][:32]
-        pts = np.stack([rs / math.sqrt(2.0), rs / math.sqrt(2.0)], axis=-1)
-        sym = bool(np.allclose(kernel.evaluate(pts), kernel.evaluate(-pts), rtol=0, atol=tol))
-    if not sym:
-        messages.append("H1: J(z) != J(-z)")
-
     try:
-        mass = kernel_moment(kernel, 0.0, tol=max(tol, 1e-10))
+        mass = kernel_moment(kernel, 0.0, tol=_VALIDATION_TOL)
     except InfiniteMomentError:
         mass = math.inf
-    unit_mass = bool(abs(mass - 1.0) <= max(tol, 1e-8))
+    unit_mass = bool(abs(mass - 1.0) <= _VALIDATION_TOL)
     if not unit_mass:
         messages.append(f"H1: mass {mass} != 1")
 
@@ -341,7 +323,7 @@ def validate_kernel(kernel: Kernel, tol: float = 1e-8) -> ValidationReport:
     h5_moment = None
     if kernel.moment_converges(N + 1):
         try:
-            h5_moment = kernel_moment(kernel, N + 1, tol=max(tol, 1e-7))
+            h5_moment = kernel_moment(kernel, N + 1, tol=1e-7)
             h5 = math.isfinite(h5_moment)
         except InfiniteMomentError:
             h5 = False
@@ -352,7 +334,7 @@ def validate_kernel(kernel: Kernel, tol: float = 1e-8) -> ValidationReport:
 
     return ValidationReport(
         h1_nonnegative=nonneg,
-        h1_symmetric=sym,
+        h1_symmetric=True,  # J is radial by construction
         h1_unit_mass=unit_mass,
         h2_center_positive=h2,
         h5_finite_moment=h5,

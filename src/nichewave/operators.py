@@ -392,11 +392,6 @@ class DiscreteOperator:
         w = self.grid.weights
         return float(np.sum(w * u * u * k) - np.sum(w * u * conv))
 
-    def quadratic_form(self, u: np.ndarray) -> float:
-        """<-(J_eps * u - u), u>_w, the lambda_v numerator at rate 1."""
-        w = self.grid.weights
-        return float(-np.sum(w * (self.convolve(u) - u) * u))
-
 
 def build_operator(
     grid: Grid,

@@ -329,14 +329,11 @@ def lambda_p_extrapolate_R(
 
 @dataclass
 class ScalingCheck:
-    lambda_base: SpectralEstimate
-    lambda_scaled: SpectralEstimate
+    """lambda_p(M_eps + a_eps) - lambda_p(M + a), and the sum of the two
+    bracket widths it should lie within."""
+
     difference: float
     combined_width: float
-
-    @property
-    def consistent(self) -> bool:
-        return abs(self.difference) <= self.combined_width + 1e-9
 
 
 def scaling_invariance_check(
@@ -345,26 +342,20 @@ def scaling_invariance_check(
     epsilon: float,
     radius: float,
     spacing: float,
-    spectral_tol: float = 1e-10,
 ) -> ScalingCheck:
     """Compare lambda_p(M + a) with lambda_p(M_eps + a_eps), a_eps(x) = a(x/eps).
 
-    The scaled side is discretized on the mapped grid (radius eps R, spacing
-    eps h), which is the exact discrete change of variables.
+    Both sides are J at rate 1, whatever scale ``kernel`` carries. The scaled
+    side is discretized on the mapped grid (radius eps R, spacing eps h),
+    which is the exact discrete change of variables.
     """
     grid1 = build_grid(kernel.dimension, radius, spacing, "ball-truncated")
-    op1 = build_operator(grid1, kernel, growth)
-    est1 = principal_eigenvalue(op1, tol=spectral_tol)
+    op1 = build_operator(grid1, rescale_kernel(kernel, 1.0, 0.0, 1.0), growth)
+    est1 = principal_eigenvalue(op1)
 
     grid2 = build_grid(kernel.dimension, epsilon * radius, epsilon * spacing, "ball-truncated")
     scaled = rescale_kernel(kernel, epsilon, 0.0, 1.0)  # rate stays 1
     a_scaled = grid2.sample(lambda x: growth.a(x / epsilon))
     op2 = build_operator(grid2, scaled, growth=None, a_values=a_scaled)
-    est2 = principal_eigenvalue(op2, tol=spectral_tol)
-
-    return ScalingCheck(
-        lambda_base=est1,
-        lambda_scaled=est2,
-        difference=est2.value - est1.value,
-        combined_width=est1.width + est2.width,
-    )
+    est2 = principal_eigenvalue(op2)
+    return ScalingCheck(difference=est2.value - est1.value, combined_width=est1.width + est2.width)

@@ -256,7 +256,6 @@ class BallSolve:
 def solve_stationary_ball(
     op: DiscreteOperator,
     tol: float = 1e-10,
-    spectral_tol: float = 1e-10,
     lam: SpectralEstimate | None = None,
     lower_start: np.ndarray | None = None,
 ) -> BallSolve:
@@ -270,7 +269,7 @@ def solve_stationary_ball(
     threshold.
     """
     if lam is None:
-        lam = principal_eigenvalue(op, tol=spectral_tol)
+        lam = principal_eigenvalue(op)
     zero = np.zeros(op.size)
     if lam.lower >= 0.0:
         return BallSolve(values=zero, verdict="extinct", lambda_estimate=lam, residual=0.0)

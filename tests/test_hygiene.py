@@ -34,6 +34,10 @@
 - ``scipy.sparse`` is imported only inside functions of ``operators`` (the
   CSR test oracles), ``spectral`` (ARPACK) and ``stationary`` (CG), never at
   module level: only off-band solves and the oracles load it.
+- Every field and property of a dataclass in the package is read
+  somewhere in ``src/``, ``tests/`` or ``perfbench/``: as an attribute
+  (``x.name`` in a load) or through ``getattr`` with a constant name. A
+  result field that nothing reads is work and memory for nothing.
 - A fresh ``import nichewave.cli`` loads none of ``scipy.integrate``,
   ``scipy.optimize``, ``scipy.fft``, ``scipy.special`` and ``scipy.sparse``,
   and a banded 1-D eigenvalue and ball solve leave ``scipy.sparse`` unloaded
@@ -50,8 +54,11 @@ import pytest
 
 from nichewave.config import DEFAULTS
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "nichewave"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "nichewave"
 MODULES = sorted(SRC.glob("*.py"))
+# every file whose code may read a result of the package
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def _dotted(node):
@@ -175,14 +182,53 @@ def kernel_type_branches(tree: ast.Module) -> list[int]:
     return sorted(found)
 
 
+def _is_dataclass(node) -> bool:
+    """A class decorated ``@dataclass``, called or not."""
+    return isinstance(node, ast.ClassDef) and any(
+        (_dotted(d.func if isinstance(d, ast.Call) else d) or "").split(".")[-1] == "dataclass"
+        for d in node.decorator_list)
+
+
 def kernel_dataclasses(tree: ast.Module) -> list[str]:
-    """Names of the classes decorated ``@dataclass`` (called or not) whose
-    name ends in ``Kernel``."""
-    return sorted(
-        node.name for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and node.name.endswith("Kernel")
-        and any((_dotted(d.func if isinstance(d, ast.Call) else d) or "").split(".")[-1] == "dataclass"
-                for d in node.decorator_list))
+    """Names of the dataclasses whose name ends in ``Kernel``."""
+    return sorted(node.name for node in ast.walk(tree)
+                  if _is_dataclass(node) and node.name.endswith("Kernel"))
+
+
+def dataclass_members(tree: ast.Module) -> list[str]:
+    """'Class.name' for each field (a class-level annotated name) and each
+    ``@property`` of every dataclass."""
+    found = []
+    for node in ast.walk(tree):
+        if not _is_dataclass(node):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                found.append(f"{node.name}.{stmt.target.id}")
+            elif isinstance(stmt, ast.FunctionDef) and any(
+                    _dotted(d) == "property" for d in stmt.decorator_list):
+                found.append(f"{node.name}.{stmt.name}")
+    return found
+
+
+def attribute_reads(tree: ast.Module) -> set[str]:
+    """Names read as an attribute, ``x.name`` in a load, or by ``getattr(x, "name"[, default])``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif (isinstance(node, ast.Call) and _dotted(node.func) == "getattr"
+              and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
+            found.add(node.args[1].value)
+    return found
+
+
+def unread_members(modules: dict[str, ast.Module], readers) -> list[str]:
+    """'file:Class.name' for each dataclass member of ``modules`` (file name ->
+    tree) whose name no tree of ``readers`` reads as an attribute."""
+    read = set().union(*(attribute_reads(tree) for tree in readers))
+    return [f"{name}:{member}" for name, tree in modules.items()
+            for member in dataclass_members(tree) if member.split(".")[1] not in read]
 
 
 # imported module -> the files of src/nichewave whose functions may import it;
@@ -383,6 +429,40 @@ def test_kernel_type_check_catches_what_it_names():
         "    @property\n    def dimension(self) -> int:\n        return self.base.dimension\n")
     assert kernel_dataclasses(ast.parse(wrapped)) == ["Kernel", "ScaledKernel"]
     assert len(kernel_type_branches(ast.parse(wrapped))) == 1
+
+
+def test_every_dataclass_member_is_read():
+    modules = {p.name: _tree(p) for p in MODULES}
+    assert unread_members(modules, [_tree(p) for p in READERS]) == []
+
+
+def test_member_check_catches_what_it_names():
+    tree = ast.parse(
+        "@dataclass\nclass Result:\n    value: float\n    unread: float\n    stored: int = 0\n"
+        "    built: int = 0\n    by_name: int = 0\n    NOTE = 'plain'\n\n"
+        "    @property\n    def width(self):\n        return 1.0\n\n"
+        "    @property\n    def hidden(self):\n        return self.value\n\n"
+        "    def method(self):\n        return 2.0\n"
+        "class Plain:\n    other: int = 1\n"
+        "r = Result(value=1.0, unread=2.0, built=3)\nr.stored = 4\nr.width\n"
+        "getattr(r, 'by_name')\ngetattr(r, name)\n"
+    )
+    assert dataclass_members(tree) == ["Result.value", "Result.unread", "Result.stored",
+                                       "Result.built", "Result.by_name", "Result.width",
+                                       "Result.hidden"]
+    assert unread_members({"m.py": tree}, [tree]) == [
+        "m.py:Result.unread", "m.py:Result.stored", "m.py:Result.built", "m.py:Result.hidden"]
+    # a result field planted back into a real module, and set by its one
+    # constructor, is unread everywhere
+    src = (SRC / "experiments.py").read_text()
+    planted = src.replace("    lam: SpectralEstimate\n    verdict: str",
+                          "    lam: SpectralEstimate\n    resident_sup: float\n    verdict: str")
+    planted = planted.replace("lam=lam, verdict=verdict)",
+                              "lam=lam, resident_sup=float(np.max(u_star)), verdict=verdict)")
+    assert planted.count("resident_sup") == 2
+    modules = {p.name: _tree(p) for p in MODULES} | {"experiments.py": ast.parse(planted)}
+    readers = [modules[p.name] if p.parent == SRC else _tree(p) for p in READERS]
+    assert unread_members(modules, readers) == ["experiments.py:InvasionEntry.resident_sup"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

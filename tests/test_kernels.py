@@ -94,7 +94,7 @@ class TestRescaling:
     def test_identity_scale(self, tent):
         sk = rescale_kernel(tent, 1.0, 1.0, 1.0)
         z = np.linspace(-1, 1, 41)
-        assert np.allclose(sk.evaluate(z), tent.evaluate(z))
+        assert np.allclose(sk.profile(abs(z)), tent.profile(abs(z)))
         assert sk.rate == 1.0
 
     def test_rescaled_moment_by_quadrature(self, tent):

@@ -301,14 +301,6 @@ class TestIdentities:
             rhs += 0.5 * rho * np.sum(u * (np.roll(phi, -d) - 2 * phi + np.roll(phi, d)))
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
 
-    def test_quadratic_form_identity(self, ball_op, rng):
-        # <-(J*u - u), u>_w = E(u) + sum w (1 - k) u^2
-        u = rng.random(ball_op.size)
-        w = ball_op.grid.weights
-        lhs = ball_op.quadratic_form(u)
-        rhs = ball_op.energy(u) + np.sum(w * (1.0 - ball_op.kernel_mass()) * u * u)
-        assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
-
     def test_energy_matches_double_sum(self, tent, rng):
         grid = build_grid(1, 2.0, 0.25, "ball-truncated")
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0))

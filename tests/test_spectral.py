@@ -444,6 +444,13 @@ class TestScalingInvariance:
         chk = scaling_invariance_check(tent, bump, eps, 6.0, 0.05)
         assert abs(chk.difference) <= max(1e-6, chk.combined_width)
 
+    def test_the_kernel_scale_is_ignored(self, tent, bump):
+        # both sides are J at rate 1: a kernel that carries another scale
+        # gives the same comparison, to the bit
+        base = scaling_invariance_check(tent, bump, 2.0, 6.0, 0.05)
+        scaled = scaling_invariance_check(rescale_kernel(tent, 0.5, 2.0, 3.0), bump, 2.0, 6.0, 0.05)
+        assert (scaled.difference, scaled.combined_width) == (base.difference, base.combined_width)
+
 
 def fd_lambda1(growth, sigma, radius, spacing):
     return local_kpp_solve_fd(growth, sigma, radius, spacing).lambda1
