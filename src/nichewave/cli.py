@@ -15,8 +15,9 @@ directory. Exit codes: 0 success, 1 config error or a
 time step above the monotone bound, 2 numerical failure (partial artifacts
 retained). A lambda bracket wider than its tol is recorded as met_tol /
 lambda_met_tol = false (true only when every bracket the command
-certified met its tol); only spectrum exits 2 on it, for its main ball
-(not on a degenerate top eigenvalue).
+certified met its tol); only spectrum exits 2 on it, for its main ball,
+unless the top eigenvalue is degenerate (a gap below
+spectral.DEGENERACY_GAP, read off the band on a miss).
 
 Outputs carry no timestamps and floats are serialized with repr, so reruns
 with the same config are byte-identical.
@@ -137,8 +138,8 @@ def cmd_validate(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
 
 
 def _certified(est, tol: float):
-    """est, or NonConvergenceError if its bracket missed tol and ARPACK saw
-    no degenerate top eigenvalue that would excuse the miss."""
+    """est, or NonConvergenceError if its bracket missed tol and the top
+    eigenvalue is not degenerate, which would excuse the miss."""
     if not (est.met_tol or est.degenerate):
         raise errors.NonConvergenceError(
             f"bracket width {est.width:.3e} > tol {tol:.3e} after {est.iterations} iterations")

@@ -215,7 +215,9 @@ def find_eps_star(
 
     The rate alpha0 is the same at every eps. If (a - rate)+ is not
     identically zero on the grid, persistence holds for every eps and the
-    threshold is infinite.
+    threshold is infinite. An end moves only on a certified sign: a midpoint
+    still straddling after two sharper retries stops the bisection at the
+    last certified [a, b], and its eps goes into ``unresolved``.
     """
     if kernel.m != 0.0:
         raise ConfigError(f"eps* is defined for m = 0, not m = {kernel.m:g}")
@@ -262,9 +264,10 @@ def find_eps_star(
     a, b = lo, hi
     while b - a > tol:
         mid = 0.5 * (a + b)
-        est = lam_at(mid)
-        neg = est.sign == "negative" or (est.sign == "straddle" and est.value < 0)
-        if neg:
+        sign = lam_at(mid).sign
+        if sign == "straddle":
+            break
+        if sign == "negative":
             a = mid
         else:
             b = mid

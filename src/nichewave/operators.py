@@ -21,11 +21,11 @@ by numpy's pocketfft, on a box of L cells per axis: L = n on the torus, and
 on the ball the smallest 5-smooth length (2^a 3^b 5^c) >= n + q, where
 every wrapped tap lands off the grid. It has absolute error
 ~1e-16 ||u||, is faster at large reach, and serves the rhs, time stepping,
-the Newton CG solves and the ARPACK eigenvector. The assembled CSR forms
+the Newton CG solves and the LOBPCG eigenvector. The assembled CSR forms
 (``conv_matrix``, ``matrix``) add the same summands in the same order; they
 are oracles for tests and the dense eigenvalue check, not part of any
-solve. This module imports ``scipy.sparse`` only inside them: the test
-oracles and the off-band solves (ARPACK, CG) are all that load it.
+solve. They are the one place the package imports ``scipy.sparse``, inside
+the two methods, so no solve loads it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .kernels import Kernel
 
 
 # Widest 1-D kernel reach q on which the M-matrix solves (Newton steps and
-# Noda eigen steps) use the banded LU instead of CG or ARPACK. Both cost O(n)
+# Noda eigen steps) use the banded LU instead of CG or LOBPCG. Both cost O(n)
 # per step at fixed q, so q alone decides. Set by the Newton crossover,
 # measured on 2 cores (OpenBLAS, 2 threads), whole solve_stationary_ball,
 # median of 9, banded vs CG in ms, tent kernel, bump growth, R = 4 + eps,

@@ -19,19 +19,20 @@ eigenvector tails; no matrix is assembled, and phi never enters a bound.
 On 1-D balls of narrow reach phi comes from Noda steps
 phi <- (sigma I - B)^{-1} phi, sigma the upper quotient, by one banded
 M-matrix solve (Noda, Numer. Math. 17, 1971): six steps reach 1e-12 where
-power steps stall near 1e-8. Elsewhere it comes from ARPACK (Lehoucq,
-Sorensen & Yang, ARPACK Users' Guide, 1998) on the FFT operator (absolute
-error ~1e-16 ||u||), and power steps phi <- B phi by the stencil product
+power steps stall near 1e-8. Elsewhere it comes from a single-vector
+LOBPCG on the FFT operator (absolute error ~1e-16 ||u||), which keeps three
+vectors and no basis, and power steps phi <- B phi by the stencil product
 polish its tail. The FFT product also decides whether the start vector is
-kept without ARPACK; only the kept phi goes through the stencil product.
-ARPACK is the one use of ``scipy.sparse`` here, imported on its first
-call, so a banded 1-D solve never loads it.
+kept without LOBPCG; only the kept phi goes through the stencil product.
+No solve here loads ``scipy.sparse``.
 
 Every estimate carries the narrowest bracket certified and met_tol (width
 <= tol). A miss is recorded, never raised; a caller that needs the width
-checks met_tol. ``_certified_iteration`` builds every SpectralEstimate, so
-this is the one eigen-solver: the local FD reference lambda_1 of the m = 2
-limit is lambda_p of the nonlocal operator at range h
+checks met_tol. An off-band miss also reads the gap below the top
+eigenvalue of B, by LOBPCG deflated against phi, and flags ``degenerate``
+when it is below DEGENERACY_GAP. ``_certified_iteration`` builds every
+SpectralEstimate, so this is the one eigen-solver: the local FD reference
+lambda_1 of the m = 2 limit is lambda_p of the nonlocal operator at range h
 (``experiments.local_kpp_solve_fd``), bracketed the same way.
 """
 
@@ -94,9 +95,9 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
     """Shared certification engine; returns a SpectralEstimate.
 
     phi comes from Noda steps where ``op.band_stencil()`` applies, and
-    otherwise from ARPACK and power steps phi <- B phi. Off the band the
-    start vector is kept, without ARPACK, when the quotients of its FFT
-    product B phi already lie within tol or when ARPACK fails. Every bracket
+    otherwise from LOBPCG and power steps phi <- B phi. Off the band the
+    start vector is kept, without LOBPCG, when the quotients of its FFT
+    product B phi already lie within tol. Every bracket
     comes from the stencil product B phi, B = A + cI, which adds the
     summands of a CSR row of B in its order; it runs once per iteration.
     estimator 'cw' brackets by the two Collatz-Wielandt quotients (lambda_p
@@ -110,17 +111,13 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
 
     phi = start / np.max(start)
     stencil = op.band_stencil()
-    degenerate = False
     if stencil is None:
         # the start vector's width by the FFT product; one that meets tol is
-        # kept, since ARPACK is not bit-reproducible on an exact one (the flat
-        # eigenvector of constant growth on the torus)
+        # kept as it is (the flat eigenvector of constant growth on the torus)
         q = _fft_product(op, c, phi) / phi
         if float(np.max(q)) - float(np.min(q)) > tol:
-            vec, degenerate = _arpack_vector(op, c, phi)
-            if vec is not None:
-                phi = np.maximum(vec, _POSITIVE_FLOOR)
-                phi = phi / np.max(phi)
+            phi = np.maximum(np.abs(_lobpcg(op, c, phi)[1]), _POSITIVE_FLOOR)
+            phi = phi / np.max(phi)
     else:
         # sigma I - B = rate (I - C) - diag(a + c - sigma)
         noda = banded_solver(stencil, lambda sigma: op.a_values + c - sigma, op.size)
@@ -159,6 +156,14 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
     rq_a = float(phi @ (op.grid.weights * a_phi)) / float(phi @ (op.grid.weights * phi))
     value = float(np.clip(-rq_a, best[0], best[1]))
     residual = float(np.max(np.abs(a_phi + value * phi)))
+    met_tol = best[1] - best[0] <= tol
+    degenerate = False
+    if stencil is None and not met_tol:
+        # a (nearly) double top eigenvalue of B excuses a miss. The next one is
+        # the top eigenvalue orthogonal to phi; phi times a ramp reaches the odd
+        # partner of an even phi, as two mirrored niches have
+        theta2 = _lobpcg(op, c, phi * np.arange(op.size), deflate=phi / np.linalg.norm(phi))[0]
+        degenerate = c + rq_a - theta2 < DEGENERACY_GAP
     sup_a = float(np.max(op.a_values))
     return SpectralEstimate(
         value=value,
@@ -167,7 +172,7 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
         eigenvector=phi,
         residual=residual,
         iterations=iterations,
-        met_tol=bool(best[1] - best[0] <= tol),
+        met_tol=met_tol,
         sup_a=sup_a,
         eigenfunction_certified=bool(best[1] < op.rate - sup_a),
         degenerate=degenerate,
@@ -180,23 +185,57 @@ def _fft_product(op, c, v):
     return op.apply(v) + c * v
 
 
-def _arpack_vector(op, c, phi):
-    """Perron vector of B = A + cI by ARPACK on the FFT matvec; flags tiny gaps.
+# steps of the off-band eigenvector solve; the bracket judges its last iterate
+LOBPCG_MAX_STEPS = 1000
 
-    v0 = phi keeps reruns bit-identical. build_grid gives n >= 3, so k = 2 < n.
+
+def _orthogonalize(v, bv, basis):
+    """v less its parts along the unit vectors b of ``basis`` (pairs b, B b),
+    taken off twice; bv = B v, when given, loses the same multiples of B b."""
+    for _ in range(2):
+        for b, bb in basis:
+            k = float(b @ v)
+            v, bv = v - k * b, None if bv is None else bv - k * bb
+    return v, bv
+
+
+def _lobpcg(op, c, x, deflate=None):
+    """Top eigenpair (theta, x) of B = A + cI, ||x||_2 = 1, by single-vector
+    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on the FFT product.
+
+    A step takes one product B w, w the residual B x - theta x made
+    orthogonal to x (and to the unit vector ``deflate``, whose eigenpair is
+    then skipped), and a Rayleigh-Ritz step on x, w and the last direction
+    p; p is dropped when projecting it off x and w cancels it. It stops at
+    ||B x - theta x||_2 <= 1e-15 theta or after LOBPCG_MAX_STEPS. n-vectors
+    meet only dot products and axpys, so no BLAS call threads.
     """
-    import scipy.sparse.linalg
-
-    bop = scipy.sparse.linalg.LinearOperator(
-        (op.size, op.size), matvec=lambda v: _fft_product(op, c, v), dtype=float
-    )
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(bop, k=2, which="LA", v0=phi, tol=1e-12, maxiter=5000)
-    except (scipy.sparse.linalg.ArpackError, np.linalg.LinAlgError):  # incl. ArpackNoConvergence
-        return None, False
-    order = np.argsort(vals)
-    gap = float(vals[order[-1]] - vals[order[-2]])
-    return np.abs(vecs[:, order[-1]]), bool(gap < DEGENERACY_GAP)
+    fixed = [] if deflate is None else [(deflate, None)]
+    x = _orthogonalize(x, None, fixed)[0]
+    x = x / np.linalg.norm(x)
+    bx = _fft_product(op, c, x)
+    theta, p = float(x @ bx), None
+    for _ in range(LOBPCG_MAX_STEPS):
+        w = _orthogonalize(bx - theta * x, None, [(x, bx)] + fixed)[0]
+        norm = np.linalg.norm(w)
+        if norm <= 1e-15 * theta:
+            break
+        w = w / norm
+        basis = [(x, bx), (w, _fft_product(op, c, w))]
+        if p is not None:
+            v, bv = _orthogonalize(*p, basis)
+            norm = np.linalg.norm(v)
+            if norm >= 1e-8 * np.linalg.norm(p[0]):
+                basis.append((v / norm, bv / norm))
+        gram = np.array([[float(u @ bu) for _, bu in basis] for u, _ in basis])
+        y = np.linalg.eigh(0.5 * (gram + gram.T))[1][:, -1]
+        p = (sum(k * u for k, (u, _) in zip(y[1:], basis[1:])),
+             sum(k * bu for k, (_, bu) in zip(y[1:], basis[1:])))
+        x, bx = y[0] * x + p[0], y[0] * bx + p[1]
+        scale = 1.0 / np.linalg.norm(x)
+        x, bx = scale * x, scale * bx
+        theta = float(x @ bx)
+    return theta, x
 
 
 # step budget of every eigen-solve that does not name one

@@ -9,7 +9,8 @@ every iterate stays a verified sub- or super-solution, so the
 final pair encloses the solution. Each Newton step solves with -J(hi)
 exactly by banded LU on 1-D balls of narrow reach
 (``operators.banded_solver``, shared with the lambda_p eigen steps), and by
-Jacobi-preconditioned CG on 2-D balls, the torus and wide reach. The local
+an in-repo Jacobi-preconditioned CG on the FFT convolution on 2-D balls, the
+torus and wide reach; no solve loads ``scipy.sparse``. The local
 FD reference of the m = 2 limit is a ball solve too, on the nonlocal
 operator at range h (``experiments.local_kpp_solve_fd``). The balls come from
 ``spectral.radius_walk``, which also certifies lambda_p on each one and
@@ -209,18 +210,33 @@ def _check_enclosure(step, u, r, prev, slack, value_slack) -> None:
             )
 
 
+def _pcg(matvec, b, diag, atol: float):
+    """x with ||b - M x||_2 < atol, M = ``matvec`` SPD, by CG from x = 0 with
+    the Jacobi preconditioner diag(M) = ``diag``, in at most 10 n steps. The
+    recurrences are those of ``scipy.sparse.linalg.cg``, bit for bit."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    for step in range(10 * b.size):
+        if np.linalg.norm(r) < atol:
+            return x
+        z = r / diag
+        rho = np.dot(r, z)
+        p = z if step == 0 else p * (rho / rho_prev) + z
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise NonConvergenceError(f"CG on the Newton system did not reach {atol:.1e}")
+
+
 def _cg_solver(op: DiscreteOperator, atol: float):
-    """solve(u, R) = -J(u)^{-1} R by Jacobi-preconditioned CG on the
-    matrix-free SPD operator rate (I - C) - diag(d_s f(x, u)).
+    """solve(u, R) = -J(u)^{-1} R by ``_pcg`` on the matrix-free SPD operator
+    rate (I - C) - diag(d_s f(x, u)), with the FFT ``convolve``.
 
     Used where the banded LU does not apply or does not pay: 2-D balls, the
     torus (wrapped taps) and 1-D balls whose reach exceeds BANDED_MAX_REACH.
-    It is the one user of ``scipy.sparse`` here and imports it, so a banded
-    1-D solve never loads it.
     """
-    from scipy.sparse.linalg import LinearOperator, cg
-
-    n = op.size
     c_diag = op.taps[(op.reach,) * op.grid.dimension] * op.grid.spacing**op.grid.dimension
 
     def solve(u, rhs):
@@ -229,13 +245,8 @@ def _cg_solver(op: DiscreteOperator, atol: float):
         if np.min(diag) <= 0.0:
             raise MonotonicityViolationError(
                 "-J(hi) has a nonpositive diagonal, so it is not positive definite; is f concave in s?")
-        minus_j = LinearOperator((n, n), dtype=float,
-                                 matvec=lambda v: op.rate * (v - op.convolve(v)) - slope * v)
-        jacobi = LinearOperator((n, n), dtype=float, matvec=lambda v: v / diag)
-        out = [cg(minus_j, b, rtol=0.0, atol=atol, M=jacobi) for b in rhs.T]
-        if any(info for _, info in out):
-            raise NonConvergenceError(f"CG on the Newton system did not reach {atol:.1e}")
-        return np.column_stack([x for x, _ in out])
+        return np.column_stack([_pcg(lambda v: op.rate * (v - op.convolve(v)) - slope * v,
+                                     b, diag, atol) for b in rhs.T])
 
     return solve
 

@@ -264,6 +264,34 @@ maxiter = 2
     assert code == 2
 
 
+@pytest.mark.parametrize("values, code, written", [
+    ("-1 -1 -1 -1 -1 -1 2 -1 -1", 0, True), ("2 -1 -1 -1 -1 -1 -1 -1 -1", 2, False),
+], ids=["two-niches", "one-niche"])
+def test_degenerate_top_eigenvalue_excuses_a_miss(tmp_path, values, code, written):
+    # q = 50, off the band; no bracket meets tol = 1e-30. Two niches at |x| = 6
+    # make the top eigenvalue double, which excuses the miss; one niche does not
+    got, out = run_cli(tmp_path, "spectrum", f"""
+[kernel]
+family = tent
+epsilon = 0.5
+
+[grid]
+R = 8
+h = 0.01
+
+[growth]
+family = tabulated
+params = r=0 1 2 3 4 5 6 7 8, values={values}
+
+[spectral]
+tol = 1e-30
+""")
+    assert got == code
+    assert (out / "spectrum-t.json").exists() == written
+    if written:
+        assert json.loads((out / "spectrum-t.json").read_text())["met_tol"] is False
+
+
 @pytest.mark.parametrize("radius", ["2", "4"])
 def test_spectrum_r_schedule_honours_max_cells(tmp_path, capsys, radius):
     # R = 4 at h = 0.1 is 80 cells per axis; whether it is the main grid or

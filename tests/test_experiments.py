@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,27 @@ class TestEpsStar:
         assert flips.size == 1
         lo, hi = eps_scan[flips[0]], eps_scan[flips[0] + 1]
         assert lo - 1e-2 <= res.value <= hi + 1e-2
+
+    def test_straddling_midpoint_keeps_the_certified_bracket(self, tent, monkeypatch):
+        # the first midpoint, eps = 7, straddles at every tol: the bisection stops there
+        real = experiments.principal_eigenvalue
+        tols = []
+
+        def straddle_at_7(op, tol):
+            est = real(op, tol=tol)
+            if op.kernel.epsilon == 7.0:
+                tols.append(tol)
+                est = replace(est, lower=-1e-3, upper=1e-3, value=-1e-4)
+            return est
+
+        monkeypatch.setattr(experiments, "principal_eigenvalue", straddle_at_7)
+        policy = GridPolicy(base_radius=4.0, base_spacing=0.1)
+        res = find_eps_star(rescale_kernel(tent, 1.0, 0.0), bump_growth(0.8, 1.0, -1.0), 4.0, 10.0,
+                            policy, tol=1e-2)
+        assert tols == [1e-10, 1e-12, 1e-13]
+        assert (res.kind, res.bracket, res.value, res.unresolved) == ("finite", (4.0, 10.0), 7.0, [7.0])
+        assert [eps for eps, _ in res.history] == [4.0, 10.0, 7.0]
+        assert res.history[0][1].sign == "negative" and res.history[1][1].sign == "nonnegative"
 
     def test_thin_spike_warning(self, tent):
         growth = GrowthProfile("tabulated", params={

@@ -32,16 +32,15 @@
 - No module imports ``scipy.fft``: the convolution uses numpy's FFT, so the
   import does not pull in ``scipy.special``.
 - ``scipy.sparse`` is imported only inside functions of ``operators`` (the
-  CSR test oracles), ``spectral`` (ARPACK) and ``stationary`` (CG), never at
-  module level: only off-band solves and the oracles load it.
+  CSR test oracles), never at module level: no solve loads it.
 - Every field and property of a dataclass in the package is read
   somewhere in ``src/``, ``tests/`` or ``perfbench/``: as an attribute
   (``x.name`` in a load) or through ``getattr`` with a constant name. A
   result field that nothing reads is work and memory for nothing.
 - A fresh ``import nichewave.cli`` loads none of ``scipy.integrate``,
   ``scipy.optimize``, ``scipy.fft``, ``scipy.special`` and ``scipy.sparse``,
-  and a banded 1-D eigenvalue and ball solve leave ``scipy.sparse`` unloaded
-  where a 2-D ball solve loads it (both checked in a subprocess).
+  and a banded 1-D and an off-band 2-D eigenvalue and ball solve leave
+  ``scipy.sparse`` unloaded (both checked in a subprocess).
 """
 
 import ast
@@ -239,7 +238,7 @@ RESTRICTED_IMPORTS = {
     "multiprocessing": set(),
     "scipy.integrate": {"kernels.py"},
     "scipy.fft": set(),
-    "scipy.sparse": {"operators.py", "spectral.py", "stationary.py"},
+    "scipy.sparse": {"operators.py"},
 }
 
 
@@ -488,7 +487,9 @@ def test_import_check_catches_what_it_names():
     assert restricted_imports(ast.parse(fft), "operators.py") == ["scipy.fft"]
     assert restricted_imports(ast.parse("import numpy.fft\n"), "operators.py") == []
     cg = "def f():\n    from scipy.sparse.linalg import cg\n"
-    assert restricted_imports(ast.parse(cg), "stationary.py") == []
+    assert restricted_imports(ast.parse(cg), "operators.py") == []
+    assert restricted_imports(ast.parse(cg), "stationary.py") == ["scipy.sparse"]
+    assert restricted_imports(ast.parse(cg), "spectral.py") == ["scipy.sparse"]
     assert restricted_imports(ast.parse(cg), "experiments.py") == ["scipy.sparse"]
     assert restricted_imports(ast.parse("import scipy.sparse.linalg\n"), "spectral.py") == [
         "scipy.sparse"]
@@ -513,14 +514,16 @@ def test_cli_import_loads_no_quadrature():
 
 def test_only_off_band_solves_load_sparse():
     code = ("import sys\n"
-            "from nichewave import Kernel, build_grid, build_operator, bump_growth, rescale_kernel\n"
+            "from nichewave import (Kernel, build_grid, build_operator, bump_growth,\n"
+            "                       principal_eigenvalue, rescale_kernel)\n"
             "from nichewave.stationary import solve_stationary_ball\n"
             "for N in (1, 2):\n"
             "    op = build_operator(build_grid(N, 2.0, 0.25, 'ball-truncated'),\n"
             "                        rescale_kernel(Kernel('tent', dimension=N), 1.0, 0.0),\n"
             "                        bump_growth(2.0, 1.0, -1.0))\n"
             "    banded = op.band_stencil() is not None\n"
-            "    verdict = solve_stationary_ball(op).verdict\n"
+            "    lam = principal_eigenvalue(op)\n"
+            "    verdict = solve_stationary_ball(op, lam=lam).verdict\n"
             "    print(N, banded, verdict, 'scipy.sparse' in sys.modules)\n")
     assert _fresh_python(code).splitlines() == ["1 True persistent False",
-                                                "2 False persistent True"]
+                                                "2 False persistent False"]

@@ -4,8 +4,6 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from nichewave import (
     ConfigError,
@@ -27,7 +25,7 @@ from nichewave import (
 from nichewave import spectral
 from nichewave.experiments import local_kpp_solve_fd
 from nichewave.operators import DiscreteOperator, build_operator
-from nichewave.spectral import _arpack_vector, radius_walk
+from nichewave.spectral import radius_walk
 from nichewave.stationary import solve_stationary_wholespace
 
 
@@ -37,8 +35,9 @@ def random_growth(rng, radius):
     return GrowthProfile("tabulated", params={"r": radii.tolist(), "values": values.tolist()})
 
 
-def arpack_fails(*args, **kwargs):
-    raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+def start_vector(op, c, x, deflate=None):
+    """Stands in for spectral._lobpcg: no step, so the start vector is kept."""
+    return np.nan, x
 
 
 class TestPrincipalEigenvalue:
@@ -109,40 +108,29 @@ class TestPrincipalEigenvalue:
 
 
 class TestWarmStart:
-    def test_linalg_failure_falls_back(self, ball_op, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("eigsh did not converge")
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
-        assert _arpack_vector(ball_op, 4.0, np.ones(ball_op.size)) == (None, False)
-
-    def test_arpack_failure_falls_back(self, tent, bump, monkeypatch):
-        op = build_operator(build_grid(1, 8.0, 0.01, "ball-truncated"), rescale_kernel(tent, 1.0, 0.0), bump)
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", arpack_fails)
-        assert _arpack_vector(op, 4.0, np.ones(op.size)) == (None, False)
-
-    def test_unexpected_error_propagates(self, ball_op, monkeypatch):
+    def test_unexpected_error_propagates(self, monkeypatch):
+        # nothing between the off-band eigenvector solve and the caller swallows an error
         def broken(*args, **kwargs):
             raise ValueError("not a solver failure")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", broken)
+        monkeypatch.setattr(np.linalg, "eigh", broken)
         with pytest.raises(ValueError, match="not a solver failure"):
-            _arpack_vector(ball_op, 4.0, np.ones(ball_op.size))
+            principal_eigenvalue(ball_2d(), tol=1e-10)
 
     def test_certifies_without_arpack(self, tent, bump, monkeypatch):
-        # the CSR steps alone reach the bracket from the start vector
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", arpack_fails)
+        # the power steps alone reach the bracket from the start vector
+        monkeypatch.setattr(spectral, "_lobpcg", start_vector)
         op = build_operator(build_grid(1, 3.0, 0.25, "ball-truncated"), rescale_kernel(tent, 1.0, 0.0), bump)
         est = principal_eigenvalue(op, tol=1e-10)
         oracle, _ = dense_lambda_p_oracle(op)
         assert est.lower - 1e-13 <= oracle <= est.upper + 1e-13
         assert est.width <= 1e-10
-        assert est.iterations > 3  # power steps, not an ARPACK vector, did the work
+        assert est.iterations > 3  # power steps, not an eigenvector solve, did the work
 
 
     def test_certifies_without_arpack_on_torus(self, tent, bump, monkeypatch):
-        # the torus has no band: CSR power steps from the start vector reach the bracket
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", arpack_fails)
+        # the torus has no band: power steps from the start vector reach the bracket
+        monkeypatch.setattr(spectral, "_lobpcg", start_vector)
         op = build_operator(build_grid(1, 3.0, 0.25, "torus"), rescale_kernel(tent, 1.0, 0.0), bump)
         assert op.band_stencil() is None
         est = principal_eigenvalue(op, tol=1e-10)
@@ -154,18 +142,49 @@ class TestWarmStart:
     def test_exact_start_vector_skips_arpack(self, torus_op, tent, bump, monkeypatch):
         # constant growth on the torus: the ones vector is the eigenvector
         calls = []
-        eigsh = scipy.sparse.linalg.eigsh
+        lobpcg = spectral._lobpcg
 
         def spy(*args, **kwargs):
             calls.append(1)
-            return eigsh(*args, **kwargs)
+            return lobpcg(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+        monkeypatch.setattr(spectral, "_lobpcg", spy)
         est = principal_eigenvalue(torus_op, tol=1e-10)
         assert (est.lower, est.upper, est.iterations, calls) == (-1.5, -1.5, 1, [])
         op = build_operator(build_grid(1, 4.0, 0.125, "torus"), rescale_kernel(tent, 1.0, 0.0), bump)
         assert principal_eigenvalue(op, tol=1e-10).met_tol
         assert calls == [1]
+
+    def test_step_cap_keeps_the_last_vector(self, monkeypatch):
+        # two LOBPCG steps leave a vector far from converged; the power steps
+        # start from it and the bracket still holds the eigenvalue
+        op = ball_2d()
+        oracle, _ = dense_lambda_p_oracle(op)
+        c = spectral._shift_constant(op)
+
+        def capped(steps):
+            monkeypatch.setattr(spectral, "LOBPCG_MAX_STEPS", steps)
+            theta, x = spectral._lobpcg(op, c, np.ones(op.size))
+            return np.linalg.norm(op.apply(x) + c * x - theta * x), x
+
+        residuals = [capped(steps)[0] for steps in (0, 1, 2)]
+        assert residuals[0] > residuals[1] > residuals[2] > 1e-6
+        x = capped(2)[1]
+        kept = np.abs(x) / np.max(np.abs(x))
+        products = []
+        stencil_product = DiscreteOperator.stencil_product
+
+        def spy(self, u, shift=None):
+            products.append(u.copy())
+            return stencil_product(self, u, shift)
+
+        monkeypatch.setattr(DiscreteOperator, "stencil_product", spy)
+        for maxiter in (1, spectral.DEFAULT_MAXITER):
+            products.clear()
+            est = principal_eigenvalue(op, tol=1e-10, maxiter=maxiter)
+            assert np.array_equal(products[0], kept)
+            assert est.lower - 1e-13 <= oracle <= est.upper + 1e-13
+        assert est.met_tol and est.iterations > 3
 
 
 # the spectrum-1d-steep bench config and the bracket the seed certified at tol 1e-7
@@ -181,7 +200,7 @@ def steep_op():
 
 
 def ball_2d():
-    """A 2-D ball: no band, so its eigenvector comes from ARPACK."""
+    """A 2-D ball: no band, so its eigenvector comes from LOBPCG."""
     return build_operator(build_grid(2, 2.0, 0.25, "ball-truncated"),
                           rescale_kernel(Kernel("tent", dimension=2), 1.0, 0.0),
                           bump_growth(2.0, 1.0, -1.0))
@@ -222,18 +241,19 @@ class TestNodaSteps:
             assert est.lower - 1e-13 <= oracle <= est.upper + 1e-13
 
     def test_arpack_only_off_the_band(self, ball_op, monkeypatch):
+        # the LOBPCG eigenvector solve runs off the band only
         def never(*args, **kwargs):
-            raise AssertionError("eigsh called")
+            raise AssertionError("LOBPCG called")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", never)
+        monkeypatch.setattr(spectral, "_lobpcg", never)
         assert ball_op.band_stencil() is not None
         assert principal_eigenvalue(ball_op, tol=1e-10).width <= 1e-10
-        with pytest.raises(AssertionError, match="eigsh called"):
+        with pytest.raises(AssertionError, match="LOBPCG called"):
             principal_eigenvalue(ball_2d(), tol=1e-10)
 
     def test_one_stencil_product_per_iteration_off_the_band(self, monkeypatch):
         # the FFT product decides whether the start vector is kept; only the
-        # kept phi, here ARPACK's, goes through the stencil product
+        # kept phi, here LOBPCG's, goes through the stencil product
         calls = []
         product = DiscreteOperator.stencil_product
 
@@ -246,6 +266,47 @@ class TestNodaSteps:
         assert est.met_tol
         assert len(calls) == est.iterations
         assert not np.all(calls[0] == 1.0)  # the discarded ones vector never got one
+
+
+def niches_op(values):
+    """1-D tent ball, eps = 0.5 and h = 0.01 (q = 50, off the band), with
+    tabulated a(|x|) at |x| = 0, 1, ..., 8."""
+    growth = GrowthProfile("tabulated", params={"r": list(range(9)), "values": values})
+    return build_operator(build_grid(1, 8.0, 0.01, "ball-truncated"),
+                          rescale_kernel(Kernel("tent"), 0.5, 0.0), growth)
+
+
+TWO_NICHES = [-1, -1, -1, -1, -1, -1, 2, -1, -1]  # at |x| = 6: a double top eigenvalue
+ONE_NICHE = [2, -1, -1, -1, -1, -1, -1, -1, -1]
+
+
+class TestDegenerateGap:
+    """A missed tol off the band reads the gap below the top eigenvalue."""
+
+    @pytest.mark.parametrize("values, degenerate", [(TWO_NICHES, True), (ONE_NICHE, False)],
+                             ids=["two-niches", "one-niche"])
+    def test_flag_follows_the_gap(self, values, degenerate):
+        op = niches_op(values)
+        assert op.band_stencil() is None
+        _, gap = dense_lambda_p_oracle(op)
+        assert (gap < spectral.DEGENERACY_GAP) == degenerate
+        for solve in (principal_eigenvalue, rayleigh_lambda_v):
+            est = solve(op, tol=1e-30)
+            assert not est.met_tol
+            assert est.degenerate is degenerate
+
+    def test_only_a_miss_reads_the_gap(self, monkeypatch):
+        calls = []
+        lobpcg = spectral._lobpcg
+
+        def spy(*args, deflate=None):
+            calls.append(deflate is not None)
+            return lobpcg(*args, deflate=deflate)
+
+        monkeypatch.setattr(spectral, "_lobpcg", spy)
+        est = principal_eigenvalue(niches_op(TWO_NICHES), tol=1e-10)
+        assert est.met_tol and not est.degenerate
+        assert calls == [False]
 
 
 class TestArpackVector:
@@ -272,21 +333,22 @@ class TestArpackVector:
         oracle, _ = dense_lambda_p_oracle(op)
         assert est.lower - 1e-13 <= oracle <= est.upper + 1e-13
         assert est.width <= 1e-10
-        assert est.iterations <= 3  # the ARPACK vector needs no power steps
+        assert est.iterations <= 3  # the LOBPCG vector needs no power steps
 
     @pytest.mark.parametrize("dimension,topology,radius,spacing", [
         (1, "torus", 3.0, 0.25), (2, "ball-truncated", 3.0, 0.25), (1, "ball-truncated", 8.0, 0.02),
     ], ids=["torus", "2d-ball", "1d-ball-q50"])
     def test_unreachable_tol_stops_at_the_floor(self, dimension, topology, radius, spacing):
         # a CSR step that moves neither side of the bracket ends the loop; a
-        # 60-step stall counter ran 76-103 products on these before it gave up
+        # 60-step stall counter ran 76-103 products on these before it gave up.
+        # No width meets a negative tol: on the torus the floor is an exact 0.
         op = build_operator(build_grid(dimension, radius, spacing, topology),
                             rescale_kernel(Kernel("tent", dimension=dimension), 1.0, 0.0),
                             bump_growth(2.0, 1.0, -1.0))
         assert op.band_stencil() is None
         oracle, _ = dense_lambda_p_oracle(op)
         for solve in (principal_eigenvalue, rayleigh_lambda_v):
-            est = solve(op, tol=1e-30)
+            est = solve(op, tol=-1.0)
             assert not est.met_tol
             assert est.iterations < 60
             assert est.width <= 1e-14

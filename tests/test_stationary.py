@@ -381,3 +381,37 @@ class TestBandedNewton:
         with pytest.raises(MonotonicityViolationError, match="nonpositive diagonal.*concave"):
             solve_stationary_ball(op, tol=1e-10)
         assert linear_solvers == ["banded_solver"]
+
+
+class TestPCG:
+    def test_matches_scipy_cg_bit_for_bit(self, newton_args):
+        # every Newton system of a 2-D ball solve, against the scipy.sparse.linalg.cg
+        # recurrences the in-repo PCG follows, with the same operator and Jacobi preconditioner
+        from scipy.sparse.linalg import LinearOperator, cg
+
+        op = _newton_case("2d-ball")
+        assert op.band_stencil() is None
+        solve_stationary_ball(op, tol=1e-10)
+        (args, kwargs), = newton_args
+        residual, solve, hi, lo, target, slack = args
+        atol = 0.1 * min(target, slack)
+        n = op.size
+        c_diag = op.taps[op.reach, op.reach] * op.grid.spacing**2
+        columns = []
+
+        def checked(u, rhs):
+            x = solve(u, rhs)
+            slope = op.reaction_slope(u)
+            minus_j = LinearOperator((n, n), dtype=float,
+                                     matvec=lambda v: op.rate * (v - op.convolve(v)) - slope * v)
+            jacobi = LinearOperator((n, n), dtype=float,
+                                    matvec=lambda v: v / (op.rate * (1.0 - c_diag) - slope))
+            for k, b in enumerate(rhs.T):
+                ref, info = cg(minus_j, b, rtol=0.0, atol=atol, M=jacobi)
+                assert info == 0
+                assert np.array_equal(x[:, k], ref)
+                columns.append(k)
+            return x
+
+        stationary.two_sided_newton(residual, checked, hi, lo, target, slack, **kwargs)
+        assert len(columns) >= 6 and set(columns) == {0, 1}
