@@ -17,7 +17,8 @@ retained). A lambda bracket wider than its tol is recorded as met_tol /
 lambda_met_tol = false (true only when every bracket the command
 certified met its tol); only spectrum exits 2 on it, for its main ball,
 unless the top eigenvalue is degenerate (a gap below
-spectral.DEGENERACY_GAP, read off the band on a miss).
+spectral.DEGENERACY_GAP, which spectral.degenerate_top reads off the band,
+and only on such a miss).
 
 Outputs carry no timestamps and floats are serialized with repr, so reruns
 with the same config are byte-identical.
@@ -48,7 +49,7 @@ from .experiments import (
 from .grids import build_grid
 from .kernels import validate_kernel
 from .operators import build_operator
-from .spectral import lambda_p_extrapolate_R, principal_eigenvalue, rayleigh_lambda_v
+from .spectral import degenerate_top, lambda_p_extrapolate_R, principal_eigenvalue, rayleigh_lambda_v
 from .stationary import solve_stationary_wholespace
 
 CONFIG_ERRORS = (errors.ConfigError, errors.InvalidKernelError,
@@ -137,10 +138,10 @@ def cmd_validate(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     return 0
 
 
-def _certified(est, tol: float):
+def _certified(op, est, tol: float):
     """est, or NonConvergenceError if its bracket missed tol and the top
-    eigenvalue is not degenerate, which would excuse the miss."""
-    if not (est.met_tol or est.degenerate):
+    eigenvalue of op is not degenerate, which would excuse the miss."""
+    if not (est.met_tol or degenerate_top(op, est)):
         raise errors.NonConvergenceError(
             f"bracket width {est.width:.3e} > tol {tol:.3e} after {est.iterations} iterations")
     return est
@@ -153,8 +154,8 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     sp = cfg["spectral"]
     grid = build_grid(kernel.dimension, g["r"], g["h"], g["topology"], g["max_cells"])
     op = build_operator(grid, kernel, growth)
-    est_p = _certified(principal_eigenvalue(op, tol=sp["tol"], maxiter=sp["maxiter"]), sp["tol"])
-    est_v = _certified(rayleigh_lambda_v(op, tol=sp["tol"], maxiter=sp["maxiter"]), sp["tol"])
+    est_p = _certified(op, principal_eigenvalue(op, tol=sp["tol"], maxiter=sp["maxiter"]), sp["tol"])
+    est_v = _certified(op, rayleigh_lambda_v(op, tol=sp["tol"], maxiter=sp["maxiter"]), sp["tol"])
     rows = [
         _est_row(est_p, "perron-cw", g["r"], kernel.epsilon, kernel.m),
         _est_row(est_v, "rayleigh", g["r"], kernel.epsilon, kernel.m),

@@ -9,9 +9,11 @@ Grid coupling follows the sweep design: for small range factors the spacing
 shrinks with eps (h = h0 min(1, eps)) so the rescaled kernel stays resolved;
 for large range factors the ball grows with the kernel reach so whole-space
 behaviour is not clipped. GridPolicy couples eps to h and R only: every
-grid lives in the kernel's dimension N. Every "limit" claim is a
-monotone-decrease-of-error statement over a finite schedule, never
-absolute closeness at one eps.
+grid lives in the kernel's dimension N. A sweep entry keeps its
+``StationarySolution``, and so the operator it was solved on: the audit and
+the m = 2 limit check read each entry's grid and operator there, and build
+none a second time. Every "limit" claim is a monotone-decrease-of-error
+statement over a finite schedule, never absolute closeness at one eps.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .growth import GrowthProfile
 from .kernels import Kernel, kernel_moment, rescale_kernel, validate_kernel
 from .operators import build_operator
 from .spectral import SpectralEstimate, principal_eigenvalue
-from .stationary import BallSolve, solve_stationary_ball
+from .stationary import StationarySolution, solve_stationary_ball
 
 
 MIN_TAPS = 2  # a kernel must reach this many cells of its grid
@@ -72,7 +74,7 @@ class GridPolicy:
 class SweepEntry:
     eps: float
     lam: SpectralEstimate
-    solve: BallSolve
+    solve: StationarySolution          # keeps the operator it was solved on
     u_sup: float
     u_l2: float
     u_l1: float
@@ -105,11 +107,11 @@ class SweepResult:
         return (not violations, violations, straddles)
 
 
-def _sweep_targets(m: float, rate: float, direction: str | None, sup_a: float,
-                   lambda1_fd: float | None):
-    """Limit targets; for m = 0 the rate alpha0 does not vanish as eps grows."""
+def _sweep_targets(m: float, rate: float, direction: str | None, sup_a: float):
+    """Limit targets; for m = 0 the rate alpha0 does not vanish as eps grows.
+    The m = 2 small-eps pair is ``asymptotic_limit_check``'s: no sweep target."""
     if direction == "small" and m == 2.0:
-        lam_name, lam_target = "lambda1_fd", lambda1_fd
+        lam_name, lam_target = "lambda1_fd", None
     elif direction == "large" and m == 0.0:
         lam_name, lam_target = f"{rate:g}-sup_a", rate - sup_a
     else:
@@ -118,8 +120,7 @@ def _sweep_targets(m: float, rate: float, direction: str | None, sup_a: float,
     return lam_name, lam_target, u_name
 
 
-def _sweep_one(kernel, growth, eps, policy, direction, solver_tol, spectral_tol,
-               lambda1_fd, fd_reference):
+def _sweep_one(kernel, growth, eps, policy, direction, solver_tol, spectral_tol):
     m = kernel.m
     scaled = replace(kernel, epsilon=eps)
     grid = policy.grid_for(scaled)
@@ -129,8 +130,7 @@ def _sweep_one(kernel, growth, eps, policy, direction, solver_tol, spectral_tol,
     u = solve.values
     w = grid.weights
     a = op.a_values
-    lam_name, lam_target, u_name = _sweep_targets(m, op.rate, direction, float(np.max(a)),
-                                                  lambda1_fd)
+    lam_name, lam_target, u_name = _sweep_targets(m, op.rate, direction, float(np.max(a)))
     target_u = np.maximum(a - op.rate, 0.0) if m == 0.0 else np.maximum(a, 0.0)
     errors = {
         f"u_sup_err_{u_name}": float(np.max(np.abs(u - target_u))),
@@ -138,19 +138,7 @@ def _sweep_one(kernel, growth, eps, policy, direction, solver_tol, spectral_tol,
     }
     if lam_target is not None:
         errors[f"lam_err_{lam_name}"] = abs(lam.value - lam_target)
-    if fd_reference is not None:
-        nodes, v_fd, core_r = fd_reference
-        x = grid.points[:, 0]
-        v_interp = np.interp(x, nodes, v_fd)
-        core = np.abs(x) <= core_r
-        errors["u_l2core_err_v_fd"] = float(
-            np.sqrt(np.sum(w[core] * (u[core] - v_interp[core]) ** 2))
-        )
-    primary = (
-        "u_l2core_err_v_fd"
-        if fd_reference is not None
-        else (f"u_sup_err_{u_name}" if m == 0.0 else f"u_l2_err_{u_name}")
-    )
+    primary = f"u_sup_err_{u_name}" if m == 0.0 else f"u_l2_err_{u_name}"
     return SweepEntry(
         eps=eps,
         lam=lam,
@@ -172,8 +160,6 @@ def epsilon_sweep(
     direction: str | None = None,
     solver_tol: float = 1e-10,
     spectral_tol: float = 1e-10,
-    lambda1_fd: float | None = None,
-    fd_reference=None,
 ) -> SweepResult:
     """Solve the budget problem at each eps of the schedule, in order, at the
     kernel's m and alpha0; entries whose kernel is unresolvable on the policy
@@ -183,7 +169,7 @@ def epsilon_sweep(
     for eps in (float(e) for e in epsilons):
         try:
             result.entries.append(_sweep_one(kernel, growth, eps, policy, direction, solver_tol,
-                                             spectral_tol, lambda1_fd, fd_reference))
+                                             spectral_tol))
         except (UnderResolvedKernelError, ResourceLimitError) as exc:
             result.skipped[eps] = str(exc)
     return result
@@ -215,9 +201,10 @@ def find_eps_star(
 
     The rate alpha0 is the same at every eps. If (a - rate)+ is not
     identically zero on the grid, persistence holds for every eps and the
-    threshold is infinite. An end moves only on a certified sign: a midpoint
-    still straddling after two sharper retries stops the bisection at the
-    last certified [a, b], and its eps goes into ``unresolved``.
+    threshold is infinite. Both ends and every move of one rest on a
+    certified sign: an hi still straddling after two sharper retries is
+    "no-sign-change", and such a midpoint stops the bisection at the last
+    certified [a, b]; either eps goes into ``unresolved``.
     """
     if kernel.m != 0.0:
         raise ConfigError(f"eps* is defined for m = 0, not m = {kernel.m:g}")
@@ -258,9 +245,11 @@ def find_eps_star(
     if est_lo.sign != "negative":
         return EpsStarResult(kind="no-sign-change", value=None, bracket=None, history=history,
                              note=f"no persistence at eps={lo}: lambda_p sign {est_lo.sign}")
-    if est_hi.sign == "negative":
+    if est_hi.sign != "nonnegative":  # b must be a certified end, as a is
+        note = (f"persistence persists to eps={hi}" if est_hi.sign == "negative"
+                else f"no certified sign at eps={hi}: lambda_p sign {est_hi.sign}")
         return EpsStarResult(kind="no-sign-change", value=None, bracket=None, history=history,
-                             note=f"persistence persists to eps={hi}")
+                             unresolved=unresolved, note=note)
     a, b = lo, hi
     while b - a > tol:
         mid = 0.5 * (a + b)
@@ -368,10 +357,12 @@ def asymptotic_limit_check(
     spectral limits; "small": -sup a for m < 2, the local-Laplacian pair
     (lambda_1, v) of sigma Lap, sigma = alpha0 D_2(J)/(2N), for m = 2. That
     pair comes from ``local_kpp_solve_fd``, the same certified eigen-solve
-    and ball solve on the nonlocal operator at range FD_SPACING, and the u
-    error is taken on the core |x| <= core_radius + 1 of a hostile growth
-    (half the policy radius otherwise). It is 1-D, so m = 2 toward small
-    eps needs a 1-D kernel and raises ConfigError otherwise. A non-monotone
+    and ball solve on the nonlocal operator at range FD_SPACING. After the
+    sweep, each entry's lambda_p is compared with lambda_1, and its u with v
+    interpolated onto the entry's grid (``solve.op.grid``), in L2 on the core
+    |x| <= core_radius + 1 of a hostile growth (half the policy radius
+    otherwise). It is 1-D, so m = 2 toward small eps needs a 1-D kernel and
+    raises ConfigError otherwise. A non-monotone
     decrease over the last three errors is reported as a finding with
     grid-refinement advice, not raised.
     """
@@ -386,26 +377,30 @@ def asymptotic_limit_check(
     order = order[::-1] if direction == "small" else order
 
     fd = None
-    fd_reference = None
-    lambda1_fd = None
     if direction == "small" and m == 2.0:
         sigma = kernel.alpha0 * kernel_moment(template, 2.0) / (2.0 * kernel.dimension)
         R_fd = snap_radius(policy.base_radius, FD_SPACING)
         fd = local_kpp_solve_fd(growth, sigma, R_fd, FD_SPACING, tol=solver_tol)
-        lambda1_fd = fd.lambda1.value
-        core = growth.core_radius + 1.0 if growth.hostile else policy.base_radius / 2.0
-        fd_reference = (fd.nodes, fd.values, core)
 
-    sweep = epsilon_sweep(
-        template, growth, order, policy, direction,
-        solver_tol, spectral_tol, lambda1_fd, fd_reference,
-    )
+    sweep = epsilon_sweep(template, growth, order, policy, direction, solver_tol, spectral_tol)
     notes = [f"eps={e}: skipped ({r})" for e, r in sweep.skipped.items()]
 
     entries = sweep.entries
-    lam_key = "lam_err_" + _sweep_targets(m, template.rate, direction, growth.sup_a, lambda1_fd)[0]
-    lam_errors = [e.errors[lam_key] for e in entries]
-    u_errors = [e.target_error for e in entries]
+    lam_key = "lam_err_" + _sweep_targets(m, template.rate, direction, growth.sup_a)[0]
+    u_key = entries[-1].target_name if entries else ""
+    if fd is None:
+        lam_errors = [e.errors[lam_key] for e in entries]
+        u_errors = [e.target_error for e in entries]
+    else:  # the FD pair is no sweep target: each entry meets it here, on its own grid
+        core_r = growth.core_radius + 1.0 if growth.hostile else policy.base_radius / 2.0
+        u_key, u_errors = "u_l2core_err_v_fd", []
+        lam_errors = [abs(e.lam.value - fd.lambda1.value) for e in entries]
+        for e in entries:
+            grid, u = e.solve.op.grid, e.solve.values
+            x = grid.points[:, 0]
+            core = np.abs(x) <= core_r
+            v_fd = np.interp(x, fd.nodes, fd.values)
+            u_errors.append(float(np.sqrt(np.sum(grid.weights[core] * (u[core] - v_fd[core]) ** 2))))
 
     lam_mono = _tail_monotone(lam_errors)
     u_mono = _tail_monotone(u_errors)
@@ -419,7 +414,7 @@ def asymptotic_limit_check(
         lambda_monotone=lam_mono,
         u_monotone=u_mono,
         lambda_target_name=lam_key if entries else "",
-        u_target_name=entries[-1].target_name if entries else "",
+        u_target_name=u_key if entries else "",
         sweep=sweep,
         fd=fd,
         notes=notes,
@@ -505,17 +500,14 @@ def energy_slope_audit(
     solver_tol: float = 1e-10,
     spectral_tol: float = 1e-10,
 ) -> EnergySlopeFit:
-    """Audit every entry of a sweep over the sorted eps schedule and fit
-    log E vs log eps (slope ~ m)."""
-    policy = policy or GridPolicy()
+    """Audit every entry of a sweep over the sorted eps schedule, on the
+    operator each entry was solved on, and fit log E vs log eps (slope ~ m)."""
     sweep = epsilon_sweep(kernel, growth, sorted(epsilons), policy,
                           solver_tol=solver_tol, spectral_tol=spectral_tol)
     audits = []
     eps_list, energies = [], []
     for entry in sweep.entries:
-        scaled = replace(kernel, epsilon=entry.eps)
-        op = build_operator(policy.grid_for(scaled), scaled, growth)
-        audit = apriori_estimate_audit(op, entry.solve.values, entry.lam)
+        audit = apriori_estimate_audit(entry.solve.op, entry.solve.values, entry.lam)
         audits.append(audit)
         if entry.solve.verdict == "persistent":
             eps_list.append(entry.eps)

@@ -28,9 +28,10 @@ No solve here loads ``scipy.sparse``.
 
 Every estimate carries the narrowest bracket certified and met_tol (width
 <= tol). A miss is recorded, never raised; a caller that needs the width
-checks met_tol. An off-band miss also reads the gap below the top
-eigenvalue of B, by LOBPCG deflated against phi, and flags ``degenerate``
-when it is below DEGENERACY_GAP. ``_certified_iteration`` builds every
+checks met_tol, and may ask ``degenerate_top`` whether a (nearly) double
+top eigenvalue excuses it: off the band it reads the gap below the top
+eigenvalue of B by LOBPCG deflated against phi, so only a miss that a
+caller would refuse pays for it. ``_certified_iteration`` builds every
 SpectralEstimate, so this is the one eigen-solver: the local FD reference
 lambda_1 of the m = 2 limit is lambda_p of the nonlocal operator at range h
 (``experiments.local_kpp_solve_fd``), bracketed the same way.
@@ -63,7 +64,6 @@ class SpectralEstimate:
     met_tol: bool                     # width <= the requested tol
     sup_a: float                      # max of a(x) on the grid
     eigenfunction_certified: bool     # upper < rate - sup_a
-    degenerate: bool = False
 
     @property
     def width(self) -> float:
@@ -156,14 +156,6 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
     rq_a = float(phi @ (op.grid.weights * a_phi)) / float(phi @ (op.grid.weights * phi))
     value = float(np.clip(-rq_a, best[0], best[1]))
     residual = float(np.max(np.abs(a_phi + value * phi)))
-    met_tol = best[1] - best[0] <= tol
-    degenerate = False
-    if stencil is None and not met_tol:
-        # a (nearly) double top eigenvalue of B excuses a miss. The next one is
-        # the top eigenvalue orthogonal to phi; phi times a ramp reaches the odd
-        # partner of an even phi, as two mirrored niches have
-        theta2 = _lobpcg(op, c, phi * np.arange(op.size), deflate=phi / np.linalg.norm(phi))[0]
-        degenerate = c + rq_a - theta2 < DEGENERACY_GAP
     sup_a = float(np.max(op.a_values))
     return SpectralEstimate(
         value=value,
@@ -172,11 +164,27 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
         eigenvector=phi,
         residual=residual,
         iterations=iterations,
-        met_tol=met_tol,
+        met_tol=best[1] - best[0] <= tol,
         sup_a=sup_a,
         eigenfunction_certified=bool(best[1] < op.rate - sup_a),
-        degenerate=degenerate,
     )
+
+
+def degenerate_top(op, est: SpectralEstimate) -> bool:
+    """Whether a (nearly) double top eigenvalue of B = A + cI, a gap theta1 -
+    theta2 below DEGENERACY_GAP, excuses est's missed tol; never on the band.
+    theta1 is the weighted Rayleigh quotient of est's phi, theta2 the top
+    eigenvalue orthogonal to phi by LOBPCG deflated against phi; phi times a
+    ramp reaches the odd partner of an even phi, as two mirrored niches have.
+    """
+    if op.band_stencil() is not None:
+        return False
+    c = _shift_constant(op)
+    phi, w = est.eigenvector, op.grid.weights
+    a_phi = op.stencil_product(phi, shift=c) - c * phi
+    rq_a = float(phi @ (w * a_phi)) / float(phi @ (w * phi))
+    theta2 = _lobpcg(op, c, phi * np.arange(op.size), deflate=phi / np.linalg.norm(phi))[0]
+    return c + rq_a - theta2 < DEGENERACY_GAP
 
 
 def _fft_product(op, c, v):

@@ -16,13 +16,16 @@ operator at range h (``experiments.local_kpp_solve_fd``). The balls come from
 ``spectral.radius_walk``, which also certifies lambda_p on each one and
 checks its domain monotonicity; the walk stops once the solution stops
 changing. Every verdict is tied to a certified lambda_p bracket; brackets
-that straddle zero refuse a verdict.
+that straddle zero refuse a verdict. A ball solve and a whole-space solve
+return the same ``StationarySolution``: the state, the certified lambda_p
+that decides it and the operator it was solved on; the whole-space one adds
+its R history.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -252,16 +255,23 @@ def _cg_solver(op: DiscreteOperator, atol: float):
 
 
 @dataclass
-class BallSolve:
+class StationarySolution:
+    op: DiscreteOperator               # the operator solved on (the last ball of a walk)
     values: np.ndarray
-    verdict: str                      # "persistent" | "extinct" | "indeterminate"
-    lambda_estimate: SpectralEstimate
+    verdict: str                       # "persistent" | "extinct" | "indeterminate"
+    lambda_p_used: SpectralEstimate
     residual: float
     sub: np.ndarray | None = None
     super_: np.ndarray | None = None
     iterations: int = 0
-    gap: float = 0.0                  # enclosure width max |hi - lo| of the Newton pair
+    gap: float = 0.0                   # enclosure width max |hi - lo| of the Newton pair
     attempted: np.ndarray | None = None  # terminal iterate when indeterminate
+    R_history: list[tuple[float, float]] = field(default_factory=list)
+    r_converged: bool = False          # last change along the R schedule <= tol
+
+    @property
+    def sup_norm(self) -> float:
+        return float(np.max(np.abs(self.values)))
 
 
 def solve_stationary_ball(
@@ -269,7 +279,7 @@ def solve_stationary_ball(
     tol: float = 1e-10,
     lam: SpectralEstimate | None = None,
     lower_start: np.ndarray | None = None,
-) -> BallSolve:
+) -> StationarySolution:
     """Unique nonnegative equilibrium on one ball, or certified zero.
 
     Two-sided monotone Newton (``two_sided_newton``) runs from a verified
@@ -283,7 +293,8 @@ def solve_stationary_ball(
         lam = principal_eigenvalue(op)
     zero = np.zeros(op.size)
     if lam.lower >= 0.0:
-        return BallSolve(values=zero, verdict="extinct", lambda_estimate=lam, residual=0.0)
+        return StationarySolution(op=op, values=zero, verdict="extinct", lambda_p_used=lam,
+                                  residual=0.0)
 
     super_ = build_supersolution(op, tol=max(tol, 1e-8))
     residual_target = max(tol * min(1.0, abs(lam.value)), 1e-14 * (1.0 + op.rate))
@@ -301,15 +312,9 @@ def solve_stationary_ball(
     if lam.upper >= 0.0:
         # bracket straddles zero: no verdict; report the attempted iterate
         attempted, _, steps = newton(None, max(residual_target, 1e-12))
-        return BallSolve(
-            values=zero,
-            verdict="indeterminate",
-            lambda_estimate=lam,
-            residual=float(np.max(np.abs(op.rhs(attempted)))),
-            super_=super_.values,
-            iterations=steps,
-            attempted=attempted,
-        )
+        return StationarySolution(op=op, values=zero, verdict="indeterminate", lambda_p_used=lam,
+                                  residual=float(np.max(np.abs(op.rhs(attempted)))),
+                                  super_=super_.values, iterations=steps, attempted=attempted)
 
     sub = verified_subsolution(op, lam, ceiling=super_.values)
     start_low = sub
@@ -323,34 +328,9 @@ def solve_stationary_ball(
         raise UniquenessViolationError(
             f"monotone limits disagree by {gap:.3e} (> {10 * tol:.1e})"
         )
-    return BallSolve(
-        values=u,
-        verdict="persistent",
-        lambda_estimate=lam,
-        residual=float(np.max(np.abs(op.rhs(u)))),
-        sub=sub,
-        super_=super_.values,
-        iterations=steps,
-        gap=gap,
-    )
-
-
-@dataclass
-class StationarySolution:
-    op: DiscreteOperator               # the operator of the ball the walk ended on
-    values: np.ndarray
-    residual: float
-    sub: np.ndarray | None
-    super_: np.ndarray | None
-    lambda_p_used: SpectralEstimate
-    R_history: list[tuple[float, float]] = field(default_factory=list)
-    verdict: str = "persistent"
-    attempted: np.ndarray | None = None
-    r_converged: bool = False          # last change along the R schedule <= tol
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
+    return StationarySolution(op=op, values=u, verdict="persistent", lambda_p_used=lam,
+                              residual=float(np.max(np.abs(op.rhs(u)))), sub=sub,
+                              super_=super_.values, iterations=steps, gap=gap)
 
 
 def solve_stationary_wholespace(
@@ -369,8 +349,9 @@ def solve_stationary_wholespace(
     lambda_p certified and non-increasing in R) and solves each one, started
     from the previous ball's solution. Asserts u_{R_k} <= u_{R_{k+1}} on the
     common lattice and stops once the sup-norm change drops below tol. The
-    verdict comes from the certified bracket at the largest ball solved,
-    whose operator the solution keeps.
+    result is the largest ball's solution, with the R history added: its
+    verdict comes from that ball's certified bracket, and it keeps that
+    ball's operator.
     """
     last_R = max(map(float, radii), default=None)
     prev_grid = None
@@ -403,23 +384,13 @@ def solve_stationary_wholespace(
         if (change <= tol and sol.verdict != "indeterminate") or R == last_R:
             break
         prev_grid, prev_vals = grid, sol.values
-        del op  # free its cached plans before the walk certifies the next ball
+        # free the ball's operator and its cached plans before the walk certifies the next ball
+        del op, sol
 
     if sol.verdict == "persistent" and sol.super_ is not None:
         if np.any(sol.values > sol.super_ + 100.0 * solver_tol):
             raise MonotonicityViolationError("solution escaped its super-solution")
-    return StationarySolution(
-        op=op,
-        values=sol.values,
-        residual=sol.residual,
-        sub=sol.sub,
-        super_=sol.super_,
-        lambda_p_used=sol.lambda_estimate,
-        R_history=history,
-        verdict=sol.verdict,
-        attempted=sol.attempted,
-        r_converged=history[-1][1] <= tol,
-    )
+    return replace(sol, R_history=history, r_converged=history[-1][1] <= tol)
 
 
 @dataclass
@@ -452,7 +423,6 @@ def verify_uniqueness(op: DiscreteOperator, u: np.ndarray, v: np.ndarray) -> Uni
 
 __all__ = [
     "Supersolution",
-    "BallSolve",
     "StationarySolution",
     "UniquenessReport",
     "build_supersolution",

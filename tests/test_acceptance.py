@@ -187,7 +187,7 @@ def test_05_long_time_behaviour(persistence_solves):
         small = 0.01 * (x <= op.growth.core_radius).astype(float)
         large = np.full(op.size, 1.2 * float(np.max(sol.super_)))
         for name, u0 in (("small", small), ("large", large)):
-            v = long_time_verdict(op, u0, 200.0, tol, sol.lambda_estimate,
+            v = long_time_verdict(op, u0, 200.0, tol, sol.lambda_p_used,
                                   stationary=sol.values)
             if v.verdict != "persistence-converged" or v.final_dist_sup > tol:
                 failures.append((op.growth.params["a0"], name, v.verdict, v.final_dist_sup))

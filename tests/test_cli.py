@@ -48,7 +48,7 @@ params = value=1.5
 
 def test_spectrum_torus_constant_reruns_are_byte_identical(tmp_path):
     # the flat start vector is the eigenvector: its own bracket meets tol, so
-    # no ARPACK call can make a rerun differ in the last bits
+    # no LOBPCG call can make a rerun differ in the last bits
     written = []
     for run in ("first", "second"):
         (tmp_path / run).mkdir()

@@ -244,7 +244,7 @@ class TestLongTimeVerdict:
         sol = solve_stationary_ball(ball_op, tol=1e-10)
         x = np.abs(ball_op.grid.points[:, 0])
         u0 = 0.01 * (x < 1.0).astype(float)
-        res = long_time_verdict(ball_op, u0, 200.0, 1e-3, sol.lambda_estimate,
+        res = long_time_verdict(ball_op, u0, 200.0, 1e-3, sol.lambda_p_used,
                                 stationary=sol.values)
         assert res.verdict == "persistence-converged"
         assert res.final_dist_sup <= 1e-3

@@ -100,26 +100,42 @@ class TestEpsStar:
         lo, hi = eps_scan[flips[0]], eps_scan[flips[0] + 1]
         assert lo - 1e-2 <= res.value <= hi + 1e-2
 
-    def test_straddling_midpoint_keeps_the_certified_bracket(self, tent, monkeypatch):
-        # the first midpoint, eps = 7, straddles at every tol: the bisection stops there
+    @staticmethod
+    def _straddling_run(tent, monkeypatch, eps_straddle):
+        """find_eps_star on [4, 10] (eps* about 6.4) with lambda_p straddling
+        zero at every tol at eps_straddle; returns the result and those tols."""
         real = experiments.principal_eigenvalue
         tols = []
 
-        def straddle_at_7(op, tol):
+        def straddle(op, tol):
             est = real(op, tol=tol)
-            if op.kernel.epsilon == 7.0:
+            if op.kernel.epsilon == eps_straddle:
                 tols.append(tol)
                 est = replace(est, lower=-1e-3, upper=1e-3, value=-1e-4)
             return est
 
-        monkeypatch.setattr(experiments, "principal_eigenvalue", straddle_at_7)
+        monkeypatch.setattr(experiments, "principal_eigenvalue", straddle)
         policy = GridPolicy(base_radius=4.0, base_spacing=0.1)
         res = find_eps_star(rescale_kernel(tent, 1.0, 0.0), bump_growth(0.8, 1.0, -1.0), 4.0, 10.0,
                             policy, tol=1e-2)
+        return res, tols
+
+    def test_straddling_midpoint_keeps_the_certified_bracket(self, tent, monkeypatch):
+        # the first midpoint, eps = 7, straddles at every tol: the bisection stops there
+        res, tols = self._straddling_run(tent, monkeypatch, 7.0)
         assert tols == [1e-10, 1e-12, 1e-13]
         assert (res.kind, res.bracket, res.value, res.unresolved) == ("finite", (4.0, 10.0), 7.0, [7.0])
         assert [eps for eps, _ in res.history] == [4.0, 10.0, 7.0]
         assert res.history[0][1].sign == "negative" and res.history[1][1].sign == "nonnegative"
+
+    def test_straddling_hi_is_no_certified_end(self, tent, monkeypatch):
+        # hi = 10 straddles at every tol: no bracket rests on it, and no bisection runs
+        res, tols = self._straddling_run(tent, monkeypatch, 10.0)
+        assert tols == [1e-10, 1e-12, 1e-13]
+        assert (res.kind, res.bracket, res.value, res.unresolved) == ("no-sign-change", None, None,
+                                                                      [10.0])
+        assert [eps for eps, _ in res.history] == [4.0, 10.0]
+        assert res.note == "no certified sign at eps=10.0: lambda_p sign straddle"
 
     def test_thin_spike_warning(self, tent):
         growth = GrowthProfile("tabulated", params={
@@ -239,6 +255,25 @@ class TestLimitCheck:
                 asymptotic_limit_check(Kernel("tent", dimension=2), growth, 2.0, "small",
                                        [0.8, 0.4], GridPolicy(base_radius=2.5, base_spacing=0.2))
 
+    def test_m2_fd_errors_are_read_on_each_entry_grid(self, tent, bump):
+        # the test_07 grid policy: the errors against the FD pair equal those
+        # recomputed from chk.fd and the grid each entry was solved on
+        chk = asymptotic_limit_check(tent, bump, 2.0, "small", [0.4, 0.2, 0.1], POLICY,
+                                     solver_tol=1e-8, spectral_tol=1e-9)
+        assert chk.u_target_name == "u_l2core_err_v_fd"
+        core_r = bump.core_radius + 1.0
+        lam_oracle, u_oracle = [], []
+        for e in chk.sweep.entries:
+            grid = e.solve.op.grid
+            assert grid.size == POLICY.grid_for(rescale_kernel(tent, e.eps, 2.0)).size
+            x = grid.points[:, 0]
+            core = np.abs(x) <= core_r
+            v = np.interp(x, chk.fd.nodes, chk.fd.values)
+            lam_oracle.append(abs(e.lam.value - chk.fd.lambda1.value))
+            u_oracle.append(float(np.sqrt(np.sum(grid.weights[core] * (e.solve.values[core] - v[core]) ** 2))))
+        assert chk.lambda_errors == lam_oracle
+        assert chk.u_errors == u_oracle
+
     def test_m0_large_eps(self, tent, bump):
         policy = GridPolicy(base_radius=4.0, base_spacing=0.1)
         chk = asymptotic_limit_check(tent, bump, 0.0, "large", [8, 16, 32], policy,
@@ -265,7 +300,7 @@ class TestAudit:
         from nichewave.stationary import solve_stationary_ball
 
         sol = solve_stationary_ball(ball_op, tol=1e-10)
-        audit = apriori_estimate_audit(ball_op, sol.values, sol.lambda_estimate)
+        audit = apriori_estimate_audit(ball_op, sol.values, sol.lambda_p_used)
         assert audit.all_passed, [(i.name, i.detail) for i in audit.items if not i.passed]
 
     def test_energy_slope_near_m(self, tent, bump):
@@ -273,6 +308,24 @@ class TestAudit:
                                  solver_tol=1e-9)
         assert abs(fit.slope - 1.0) <= 0.2
         assert all(a.all_passed for a in fit.audits)
+
+    def test_audits_the_operator_each_entry_solved_on(self, tent, bump, monkeypatch):
+        ops = []
+        real = experiments.build_operator
+
+        def spy(*args, **kwargs):
+            ops.append(real(*args, **kwargs))
+            return ops[-1]
+
+        monkeypatch.setattr(experiments, "build_operator", spy)
+        audited, audit = [], experiments.apriori_estimate_audit
+        monkeypatch.setattr(experiments, "apriori_estimate_audit",
+                            lambda op, *args: audited.append(op) or audit(op, *args))
+        fit = energy_slope_audit(rescale_kernel(tent, 1.0, 1.0), bump, [4, 2],
+                                 GridPolicy(base_radius=4.0, base_spacing=0.1), solver_tol=1e-9)
+        assert [a.eps for a in fit.audits] == [2.0, 4.0]
+        # one operator per eps, built by the sweep and audited as it is
+        assert len(ops) == len(audited) == 2 and all(a is b for a, b in zip(audited, ops))
 
     @pytest.mark.parametrize("spectral_tol, met", [(1e-30, False), (None, True)])
     def test_records_lambda_met_tol(self, tent, bump, spectral_tol, met):

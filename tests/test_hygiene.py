@@ -512,7 +512,7 @@ def test_cli_import_loads_no_quadrature():
     assert _fresh_python(code) == "[]"
 
 
-def test_only_off_band_solves_load_sparse():
+def test_no_solve_loads_sparse():
     code = ("import sys\n"
             "from nichewave import (Kernel, build_grid, build_operator, bump_growth,\n"
             "                       principal_eigenvalue, rescale_kernel)\n"

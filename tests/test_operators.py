@@ -336,9 +336,9 @@ class TestStencilProduct:
 
     @pytest.mark.parametrize("make", [
         _steep_ball_op,  # Noda steps on the band
-        lambda: _assembly_op(2, 3.0, 0.25, "ball-truncated", 0.8),  # ARPACK and power steps
+        lambda: _assembly_op(2, 3.0, 0.25, "ball-truncated", 0.8),  # LOBPCG and power steps
         lambda: _assembly_op(1, 4.0, 0.125, "torus", 1.0),
-    ], ids=["banded-1d-ball", "arpack-2d-ball", "torus"])
+    ], ids=["banded-1d-ball", "lobpcg-2d-ball", "torus"])
     def test_no_assembly_on_the_certified_path(self, make, monkeypatch):
         op = make()
 

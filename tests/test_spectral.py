@@ -22,7 +22,7 @@ from nichewave import (
     rescale_kernel,
     scaling_invariance_check,
 )
-from nichewave import spectral
+from nichewave import cli, spectral
 from nichewave.experiments import local_kpp_solve_fd
 from nichewave.operators import DiscreteOperator, build_operator
 from nichewave.spectral import radius_walk
@@ -117,7 +117,7 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="not a solver failure"):
             principal_eigenvalue(ball_2d(), tol=1e-10)
 
-    def test_certifies_without_arpack(self, tent, bump, monkeypatch):
+    def test_certifies_without_lobpcg(self, tent, bump, monkeypatch):
         # the power steps alone reach the bracket from the start vector
         monkeypatch.setattr(spectral, "_lobpcg", start_vector)
         op = build_operator(build_grid(1, 3.0, 0.25, "ball-truncated"), rescale_kernel(tent, 1.0, 0.0), bump)
@@ -128,7 +128,7 @@ class TestWarmStart:
         assert est.iterations > 3  # power steps, not an eigenvector solve, did the work
 
 
-    def test_certifies_without_arpack_on_torus(self, tent, bump, monkeypatch):
+    def test_certifies_without_lobpcg_on_torus(self, tent, bump, monkeypatch):
         # the torus has no band: power steps from the start vector reach the bracket
         monkeypatch.setattr(spectral, "_lobpcg", start_vector)
         op = build_operator(build_grid(1, 3.0, 0.25, "torus"), rescale_kernel(tent, 1.0, 0.0), bump)
@@ -139,7 +139,7 @@ class TestWarmStart:
         assert est.width <= 1e-10
         assert est.iterations > 3
 
-    def test_exact_start_vector_skips_arpack(self, torus_op, tent, bump, monkeypatch):
+    def test_exact_start_vector_skips_lobpcg(self, torus_op, tent, bump, monkeypatch):
         # constant growth on the torus: the ones vector is the eigenvector
         calls = []
         lobpcg = spectral._lobpcg
@@ -215,7 +215,7 @@ class TestNodaSteps:
             est = solve(steep_op, tol=1e-10)
             assert est.width <= 1e-10 and est.met_tol
             assert est.lower <= hi and lo <= est.upper
-            assert not est.degenerate
+            assert not spectral.degenerate_top(steep_op, est)
 
     def test_unreachable_tol_fails_fast(self, steep_op):
         est = principal_eigenvalue(steep_op, tol=1e-30)
@@ -240,7 +240,7 @@ class TestNodaSteps:
             assert est.width <= 1e-10
             assert est.lower - 1e-13 <= oracle <= est.upper + 1e-13
 
-    def test_arpack_only_off_the_band(self, ball_op, monkeypatch):
+    def test_lobpcg_only_off_the_band(self, ball_op, monkeypatch):
         # the LOBPCG eigenvector solve runs off the band only
         def never(*args, **kwargs):
             raise AssertionError("LOBPCG called")
@@ -281,7 +281,7 @@ ONE_NICHE = [2, -1, -1, -1, -1, -1, -1, -1, -1]
 
 
 class TestDegenerateGap:
-    """A missed tol off the band reads the gap below the top eigenvalue."""
+    """The gap below the top eigenvalue is read off the band, for a missed tol only."""
 
     @pytest.mark.parametrize("values, degenerate", [(TWO_NICHES, True), (ONE_NICHE, False)],
                              ids=["two-niches", "one-niche"])
@@ -293,9 +293,11 @@ class TestDegenerateGap:
         for solve in (principal_eigenvalue, rayleigh_lambda_v):
             est = solve(op, tol=1e-30)
             assert not est.met_tol
-            assert est.degenerate is degenerate
+            assert spectral.degenerate_top(op, est) is degenerate
 
     def test_only_a_miss_reads_the_gap(self, monkeypatch):
+        # no eigen-solve reads the gap, not even on a miss; the CLI check reads
+        # it, by one deflated LOBPCG run, only for an estimate that missed tol
         calls = []
         lobpcg = spectral._lobpcg
 
@@ -304,12 +306,17 @@ class TestDegenerateGap:
             return lobpcg(*args, deflate=deflate)
 
         monkeypatch.setattr(spectral, "_lobpcg", spy)
-        est = principal_eigenvalue(niches_op(TWO_NICHES), tol=1e-10)
-        assert est.met_tol and not est.degenerate
-        assert calls == [False]
+        op = niches_op(TWO_NICHES)
+        met, missed = (principal_eigenvalue(op, tol=tol) for tol in (1e-10, 1e-30))
+        assert met.met_tol and not missed.met_tol
+        assert calls == [False, False]
+        assert cli._certified(op, met, 1e-10) is met
+        assert calls == [False, False]
+        assert cli._certified(op, missed, 1e-30) is missed
+        assert calls == [False, False, True]
 
 
-class TestArpackVector:
+class TestLobpcgVector:
     @pytest.mark.parametrize("dimension,topology", [
         (1, "ball-truncated"), (1, "torus"), (2, "ball-truncated"), (2, "torus"),
     ])

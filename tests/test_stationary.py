@@ -87,7 +87,12 @@ class TestBallSolve:
         sol = solve_stationary_ball(op)
         assert sol.verdict == "extinct"
         assert np.all(sol.values == 0.0)
-        assert sol.lambda_estimate.lower >= 0.0
+        assert sol.lambda_p_used.lower >= 0.0
+
+    def test_solution_keeps_its_operator(self, ball_op, tent):
+        assert solve_stationary_ball(ball_op, tol=1e-10).op is ball_op
+        extinct = build_operator(build_grid(1, 2.0, 0.25, "ball-truncated"), tent, constant_growth(-0.5))
+        assert solve_stationary_ball(extinct).op is extinct
 
     def test_torus_uniform_logistic(self, torus_op):
         sol = solve_stationary_ball(torus_op, tol=1e-10)
@@ -149,6 +154,26 @@ class TestWholeSpace:
         oracle = solve_stationary_ball(op16, tol=1e-10)
         i_small, i_big = sol.op.grid.common_with(grid16)
         assert np.max(np.abs(sol.values[i_small] - oracle.values[i_big])) <= 1e-5
+
+    def test_keeps_the_last_ball_and_its_solution(self, tent, bump, monkeypatch):
+        balls = []
+        real = stationary.solve_stationary_ball
+
+        def spy(op, **kwargs):
+            balls.append(real(op, **kwargs))
+            return balls[-1]
+
+        monkeypatch.setattr(stationary, "solve_stationary_ball", spy)
+        sol = solve_stationary_wholespace(tent, bump, [4, 6, 8], 0.1, tol=1e-30)
+        assert [b.op.grid.radius for b in balls] == [4.0, 6.0, 8.0]
+        last = balls[-1]
+        assert sol.op is last.op
+        assert all(getattr(sol, name) is getattr(last, name)
+                   for name in ("values", "lambda_p_used", "sub", "super_"))
+        assert (sol.verdict, sol.residual, sol.iterations, sol.gap) == (
+            last.verdict, last.residual, last.iterations, last.gap)
+        assert [R for R, _ in sol.R_history] == [4.0, 6.0, 8.0] and not sol.r_converged
+        assert last.R_history == [] and last.r_converged is False
 
     def test_sandwiched_below_supersolution(self, tent, bump):
         sol = solve_stationary_wholespace(tent, bump, [4, 6, 8], 0.1)
