@@ -36,13 +36,11 @@ from .growth import GrowthProfile, bump_growth, constant_growth
 from .operators import DiscreteOperator, build_operator, sample_taps, weighted_symmetrize
 from .spectral import (
     ExtrapolationResult,
-    ScalingCheck,
     SpectralEstimate,
     dense_lambda_p_oracle,
     lambda_p_extrapolate_R,
     principal_eigenvalue,
     rayleigh_lambda_v,
-    scaling_invariance_check,
 )
 
 __version__ = "0.1.0"

@@ -7,9 +7,8 @@ fat-tail, audit. Every command takes one Kernel, family, epsilon, m and
 alpha0, from [kernel], so all of them solve with the same kernel and rate;
 sweep, eps-star, ess and audit replace only epsilon, and eps-star needs
 m = 0. validate checks the hypotheses on J itself, that Kernel at
-epsilon = 1. [sweep] m, [ess] m and [audit] m are gone (see nichewave.config).
-The commands that walk an eps schedule solve one eps after another in one
-thread; [run] workers accepts only 1.
+epsilon = 1. The commands that walk an eps schedule solve one eps after
+another in one thread; [run] workers accepts only 1.
 Artifacts are CSV/JSON named <command>-<label>.* in the configured output
 directory. Exit codes: 0 success, 1 config error or a
 time step above the monotone bound, 2 numerical failure (partial artifacts
@@ -98,6 +97,8 @@ def _u0_from_spec(spec: str, grid, stationary_values):
     kind, _, rest = spec.partition(":")
     args = [_evolve_float("u0", t) for t in rest.split(":")] if rest else []
     amp = args[0] if args else 0.01
+    if not amp >= 0.0:
+        raise errors.ConfigError(f"[evolve] u0: amplitude {amp!r} is not a nonnegative number")
     x = grid.norms()
     if kind == "constant":
         return np.full(grid.size, amp)

@@ -202,9 +202,9 @@ def find_eps_star(
     The rate alpha0 is the same at every eps. If (a - rate)+ is not
     identically zero on the grid, persistence holds for every eps and the
     threshold is infinite. Both ends and every move of one rest on a
-    certified sign: an hi still straddling after two sharper retries is
-    "no-sign-change", and such a midpoint stops the bisection at the last
-    certified [a, b]; either eps goes into ``unresolved``.
+    certified sign: an lo or hi still straddling after two sharper retries
+    is "no-sign-change", and such a midpoint stops the bisection at the last
+    certified [a, b]; each such eps goes into ``unresolved``.
     """
     if kernel.m != 0.0:
         raise ConfigError(f"eps* is defined for m = 0, not m = {kernel.m:g}")
@@ -244,6 +244,7 @@ def find_eps_star(
     est_hi = lam_at(hi)
     if est_lo.sign != "negative":
         return EpsStarResult(kind="no-sign-change", value=None, bracket=None, history=history,
+                             unresolved=unresolved,
                              note=f"no persistence at eps={lo}: lambda_p sign {est_lo.sign}")
     if est_hi.sign != "nonnegative":  # b must be a certified end, as a is
         note = (f"persistence persists to eps={hi}" if est_hi.sign == "negative"
@@ -629,10 +630,6 @@ class FatTailResult:
     tail_mass: float
     bracket_inflation: float
     evidence: str
-
-    @property
-    def inflated_upper(self) -> float:
-        return min(e.upper for e in self.estimates) + self.bracket_inflation if self.estimates else math.inf
 
 
 def fat_tail_verdict(

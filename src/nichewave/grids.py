@@ -50,9 +50,6 @@ class Grid:
             return np.asarray(fn(self.points[:, 0]), dtype=float)
         return np.asarray(fn(self.points), dtype=float)
 
-    def integrate(self, u: np.ndarray) -> float:
-        return float(np.sum(self.weights * u))
-
     def box_lookup(self, pad: int = 0) -> np.ndarray:
         """Point index of every box cell, -1 off the grid, with ``pad`` cells of -1 per side."""
         lookup = np.full(tuple(s + 2 * pad for s in self.box_shape), -1, dtype=np.int64)

@@ -366,24 +366,13 @@ class DiscreteOperator:
         """Full stationary residual rate (J_eps * u - u) + f(x, u)."""
         return self.rate * (self.convolve(u) - u) + self.reaction(u)
 
-    # --- certified ingredients ---------------------------------------------------
+    # --- dispersal energy (experiments.energy_slope_audit) -----------------------
 
     def kernel_mass(self) -> np.ndarray:
         """k(x_i) = sum_j w_j J_eps(x_i - x_j) <= 1 (deficit near the boundary)."""
         if self._kmass is None:
             self._kmass = self.convolve(np.ones(self.size))
         return self._kmass
-
-    def perron_window(self) -> tuple[float, float]:
-        """Certified enclosure of lambda_p of the assembled operator.
-
-        Gershgorin row sums give lambda_max <= max(a - rate (1 - k)); the
-        coordinate Rayleigh quotient gives lambda_max >= max(a) - rate.
-        """
-        k = self.kernel_mass()
-        lo = -float(np.max(self.a_values - self.rate * (1.0 - k)))
-        hi = self.rate - float(np.max(self.a_values))
-        return lo, hi
 
     def energy(self, u: np.ndarray) -> float:
         """(1/2) sum_ij w_i w_j J_eps(x_i - x_j) (u_i - u_j)^2."""

@@ -46,7 +46,6 @@ import numpy as np
 
 from .errors import ConfigError, DiscretizationInconsistencyError, IrreducibilityError
 from .grids import build_grid
-from .kernels import rescale_kernel
 from .operators import banded_solver, build_operator, weighted_symmetrize
 
 DEGENERACY_GAP = 1e-12
@@ -372,37 +371,3 @@ def lambda_p_extrapolate_R(
         uncertainty=uncertainty,
         converged=converged,
     )
-
-
-@dataclass
-class ScalingCheck:
-    """lambda_p(M_eps + a_eps) - lambda_p(M + a), and the sum of the two
-    bracket widths it should lie within."""
-
-    difference: float
-    combined_width: float
-
-
-def scaling_invariance_check(
-    kernel,
-    growth,
-    epsilon: float,
-    radius: float,
-    spacing: float,
-) -> ScalingCheck:
-    """Compare lambda_p(M + a) with lambda_p(M_eps + a_eps), a_eps(x) = a(x/eps).
-
-    Both sides are J at rate 1, whatever scale ``kernel`` carries. The scaled
-    side is discretized on the mapped grid (radius eps R, spacing eps h),
-    which is the exact discrete change of variables.
-    """
-    grid1 = build_grid(kernel.dimension, radius, spacing, "ball-truncated")
-    op1 = build_operator(grid1, rescale_kernel(kernel, 1.0, 0.0, 1.0), growth)
-    est1 = principal_eigenvalue(op1)
-
-    grid2 = build_grid(kernel.dimension, epsilon * radius, epsilon * spacing, "ball-truncated")
-    scaled = rescale_kernel(kernel, epsilon, 0.0, 1.0)  # rate stays 1
-    a_scaled = grid2.sample(lambda x: growth.a(x / epsilon))
-    op2 = build_operator(grid2, scaled, growth=None, a_values=a_scaled)
-    est2 = principal_eigenvalue(op2)
-    return ScalingCheck(difference=est2.value - est1.value, combined_width=est1.width + est2.width)

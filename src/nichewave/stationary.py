@@ -19,7 +19,8 @@ changing. Every verdict is tied to a certified lambda_p bracket; brackets
 that straddle zero refuse a verdict. A ball solve and a whole-space solve
 return the same ``StationarySolution``: the state, the certified lambda_p
 that decides it and the operator it was solved on; the whole-space one adds
-its R history.
+its R history. Uniqueness rests on the Newton pair agreeing (``gap``); the
+energy-identity defect of two states is a test oracle, not part of a solve.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .operators import DiscreteOperator, banded_solver
 from .spectral import SpectralEstimate, principal_eigenvalue, radius_walk
 
 _SUB_SLACK = 1e-11
-_RATIO_FLOOR = 1e-300  # verify_uniqueness skips entries at or below it
 _MAX_BACKTRACKS = 60   # halvings of a super-solution exponent or sub-solution amplitude
 
 
@@ -393,43 +393,13 @@ def solve_stationary_wholespace(
     return replace(sol, R_history=history, r_converged=history[-1][1] <= tol)
 
 
-@dataclass
-class UniquenessReport:
-    defect: float
-    sup_diff: float
-    skipped: int
-
-
-def verify_uniqueness(op: DiscreteOperator, u: np.ndarray, v: np.ndarray) -> UniquenessReport:
-    """Energy-identity defect D = sum w v u [f(x,u)/u - f(x,v)/v].
-
-    D vanishes when u = v and is strictly positive for v >= u, v != u by
-    strict decrease of f(x,s)/s; entries at or below _RATIO_FLOOR are
-    skipped to avoid 0/0.
-    """
-    w = op.grid.weights
-    mask = (u > _RATIO_FLOOR) & (v > _RATIO_FLOOR)
-    fu = np.zeros_like(u)
-    fv = np.zeros_like(v)
-    fu[mask] = op.reaction(u)[mask] / u[mask]
-    fv[mask] = op.reaction(v)[mask] / v[mask]
-    defect = float(np.sum(w[mask] * v[mask] * u[mask] * (fu[mask] - fv[mask])))
-    return UniquenessReport(
-        defect=defect,
-        sup_diff=float(np.max(np.abs(u - v))),
-        skipped=int(np.sum(~mask)),
-    )
-
-
 __all__ = [
     "Supersolution",
     "StationarySolution",
-    "UniquenessReport",
     "build_supersolution",
     "verified_subsolution",
     "two_sided_newton",
     "decay_margin",
     "solve_stationary_ball",
     "solve_stationary_wholespace",
-    "verify_uniqueness",
 ]

@@ -33,7 +33,8 @@ from nichewave.experiments import (
     local_kpp_solve_fd,
 )
 from nichewave.operators import build_operator
-from nichewave.stationary import solve_stationary_ball, verify_uniqueness
+from nichewave.stationary import solve_stationary_ball
+from oracles import perron_window, verify_uniqueness
 
 TENT = Kernel("tent")
 BUMP = bump_growth(2.0, 1.0, -1.0)
@@ -92,7 +93,7 @@ def test_02_bounds_and_monotonicity(corpus):
         est = principal_eigenvalue(op, tol=1e-10)
         widest = max(widest, est.width)
         # (iv) certified window
-        lo, hi = op.perron_window()
+        lo, hi = perron_window(op)
         if not (lo - 1e-12 <= est.value <= hi + 1e-12):
             violations.append((idx, "window"))
         # (i) domain monotonicity on the nested larger ball
@@ -235,9 +236,9 @@ def test_06_uniqueness(persistence_solves):
         for i in range(len(sols)):
             for j in range(i + 1, len(sols)):
                 worst_pair = max(worst_pair, float(np.max(np.abs(sols[i] - sols[j]))))
-                rep = verify_uniqueness(op, sols[i], sols[j])
+                defect, _ = verify_uniqueness(op, sols[i], sols[j])
                 scale = float(np.sum(op.grid.weights * sols[i] * sols[j]))
-                worst_defect = max(worst_defect, abs(rep.defect) / max(scale, 1e-30))
+                worst_defect = max(worst_defect, abs(defect) / max(scale, 1e-30))
     ok = worst_pair <= 1e-6 and worst_defect <= 1e-6
     report(6, "uniqueness (multi-start + energy identity)", ok,
            f"max pairwise sup diff = {worst_pair:.2e}, max relative defect = {worst_defect:.2e}")

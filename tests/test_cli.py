@@ -468,6 +468,7 @@ def test_missed_spectral_tol_is_recorded_not_raised(tmp_path, capsys):
     ("dt = 10", "exceeds the monotone-stability bound"),
     ("dt = abc", "[evolve] dt: cannot parse 'abc'"),
     ("u0 = constant:abc", "[evolve] u0: cannot parse 'abc'"),
+    ("u0 = constant:-0.01", "[evolve] u0: amplitude -0.01 is not a nonnegative number"),
 ])
 def test_evolve_bad_step_or_u0_exits_one(tmp_path, capsys, setting, message):
     code, out = run_cli(tmp_path, "evolve", _SMALL_STATIONARY + f"\n[evolve]\nT = 1\n{setting}\n")

@@ -137,6 +137,12 @@ class TestEpsStar:
         assert [eps for eps, _ in res.history] == [4.0, 10.0]
         assert res.note == "no certified sign at eps=10.0: lambda_p sign straddle"
 
+    def test_straddling_lo_is_listed_unresolved(self, tent, monkeypatch):
+        res, tols = self._straddling_run(tent, monkeypatch, 4.0)  # lo straddles at every tol
+        assert tols == [1e-10, 1e-12, 1e-13]
+        assert (res.kind, res.bracket, res.unresolved) == ("no-sign-change", None, [4.0])
+        assert res.note == "no persistence at eps=4.0: lambda_p sign straddle"
+
     def test_thin_spike_warning(self, tent):
         growth = GrowthProfile("tabulated", params={
             "r": [0.0, 0.02, 1.0, 2.0], "values": [1.5, -0.5, -0.8, -1.0]})
@@ -388,7 +394,7 @@ class TestFatTail:
         kernel = Kernel("algebraic-tail", params={"power": 5.0})
         res = fat_tail_verdict(rescale_kernel(kernel, 1.0, 0.0), bump_growth(1.0, 1.0, -1.0), [4, 8], 0.05)
         assert res.verdict == "persistence"
-        assert res.inflated_upper < 0
+        assert min(e.upper for e in res.estimates) + res.bracket_inflation < 0
 
     def test_extinction_with_uniformly_negative_growth(self):
         kernel = Kernel("algebraic-tail", params={"power": 5.0})

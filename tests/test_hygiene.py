@@ -36,7 +36,9 @@
 - Every field and property of a dataclass in the package is read
   somewhere in ``src/``, ``tests/`` or ``perfbench/``: as an attribute
   (``x.name`` in a load) or through ``getattr`` with a constant name. A
-  result field that nothing reads is work and memory for nothing.
+  result field that nothing reads is work and memory for nothing. Every
+  public function and method is read so, or as a name, in ``src/`` outside
+  ``__init__`` or in ``perfbench/``: a check only tests call is test code.
 - A fresh ``import nichewave.cli`` loads none of ``scipy.integrate``,
   ``scipy.optimize``, ``scipy.fft``, ``scipy.special`` and ``scipy.sparse``,
   and a banded 1-D and an off-band 2-D eigenvalue and ball solve leave
@@ -58,6 +60,8 @@ SRC = ROOT / "src" / "nichewave"
 MODULES = sorted(SRC.glob("*.py"))
 # every file whose code may read a result of the package
 READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+# every file whose code runs outside the tests: the package, or the benchmark
+CALLERS = [p for p in MODULES if p.name != "__init__.py"] + sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def _dotted(node):
@@ -228,6 +232,23 @@ def unread_members(modules: dict[str, ast.Module], readers) -> list[str]:
     read = set().union(*(attribute_reads(tree) for tree in readers))
     return [f"{name}:{member}" for name, tree in modules.items()
             for member in dataclass_members(tree) if member.split(".")[1] not in read]
+
+
+def public_functions(tree: ast.Module) -> list[str]:
+    """Each public module-level function, then 'Class.name' for each public
+    method (a property too) of a module-level class."""
+    members = [(f"{c.name}.", node) for c in tree.body if isinstance(c, ast.ClassDef) for node in c.body]
+    return [prefix + node.name for prefix, node in [("", node) for node in tree.body] + members
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def uncalled_functions(modules: dict[str, ast.Module], callers) -> list[str]:
+    """'file:name' for each public function of ``modules`` (file name -> tree)
+    whose name no tree of ``callers`` reads, as a name or an attribute."""
+    read = set().union(*(attribute_reads(tree) | {node.id for node in ast.walk(tree)
+                                                  if isinstance(node, ast.Name)} for tree in callers))
+    return [f"{name}:{function}" for name, tree in modules.items()
+            for function in public_functions(tree) if function.split(".")[-1] not in read]
 
 
 # imported module -> the files of src/nichewave whose functions may import it;
@@ -462,6 +483,34 @@ def test_member_check_catches_what_it_names():
     modules = {p.name: _tree(p) for p in MODULES} | {"experiments.py": ast.parse(planted)}
     readers = [modules[p.name] if p.parent == SRC else _tree(p) for p in READERS]
     assert unread_members(modules, readers) == ["experiments.py:InvasionEntry.resident_sup"]
+
+
+# public functions that only the tests call: the dense eigenvalue oracle goes
+# to the tests with the CSR forms it assembles, which perfbench/tracer.py names;
+# constant_growth is the package-level twin of bump_growth, which perfbench calls
+CALLED_BY_TESTS_ONLY = {"spectral.py:dense_lambda_p_oracle", "growth.py:constant_growth"}
+
+
+def test_every_public_function_runs_outside_the_tests():
+    modules = {p.name: _tree(p) for p in MODULES}
+    assert set(uncalled_functions(modules, [_tree(p) for p in CALLERS])) == CALLED_BY_TESTS_ONLY
+
+
+def test_function_check_catches_what_it_names():
+    tree = ast.parse("def used():\n    pass\ndef unused():\n    pass\ndef _private():\n    pass\n"
+                     "class Op:\n    @property\n    def prop(self):\n        return 1\n"
+                     "    def _hidden(self):\n        return getattr(self, 'by_name')()\n"
+                     "    def by_name(self):\n        pass\n__all__ = ['unused', 'prop']\nused()\n")
+    assert public_functions(tree) == ["used", "unused", "Op.prop", "Op.by_name"]
+    assert uncalled_functions({"m.py": tree}, [tree]) == ["m.py:unused", "m.py:Op.prop"]
+    # a test-only check planted back into a real module is flagged
+    ops = (SRC / "operators.py").read_text()
+    anchor = "    def energy(self, u: np.ndarray) -> float:\n"
+    planted = ops.replace(anchor, "    def perron_window(self):\n        return 0.0, 1.0\n\n" + anchor)
+    modules = {p.name: _tree(p) for p in MODULES} | {"operators.py": ast.parse(planted)}
+    callers = [modules[p.name] if p.parent == SRC else _tree(p) for p in CALLERS]
+    assert set(uncalled_functions(modules, callers)) - CALLED_BY_TESTS_ONLY == {
+        "operators.py:DiscreteOperator.perron_window"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

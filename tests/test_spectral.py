@@ -20,13 +20,13 @@ from nichewave import (
     principal_eigenvalue,
     rayleigh_lambda_v,
     rescale_kernel,
-    scaling_invariance_check,
 )
 from nichewave import cli, spectral
 from nichewave.experiments import local_kpp_solve_fd
 from nichewave.operators import DiscreteOperator, build_operator
 from nichewave.spectral import radius_walk
 from nichewave.stationary import solve_stationary_wholespace
+from oracles import perron_window, scaling_invariance
 
 
 def random_growth(rng, radius):
@@ -61,7 +61,7 @@ class TestPrincipalEigenvalue:
     def test_perron_window(self, ball_op):
         est = principal_eigenvalue(ball_op, tol=1e-10)
         assert est.met_tol
-        lo, hi = ball_op.perron_window()
+        lo, hi = perron_window(ball_op)
         assert lo - 1e-12 <= est.value <= hi + 1e-12
 
     def test_residual_contract(self, ball_op):
@@ -510,15 +510,15 @@ class TestRadiusWalk:
 class TestScalingInvariance:
     @pytest.mark.parametrize("eps", [1.0, 2.0, 0.5])
     def test_mapped_grid_exactness(self, tent, bump, eps):
-        chk = scaling_invariance_check(tent, bump, eps, 6.0, 0.05)
-        assert abs(chk.difference) <= max(1e-6, chk.combined_width)
+        difference, combined_width = scaling_invariance(tent, bump, eps, 6.0, 0.05)
+        assert abs(difference) <= max(1e-6, combined_width)
 
     def test_the_kernel_scale_is_ignored(self, tent, bump):
         # both sides are J at rate 1: a kernel that carries another scale
         # gives the same comparison, to the bit
-        base = scaling_invariance_check(tent, bump, 2.0, 6.0, 0.05)
-        scaled = scaling_invariance_check(rescale_kernel(tent, 0.5, 2.0, 3.0), bump, 2.0, 6.0, 0.05)
-        assert (scaled.difference, scaled.combined_width) == (base.difference, base.combined_width)
+        base = scaling_invariance(tent, bump, 2.0, 6.0, 0.05)
+        scaled = scaling_invariance(rescale_kernel(tent, 0.5, 2.0, 3.0), bump, 2.0, 6.0, 0.05)
+        assert scaled == base
 
 
 def fd_lambda1(growth, sigma, radius, spacing):
