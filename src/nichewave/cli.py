@@ -10,8 +10,9 @@ m = 0. validate checks the hypotheses on J itself, that Kernel at
 epsilon = 1. The commands that walk an eps schedule solve one eps after
 another in one thread; [run] workers accepts only 1.
 Artifacts are CSV/JSON named <command>-<label>.* in the configured output
-directory. Exit codes: 0 success, 1 config error or a
-time step above the monotone bound, 2 numerical failure (partial artifacts
+directory. Exit codes: 0 success, 1 an errors.ConfigError (the input is at
+fault: a config value, kernel, growth or time step the model refuses) or a
+kernel that fails validate, 2 numerical failure (partial artifacts
 retained). A lambda bracket wider than its tol is recorded as met_tol /
 lambda_met_tol = false (true only when every bracket the command
 certified met its tol); only spectrum exits 2 on it, for its main ball,
@@ -51,11 +52,6 @@ from .operators import build_operator
 from .spectral import degenerate_top, lambda_p_extrapolate_R, principal_eigenvalue, rayleigh_lambda_v
 from .stationary import solve_stationary_wholespace
 
-CONFIG_ERRORS = (errors.ConfigError, errors.InvalidKernelError,
-                 errors.KernelHypothesisError, errors.InfiniteMomentError,
-                 errors.StepSizeError)
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         if math.isnan(x):
@@ -86,32 +82,19 @@ def _est_row(est, method, R, eps, m) -> list:
     return [method, R, eps, m, est.value, est.lower, est.upper, est.residual, est.iterations]
 
 
-def _evolve_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise errors.ConfigError(f"[evolve] {key}: cannot parse {raw!r} ({exc})") from exc
-
-
-def _u0_from_spec(spec: str, grid, stationary_values):
-    kind, _, rest = spec.partition(":")
-    args = [_evolve_float("u0", t) for t in rest.split(":")] if rest else []
-    amp = args[0] if args else 0.01
-    if not amp >= 0.0:
-        raise errors.ConfigError(f"[evolve] u0: amplitude {amp!r} is not a nonnegative number")
+def _initial_data(u0: tuple, grid, stationary_values):
+    """[evolve] u0, (kind, amplitude, radius) as load_config parsed it, on the grid."""
+    kind, amp, radius = u0
+    if kind == "stationary":
+        if stationary_values is None:
+            raise errors.ConfigError("u0 = stationary needs a solvable stationary state")
+        return stationary_values.copy()
     x = grid.norms()
     if kind == "constant":
         return np.full(grid.size, amp)
     if kind == "bump":
         return amp * np.exp(-x * x)
-    if kind == "indicator":
-        radius = args[1] if len(args) > 1 else 1.0
-        return amp * (x <= radius).astype(float)
-    if kind == "stationary":
-        if stationary_values is None:
-            raise errors.ConfigError("u0 = stationary needs a solvable stationary state")
-        return stationary_values.copy()
-    raise errors.ConfigError(f"[evolve] u0: unknown initial-data spec {spec!r}")
+    return amp * (x <= radius).astype(float)
 
 
 # --- commands ---------------------------------------------------------------
@@ -237,14 +220,11 @@ def cmd_stationary(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
 
 def cmd_evolve(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     ev = cfg["evolve"]
-    dt = None if ev["dt"] == "auto" else _evolve_float("dt", ev["dt"])
     sol = _solve_stationary(cfg)
-    op = sol.op
-    grid = op.grid
-    u0 = _u0_from_spec(ev["u0"], grid, sol.values if sol.verdict == "persistent" else None)
     stationary_ref = sol.values if sol.verdict == "persistent" else None
-    verdict = long_time_verdict(op, u0, ev["t"], ev["tol"], sol.lambda_p_used,
-                                stationary=stationary_ref, dt=dt, stride=ev["stride"])
+    u0 = _initial_data(ev["u0"], sol.op.grid, stationary_ref)
+    verdict = long_time_verdict(sol.op, u0, ev["t"], ev["tol"], sol.lambda_p_used,
+                                stationary=stationary_ref, dt=ev["dt"], stride=ev["stride"])
     tr = verdict.trace
     rows = [[tr.times[i], tr.sup_norm[i], tr.dist_sup[i], tr.dist_l1[i], tr.mass[i]]
             for i in range(len(tr.times))]
@@ -266,10 +246,9 @@ def cmd_evolve(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
 
 def cmd_sweep(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     sw = cfg["sweep"]
-    direction = sw["direction"] if sw["direction"] in ("small", "large") else None
     result = epsilon_sweep(cfg.scaled_kernel(), cfg.growth(), sw["epsilons"],
                            _policy(cfg, "sweep", radius_pad=sw["radius_pad"]),
-                           direction=direction, solver_tol=sw["solver_tol"],
+                           direction=sw["direction"], solver_tol=sw["solver_tol"],
                            spectral_tol=sw["spectral_tol"])
     rows = [[result.m, e.eps, e.lam.lower, e.lam.upper, e.u_sup, e.u_l2, e.u_l1,
              e.target_error, e.target_name] for e in result.entries]
@@ -401,7 +380,7 @@ def main(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         label = cfg["run"]["label"]
         return COMMANDS[args.command](cfg, outdir, label)
-    except CONFIG_ERRORS as exc:
+    except errors.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except errors.NichewaveError as exc:

@@ -18,15 +18,19 @@ Sections and keys (all optional unless a command needs them):
     [fat_tail]  R_schedule, h, tail_target, spectral_tol
     [audit]     epsilons, base_R, base_h, solver_tol
 
+[kernel] and [growth] params hold exactly their family's names in
+FAMILY_PARAMS (kernels, growth), every one required. [sweep] direction is
+small or large. [evolve] T, stride, tol and dt (unless auto) are finite
+and > 0; u0 is constant, bump, indicator or stationary[:amplitude[:radius]],
+amplitude finite and >= 0 (default 0.01), radius finite and > 0 (default 1).
+
 [kernel] dimension is the one N: it goes to the Kernel, and every grid
 takes N from the kernel, so no other key or section sets it.
 
 Every command takes one Kernel from [kernel] (ExperimentConfig.scaled_kernel):
 the family, epsilon, the cost exponent m and alpha0, so all of them solve
 with the same pair (J_eps, rate alpha0/eps^m); the commands that
-sweep epsilon (sweep, eps-star, ess, audit) replace only epsilon. The keys
-[sweep] m, [ess] m, [audit] m and [growth] radial_nonincreasing are gone,
-and a config that sets one is rejected as an unknown key.
+sweep epsilon (sweep, eps-star, ess, audit) replace only epsilon.
 
 Each key's type is that of its DEFAULTS value: float, int, str, a list of
 floats (space-separated), or ``params``: comma-separated name=value
@@ -37,20 +41,19 @@ entries, where a value may be a space-separated list of numbers
     family = algebraic-tail
     params = power=5
 
-[run] workers accepts 1 and nothing else: every command solves its eps
-schedule one eps after another, so a config asking for more workers is
-rejected rather than run in order silently. No environment variable
-overrides a config value.
+A config asking for more than one worker is rejected rather than run in
+order silently. No environment variable overrides a config value.
 """
 
 from __future__ import annotations
 
 import configparser
 import copy
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .growth import GROWTH_FAMILIES, GrowthProfile
+from .growth import GrowthProfile
 from .kernels import Kernel
 
 DEFAULTS = {
@@ -85,14 +88,8 @@ def _parse_params(raw: str) -> dict:
         if "=" not in part:
             raise ConfigError(f"bad params entry {part!r}: expected name=value")
         name, value = part.split("=", 1)
-        tokens = value.split()
-        if len(tokens) > 1:
-            out[name.strip()] = [float(t) for t in tokens]
-        else:
-            try:
-                out[name.strip()] = float(value)
-            except ValueError:
-                out[name.strip()] = value.strip()
+        tokens = value.split()  # the family's resolver converts a single token
+        out[name.strip()] = [float(t) for t in tokens] if len(tokens) > 1 else value.strip()
     return out
 
 
@@ -108,6 +105,33 @@ def _convert(section: str, key: str, raw: str):
         return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
+
+
+def _evolve_number(key: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[evolve] {key}: cannot parse {raw!r} ({exc})") from exc
+
+
+def _parse_evolve(ev: dict) -> None:
+    """Check [evolve] in place: dt becomes None (auto) or a number, u0 the
+    tuple (kind, amplitude, radius)."""
+    ev["dt"] = None if ev["dt"] == "auto" else _evolve_number("dt", ev["dt"])
+    for key in ("t", "stride", "tol", "dt"):
+        if ev[key] is not None and not 0.0 < ev[key] < math.inf:
+            raise ConfigError(f"[evolve] {key} = {ev[key]!r} is not a finite number > 0")
+    kind, _, rest = ev["u0"].partition(":")
+    args = [_evolve_number("u0", t) for t in rest.split(":")] if rest else []
+    amp = args[0] if args else 0.01
+    radius = args[1] if len(args) > 1 else 1.0
+    if kind not in ("constant", "bump", "indicator", "stationary"):
+        raise ConfigError(f"[evolve] u0: unknown initial-data spec {ev['u0']!r}")
+    if not 0.0 <= amp < math.inf:
+        raise ConfigError(f"[evolve] u0: amplitude {amp!r} is not a nonnegative number")
+    if not 0.0 < radius < math.inf:
+        raise ConfigError(f"[evolve] u0: radius {radius!r} is not a finite number > 0")
+    ev["u0"] = (kind, amp, radius)
 
 
 @dataclass
@@ -128,17 +152,17 @@ class ExperimentConfig:
 
     def growth(self) -> GrowthProfile:
         g = self.sections["growth"]
-        if g["family"] not in GROWTH_FAMILIES:
-            raise ConfigError(f"[growth] family: unknown family {g['family']!r}")
         return GrowthProfile(g["family"], params=dict(g["params"]))
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse an INI experiment config over DEFAULTS; unknown sections and keys are errors."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+    except configparser.Error as exc:  # a duplicate key, a line outside any section
+        raise ConfigError(f"{path}: {exc}") from exc
     sections = copy.deepcopy(DEFAULTS)
     for section in parser.sections():
         name = section.lower()
@@ -152,4 +176,8 @@ def load_config(path: str) -> ExperimentConfig:
     if workers != 1:
         raise ConfigError(f"[run] workers = {workers}: schedules run in order, "
                           "so only workers = 1 is accepted")
+    if sections["sweep"]["direction"] not in ("small", "large"):
+        raise ConfigError(f"[sweep] direction = {sections['sweep']['direction']!r}: "
+                          "expected small or large")
+    _parse_evolve(sections["evolve"])
     return ExperimentConfig(sections=sections)

@@ -6,18 +6,19 @@ class NichewaveError(Exception):
 
 
 class ConfigError(NichewaveError):
-    """Invalid configuration (bad key, bad value, schema violation)."""
+    """The user's input is at fault: a bad config key or value, or a kernel,
+    growth profile or time step the model refuses. The CLI exits 1 on it."""
 
 
-class InvalidKernelError(NichewaveError):
+class InvalidKernelError(ConfigError):
     """Kernel samples are non-finite or structurally unusable."""
 
 
-class KernelHypothesisError(NichewaveError):
+class KernelHypothesisError(ConfigError):
     """A required kernel hypothesis (H1/H2/H5) is violated."""
 
 
-class InfiniteMomentError(NichewaveError):
+class InfiniteMomentError(ConfigError):
     """Requested kernel moment diverges."""
 
 
@@ -56,7 +57,7 @@ class MonotonicityViolationError(NichewaveError):
     """Time iterates violated pointwise comparison beyond slack."""
 
 
-class StepSizeError(NichewaveError):
+class StepSizeError(ConfigError):
     """User time step exceeds the monotone-stability bound."""
 
     def __init__(self, message, bound=None):

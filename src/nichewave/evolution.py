@@ -75,6 +75,8 @@ def evolve(
     u = np.asarray(u0, dtype=float).copy()
     if np.any(u < 0):
         raise ValueError("initial data must be nonnegative")
+    if not (0.0 < horizon < math.inf and 0.0 < stride < math.inf):
+        raise ValueError(f"horizon {horizon} and stride {stride} must be finite and > 0")
     bound = stable_step(op, float(np.max(u)))
     if dt is None:
         dt = bound
@@ -127,14 +129,8 @@ def evolve(
             while next_record <= t + 1e-12:
                 next_record += stride
 
-    if inc_ok and not dec_ok:
-        flag = "increasing"
-    elif dec_ok and not inc_ok:
-        flag = "decreasing"
-    elif inc_ok and dec_ok:
-        flag = "increasing"  # constant in time counts as both; report weakly
-    else:
-        flag = "neither"
+    # constant in time counts as both directions and is reported, weakly, increasing
+    flag = "increasing" if inc_ok else "decreasing" if dec_ok else "neither"
     sups, dsup, dl1, mass = zip(*rows)
     trace = EvolutionTrace(
         times=np.asarray(times),

@@ -14,12 +14,17 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
+from .kernels import resolve_params
 
-GROWTH_FAMILIES = ("bump", "plateau", "constant", "tabulated")
+FAMILY_PARAMS = {"bump": ("a0", "b", "a_min"), "plateau": ("a0", "r0", "width", "a_min"),
+                 "constant": ("value",), "tabulated": ("r", "values")}
 
 
 @dataclass(frozen=True)
 class GrowthProfile:
+    """a(|x|) of a family; ``params`` holds exactly the family's names in
+    FAMILY_PARAMS, every one required. Bump and plateau need a_min < 0."""
+
     family: str
     params: dict = field(default_factory=dict)
     # general KPP triple; None selects the logistic defaults built on a()
@@ -28,14 +33,12 @@ class GrowthProfile:
     saturation_fn: Callable | None = None
 
     def __post_init__(self):
-        if self.family not in GROWTH_FAMILIES:
+        if self.family not in FAMILY_PARAMS:
             raise ConfigError(f"unknown growth family {self.family!r}")
-        if self.family == "bump":
-            if float(self.params.get("a_min", -1.0)) >= 0:
-                raise ConfigError("bump growth needs a_min < 0 (hostile exterior)")
-        if self.family == "plateau":
-            if float(self.params.get("a_min", -1.0)) >= 0:
-                raise ConfigError("plateau growth needs a_min < 0")
+        object.__setattr__(self, "params", resolve_params(
+            "growth", self.family, self.params, FAMILY_PARAMS[self.family], ConfigError))
+        if "a_min" in self.params and self.params["a_min"] >= 0:
+            raise ConfigError(f"{self.family} growth needs a_min < 0 (hostile exterior)")
 
     # --- linearized growth rate ------------------------------------------
 
@@ -43,22 +46,14 @@ class GrowthProfile:
         r = np.asarray(r, dtype=float)
         p = self.params
         if self.family == "bump":
-            a0 = float(p.get("a0", 1.0))
-            b = float(p.get("b", 1.0))
-            a_min = float(p.get("a_min", -1.0))
-            return np.maximum(a0 - b * r * r, a_min)
+            return np.maximum(p["a0"] - p["b"] * r * r, p["a_min"])
         if self.family == "plateau":
-            a0 = float(p.get("a0", 1.0))
-            r0 = float(p.get("r0", 1.0))
-            w = float(p.get("width", 1.0))
-            a_min = float(p.get("a_min", -1.0))
+            a0, r0, w, a_min = p["a0"], p["r0"], p["width"], p["a_min"]
             ramp = a0 - (a0 - a_min) * (r - r0) / w
             return np.where(r <= r0, a0, np.where(r >= r0 + w, a_min, ramp))
         if self.family == "constant":
-            return np.full_like(r, float(p.get("value", 0.0)))
-        rt = np.asarray(p["r"], dtype=float)
-        vt = np.asarray(p["values"], dtype=float)
-        return np.interp(r, rt, vt)
+            return np.full_like(r, p["value"])
+        return np.interp(r, p["r"], p["values"])
 
     def a(self, x):
         x = np.asarray(x, dtype=float)
@@ -109,23 +104,21 @@ class GrowthProfile:
     @property
     def sup_a(self) -> float:
         p = self.params
-        if self.family == "bump":
-            return float(p.get("a0", 1.0))
-        if self.family == "plateau":
-            return float(p.get("a0", 1.0))
+        if self.family in ("bump", "plateau"):
+            return p["a0"]
         if self.family == "constant":
-            return float(p.get("value", 0.0))
-        return float(np.max(np.asarray(p["values"], dtype=float)))
+            return p["value"]
+        return max(p["values"])
 
     @property
     def tail_value(self) -> float:
         """a(x) for |x| beyond the profile's core."""
         p = self.params
         if self.family in ("bump", "plateau"):
-            return float(p.get("a_min", -1.0))
+            return p["a_min"]
         if self.family == "constant":
-            return float(p.get("value", 0.0))
-        return float(np.asarray(p["values"], dtype=float)[-1])
+            return p["value"]
+        return p["values"][-1]
 
     @property
     def hostile(self) -> bool:
@@ -141,26 +134,16 @@ class GrowthProfile:
         if not self.hostile or level < self.tail_value:
             raise ConfigError("growth profile has no hostile exterior at this level")
         p = self.params
+        if self.family in ("bump", "plateau") and p["a0"] <= level:
+            return 0.0
         if self.family == "bump":
-            a0 = float(p.get("a0", 1.0))
-            b = float(p.get("b", 1.0))
-            if a0 <= level:
-                return 0.0
-            return math.sqrt((a0 - level) / b)
+            return math.sqrt((p["a0"] - level) / p["b"])
         if self.family == "plateau":
-            a0 = float(p.get("a0", 1.0))
-            r0 = float(p.get("r0", 1.0))
-            w = float(p.get("width", 1.0))
-            a_min = float(p.get("a_min", -1.0))
-            if a0 <= level:
-                return 0.0
-            return r0 + w * (a0 - level) / (a0 - a_min)
+            return p["r0"] + p["width"] * (p["a0"] - level) / (p["a0"] - p["a_min"])
         if self.family == "constant":
             return 0.0
-        rt = np.asarray(p["r"], dtype=float)
-        vt = np.asarray(p["values"], dtype=float)
-        above = np.nonzero(vt > level)[0]
-        return float(rt[above[-1] + 1]) if above.size else 0.0
+        above = np.nonzero(np.array(p["values"]) > level)[0]
+        return p["r"][above[-1] + 1] if above.size else 0.0
 
     @property
     def core_radius(self) -> float:
@@ -172,7 +155,7 @@ class GrowthProfile:
         return self.radius_where_a_below(-0.5 * self.nu)
 
 
-def bump_growth(a0: float, b: float = 1.0, a_min: float = -1.0) -> GrowthProfile:
+def bump_growth(a0: float, b: float, a_min: float) -> GrowthProfile:
     return GrowthProfile("bump", params={"a0": a0, "b": b, "a_min": a_min})
 
 

@@ -25,14 +25,32 @@ import numpy as np
 
 from .errors import InfiniteMomentError, InvalidKernelError
 
-FAMILIES = (
-    "tent",
-    "truncated-quadratic",
-    "truncated-gaussian",
-    "exponential-tail",
-    "algebraic-tail",
-    "tabulated",
-)
+# family -> its parameters, every one required (r, values: a radial table)
+FAMILY_PARAMS = {"tent": (), "truncated-quadratic": (), "truncated-gaussian": ("sigma", "cutoff"),
+                 "exponential-tail": ("beta",), "algebraic-tail": ("power",),
+                 "tabulated": ("r", "values")}
+
+
+def resolve_params(what: str, family: str, params: dict, names, error) -> dict:
+    """``params`` with exactly ``names``, numbers as floats and the radial
+    table r, values as tuples of floats; else ``error``, naming ``what``, with
+    the unknown and missing names or the values it could not take."""
+    if set(params) != set(names):
+        unknown = sorted(set(params) - set(names))
+        raise error(f"{what} family {family!r} takes params {list(names)}: unknown {unknown}, "
+                    f"missing {[n for n in names if n not in params]}")
+    try:
+        out = {n: tuple(np.array(params[n], dtype=float, ndmin=1).tolist())
+               if n in ("r", "values") else float(params[n]) for n in names}
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} family {family!r} params {params}: {exc}") from exc
+    r = out.get("r", (0.0,))
+    if not (np.all(np.isfinite(np.hstack([0.0, *out.values()]))) and r[:1] == (0.0,)
+            and np.all(np.diff(r) > 0) and len(r) == len(out.get("values", r))):
+        raise error(f"{what} family {family!r} params {params}: need finite numbers, and radii r "
+                    "strictly increasing from 0 with one value each")
+    return out
+
 
 # surface measure of the unit sphere: 2 points for N=1, circle for N=2
 _SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi}
@@ -50,13 +68,11 @@ class Kernel:
     """Radially symmetric dispersal kernel J_eps from a closed-form family J,
     at the budget rate alpha0/eps^m.
 
-    ``params`` are family specific:
-
-    - tent, truncated-quadratic: none
-    - truncated-gaussian: sigma (width), cutoff (support radius)
-    - exponential-tail: beta (decay rate)
-    - algebraic-tail: power (decay exponent p in (1+|z|)^-p, p > N)
-    - tabulated: r (radii from 0, increasing), values (profile samples)
+    ``params`` holds exactly the family's names in FAMILY_PARAMS, every one
+    required: truncated-gaussian's sigma (width) and cutoff (support radius),
+    exponential-tail's beta (decay rate), algebraic-tail's power (p in
+    (1+|z|)^-p, p > N), tabulated's r (radii from 0, increasing) and values
+    (profile samples). They are stored as floats and tuples of floats.
     """
 
     family: str
@@ -67,22 +83,14 @@ class Kernel:
     alpha0: float = 1.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_PARAMS:
             raise ValueError(f"unknown kernel family {self.family!r}")
         _sphere_measure(self.dimension)
-        if self.family == "algebraic-tail":
-            p = float(self.params.get("power", 0.0))
-            if p <= self.dimension:
-                raise InvalidKernelError(
-                    f"algebraic-tail power={p} not integrable in dimension {self.dimension}"
-                )
-        if self.family == "tabulated":
-            r = np.asarray(self.params["r"], dtype=float)
-            v = np.asarray(self.params["values"], dtype=float)
-            if r.ndim != 1 or r.shape != v.shape or r[0] != 0.0 or np.any(np.diff(r) <= 0):
-                raise InvalidKernelError("tabulated kernel needs increasing radii starting at 0")
-            if not np.all(np.isfinite(v)):
-                raise InvalidKernelError("tabulated kernel has non-finite samples")
+        object.__setattr__(self, "params", resolve_params(
+            "kernel", self.family, self.params, FAMILY_PARAMS[self.family], InvalidKernelError))
+        if self.family == "algebraic-tail" and self.params["power"] <= self.dimension:
+            raise InvalidKernelError(f"algebraic-tail power={self.params['power']} "
+                                     f"not integrable in dimension {self.dimension}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if not 0.0 <= self.m <= 2.0:
@@ -104,9 +112,9 @@ class Kernel:
         if self.family in ("tent", "truncated-quadratic"):
             return 1.0
         if self.family == "truncated-gaussian":
-            return float(self.params.get("cutoff", 1.0))
+            return self.params["cutoff"]
         if self.family == "tabulated":
-            return float(np.asarray(self.params["r"], dtype=float)[-1])
+            return self.params["r"][-1]
         return math.inf
 
     @property
@@ -121,18 +129,17 @@ class Kernel:
         if self.family == "truncated-quadratic":
             return 0.75 if N == 1 else 2.0 / math.pi
         if self.family == "truncated-gaussian":
-            sig = float(self.params.get("sigma", 0.5))
-            rc = float(self.params.get("cutoff", 1.0))
+            sig, rc = self.params["sigma"], self.params["cutoff"]
             if N == 1:
                 mass = sig * math.sqrt(2.0 * math.pi) * math.erf(rc / (sig * math.sqrt(2.0)))
             else:
                 mass = 2.0 * math.pi * sig * sig * (1.0 - math.exp(-rc * rc / (2.0 * sig * sig)))
             return 1.0 / mass
         if self.family == "exponential-tail":
-            beta = float(self.params.get("beta", 1.0))
+            beta = self.params["beta"]
             return beta / 2.0 if N == 1 else beta * beta / (2.0 * math.pi)
         if self.family == "algebraic-tail":
-            p = float(self.params.get("power"))
+            p = self.params["power"]
             if N == 1:
                 return (p - 1.0) / 2.0
             return (p - 1.0) * (p - 2.0) / (2.0 * math.pi)
@@ -151,19 +158,14 @@ class Kernel:
         elif self.family == "truncated-quadratic":
             out = c * np.maximum(0.0, 1.0 - r * r)
         elif self.family == "truncated-gaussian":
-            sig = float(self.params.get("sigma", 0.5))
-            rc = float(self.params.get("cutoff", 1.0))
+            sig, rc = self.params["sigma"], self.params["cutoff"]
             out = np.where(r <= rc, c * np.exp(-(r * r) / (2.0 * sig * sig)), 0.0)
         elif self.family == "exponential-tail":
-            beta = float(self.params.get("beta", 1.0))
-            out = c * np.exp(-beta * r)
+            out = c * np.exp(-self.params["beta"] * r)
         elif self.family == "algebraic-tail":
-            p = float(self.params.get("power"))
-            out = c * (1.0 + r) ** (-p)
+            out = c * (1.0 + r) ** (-self.params["power"])
         else:  # tabulated, linear interpolation, zero beyond the table
-            rt = np.asarray(self.params["r"], dtype=float)
-            vt = np.asarray(self.params["values"], dtype=float)
-            out = np.interp(r, rt, vt, right=0.0)
+            out = np.interp(r, self.params["r"], self.params["values"], right=0.0)
         return out
 
     def _pieces(self):
@@ -175,17 +177,14 @@ class Kernel:
         if self.family == "truncated-quadratic":
             return np.array([0.0, 1.0]), c * np.array([[1.0, 0.0, -1.0]])
         if self.family == "tabulated":
-            r = np.asarray(self.params["r"], dtype=float)
-            v = np.asarray(self.params["values"], dtype=float)
+            r, v = np.array(self.params["r"]), np.array(self.params["values"])
             slope = np.diff(v) / np.diff(r)
             return r, np.column_stack([v[:-1] - slope * r[:-1], slope])
         return None
 
     def moment_converges(self, p: float) -> bool:
-        if self.compactly_supported or self.family == "exponential-tail":
-            return True
         if self.family == "algebraic-tail":
-            return float(self.params["power"]) > p + self.dimension
+            return self.params["power"] > p + self.dimension
         return True
 
     def mass_beyond(self, radius: float) -> float:

@@ -22,6 +22,15 @@ def run_cli(tmp_path, command, body, label="t"):
     return code, tmp_path / "out"
 
 
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail the test if the command reaches an eigenvalue, stationary or sweep solve."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran")
+    for name in ("principal_eigenvalue", "solve_stationary_wholespace", "epsilon_sweep"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
 def test_spectrum_torus_constant(tmp_path):
     code, out = run_cli(tmp_path, "spectrum", """
 [kernel]
@@ -469,12 +478,48 @@ def test_missed_spectral_tol_is_recorded_not_raised(tmp_path, capsys):
     ("dt = abc", "[evolve] dt: cannot parse 'abc'"),
     ("u0 = constant:abc", "[evolve] u0: cannot parse 'abc'"),
     ("u0 = constant:-0.01", "[evolve] u0: amplitude -0.01 is not a nonnegative number"),
+    ("stride = 0", "[evolve] stride = 0.0 is not a finite number > 0"),
+    ("dt = 0", "[evolve] dt = 0.0 is not a finite number > 0"),
+    ("dt = -0.1", "[evolve] dt = -0.1 is not a finite number > 0"),
+    ("u0 = wave:0.1", "[evolve] u0: unknown initial-data spec 'wave:0.1'"),
+    ("u0 = indicator:0.1:0", "[evolve] u0: radius 0.0 is not a finite number > 0"),
+    ("tol = -1", "[evolve] tol = -1.0 is not a finite number > 0"),
 ])
-def test_evolve_bad_step_or_u0_exits_one(tmp_path, capsys, setting, message):
+def test_evolve_bad_step_or_u0_exits_one(tmp_path, capsys, request, setting, message):
+    if setting != "dt = 10":  # only the step bound needs the operator; the rest fail at load
+        request.getfixturevalue("no_solve")
     code, out = run_cli(tmp_path, "evolve", _SMALL_STATIONARY + f"\n[evolve]\nT = 1\n{setting}\n")
     assert code == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
     assert not (out / "evolve-t.json").exists()
+
+
+@pytest.mark.parametrize("command, section, message", [
+    ("evolve", "[evolve]\nT = -5\n", "[evolve] t = -5.0 is not a finite number > 0"),
+    ("evolve", "[evolve]\nT = nan\n", "[evolve] t = nan is not a finite number > 0"),
+    ("sweep", "[sweep]\ndirection = lage\n", "[sweep] direction = 'lage': expected small or large"),
+    ("spectrum", "[kernel]\nfamily = truncated-gaussian\nparams = sigam=0.3, cutoff=1\n",
+     "kernel family 'truncated-gaussian' takes params ['sigma', 'cutoff']: "
+     "unknown ['sigam'], missing ['sigma']"),
+    ("spectrum", "[kernel]\nfamily = exponential-tail\nparams = beta=fast\n",
+     "could not convert string to float: 'fast'"),
+    ("spectrum", "[kernel]\nfamily = algebraic-tail\n", "unknown [], missing ['power']"),
+    ("spectrum", "[kernel]\nfamily = tabulated\nparams = r=0 0.5 1\n", "missing ['values']"),
+    ("spectrum", "[growth]\nparams = a_0=3\n",
+     "growth family 'bump' takes params ['a0', 'b', 'a_min']: "
+     "unknown ['a_0'], missing ['a0', 'b', 'a_min']"),
+    ("spectrum", "[growth]\nfamily = tabulated\nparams = values=1 0 -1\n", "missing ['r']"),
+], ids=["T-negative", "T-nan", "direction-misspelt", "sigma-misspelt", "beta-not-a-number",
+        "power-missing", "kernel-values-missing", "a0-misspelt", "growth-r-missing"])
+def test_bad_input_exits_one_before_a_solve(tmp_path, capsys, no_solve, command, section, message):
+    # a misspelt or missing name is refused, never replaced by a default
+    code, out = run_cli(tmp_path, command, "[grid]\nR = 4\nh = 0.1\n\n[stationary]\n"
+                        "R_schedule = 4\n\n" + section)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_stationary_is_evolve_fixed_point_at_alpha0(tmp_path):
@@ -823,6 +868,18 @@ h = 0.05
     rows = [line.split(",") for line in (out / "fat-tail-t.csv").read_text().splitlines()[1:]]
     assert [[float(v) for v in row] for row in rows] == [
         [R, e.lower, e.upper] for R, e in zip(res.radii, res.estimates)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[evolve]\nT = 1\nT = 2\n", "option 't' in section 'evolve' already exists"),
+    ("T = 1\n", "File contains no section headers"),
+], ids=["duplicate-key", "no-section"])
+def test_malformed_ini_exits_one(tmp_path, capsys, text, message):
+    config = tmp_path / "bad.ini"
+    config.write_text(text)
+    assert main(["validate", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
 
 
 def test_missing_config_exits_one():

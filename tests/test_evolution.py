@@ -42,6 +42,15 @@ class TestEvolve:
             evolve(ball_op, np.ones(ball_op.size), 1.0, dt=2.0 * bound)
         assert err.value.bound == pytest.approx(bound)
 
+    @pytest.mark.parametrize("horizon, stride", [
+        (1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (0.0, 1.0), (-5.0, 1.0), (math.nan, 1.0),
+        (math.inf, 1.0),
+    ])
+    def test_horizon_and_stride_must_be_finite_and_positive(self, ball_op, horizon, stride):
+        # a zero stride never advanced the next record time, so the loop never ended
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            evolve(ball_op, np.ones(ball_op.size), horizon, stride=stride)
+
     def test_invariant_region(self, ball_op, rng):
         u0 = rng.uniform(0.0, 3.0, size=ball_op.size)
         cap = max(np.max(u0), np.max(ball_op.growth.saturation(ball_op.points_arg)))

@@ -39,6 +39,10 @@
   result field that nothing reads is work and memory for nothing. Every
   public function and method is read so, or as a name, in ``src/`` outside
   ``__init__`` or in ``perfbench/``: a check only tests call is test code.
+- Every parameter with a default, of a function or method in ``src/``, is
+  passed by some call in ``src/``, ``tests/`` or ``perfbench/``: by name,
+  by position, or through ``*args``/``**kwargs``; a class's ``__init__`` is
+  called by the class name. A default that no call changes is a constant.
 - A fresh ``import nichewave.cli`` loads none of ``scipy.integrate``,
   ``scipy.optimize``, ``scipy.fft``, ``scipy.special`` and ``scipy.sparse``,
   and a banded 1-D and an off-band 2-D eigenvalue and ball solve leave
@@ -249,6 +253,47 @@ def uncalled_functions(modules: dict[str, ast.Module], callers) -> list[str]:
                                                   if isinstance(node, ast.Name)} for tree in callers))
     return [f"{name}:{function}" for name, tree in modules.items()
             for function in public_functions(tree) if function.split(".")[-1] not in read]
+
+
+def defaulted_params(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(called name, parameter, position or None) for each parameter with a
+    default of every module-level function and method in ``tree``. The
+    position counts the call's positional arguments (a method's after self);
+    keyword-only ones have none. A class's ``__init__`` is called by the
+    class name."""
+    found = []
+    for node in ast.walk(tree):
+        for inner in getattr(node, "body", []) if isinstance(node, (ast.Module, ast.ClassDef)) else []:
+            if not isinstance(inner, ast.FunctionDef):
+                continue
+            args = inner.args
+            positional = args.posonlyargs + args.args
+            offset = int(isinstance(node, ast.ClassDef)
+                         and "staticmethod" not in [_dotted(d) for d in inner.decorator_list])
+            name = node.name if inner.name == "__init__" else inner.name
+            first = len(positional) - len(args.defaults)
+            found += [(name, p.arg, i - offset) for i, p in enumerate(positional) if i >= first]
+            found += [(name, p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+    return found
+
+
+def unpassed_defaults(modules: dict[str, ast.Module], callers) -> list[str]:
+    """'file:function(parameter)' for each defaulted parameter of ``modules``
+    (file name -> tree) that no call in ``callers`` passes."""
+    calls = [node for tree in callers for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def passes(call, name, param, position):
+        if (_dotted(call.func) or "").split(".")[-1] != name:
+            return False
+        if any(k.arg in (param, None) for k in call.keywords):  # by name, or **kwargs
+            return True
+        return position is not None and (len(call.args) > position or any(
+            isinstance(a, ast.Starred) for a in call.args))
+
+    return [f"{file}:{name}({param})" for file, tree in modules.items()
+            for name, param, position in defaulted_params(tree)
+            if not any(passes(call, name, param, position) for call in calls)]
 
 
 # imported module -> the files of src/nichewave whose functions may import it;
@@ -511,6 +556,37 @@ def test_function_check_catches_what_it_names():
     callers = [modules[p.name] if p.parent == SRC else _tree(p) for p in CALLERS]
     assert set(uncalled_functions(modules, callers)) - CALLED_BY_TESTS_ONLY == {
         "operators.py:DiscreteOperator.perron_window"}
+
+
+def test_every_default_is_passed_somewhere():
+    modules = {p.name: _tree(p) for p in MODULES}
+    assert unpassed_defaults(modules, [_tree(p) for p in READERS]) == []
+
+
+def test_default_check_catches_what_it_names():
+    tree = ast.parse(
+        "def solve(op, tol=1e-10, maxiter=10, *, seed=0, quiet=False):\n    pass\n"
+        "class Walk:\n    def __init__(self, radii, pad=1.0, cap=None):\n        pass\n"
+        "    def step(self, h, scale=2.0):\n        pass\n"
+        "    @staticmethod\n    def make(n, width=3):\n        pass\n"
+        "def run(x, verbose=False, *, log=None):\n    pass\n"
+        "solve(op, 1e-8, quiet=True)\nWalk(radii, 2.0)\nw.step(0.1)\nmodule.Walk.make(4, 5)\n"
+        "run(x, **options)\n"
+    )
+    assert defaulted_params(tree) == [
+        ("solve", "tol", 1), ("solve", "maxiter", 2), ("solve", "seed", None), ("solve", "quiet", None),
+        ("run", "verbose", 1), ("run", "log", None),
+        ("Walk", "pad", 1), ("Walk", "cap", 2), ("step", "scale", 1), ("make", "width", 1)]
+    assert unpassed_defaults({"m.py": tree}, [tree]) == [
+        "m.py:solve(maxiter)", "m.py:solve(seed)", "m.py:Walk(cap)", "m.py:step(scale)"]
+    # a default planted back into a real function, and passed by no caller, is flagged
+    src = (SRC / "growth.py").read_text()
+    planted = src.replace("def bump_growth(a0: float, b: float, a_min: float)",
+                          "def bump_growth(a0: float, b: float, a_min: float, floor: float = 0.0)")
+    assert planted != src
+    modules = {p.name: _tree(p) for p in MODULES} | {"growth.py": ast.parse(planted)}
+    readers = [modules[p.name] if p.parent == SRC else _tree(p) for p in READERS]
+    assert unpassed_defaults(modules, readers) == ["growth.py:bump_growth(floor)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

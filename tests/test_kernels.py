@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nichewave import (
+    ConfigError,
+    GrowthProfile,
     InfiniteMomentError,
     InvalidKernelError,
     Kernel,
@@ -134,6 +136,48 @@ class TestRescaling:
         twice = rescale_kernel(rescale_kernel(tent, 0.5, 1.0, 3.0), 2.0, 2.0)
         assert twice == Kernel("tent", epsilon=2.0, m=2.0) == rescale_kernel(tent, 2.0, 2.0)
         assert twice.mass_beyond(1.0) == tent.mass_beyond(0.5)
+
+
+class TestFamilyParams:
+    """One resolver takes exactly a family's params for kernels and growth alike."""
+
+    @pytest.mark.parametrize("family, params, message", [
+        ("truncated-gaussian", {"sigam": 0.3, "cutoff": 1.0}, "unknown ['sigam'], missing ['sigma']"),
+        ("tent", {"sigma": 0.3}, "unknown ['sigma'], missing []"),
+        ("algebraic-tail", {}, "unknown [], missing ['power']"),
+        ("tabulated", {"r": [0.0, 1.0]}, "missing ['values']"),
+        ("exponential-tail", {"beta": "fast"}, "could not convert string to float: 'fast'"),
+        ("tabulated", {"r": [0.0, 1.0], "values": 1.0}, "one value each"),
+        ("algebraic-tail", {"power": [5.0, 6.0]}, "power"),
+        ("tabulated", {"r": [0.0, 1.0], "values": [1.0]}, "one value each"),
+        ("tabulated", {"r": [0.5, 1.0], "values": [1.0, 0.0]}, "increasing from 0"),
+        ("exponential-tail", {"beta": math.inf}, "finite numbers"),
+    ])
+    def test_kernel_params_are_exactly_the_family_table(self, family, params, message):
+        with pytest.raises(InvalidKernelError) as err:
+            Kernel(family, params=params)
+        assert f"kernel family {family!r}" in str(err.value) and message in str(err.value)
+
+    @pytest.mark.parametrize("family, params, message", [
+        ("bump", {"a_0": 3.0}, "unknown ['a_0'], missing ['a0', 'b', 'a_min']"),
+        ("constant", {"value": 1.0, "a_min": -1.0}, "unknown ['a_min'], missing []"),
+        ("plateau", {"a0": "high", "r0": 1.0, "width": 1.0, "a_min": -1.0}, "'high'"),
+        ("tabulated", {"r": [0.0, 2.0, 1.0], "values": [1.0, 0.0, -1.0]}, "increasing from 0"),
+        ("tabulated", {"r": [0.0, 1.0], "values": [1.0, math.nan]}, "finite numbers"),
+        ("bump", {"a0": 2.0, "b": 1.0, "a_min": 0.0}, "bump growth needs a_min < 0"),
+    ])
+    def test_growth_params_are_exactly_the_family_table(self, family, params, message):
+        with pytest.raises(ConfigError) as err:
+            GrowthProfile(family, params=params)
+        assert message in str(err.value)
+
+    def test_params_are_stored_as_floats_and_tuples(self):
+        kernel = Kernel("tabulated", params={"r": [0, 1], "values": np.array([1.0, 0.0])})
+        assert kernel.params == {"r": (0.0, 1.0), "values": (1.0, 0.0)}
+        assert type(kernel.params["r"][1]) is float
+        growth = GrowthProfile("plateau", params={"a0": 2, "r0": "1", "width": 1, "a_min": -1})
+        assert growth.params == {"a0": 2.0, "r0": 1.0, "width": 1.0, "a_min": -1.0}
+        assert all(type(v) is float for v in growth.params.values())
 
 
 TABLE = {"r": [0.0, 0.5, 1.25, 2.0], "values": [1.0, 0.7, 0.2, 0.05]}
