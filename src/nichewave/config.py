@@ -19,7 +19,8 @@ Sections and keys (all optional unless a command needs them):
     [audit]     epsilons, base_R, base_h, solver_tol
 
 [kernel] and [growth] params hold exactly their family's names in
-FAMILY_PARAMS (kernels, growth), every one required. [sweep] direction is
+FAMILY_PARAMS (kernels, growth), every one required, and those in
+POSITIVE_PARAMS are > 0. [sweep] direction is
 small or large. [evolve] T, stride, tol and dt (unless auto) are finite
 and > 0; u0 is constant, bump, indicator or stationary[:amplitude[:radius]],
 amplitude finite and >= 0 (default 0.01), radius finite and > 0 (default 1).
@@ -118,9 +119,9 @@ def _parse_evolve(ev: dict) -> None:
     """Check [evolve] in place: dt becomes None (auto) or a number, u0 the
     tuple (kind, amplitude, radius)."""
     ev["dt"] = None if ev["dt"] == "auto" else _evolve_number("dt", ev["dt"])
-    for key in ("t", "stride", "tol", "dt"):
+    for key, written in (("t", "T"), ("stride", "stride"), ("tol", "tol"), ("dt", "dt")):
         if ev[key] is not None and not 0.0 < ev[key] < math.inf:
-            raise ConfigError(f"[evolve] {key} = {ev[key]!r} is not a finite number > 0")
+            raise ConfigError(f"[evolve] {written} = {ev[key]!r} is not a finite number > 0")
     kind, _, rest = ev["u0"].partition(":")
     args = [_evolve_number("u0", t) for t in rest.split(":")] if rest else []
     amp = args[0] if args else 0.01

@@ -166,23 +166,27 @@ def long_time_verdict(
 
     A bracket straddling zero is reported undecided regardless of the
     integration evidence (never assert the dichotomy without a certificate).
+    "extinction" needs a run that decayed below tol and either a certified
+    lambda_p >= 0 or u0 = 0: with lambda_p < 0 every u0 that is not 0
+    persists, so a decayed run there is undecided (too short a horizon).
+    "persistence-converged" needs lambda_p < 0 and a run within tol of
+    ``stationary``.
     """
     trace, _ = evolve(op, u0, horizon, dt=dt, stride=stride, stationary=stationary)
     final_sup = float(trace.sup_norm[-1])
     final_dsup = float(trace.dist_sup[-1])
     final_dl1 = float(trace.dist_l1[-1])
 
+    tail = trace.sup_norm[-min(10, len(trace.sup_norm)):]
+    decayed = final_sup <= tol and bool(np.all(np.diff(tail) <= tol))
     if lam.sign == "straddle":
         verdict = "undecided"
+    elif lam.sign == "nonnegative" or not np.any(u0):
+        verdict = "extinction" if decayed else "undecided"
+    elif stationary is not None and final_dsup <= tol and final_dl1 <= tol:
+        verdict = "persistence-converged"
     else:
-        tail = trace.sup_norm[-min(10, len(trace.sup_norm)):]
-        eventually_decreasing = bool(np.all(np.diff(tail) <= tol))
-        if final_sup <= tol and eventually_decreasing:
-            verdict = "extinction"
-        elif stationary is not None and final_dsup <= tol and final_dl1 <= tol:
-            verdict = "persistence-converged"
-        else:
-            verdict = "undecided"
+        verdict = "undecided"
     return LongTimeVerdict(
         verdict=verdict,
         trace=trace,

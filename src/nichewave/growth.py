@@ -18,12 +18,15 @@ from .kernels import resolve_params
 
 FAMILY_PARAMS = {"bump": ("a0", "b", "a_min"), "plateau": ("a0", "r0", "width", "a_min"),
                  "constant": ("value",), "tabulated": ("r", "values")}
+# the bump's curvature and the plateau's ramp width divide in a(r) and its level sets
+POSITIVE_PARAMS = ("b", "width")
 
 
 @dataclass(frozen=True)
 class GrowthProfile:
     """a(|x|) of a family; ``params`` holds exactly the family's names in
-    FAMILY_PARAMS, every one required. Bump and plateau need a_min < 0."""
+    FAMILY_PARAMS, every one required. Bump and plateau need a_min < 0, and
+    the bump's b and the plateau's width must be > 0."""
 
     family: str
     params: dict = field(default_factory=dict)
@@ -36,7 +39,8 @@ class GrowthProfile:
         if self.family not in FAMILY_PARAMS:
             raise ConfigError(f"unknown growth family {self.family!r}")
         object.__setattr__(self, "params", resolve_params(
-            "growth", self.family, self.params, FAMILY_PARAMS[self.family], ConfigError))
+            "growth", self.family, self.params, FAMILY_PARAMS[self.family], POSITIVE_PARAMS,
+            ConfigError))
         if "a_min" in self.params and self.params["a_min"] >= 0:
             raise ConfigError(f"{self.family} growth needs a_min < 0 (hostile exterior)")
 

@@ -29,12 +29,15 @@ from .errors import InfiniteMomentError, InvalidKernelError
 FAMILY_PARAMS = {"tent": (), "truncated-quadratic": (), "truncated-gaussian": ("sigma", "cutoff"),
                  "exponential-tail": ("beta",), "algebraic-tail": ("power",),
                  "tabulated": ("r", "values")}
+# the parameters that are widths, rates or powers, so must be > 0
+POSITIVE_PARAMS = ("sigma", "cutoff", "beta", "power")
 
 
-def resolve_params(what: str, family: str, params: dict, names, error) -> dict:
+def resolve_params(what: str, family: str, params: dict, names, positive, error) -> dict:
     """``params`` with exactly ``names``, numbers as floats and the radial
-    table r, values as tuples of floats; else ``error``, naming ``what``, with
-    the unknown and missing names or the values it could not take."""
+    table r, values as tuples of floats, and each of its names in
+    ``positive`` > 0; else ``error``, naming ``what``, with the unknown and
+    missing names or the values it could not take."""
     if set(params) != set(names):
         unknown = sorted(set(params) - set(names))
         raise error(f"{what} family {family!r} takes params {list(names)}: unknown {unknown}, "
@@ -49,6 +52,9 @@ def resolve_params(what: str, family: str, params: dict, names, error) -> dict:
             and np.all(np.diff(r) > 0) and len(r) == len(out.get("values", r))):
         raise error(f"{what} family {family!r} params {params}: need finite numbers, and radii r "
                     "strictly increasing from 0 with one value each")
+    nonpositive = [f"{n} = {out[n]!r}" for n in names if n in positive and not out[n] > 0.0]
+    if nonpositive:
+        raise error(f"{what} family {family!r} needs {', '.join(nonpositive)} > 0")
     return out
 
 
@@ -72,7 +78,8 @@ class Kernel:
     required: truncated-gaussian's sigma (width) and cutoff (support radius),
     exponential-tail's beta (decay rate), algebraic-tail's power (p in
     (1+|z|)^-p, p > N), tabulated's r (radii from 0, increasing) and values
-    (profile samples). They are stored as floats and tuples of floats.
+    (profile samples). sigma, cutoff, beta and power must be > 0. They are
+    stored as floats and tuples of floats.
     """
 
     family: str
@@ -87,7 +94,8 @@ class Kernel:
             raise ValueError(f"unknown kernel family {self.family!r}")
         _sphere_measure(self.dimension)
         object.__setattr__(self, "params", resolve_params(
-            "kernel", self.family, self.params, FAMILY_PARAMS[self.family], InvalidKernelError))
+            "kernel", self.family, self.params, FAMILY_PARAMS[self.family], POSITIVE_PARAMS,
+            InvalidKernelError))
         if self.family == "algebraic-tail" and self.params["power"] <= self.dimension:
             raise InvalidKernelError(f"algebraic-tail power={self.params['power']} "
                                      f"not integrable in dimension {self.dimension}")

@@ -26,17 +26,26 @@ the Newton CG solves and the LOBPCG eigenvector. The assembled CSR forms
 are oracles for tests and the dense eigenvalue check, not part of any
 solve. They are the one place the package imports ``scipy.sparse``, inside
 the two methods, so no solve loads it.
+
+The M-matrix solves on 1-D balls of narrow reach (``banded_solver``) are
+LAPACK gbsv and gtsv (Anderson et al., LAPACK Users' Guide, 1999) from the
+OpenBLAS that numpy's wheel ships and has already loaded, bound by ctypes
+once, at import. Only a numpy linked to another LAPACK (MKL, Accelerate)
+makes the loader import the same two routines from ``scipy.linalg.lapack``.
+So with numpy's OpenBLAS present, no command loads a ``scipy`` module to
+start, nor to solve on a polynomial kernel.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbsv
+from numpy.fft import irfftn, rfftn
 
 from .errors import ConfigError, MonotonicityViolationError, UnderResolvedKernelError
 from .grids import Grid
@@ -60,24 +69,165 @@ from .kernels import Kernel
 BANDED_MAX_REACH = 40
 
 
+class _Lapack(NamedTuple):
+    """The two LAPACK band solvers, each bound once to a solver's arrays.
+
+    gbsv(q, band, pivots) and gtsv(dl, d, du) return solve(b) -> INFO, which
+    factors and solves in place: b, Fortran-ordered floats with n rows and 1
+    or k columns, ends as the solution. gbsv factors the Fortran-ordered
+    (3q+1) x n ``band`` (q rows of LU fill on top) with q sub- and
+    superdiagonals; gtsv overwrites the three diagonals. ``index`` is the
+    integer type of the pivots.
+    """
+
+    gbsv: Callable
+    gtsv: Callable
+    index: np.dtype
+
+
+def _vendored_lapack() -> Optional[_Lapack]:
+    """dgbsv and dgtsv bound by ctypes to the OpenBLAS in numpy's wheel, or
+    None when numpy ships none (a numpy linked to MKL or Accelerate).
+
+    The library is the one numpy has already loaded: numpy.libs/ beside the
+    package on Linux and Windows, numpy/.dylibs/ on macOS. Its symbols are
+    scipy_dgbsv_64_ (numpy >= 2), dgbsv_64_ (numpy 1.x openblas64_) or bare
+    dgbsv_; a 64_ suffix means 64-bit LAPACK integers, none means 32-bit.
+    """
+    package = Path(np.__file__).resolve().parent
+    paths = sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                    *package.glob(".dylibs/*openblas*")])
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+            gbsv = getattr(lib, f"{prefix}dgbsv_{suffix}", None)
+            gtsv = getattr(lib, f"{prefix}dgtsv_{suffix}", None)
+            if gbsv is not None and gtsv is not None:
+                return _bind(gbsv, gtsv, ctypes.c_int64 if suffix else ctypes.c_int32)
+    return None
+
+
+def _bind(gbsv, gtsv, lapack_int) -> _Lapack:
+    """Declare the Fortran signatures, every argument by reference, and wrap
+    both routines in the calling convention of ``_Lapack``. Each array's
+    type, layout and size is checked before its address goes to LAPACK: the
+    solver's own arrays once, b on every call."""
+    integer, address = ctypes.POINTER(lapack_int), ctypes.c_void_p
+    # DGBSV(N, KL, KU, NRHS, AB, LDAB, IPIV, B, LDB, INFO)
+    gbsv.argtypes = [integer] * 4 + [address, integer, address, address, integer, integer]
+    # DGTSV(N, NRHS, DL, D, DU, B, LDB, INFO)
+    gtsv.argtypes = [integer] * 2 + [address] * 4 + [integer] * 2
+    gbsv.restype = gtsv.restype = None
+    index = np.dtype(lapack_int)
+
+    def checked(array, dtype, size):
+        if not (array.dtype == dtype and array.flags.f_contiguous and array.flags.writeable
+                and array.size == size):
+            raise ValueError(f"LAPACK needs {size} writeable contiguous {dtype}, "
+                             f"got {array.size} {array.dtype}")
+        return array.ctypes.data
+
+    def columns(b, n):
+        nrhs = 1 if b.ndim == 1 else b.shape[1]
+        if b.ndim > 2 or b.shape[0] != n:
+            raise ValueError(f"right-hand side of shape {b.shape} for {n} unknowns")
+        return lapack_int(nrhs), checked(b, np.float64, n * nrhs)
+
+    def bind_gbsv(q, band, pivots):
+        n = band.shape[1]
+        checked(band, np.float64, (3 * q + 1) * n)
+        checked(pivots, index, n)
+        size, reach, ldab = lapack_int(n), lapack_int(q), lapack_int(3 * q + 1)
+
+        def solve(b):
+            nrhs, b_address = columns(b, n)
+            info = lapack_int()
+            gbsv(size, reach, reach, nrhs, band.ctypes.data, ldab, pivots.ctypes.data, b_address,
+                 size, info)
+            return info.value
+
+        return solve
+
+    def bind_gtsv(dl, d, du):
+        n = d.size
+        for diagonal, size in ((dl, n - 1), (d, n), (du, n - 1)):
+            checked(diagonal, np.float64, size)
+        size = lapack_int(n)
+
+        def solve(b):
+            nrhs, b_address = columns(b, n)
+            info = lapack_int()
+            gtsv(size, nrhs, dl.ctypes.data, d.ctypes.data, du.ctypes.data, b_address, size, info)
+            return info.value
+
+        return solve
+
+    return _Lapack(bind_gbsv, bind_gtsv, index)
+
+
+def _scipy_lapack() -> _Lapack:
+    """The same two routines from ``scipy.linalg.lapack``, in ``_Lapack``'s
+    calling convention: the fallback where numpy ships no OpenBLAS."""
+    from scipy.linalg.lapack import dgbsv, dgtsv
+
+    def bind_gbsv(q, band, pivots):
+        def solve(b):
+            _, _, x, info = dgbsv(q, q, band, b, overwrite_ab=True, overwrite_b=True)
+            b[...] = x
+            return info
+
+        return solve
+
+    def bind_gtsv(dl, d, du):
+        def solve(b):
+            _, _, _, x, info = dgtsv(dl, d, du, b, True, True, True, True)
+            b[...] = x
+            return info
+
+        return solve
+
+    return _Lapack(bind_gbsv, bind_gtsv, np.dtype(np.int32))
+
+
+def _load_lapack() -> _Lapack:
+    """numpy's own OpenBLAS when its wheel ships one, else scipy's LAPACK."""
+    return _vendored_lapack() or _scipy_lapack()
+
+
+_LAPACK = _load_lapack()
+
+
 def banded_solver(stencil: np.ndarray, slope, n: int):
     """solve(u, R) = A(u)^{-1} R with A(u) = T - diag(slope(u)), by banded LU.
 
     T is the n x n Toeplitz band of the constant (2q+1)-tap ``stencil``, cut
-    off at both ends of the line (a Dirichlet or hostile exterior). Each call
-    writes the band with the diagonal stencil[q] - slope(u) and solves it by
-    LAPACK gtsv for q = 1 (through ``scipy.linalg.solve_banded``) and gbsv
-    otherwise. gbsv factors in place in one Fortran-ordered (3q+1) x n array
-    held by the solver: q rows of LU fill above the band, zeroed and refilled
-    on every call. A nonpositive diagonal means A(u) is not an M-matrix and
-    raises MonotonicityViolationError; a non-finite band or right-hand side
-    raises ValueError. Partial-pivoted LU makes no per-entry accuracy claim
-    on the result: callers check its sign where they need one, and every
-    certified bound is computed from the stencil product.
+    off at both ends of the line (a Dirichlet or hostile exterior). R is a
+    vector or an n x k block (the Newton pair passes n x 2). Each call writes
+    the band with the diagonal stencil[q] - slope(u) into one array held by
+    the solver and calls LAPACK (``_LAPACK``: numpy's own OpenBLAS, or
+    scipy's LAPACK where numpy ships none) on a Fortran-ordered copy of R:
+    gtsv for q = 1, on the three rows of a 3 x n array, and gbsv otherwise,
+    which factors in place in a Fortran-ordered (3q+1) x n array whose top q
+    rows of LU fill are zeroed on every call, with a pivot array allocated
+    once. A nonpositive
+    diagonal means A(u) is not an M-matrix and raises
+    MonotonicityViolationError; a non-finite band or right-hand side raises
+    ValueError, a singular band LinAlgError. Partial-pivoted LU makes no
+    per-entry accuracy claim on the result: callers check its sign where
+    they need one, and every certified bound is computed from the stencil
+    product.
     """
     q = (len(stencil) - 1) // 2
     fill = q if q > 1 else 0
-    band = np.empty((fill + 2 * q + 1, n), order="F")
+    if q == 1:
+        band = np.empty((3, n))  # C order: each diagonal is contiguous
+        factor_solve = _LAPACK.gtsv(band[2, :-1], band[1], band[0, 1:])
+    else:
+        band = np.empty((3 * q + 1, n), order="F")
+        factor_solve = _LAPACK.gbsv(q, band, np.empty(n, dtype=_LAPACK.index))
 
     def solve(u, rhs):
         diag = stencil[q] - slope(u)
@@ -90,13 +240,12 @@ def banded_solver(stencil: np.ndarray, slope, n: int):
         band[:fill] = 0.0
         band[fill:] = stencil[::-1, None]
         band[fill + q] = diag
-        if q == 1:
-            return solve_banded((1, 1), band, rhs, check_finite=False)
-        _, _, x, info = dgbsv(q, q, band, rhs, overwrite_ab=True)
+        x = np.array(rhs, dtype=float, order="F")
+        info = factor_solve(x)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of gbsv")
+            raise ValueError(f"illegal value in argument {-info} of the LAPACK band solve")
         return x
 
     return solve
@@ -212,12 +361,12 @@ class DiscreteOperator:
             length = n if self.grid.topology == "torus" else fast_length(n + self.reach)
             shape = (length,) * self.grid.dimension
             flat = np.ravel_multi_index(tuple(self.grid.box_index.T), shape)
-            self._fft_plan = (shape, flat, np.fft.rfftn(self._wrapped_taps(length)))
+            self._fft_plan = (shape, flat, rfftn(self._wrapped_taps(length)))
         shape, flat, spectrum = self._fft_plan
         box = np.zeros(shape)
         box.reshape(-1)[flat] = u
         axes = tuple(range(len(shape)))
-        out = np.fft.irfftn(np.fft.rfftn(box) * spectrum, shape, axes).reshape(-1)[flat]
+        out = irfftn(rfftn(box) * spectrum, shape, axes).reshape(-1)[flat]
         out *= self.grid.spacing**self.grid.dimension
         return out
 

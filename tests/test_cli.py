@@ -496,8 +496,8 @@ def test_evolve_bad_step_or_u0_exits_one(tmp_path, capsys, request, setting, mes
 
 
 @pytest.mark.parametrize("command, section, message", [
-    ("evolve", "[evolve]\nT = -5\n", "[evolve] t = -5.0 is not a finite number > 0"),
-    ("evolve", "[evolve]\nT = nan\n", "[evolve] t = nan is not a finite number > 0"),
+    ("evolve", "[evolve]\nT = -5\n", "[evolve] T = -5.0 is not a finite number > 0"),
+    ("evolve", "[evolve]\nT = nan\n", "[evolve] T = nan is not a finite number > 0"),
     ("sweep", "[sweep]\ndirection = lage\n", "[sweep] direction = 'lage': expected small or large"),
     ("spectrum", "[kernel]\nfamily = truncated-gaussian\nparams = sigam=0.3, cutoff=1\n",
      "kernel family 'truncated-gaussian' takes params ['sigma', 'cutoff']: "
@@ -510,8 +510,23 @@ def test_evolve_bad_step_or_u0_exits_one(tmp_path, capsys, request, setting, mes
      "growth family 'bump' takes params ['a0', 'b', 'a_min']: "
      "unknown ['a_0'], missing ['a0', 'b', 'a_min']"),
     ("spectrum", "[growth]\nfamily = tabulated\nparams = values=1 0 -1\n", "missing ['r']"),
+    ("spectrum", "[kernel]\nfamily = truncated-gaussian\nparams = sigma=0, cutoff=1\n",
+     "kernel family 'truncated-gaussian' needs sigma = 0.0 > 0"),
+    ("spectrum", "[kernel]\nfamily = truncated-gaussian\nparams = sigma=0.3, cutoff=-1\n",
+     "needs cutoff = -1.0 > 0"),
+    ("spectrum", "[kernel]\nfamily = exponential-tail\nparams = beta=0\n", "needs beta = 0.0 > 0"),
+    ("spectrum", "[kernel]\nfamily = exponential-tail\nparams = beta=-1\n",
+     "needs beta = -1.0 > 0"),
+    ("spectrum", "[kernel]\nfamily = algebraic-tail\nparams = power=-3\n",
+     "needs power = -3.0 > 0"),
+    ("spectrum", "[growth]\nparams = a0=2, b=0, a_min=-1\n",
+     "growth family 'bump' needs b = 0.0 > 0"),
+    ("spectrum", "[growth]\nfamily = plateau\nparams = a0=2, r0=1, width=0, a_min=-1\n",
+     "growth family 'plateau' needs width = 0.0 > 0"),
 ], ids=["T-negative", "T-nan", "direction-misspelt", "sigma-misspelt", "beta-not-a-number",
-        "power-missing", "kernel-values-missing", "a0-misspelt", "growth-r-missing"])
+        "power-missing", "kernel-values-missing", "a0-misspelt", "growth-r-missing",
+        "sigma-zero", "cutoff-negative", "beta-zero", "beta-negative", "power-negative",
+        "b-zero", "width-zero"])
 def test_bad_input_exits_one_before_a_solve(tmp_path, capsys, no_solve, command, section, message):
     # a misspelt or missing name is refused, never replaced by a default
     code, out = run_cli(tmp_path, command, "[grid]\nR = 4\nh = 0.1\n\n[stationary]\n"

@@ -262,6 +262,22 @@ class TestLongTimeVerdict:
         assert res.final_dist_sup <= 1e-3
         assert res.final_dist_l1 <= 1e-3
 
+    def test_zero_data_is_extinction_under_a_negative_lambda(self, ball_op):
+        lam = solve_stationary_ball(ball_op, tol=1e-10).lambda_p_used
+        assert lam.sign == "negative"
+        res = long_time_verdict(ball_op, np.zeros(ball_op.size), 5.0, 1e-3, lam)
+        assert res.verdict == "extinction"
+        assert res.final_sup == 0.0
+
+    def test_small_run_under_a_negative_lambda_is_not_extinction(self, ball_op):
+        # lambda_p < 0: every u0 that is not 0 persists, so a run still below
+        # tol at the horizon has shown nothing, though its sup stays under tol
+        lam = solve_stationary_ball(ball_op, tol=1e-10).lambda_p_used
+        assert lam.sign == "negative"
+        res = long_time_verdict(ball_op, np.full(ball_op.size, 1e-8), 5.0, 1e-3, lam)
+        assert res.final_sup <= 1e-3
+        assert res.verdict == "undecided"
+
     def test_straddling_bracket_is_undecided(self, ball_op):
         fake = SpectralEstimate(0.0, -1e-3, 1e-3, np.ones(ball_op.size), 0.0, 1,
                                 met_tol=True, sup_a=float(np.max(ball_op.a_values)),

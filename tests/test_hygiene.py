@@ -33,6 +33,9 @@
   import does not pull in ``scipy.special``.
 - ``scipy.sparse`` is imported only inside functions of ``operators`` (the
   CSR test oracles), never at module level: no solve loads it.
+- ``scipy.linalg`` is imported only inside functions of ``operators`` (the
+  LAPACK fallback for a numpy that ships no OpenBLAS), never at module
+  level: the band solves call the LAPACK numpy already loaded.
 - Every field and property of a dataclass in the package is read
   somewhere in ``src/``, ``tests/`` or ``perfbench/``: as an attribute
   (``x.name`` in a load) or through ``getattr`` with a constant name. A
@@ -46,7 +49,9 @@
 - A fresh ``import nichewave.cli`` loads none of ``scipy.integrate``,
   ``scipy.optimize``, ``scipy.fft``, ``scipy.special`` and ``scipy.sparse``,
   and a banded 1-D and an off-band 2-D eigenvalue and ball solve leave
-  ``scipy.sparse`` unloaded (both checked in a subprocess).
+  ``scipy.sparse`` unloaded. Where numpy's wheel ships its OpenBLAS, neither
+  the import nor those solves load any ``scipy`` module (all checked in a
+  subprocess).
 """
 
 import ast
@@ -305,6 +310,7 @@ RESTRICTED_IMPORTS = {
     "scipy.integrate": {"kernels.py"},
     "scipy.fft": set(),
     "scipy.sparse": {"operators.py"},
+    "scipy.linalg": {"operators.py"},
 }
 
 
@@ -599,7 +605,7 @@ def test_import_check_catches_what_it_names():
                      "import multiprocessing.pool\nfrom scipy import integrate\n"
                      "from . import threads\nimport scipy.linalg\n")
     assert restricted_imports(tree, "experiments.py") == [
-        "concurrent.futures", "multiprocessing", "scipy.integrate", "threading"]
+        "concurrent.futures", "multiprocessing", "scipy.integrate", "scipy.linalg", "threading"]
     local = "class K:\n    def mass(self):\n        from scipy.integrate import quad\n"
     assert restricted_imports(ast.parse(local), "kernels.py") == []
     assert restricted_imports(ast.parse("def f():\n    import scipy.integrate\n"), "kernels.py") == []
@@ -620,6 +626,11 @@ def test_import_check_catches_what_it_names():
         "scipy.sparse"]
     assert restricted_imports(ast.parse("def f():\n    from scipy import sparse\n"),
                               "cli.py") == ["scipy.sparse"]
+    lapack = "def f():\n    from scipy.linalg.lapack import dgbsv\n"
+    assert restricted_imports(ast.parse(lapack), "operators.py") == []
+    assert restricted_imports(ast.parse(lapack), "spectral.py") == ["scipy.linalg"]
+    assert restricted_imports(ast.parse("from scipy.linalg import solve_banded\n"),
+                              "operators.py") == ["scipy.linalg"]
 
 
 def _fresh_python(code: str) -> str:
@@ -639,9 +650,14 @@ def test_cli_import_loads_no_quadrature():
 
 def test_no_solve_loads_sparse():
     code = ("import sys\n"
+            "import nichewave.cli\n"
             "from nichewave import (Kernel, build_grid, build_operator, bump_growth,\n"
             "                       principal_eigenvalue, rescale_kernel)\n"
+            "from nichewave.operators import _vendored_lapack\n"
             "from nichewave.stationary import solve_stationary_ball\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(_vendored_lapack() is not None, scipy_modules())\n"
             "for N in (1, 2):\n"
             "    op = build_operator(build_grid(N, 2.0, 0.25, 'ball-truncated'),\n"
             "                        rescale_kernel(Kernel('tent', dimension=N), 1.0, 0.0),\n"
@@ -649,6 +665,10 @@ def test_no_solve_loads_sparse():
             "    banded = op.band_stencil() is not None\n"
             "    lam = principal_eigenvalue(op)\n"
             "    verdict = solve_stationary_ball(op, lam=lam).verdict\n"
-            "    print(N, banded, verdict, 'scipy.sparse' in sys.modules)\n")
-    assert _fresh_python(code).splitlines() == ["1 True persistent False",
-                                                "2 False persistent False"]
+            "    print(N, banded, verdict, 'scipy.sparse' in sys.modules, scipy_modules())\n")
+    first, *solves = _fresh_python(code).splitlines()
+    assert [line.split(" [")[0] for line in solves] == ["1 True persistent False",
+                                                        "2 False persistent False"]
+    if first.startswith("True"):  # numpy's own OpenBLAS serves the band solves
+        assert first == "True []"
+        assert all(line.endswith(" []") for line in solves)

@@ -22,6 +22,7 @@ from nichewave import (
     rescale_kernel,
     weighted_symmetrize,
 )
+from nichewave import operators
 from nichewave.operators import (
     DiscreteOperator,
     banded_solver,
@@ -395,6 +396,59 @@ class TestBandedSolver:
             bands[q] = stencil[q] - u
             assert np.array_equal(solve(u, rhs), solve_banded((q, q), bands, rhs))
 
+    @staticmethod
+    def _stencil(q, rng):
+        stencil = -rng.random(2 * q + 1)
+        stencil[q] = 2.0 * q + 1.0
+        return stencil
+
+    @staticmethod
+    def _scipy_solve(stencil, u, rhs):
+        """The band solve as scipy runs it: LAPACK gtsv for q = 1, gbsv otherwise."""
+        q, n = (len(stencil) - 1) // 2, len(u)
+        bands = np.repeat(stencil[::-1, None], n, axis=1)
+        bands[q] = stencil[q] - u
+        return solve_banded((q, q), bands, rhs)
+
+    @pytest.mark.parametrize("columns", [None, 2], ids=["vector", "two-columns"])
+    @pytest.mark.parametrize("q", [1, 5, 20])
+    def test_bit_identical_to_scipy(self, q, columns, rng):
+        # numpy's OpenBLAS (or the scipy fallback) runs the same LAPACK routine
+        n = 300
+        stencil = self._stencil(q, rng)
+        solve = banded_solver(stencil, lambda u: u, n)
+        for _ in range(2):
+            u = rng.random(n)
+            rhs = rng.standard_normal(n if columns is None else (n, columns))
+            x = solve(u, rhs)
+            assert x.shape == rhs.shape
+            assert np.array_equal(x, self._scipy_solve(stencil, u, rhs))
+
+    @pytest.mark.parametrize("stencil", [[-1.0, 1.0, -1.0], [-1.0, -1.0, 2.0, -1.0, -1.0]],
+                             ids=["gtsv", "gbsv"])
+    def test_singular_band_raises(self, stencil):
+        # rows summing to zero: a positive diagonal, but exactly singular
+        stencil = np.array(stencil)
+        n = len(stencil) // 2 + 1
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            banded_solver(stencil, lambda u: u, n)(np.zeros(n), np.ones(n))
+
+    def test_scipy_fallback_gives_the_same_solves(self, monkeypatch, rng):
+        # a numpy without its own OpenBLAS (MKL, Accelerate) loads scipy's LAPACK instead
+        n = 120
+        u = rng.random(n)
+        problems = [(self._stencil(1, rng), rng.standard_normal((n, 2))),
+                    (self._stencil(4, rng), rng.standard_normal(n))]
+        native = [banded_solver(stencil, lambda v: v, n)(u, rhs) for stencil, rhs in problems]
+        monkeypatch.setattr(operators, "_vendored_lapack", lambda: None)
+        fallback = operators._load_lapack()
+        assert fallback.index == np.int32
+        monkeypatch.setattr(operators, "_LAPACK", fallback)
+        for (stencil, rhs), x in zip(problems, native):
+            assert np.array_equal(banded_solver(stencil, lambda v: v, n)(u, rhs), x)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            banded_solver(np.array([-1.0, 1.0, -1.0]), lambda v: v, 2)(np.zeros(2), np.ones(2))
+
     @pytest.mark.parametrize("q", [1, 3])
     def test_rejects_what_is_not_an_m_matrix_or_not_finite(self, q):
         stencil = np.full(2 * q + 1, -0.1)
@@ -405,3 +459,5 @@ class TestBandedSolver:
         for u, rhs in [(np.full(10, np.nan), np.ones(10)), (np.zeros(10), np.full(10, np.inf))]:
             with pytest.raises(ValueError, match="not finite"):
                 solve(u, rhs)
+        with pytest.raises(ValueError):  # a right-hand side of the wrong length never reaches LAPACK
+            solve(np.zeros(10), np.ones(9))
