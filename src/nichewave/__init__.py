@@ -33,11 +33,10 @@ from .kernels import (
 )
 from .grids import Grid, build_grid, snap_radius
 from .growth import GrowthProfile, bump_growth, constant_growth
-from .operators import DiscreteOperator, build_operator, sample_taps, weighted_symmetrize
+from .operators import DiscreteOperator, build_operator, sample_taps
 from .spectral import (
     ExtrapolationResult,
     SpectralEstimate,
-    dense_lambda_p_oracle,
     lambda_p_extrapolate_R,
     principal_eigenvalue,
     rayleigh_lambda_v,

@@ -21,8 +21,10 @@ Sections and keys (all optional unless a command needs them):
 [kernel] and [growth] params hold exactly their family's names in
 FAMILY_PARAMS (kernels, growth), every one required, and those in
 POSITIVE_PARAMS are > 0. [sweep] direction is
-small or large. [evolve] T, stride, tol and dt (unless auto) are finite
-and > 0; u0 is constant, bump, indicator or stationary[:amplitude[:radius]],
+small or large. The epsilons of [sweep], [audit] and [ess], [eps_star] lo
+and hi, every base_h and [fat_tail] h are finite and > 0; each epsilon list
+is non-empty and lo < hi. [evolve] T, stride, tol and dt (unless auto) are
+finite and > 0; u0 is constant, bump, indicator or stationary[:amplitude[:radius]],
 amplitude finite and >= 0 (default 0.01), radius finite and > 0 (default 1).
 
 [kernel] dimension is the one N: it goes to the Kernel, and every grid
@@ -108,6 +110,31 @@ def _convert(section: str, key: str, raw: str):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
 
 
+# (section, key) of the epsilons and spacings, each a finite number > 0; a
+# list among them is an epsilon schedule and may not be empty
+POSITIVE_KEYS = [("sweep", "epsilons"), ("sweep", "base_h"), ("audit", "epsilons"),
+                 ("audit", "base_h"), ("ess", "eps_residents"), ("ess", "eps_mutants"),
+                 ("ess", "base_h"), ("eps_star", "lo"), ("eps_star", "hi"),
+                 ("eps_star", "base_h"), ("fat_tail", "h")]
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} = {value!r} is not a finite number > 0")
+
+
+def _check_positive(sections: dict) -> None:
+    for section, key in POSITIVE_KEYS:
+        value = sections[section][key]
+        if value == []:
+            raise ConfigError(f"[{section}] {key} is empty: no epsilon to solve for")
+        for v in value if isinstance(value, list) else [value]:
+            _require_positive(f"[{section}] {key}", v)
+    lo, hi = sections["eps_star"]["lo"], sections["eps_star"]["hi"]
+    if not lo < hi:
+        raise ConfigError(f"[eps_star] lo = {lo!r} is not below hi = {hi!r}")
+
+
 def _evolve_number(key: str, raw: str) -> float:
     try:
         return float(raw)
@@ -120,8 +147,8 @@ def _parse_evolve(ev: dict) -> None:
     tuple (kind, amplitude, radius)."""
     ev["dt"] = None if ev["dt"] == "auto" else _evolve_number("dt", ev["dt"])
     for key, written in (("t", "T"), ("stride", "stride"), ("tol", "tol"), ("dt", "dt")):
-        if ev[key] is not None and not 0.0 < ev[key] < math.inf:
-            raise ConfigError(f"[evolve] {written} = {ev[key]!r} is not a finite number > 0")
+        if ev[key] is not None:
+            _require_positive(f"[evolve] {written}", ev[key])
     kind, _, rest = ev["u0"].partition(":")
     args = [_evolve_number("u0", t) for t in rest.split(":")] if rest else []
     amp = args[0] if args else 0.01
@@ -180,5 +207,6 @@ def load_config(path: str) -> ExperimentConfig:
     if sections["sweep"]["direction"] not in ("small", "large"):
         raise ConfigError(f"[sweep] direction = {sections['sweep']['direction']!r}: "
                           "expected small or large")
+    _check_positive(sections)
     _parse_evolve(sections["evolve"])
     return ExperimentConfig(sections=sections)

@@ -28,12 +28,12 @@ solve. They are the one place the package imports ``scipy.sparse``, inside
 the two methods, so no solve loads it.
 
 The M-matrix solves on 1-D balls of narrow reach (``banded_solver``) are
-LAPACK gbsv and gtsv (Anderson et al., LAPACK Users' Guide, 1999) from the
-OpenBLAS that numpy's wheel ships and has already loaded, bound by ctypes
-once, at import. Only a numpy linked to another LAPACK (MKL, Accelerate)
-makes the loader import the same two routines from ``scipy.linalg.lapack``.
-So with numpy's OpenBLAS present, no command loads a ``scipy`` module to
-start, nor to solve on a polynomial kernel.
+one LAPACK routine at every reach, gbsv (Anderson et al., LAPACK Users'
+Guide, 1999), from the OpenBLAS that numpy's wheel ships and has already
+loaded, bound by ctypes once, at import. Only a numpy linked to another
+LAPACK (MKL, Accelerate) makes the solve import the same routine from
+``scipy.linalg.lapack``. So with numpy's OpenBLAS present, no command loads
+a ``scipy`` module to start, nor to solve on a polynomial kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import ctypes
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.fft import irfftn, rfftn
@@ -69,28 +69,12 @@ from .kernels import Kernel
 BANDED_MAX_REACH = 40
 
 
-class _Lapack(NamedTuple):
-    """The two LAPACK band solvers, each bound once to a solver's arrays.
-
-    gbsv(q, band, pivots) and gtsv(dl, d, du) return solve(b) -> INFO, which
-    factors and solves in place: b, Fortran-ordered floats with n rows and 1
-    or k columns, ends as the solution. gbsv factors the Fortran-ordered
-    (3q+1) x n ``band`` (q rows of LU fill on top) with q sub- and
-    superdiagonals; gtsv overwrites the three diagonals. ``index`` is the
-    integer type of the pivots.
-    """
-
-    gbsv: Callable
-    gtsv: Callable
-    index: np.dtype
-
-
-def _vendored_lapack() -> Optional[_Lapack]:
-    """dgbsv and dgtsv bound by ctypes to the OpenBLAS in numpy's wheel, or
-    None when numpy ships none (a numpy linked to MKL or Accelerate).
+def _openblas_gbsv() -> Optional[Callable]:
+    """dgbsv bound by ctypes to the OpenBLAS in numpy's wheel, or None when
+    numpy ships none (a numpy linked to MKL or Accelerate).
 
     The library is the one numpy has already loaded: numpy.libs/ beside the
-    package on Linux and Windows, numpy/.dylibs/ on macOS. Its symbols are
+    package on Linux and Windows, numpy/.dylibs/ on macOS. Its symbol is
     scipy_dgbsv_64_ (numpy >= 2), dgbsv_64_ (numpy 1.x openblas64_) or bare
     dgbsv_; a 64_ suffix means 64-bit LAPACK integers, none means 32-bit.
     """
@@ -104,24 +88,19 @@ def _vendored_lapack() -> Optional[_Lapack]:
             continue
         for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
             gbsv = getattr(lib, f"{prefix}dgbsv_{suffix}", None)
-            gtsv = getattr(lib, f"{prefix}dgtsv_{suffix}", None)
-            if gbsv is not None and gtsv is not None:
-                return _bind(gbsv, gtsv, ctypes.c_int64 if suffix else ctypes.c_int32)
+            if gbsv is not None:
+                return _ctypes_gbsv(gbsv, ctypes.c_int64 if suffix else ctypes.c_int32)
     return None
 
 
-def _bind(gbsv, gtsv, lapack_int) -> _Lapack:
-    """Declare the Fortran signatures, every argument by reference, and wrap
-    both routines in the calling convention of ``_Lapack``. Each array's
-    type, layout and size is checked before its address goes to LAPACK: the
-    solver's own arrays once, b on every call."""
+def _ctypes_gbsv(gbsv, lapack_int) -> Callable:
+    """gbsv(q, band, b) -> INFO with the Fortran signature declared, every
+    argument by reference. Each array's type, layout and size is checked
+    before its address goes to LAPACK; the pivots are allocated per call."""
     integer, address = ctypes.POINTER(lapack_int), ctypes.c_void_p
     # DGBSV(N, KL, KU, NRHS, AB, LDAB, IPIV, B, LDB, INFO)
     gbsv.argtypes = [integer] * 4 + [address, integer, address, address, integer, integer]
-    # DGTSV(N, NRHS, DL, D, DU, B, LDB, INFO)
-    gtsv.argtypes = [integer] * 2 + [address] * 4 + [integer] * 2
-    gbsv.restype = gtsv.restype = None
-    index = np.dtype(lapack_int)
+    gbsv.restype = None
 
     def checked(array, dtype, size):
         if not (array.dtype == dtype and array.flags.f_contiguous and array.flags.writeable
@@ -130,74 +109,35 @@ def _bind(gbsv, gtsv, lapack_int) -> _Lapack:
                              f"got {array.size} {array.dtype}")
         return array.ctypes.data
 
-    def columns(b, n):
-        nrhs = 1 if b.ndim == 1 else b.shape[1]
+    def solve(q, band, b):
+        n = band.shape[1]
         if b.ndim > 2 or b.shape[0] != n:
             raise ValueError(f"right-hand side of shape {b.shape} for {n} unknowns")
-        return lapack_int(nrhs), checked(b, np.float64, n * nrhs)
+        nrhs = 1 if b.ndim == 1 else b.shape[1]
+        pivots = np.empty(n, dtype=lapack_int)
+        size, reach, info = lapack_int(n), lapack_int(q), lapack_int()
+        gbsv(size, reach, reach, lapack_int(nrhs), checked(band, np.float64, (3 * q + 1) * n),
+             lapack_int(3 * q + 1), pivots.ctypes.data,
+             checked(b, np.float64, n * nrhs), size, info)
+        return info.value
 
-    def bind_gbsv(q, band, pivots):
-        n = band.shape[1]
-        checked(band, np.float64, (3 * q + 1) * n)
-        checked(pivots, index, n)
-        size, reach, ldab = lapack_int(n), lapack_int(q), lapack_int(3 * q + 1)
-
-        def solve(b):
-            nrhs, b_address = columns(b, n)
-            info = lapack_int()
-            gbsv(size, reach, reach, nrhs, band.ctypes.data, ldab, pivots.ctypes.data, b_address,
-                 size, info)
-            return info.value
-
-        return solve
-
-    def bind_gtsv(dl, d, du):
-        n = d.size
-        for diagonal, size in ((dl, n - 1), (d, n), (du, n - 1)):
-            checked(diagonal, np.float64, size)
-        size = lapack_int(n)
-
-        def solve(b):
-            nrhs, b_address = columns(b, n)
-            info = lapack_int()
-            gtsv(size, nrhs, dl.ctypes.data, d.ctypes.data, du.ctypes.data, b_address, size, info)
-            return info.value
-
-        return solve
-
-    return _Lapack(bind_gbsv, bind_gtsv, index)
+    return solve
 
 
-def _scipy_lapack() -> _Lapack:
-    """The same two routines from ``scipy.linalg.lapack``, in ``_Lapack``'s
-    calling convention: the fallback where numpy ships no OpenBLAS."""
-    from scipy.linalg.lapack import dgbsv, dgtsv
+def _scipy_gbsv(q: int, band: np.ndarray, b: np.ndarray) -> int:
+    """The same routine from ``scipy.linalg.lapack``, in the same calling
+    convention: the fallback where numpy ships no OpenBLAS."""
+    from scipy.linalg.lapack import dgbsv
 
-    def bind_gbsv(q, band, pivots):
-        def solve(b):
-            _, _, x, info = dgbsv(q, q, band, b, overwrite_ab=True, overwrite_b=True)
-            b[...] = x
-            return info
-
-        return solve
-
-    def bind_gtsv(dl, d, du):
-        def solve(b):
-            _, _, _, x, info = dgtsv(dl, d, du, b, True, True, True, True)
-            b[...] = x
-            return info
-
-        return solve
-
-    return _Lapack(bind_gbsv, bind_gtsv, np.dtype(np.int32))
+    _, _, x, info = dgbsv(q, q, band, b, overwrite_ab=True, overwrite_b=True)
+    b[...] = x
+    return info
 
 
-def _load_lapack() -> _Lapack:
-    """numpy's own OpenBLAS when its wheel ships one, else scipy's LAPACK."""
-    return _vendored_lapack() or _scipy_lapack()
-
-
-_LAPACK = _load_lapack()
+# gbsv(q, band, b) -> INFO: factors the Fortran-ordered (3q+1) x n ``band``
+# (q rows of LU fill on top, q sub- and superdiagonals) in place and
+# overwrites b, Fortran-ordered floats with n rows, with the solution.
+_GBSV = _openblas_gbsv() or _scipy_gbsv
 
 
 def banded_solver(stencil: np.ndarray, slope, n: int):
@@ -205,29 +145,20 @@ def banded_solver(stencil: np.ndarray, slope, n: int):
 
     T is the n x n Toeplitz band of the constant (2q+1)-tap ``stencil``, cut
     off at both ends of the line (a Dirichlet or hostile exterior). R is a
-    vector or an n x k block (the Newton pair passes n x 2). Each call writes
-    the band with the diagonal stencil[q] - slope(u) into one array held by
-    the solver and calls LAPACK (``_LAPACK``: numpy's own OpenBLAS, or
-    scipy's LAPACK where numpy ships none) on a Fortran-ordered copy of R:
-    gtsv for q = 1, on the three rows of a 3 x n array, and gbsv otherwise,
-    which factors in place in a Fortran-ordered (3q+1) x n array whose top q
-    rows of LU fill are zeroed on every call, with a pivot array allocated
-    once. A nonpositive
-    diagonal means A(u) is not an M-matrix and raises
-    MonotonicityViolationError; a non-finite band or right-hand side raises
-    ValueError, a singular band LinAlgError. Partial-pivoted LU makes no
-    per-entry accuracy claim on the result: callers check its sign where
-    they need one, and every certified bound is computed from the stencil
-    product.
+    vector or an n x k block (the Newton pair passes n x 2). Each call
+    writes the band, with the diagonal stencil[q] - slope(u) and q zeroed
+    rows of LU fill on top, into one Fortran-ordered (3q+1) x n array held
+    by the solver, and LAPACK gbsv (``_GBSV``: numpy's own OpenBLAS, or
+    scipy's LAPACK where numpy ships none) factors it in place and solves
+    on a Fortran-ordered copy of R. A nonpositive diagonal means A(u) is
+    not an M-matrix and raises MonotonicityViolationError; a non-finite
+    band or right-hand side raises ValueError, a singular band LinAlgError.
+    Partial-pivoted LU makes no per-entry accuracy claim on the result:
+    callers check its sign where they need one, and every certified bound
+    is computed from the stencil product.
     """
     q = (len(stencil) - 1) // 2
-    fill = q if q > 1 else 0
-    if q == 1:
-        band = np.empty((3, n))  # C order: each diagonal is contiguous
-        factor_solve = _LAPACK.gtsv(band[2, :-1], band[1], band[0, 1:])
-    else:
-        band = np.empty((3 * q + 1, n), order="F")
-        factor_solve = _LAPACK.gbsv(q, band, np.empty(n, dtype=_LAPACK.index))
+    band = np.empty((3 * q + 1, n), order="F")
 
     def solve(u, rhs):
         diag = stencil[q] - slope(u)
@@ -237,11 +168,11 @@ def banded_solver(stencil: np.ndarray, slope, n: int):
         if not (np.all(np.isfinite(stencil)) and np.all(np.isfinite(diag))
                 and np.all(np.isfinite(rhs))):
             raise ValueError("banded solve: the band or right-hand side is not finite")
-        band[:fill] = 0.0
-        band[fill:] = stencil[::-1, None]
-        band[fill + q] = diag
+        band[:q] = 0.0
+        band[q:] = stencil[::-1, None]
+        band[2 * q] = diag
         x = np.array(rhs, dtype=float, order="F")
-        info = factor_solve(x)
+        info = _GBSV(q, band, x)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         if info < 0:
@@ -560,8 +491,3 @@ def build_operator(
         reach=reach,
     )
 
-
-def weighted_symmetrize(A: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """W^{1/2} A W^{-1/2}; symmetric for even kernels."""
-    s = np.sqrt(weights)
-    return (A * s[:, None]) / s[None, :]

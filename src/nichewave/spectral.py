@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, DiscretizationInconsistencyError, IrreducibilityError
 from .grids import build_grid
-from .operators import banded_solver, build_operator, weighted_symmetrize
+from .operators import banded_solver, build_operator
 
 DEGENERACY_GAP = 1e-12
 _POSITIVE_FLOOR = 1e-280
@@ -267,14 +267,6 @@ def rayleigh_lambda_v(op, tol: float = 1e-10, maxiter: int = DEFAULT_MAXITER) ->
     start = np.ones(op.size)
     start[:: max(op.size // 7, 1)] += 0.5  # break symmetry differently from lambda_p
     return _certified_iteration(op, tol, maxiter, "rayleigh", start)
-
-
-def dense_lambda_p_oracle(op) -> tuple[float, float]:
-    """(-max eigenvalue, top spectral gap) from a dense symmetric solve."""
-    S = weighted_symmetrize(op.matrix().toarray(), op.grid.weights)
-    vals = np.linalg.eigvalsh(S)
-    gap = float(vals[-1] - vals[-2]) if vals.size > 1 else math.inf
-    return -float(vals[-1]), gap
 
 
 def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-10,

@@ -1,10 +1,26 @@
 """Reference checks of the discrete problem that the tests compare the package against."""
 
+import math
+
 import numpy as np
 
 from nichewave import build_grid, build_operator, principal_eigenvalue, rescale_kernel
 
 _RATIO_FLOOR = 1e-300  # verify_uniqueness skips entries at or below it
+
+
+def weighted_symmetrize(A: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """W^{1/2} A W^{-1/2}; symmetric for even kernels."""
+    s = np.sqrt(weights)
+    return (A * s[:, None]) / s[None, :]
+
+
+def dense_lambda_p_oracle(op) -> tuple[float, float]:
+    """(-max eigenvalue, top spectral gap) from a dense symmetric solve."""
+    S = weighted_symmetrize(op.matrix().toarray(), op.grid.weights)
+    vals = np.linalg.eigvalsh(S)
+    gap = float(vals[-1] - vals[-2]) if vals.size > 1 else math.inf
+    return -float(vals[-1]), gap
 
 
 def perron_window(op) -> tuple[float, float]:

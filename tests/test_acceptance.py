@@ -15,7 +15,6 @@ from nichewave import (
     build_grid,
     bump_growth,
     constant_growth,
-    dense_lambda_p_oracle,
     principal_eigenvalue,
     rayleigh_lambda_v,
     rescale_kernel,
@@ -34,7 +33,7 @@ from nichewave.experiments import (
 )
 from nichewave.operators import build_operator
 from nichewave.stationary import solve_stationary_ball
-from oracles import perron_window, verify_uniqueness
+from oracles import dense_lambda_p_oracle, perron_window, verify_uniqueness
 
 TENT = Kernel("tent")
 BUMP = bump_growth(2.0, 1.0, -1.0)

@@ -523,10 +523,33 @@ def test_evolve_bad_step_or_u0_exits_one(tmp_path, capsys, request, setting, mes
      "growth family 'bump' needs b = 0.0 > 0"),
     ("spectrum", "[growth]\nfamily = plateau\nparams = a0=2, r0=1, width=0, a_min=-1\n",
      "growth family 'plateau' needs width = 0.0 > 0"),
+    # every epsilon and spacing is a finite number > 0
+    ("sweep", "[sweep]\nepsilons = 0 1\n", "[sweep] epsilons = 0.0 is not a finite number > 0"),
+    ("sweep", "[sweep]\nbase_h = 0\n", "[sweep] base_h = 0.0 is not a finite number > 0"),
+    ("audit", "[audit]\nepsilons = -2 1\n", "[audit] epsilons = -2.0 is not a finite number > 0"),
+    ("audit", "[audit]\nbase_h = -0.05\n", "[audit] base_h = -0.05 is not a finite number > 0"),
+    ("ess", "[ess]\neps_residents = 1 nan\n",
+     "[ess] eps_residents = nan is not a finite number > 0"),
+    ("ess", "[ess]\neps_mutants = 0\n", "[ess] eps_mutants = 0.0 is not a finite number > 0"),
+    ("ess", "[ess]\nbase_h = inf\n", "[ess] base_h = inf is not a finite number > 0"),
+    ("eps-star", "[eps_star]\nlo = -1\n", "[eps_star] lo = -1.0 is not a finite number > 0"),
+    ("eps-star", "[eps_star]\nhi = inf\n", "[eps_star] hi = inf is not a finite number > 0"),
+    ("eps-star", "[eps_star]\nbase_h = 0\n", "[eps_star] base_h = 0.0 is not a finite number > 0"),
+    ("fat-tail", "[fat_tail]\nh = 0\n", "[fat_tail] h = 0.0 is not a finite number > 0"),
+    # a schedule that solves nothing or runs backwards
+    ("eps-star", "[eps_star]\nlo = 4\nhi = 0.5\n", "[eps_star] lo = 4.0 is not below hi = 0.5"),
+    ("sweep", "[sweep]\nepsilons =\n", "[sweep] epsilons is empty"),
+    ("audit", "[audit]\nepsilons =\n", "[audit] epsilons is empty"),
+    ("ess", "[ess]\neps_residents =\n", "[ess] eps_residents is empty"),
+    ("ess", "[ess]\neps_mutants =\n", "[ess] eps_mutants is empty"),
 ], ids=["T-negative", "T-nan", "direction-misspelt", "sigma-misspelt", "beta-not-a-number",
         "power-missing", "kernel-values-missing", "a0-misspelt", "growth-r-missing",
         "sigma-zero", "cutoff-negative", "beta-zero", "beta-negative", "power-negative",
-        "b-zero", "width-zero"])
+        "b-zero", "width-zero", "sweep-eps-zero", "sweep-h-zero", "audit-eps-negative",
+        "audit-h-negative", "ess-resident-nan", "ess-mutant-zero", "ess-h-inf",
+        "eps-star-lo-negative", "eps-star-hi-inf", "eps-star-h-zero", "fat-tail-h-zero",
+        "eps-star-backwards", "sweep-empty", "audit-empty", "ess-residents-empty",
+        "ess-mutants-empty"])
 def test_bad_input_exits_one_before_a_solve(tmp_path, capsys, no_solve, command, section, message):
     # a misspelt or missing name is refused, never replaced by a default
     code, out = run_cli(tmp_path, command, "[grid]\nR = 4\nh = 0.1\n\n[stationary]\n"

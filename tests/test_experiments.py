@@ -10,7 +10,6 @@ from nichewave import (
     build_grid,
     bump_growth,
     constant_growth,
-    dense_lambda_p_oracle,
     principal_eigenvalue,
     rescale_kernel,
 )
@@ -32,6 +31,7 @@ from nichewave.errors import ConfigError, MonotonicityViolationError, UnderResol
 from nichewave.kernels import kernel_moment
 from nichewave.operators import build_operator
 from nichewave.stationary import solve_stationary_ball
+from oracles import dense_lambda_p_oracle
 
 POLICY = GridPolicy(base_radius=4.0, base_spacing=0.05)
 

@@ -8,8 +8,8 @@
 - Every config key in ``config.DEFAULTS`` is read: its name appears as a
   string subscript (``section["key"]``) somewhere in the package.
 - No ``.matrix(...)`` or ``.conv_matrix(...)`` call appears outside
-  ``operators`` and ``spectral.dense_lambda_p_oracle``: the assembled CSR
-  forms are oracles, and no solve path builds one.
+  ``operators``: the assembled CSR forms are oracles, and no solve path
+  builds one.
 - ``SpectralEstimate(...)`` is built only in ``spectral._certified_iteration``:
   every eigenvalue estimate carries a bracket that routine certified.
 - ``dimension`` is a parameter or a dataclass field only of
@@ -379,17 +379,13 @@ def test_every_config_key_is_read():
 
 
 
-# (module, function) that may assemble: the dense eigenvalue oracle
-ASSEMBLY_ALLOWED = {("spectral.py", "dense_lambda_p_oracle")}
-
-
 def test_no_assembly_outside_operators():
     found = []
     for path in MODULES:
         if path.name == "operators.py":
             continue
         tree = _tree(path)
-        found += lines_outside(path.name, tree, assembly_calls(tree), ASSEMBLY_ALLOWED)
+        found += [f"{path.name}:{line}" for line in assembly_calls(tree)]
     assert found == []
 
 
@@ -536,10 +532,9 @@ def test_member_check_catches_what_it_names():
     assert unread_members(modules, readers) == ["experiments.py:InvasionEntry.resident_sup"]
 
 
-# public functions that only the tests call: the dense eigenvalue oracle goes
-# to the tests with the CSR forms it assembles, which perfbench/tracer.py names;
-# constant_growth is the package-level twin of bump_growth, which perfbench calls
-CALLED_BY_TESTS_ONLY = {"spectral.py:dense_lambda_p_oracle", "growth.py:constant_growth"}
+# public functions that only the tests call: constant_growth is the
+# package-level twin of bump_growth, which perfbench calls
+CALLED_BY_TESTS_ONLY = {"growth.py:constant_growth"}
 
 
 def test_every_public_function_runs_outside_the_tests():
@@ -653,11 +648,11 @@ def test_no_solve_loads_sparse():
             "import nichewave.cli\n"
             "from nichewave import (Kernel, build_grid, build_operator, bump_growth,\n"
             "                       principal_eigenvalue, rescale_kernel)\n"
-            "from nichewave.operators import _vendored_lapack\n"
+            "from nichewave.operators import _openblas_gbsv\n"
             "from nichewave.stationary import solve_stationary_ball\n"
             "def scipy_modules():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "print(_vendored_lapack() is not None, scipy_modules())\n"
+            "print(_openblas_gbsv() is not None, scipy_modules())\n"
             "for N in (1, 2):\n"
             "    op = build_operator(build_grid(N, 2.0, 0.25, 'ball-truncated'),\n"
             "                        rescale_kernel(Kernel('tent', dimension=N), 1.0, 0.0),\n"

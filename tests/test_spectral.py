@@ -14,7 +14,6 @@ from nichewave import (
     build_grid,
     bump_growth,
     constant_growth,
-    dense_lambda_p_oracle,
     kernel_moment,
     lambda_p_extrapolate_R,
     principal_eigenvalue,
@@ -26,7 +25,7 @@ from nichewave.experiments import local_kpp_solve_fd
 from nichewave.operators import DiscreteOperator, build_operator
 from nichewave.spectral import radius_walk
 from nichewave.stationary import solve_stationary_wholespace
-from oracles import perron_window, scaling_invariance
+from oracles import dense_lambda_p_oracle, perron_window, scaling_invariance
 
 
 def random_growth(rng, radius):
