@@ -20,12 +20,14 @@ Sections and keys (all optional unless a command needs them):
 
 [kernel] and [growth] params hold exactly their family's names in
 FAMILY_PARAMS (kernels, growth), every one required, and those in
-POSITIVE_PARAMS are > 0. [sweep] direction is
-small or large. The epsilons of [sweep], [audit] and [ess], [eps_star] lo
-and hi, every base_h and [fat_tail] h are finite and > 0; each epsilon list
-is non-empty and lo < hi. [evolve] T, stride, tol and dt (unless auto) are
-finite and > 0; u0 is constant, bump, indicator or stationary[:amplitude[:radius]],
-amplitude finite and >= 0 (default 0.01), radius finite and > 0 (default 1).
+POSITIVE_PARAMS are > 0; the Kernel checks epsilon, m and alpha0. One rule
+covers every other number: it is finite and > 0, each number of a list is,
+and a list is non-empty. Its three exceptions: [run] seed is any integer,
+[sweep] radius_pad may be 0, and an empty [spectral] R_schedule means no R
+rows. Besides the rule, [run] workers is 1, [sweep] direction is small or
+large, and [eps_star] lo < hi. [evolve] dt is auto or a number; u0 is
+constant, bump, indicator or stationary[:amplitude[:radius]], amplitude
+finite and >= 0 (default 0.01), radius finite and > 0 (default 1).
 
 [kernel] dimension is the one N: it goes to the Kernel, and every grid
 takes N from the kernel, so no other key or section sets it.
@@ -110,29 +112,25 @@ def _convert(section: str, key: str, raw: str):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
 
 
-# (section, key) of the epsilons and spacings, each a finite number > 0; a
-# list among them is an epsilon schedule and may not be empty
-POSITIVE_KEYS = [("sweep", "epsilons"), ("sweep", "base_h"), ("audit", "epsilons"),
-                 ("audit", "base_h"), ("ess", "eps_residents"), ("ess", "eps_mutants"),
-                 ("ess", "base_h"), ("eps_star", "lo"), ("eps_star", "hi"),
-                 ("eps_star", "base_h"), ("fat_tail", "h")]
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise ConfigError(f"{name} = {value!r} is not a finite number > 0")
-
-
-def _check_positive(sections: dict) -> None:
-    for section, key in POSITIVE_KEYS:
-        value = sections[section][key]
-        if value == []:
-            raise ConfigError(f"[{section}] {key} is empty: no epsilon to solve for")
-        for v in value if isinstance(value, list) else [value]:
-            _require_positive(f"[{section}] {key}", v)
-    lo, hi = sections["eps_star"]["lo"], sections["eps_star"]["hi"]
-    if not lo < hi:
-        raise ConfigError(f"[eps_star] lo = {lo!r} is not below hi = {hi!r}")
+def _check_ranges(sections: dict) -> None:
+    """The range rule of the module docstring, over every key of DEFAULTS
+    outside [kernel] and [growth] but its three exceptions, named below."""
+    for section, keys in DEFAULTS.items():
+        for key in keys:
+            value, where = sections[section][key], (section, key)
+            if (section in ("kernel", "growth") or where == ("run", "seed")
+                    or not isinstance(value, (int, float, list))):
+                continue  # any seed (perfbench writes one); a string, params or dt = auto
+            zero_ok = where == ("sweep", "radius_pad")  # 0: no pad beyond base_R
+            bad = [v for v in (value if isinstance(value, list) else [value])
+                   if not (0.0 < v < math.inf or zero_ok and v == 0.0)]
+            empty = value == [] and where != ("spectral", "r_schedule")  # empty: no R rows
+            if bad or empty:
+                name = f"[{section}] " + "_".join(p.upper() if p in ("r", "t") else p
+                                                  for p in key.split("_"))  # T, base_R
+                least = ">= 0" if zero_ok else "> 0"
+                raise ConfigError(f"{name} is empty: nothing to solve for" if empty
+                                  else f"{name} = {bad[0]!r} is not a finite number {least}")
 
 
 def _evolve_number(key: str, raw: str) -> float:
@@ -146,9 +144,6 @@ def _parse_evolve(ev: dict) -> None:
     """Check [evolve] in place: dt becomes None (auto) or a number, u0 the
     tuple (kind, amplitude, radius)."""
     ev["dt"] = None if ev["dt"] == "auto" else _evolve_number("dt", ev["dt"])
-    for key, written in (("t", "T"), ("stride", "stride"), ("tol", "tol"), ("dt", "dt")):
-        if ev[key] is not None:
-            _require_positive(f"[evolve] {written}", ev[key])
     kind, _, rest = ev["u0"].partition(":")
     args = [_evolve_number("u0", t) for t in rest.split(":")] if rest else []
     amp = args[0] if args else 0.01
@@ -200,6 +195,8 @@ def load_config(path: str) -> ExperimentConfig:
             if key not in DEFAULTS[name]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             sections[name][key] = _convert(name, key, raw)
+    _parse_evolve(sections["evolve"])
+    _check_ranges(sections)
     workers = sections["run"]["workers"]
     if workers != 1:
         raise ConfigError(f"[run] workers = {workers}: schedules run in order, "
@@ -207,6 +204,7 @@ def load_config(path: str) -> ExperimentConfig:
     if sections["sweep"]["direction"] not in ("small", "large"):
         raise ConfigError(f"[sweep] direction = {sections['sweep']['direction']!r}: "
                           "expected small or large")
-    _check_positive(sections)
-    _parse_evolve(sections["evolve"])
+    lo, hi = sections["eps_star"]["lo"], sections["eps_star"]["hi"]
+    if not lo < hi:
+        raise ConfigError(f"[eps_star] lo = {lo!r} is not below hi = {hi!r}")
     return ExperimentConfig(sections=sections)

@@ -107,17 +107,15 @@ class SweepResult:
         return (not violations, violations, straddles)
 
 
-def _sweep_targets(m: float, rate: float, direction: str | None, sup_a: float):
-    """Limit targets; for m = 0 the rate alpha0 does not vanish as eps grows.
-    The m = 2 small-eps pair is ``asymptotic_limit_check``'s: no sweep target."""
-    if direction == "small" and m == 2.0:
-        lam_name, lam_target = "lambda1_fd", None
-    elif direction == "large" and m == 0.0:
-        lam_name, lam_target = f"{rate:g}-sup_a", rate - sup_a
-    else:
-        lam_name, lam_target = "-sup_a", -sup_a
-    u_name = f"(a-{rate:g})+" if m == 0.0 else "a+"
-    return lam_name, lam_target, u_name
+def _sweep_targets(m: float, rate: float, direction: str | None):
+    """The eps-limit a sweep is measured against, as (lambda name, u name,
+    shift): lambda_p -> shift - sup a and u -> (a - shift)+. Only m = 0
+    toward large eps keeps the rate alpha0 (shift = rate); every other limit
+    has shift 0. The m = 2 small-eps lambda target is the FD lambda_1 of
+    ``asymptotic_limit_check``, so the sweep measures none."""
+    if direction == "large" and m == 0.0:
+        return f"{rate:g}-sup_a", f"(a-{rate:g})+", rate
+    return ("lambda1_fd" if direction == "small" and m == 2.0 else "-sup_a"), "a+", 0.0
 
 
 def _sweep_one(kernel, growth, eps, policy, direction, solver_tol, spectral_tol):
@@ -130,14 +128,14 @@ def _sweep_one(kernel, growth, eps, policy, direction, solver_tol, spectral_tol)
     u = solve.values
     w = grid.weights
     a = op.a_values
-    lam_name, lam_target, u_name = _sweep_targets(m, op.rate, direction, float(np.max(a)))
-    target_u = np.maximum(a - op.rate, 0.0) if m == 0.0 else np.maximum(a, 0.0)
+    lam_name, u_name, shift = _sweep_targets(m, op.rate, direction)
+    target_u = np.maximum(a - shift, 0.0)
     errors = {
         f"u_sup_err_{u_name}": float(np.max(np.abs(u - target_u))),
         f"u_l2_err_{u_name}": float(np.sqrt(np.sum(w * (u - target_u) ** 2))),
     }
-    if lam_target is not None:
-        errors[f"lam_err_{lam_name}"] = abs(lam.value - lam_target)
+    if lam_name != "lambda1_fd":
+        errors[f"lam_err_{lam_name}"] = abs(lam.value - (shift - float(np.max(a))))
     primary = f"u_sup_err_{u_name}" if m == 0.0 else f"u_l2_err_{u_name}"
     return SweepEntry(
         eps=eps,
@@ -355,7 +353,7 @@ def asymptotic_limit_check(
     ``perfbench/workloads.py`` passes it positionally.
 
     direction "large": targets a+ ((a-alpha0)+ for m=0) and the large-eps
-    spectral limits; "small": -sup a for m < 2, the local-Laplacian pair
+    spectral limits; "small": -sup a and a+ for m < 2, the local-Laplacian pair
     (lambda_1, v) of sigma Lap, sigma = alpha0 D_2(J)/(2N), for m = 2. That
     pair comes from ``local_kpp_solve_fd``, the same certified eigen-solve
     and ball solve on the nonlocal operator at range FD_SPACING. After the
@@ -387,7 +385,7 @@ def asymptotic_limit_check(
     notes = [f"eps={e}: skipped ({r})" for e, r in sweep.skipped.items()]
 
     entries = sweep.entries
-    lam_key = "lam_err_" + _sweep_targets(m, template.rate, direction, growth.sup_a)[0]
+    lam_key = "lam_err_" + _sweep_targets(m, template.rate, direction)[0]
     u_key = entries[-1].target_name if entries else ""
     if fd is None:
         lam_errors = [e.errors[lam_key] for e in entries]
@@ -664,7 +662,7 @@ def fat_tail_verdict(
                           "ball-truncated", max_cells_per_axis)
         op = build_operator(grid, kernel, growth, tap_window=window)
         est = principal_eigenvalue(op, tol=spectral_tol)
-        tail_mass = max(tail_mass, op.tail_mass)
+        tail_mass = max(tail_mass, kernel.mass_beyond(op.reach * op.grid.spacing))
         estimates.append(est)
         used.append(grid.radius)
     inflation = 2.0 * kernel.rate * tail_mass

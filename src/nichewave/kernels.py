@@ -13,7 +13,8 @@ families, tent, truncated-quadratic and tabulated: on each piece the profile
 is a polynomial in r, and every term c r^(k+s) integrates in closed form for
 any real s >= 0. Only truncated-gaussian, exponential-tail and algebraic-tail
 use adaptive quadrature, and ``scipy.integrate`` is imported inside those
-branches, so a run on a compact polynomial kernel never loads it.
+branches. Of the commands, only validate (the moments) and fat-tail (the
+moments and tail mass) compute these integrals, so no other loads it.
 """
 
 from __future__ import annotations
@@ -99,12 +100,12 @@ class Kernel:
         if self.family == "algebraic-tail" and self.params["power"] <= self.dimension:
             raise InvalidKernelError(f"algebraic-tail power={self.params['power']} "
                                      f"not integrable in dimension {self.dimension}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0.0 <= self.m <= 2.0:
             raise ValueError("cost exponent m must lie in [0, 2]")
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
+        if not 0.0 < self.alpha0 < math.inf:
+            raise ValueError("alpha0 must be positive and finite")
 
     @property
     def rate(self) -> float:

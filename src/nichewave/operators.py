@@ -201,11 +201,11 @@ def fast_length(target: int) -> int:
 def sample_taps(kernel: Kernel, grid: Grid, window_radius: float | None = None):
     """Sample J_eps at integer grid offsets and renormalize.
 
-    Returns (taps, tail_mass, reach) where taps has shape (2q+1,)*N with the
-    zero offset at the center, tail_mass is the continuum mass of a
-    non-compact kernel left outside the sampled window (0 for a compact
-    kernel: only the fat-tail verdict reads it, and it refuses those), and
-    reach = q (offsets per side).
+    Returns (taps, reach) where taps has shape (2q+1,)*N with the zero
+    offset at the center and reach = q (offsets per side). The continuum
+    mass left outside the window, kernel.mass_beyond(q h), is the fat-tail
+    verdict's to compute: it is the one reader, and on a non-compact kernel
+    it needs quadrature.
     """
     h = grid.spacing
     support = kernel.support_radius
@@ -233,9 +233,7 @@ def sample_taps(kernel: Kernel, grid: Grid, window_radius: float | None = None):
     total = raw.sum() * h**grid.dimension
     if total <= 0:
         raise UnderResolvedKernelError("kernel vanishes on every sampled offset")
-    taps = raw / total
-    tail_mass = 0.0 if math.isfinite(support) else kernel.mass_beyond(q * h)
-    return taps, float(tail_mass), q
+    return raw / total, q
 
 
 @dataclass
@@ -251,7 +249,6 @@ class DiscreteOperator:
     growth: Optional[GrowthProfile]
     a_values: np.ndarray
     taps: np.ndarray
-    tail_mass: float
     reach: int
     _stencil_plan: Optional[tuple] = field(default=None, repr=False)
     _fft_plan: Optional[tuple] = field(default=None, repr=False)
@@ -478,7 +475,7 @@ def build_operator(
     only by ``reaction`` and ``reaction_slope``."""
     if grid.dimension != kernel.dimension:
         raise ConfigError(f"a {kernel.dimension}-D kernel on a {grid.dimension}-D grid")
-    taps, tail_mass, reach = sample_taps(kernel, grid, window_radius=tap_window)
+    taps, reach = sample_taps(kernel, grid, window_radius=tap_window)
     if a_values is None:
         a_values = np.zeros(grid.size) if growth is None else grid.sample(growth.a)
     return DiscreteOperator(
@@ -487,7 +484,6 @@ def build_operator(
         growth=growth,
         a_values=np.asarray(a_values, dtype=float),
         taps=taps,
-        tail_mass=tail_mass,
         reach=reach,
     )
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import tempfile
 from collections import Counter
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nichewave import Kernel, build_grid, bump_growth, cli, rescale_kernel, spectral
-from nichewave.config import load_config
+from nichewave.config import DEFAULTS, load_config
 from nichewave.cli import main
 from nichewave.experiments import fat_tail_verdict
 from nichewave.operators import build_operator
@@ -742,6 +743,10 @@ params = a0=2, b=1, a_min=-1
     ("m = 3", "m must lie in [0, 2]"),
     ("alpha0 = -1", "alpha0 must be positive"),
     ("dimension = 3", "dimension must be 1 or 2"),
+    ("epsilon = nan", "epsilon must be positive"),
+    ("epsilon = inf", "epsilon must be positive"),
+    ("alpha0 = nan", "alpha0 must be positive"),
+    ("alpha0 = inf", "alpha0 must be positive"),
 ])
 def test_out_of_range_kernel_exits_one(tmp_path, capsys, setting, message):
     code, _ = run_cli(tmp_path, "spectrum", f"[kernel]\nfamily = tent\n{setting}\n\n[grid]\nR = 2\nh = 0.1\n"
@@ -749,6 +754,53 @@ def test_out_of_range_kernel_exits_one(tmp_path, capsys, setting, message):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: [kernel]") and message in err
+
+
+# Every number outside [kernel] and [growth]: the one range rule of load_config
+# covers it, and [evolve] dt once it is not auto.
+RANGE_KEYS = [(section, key) for section, keys in DEFAULTS.items()
+              if section not in ("kernel", "growth")
+              for key, default in keys.items()
+              if isinstance(default, (int, float, list)) and (section, key) != ("run", "seed")]
+RANGE_KEYS.append(("evolve", "dt"))
+
+
+@pytest.mark.parametrize("section, key", RANGE_KEYS, ids=[f"{s}-{k}" for s, k in RANGE_KEYS])
+def test_every_number_out_of_range_exits_one(tmp_path, capsys, no_solve, section, key):
+    default = DEFAULTS[section][key]
+    values = ["0", "-1", "nan", "inf"] + ([""] if isinstance(default, list) else [])
+    for i, value in enumerate(values):
+        config, out = tmp_path / f"{i}.ini", tmp_path / str(i)
+        setting = f"{key} = {value}\n"
+        config.write_text(f"[run]\nlabel = t\noutput_dir = {out}\n"
+                          + (setting if section == "run" else f"\n[{section}]\n{setting}"))
+        if (section, key, value) in (("sweep", "radius_pad", "0"), ("spectral", "r_schedule", "")):
+            load_config(str(config))  # no pad beyond base_R; no R rows
+            continue
+        assert main(["spectrum", str(config)]) == 1, value
+        err = capsys.readouterr().err.lower()
+        if value == "":
+            message = "is empty"
+        elif type(default) is int and value in ("nan", "inf"):
+            message = f"{key}: cannot parse"
+        else:
+            shown = value if type(default) is int else repr(float(value))
+            message = f"{key} = {shown} is not a finite number"
+        assert err.startswith(f"config error: [{section}] {key}") and message in err, (value, err)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["SPECTRUM_INI", "EVOLVE_INI"])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1])
+def test_perfbench_configs_load(tmp_path, name, seed):
+    # the benchmark's CLI configs, as its workloads write them, pass every range rule
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    config = tmp_path / "bench.ini"
+    config.write_text(workloads._ini(getattr(workloads, name), seed, tmp_path / "out", "bench"))
+    assert load_config(str(config))["run"]["seed"] == seed
 
 
 @pytest.mark.parametrize("setting, message", [

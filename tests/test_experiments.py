@@ -293,6 +293,14 @@ class TestLimitCheck:
         assert final_sup_err <= 1.0 / 32.0**0.25 + 1e-6
 
 
+    def test_m0_small_eps_targets_a_plus(self, tent, bump):
+        # for m = 0 the rate stays alpha0 as eps -> 0, yet J_eps * u - u -> 0,
+        # so u -> a+; (a - alpha0)+ is the large-eps limit only
+        chk = asymptotic_limit_check(tent, bump, 0.0, "small", [0.8, 0.4, 0.2, 0.1], POLICY)
+        assert (chk.lambda_target_name, chk.u_target_name) == ("lam_err_-sup_a", "u_sup_err_a+")
+        assert chk.lambda_monotone and chk.u_monotone
+        assert chk.u_errors == pytest.approx([0.326, 0.222, 0.150, 0.096], abs=1e-3)
+
     def test_every_eps_skipped_leaves_no_target(self, tent, bump):
         policy = GridPolicy(base_radius=4.0, base_spacing=0.1, max_cells_per_axis=10)
         chk = asymptotic_limit_check(tent, bump, 1.0, "large", [4, 8], policy)

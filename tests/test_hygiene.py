@@ -50,8 +50,9 @@
   ``scipy.optimize``, ``scipy.fft``, ``scipy.special`` and ``scipy.sparse``,
   and a banded 1-D and an off-band 2-D eigenvalue and ball solve leave
   ``scipy.sparse`` unloaded. Where numpy's wheel ships its OpenBLAS, neither
-  the import nor those solves load any ``scipy`` module (all checked in a
-  subprocess).
+  the import nor those solves load any ``scipy`` module, and ``spectrum`` on
+  an exponential-tail kernel leaves ``scipy.integrate`` unloaded (all
+  checked in a subprocess).
 """
 
 import ast
@@ -487,7 +488,7 @@ def test_kernel_type_check_catches_what_it_names():
     assert kernel_dataclasses(tree) == ["Kernel", "ScaledKernel"]
     # the two-type design planted back into the real modules fails the check
     ops = (SRC / "operators.py").read_text()
-    anchor = "    taps, tail_mass, reach = sample_taps("
+    anchor = "    taps, reach = sample_taps("
     branched = ops.replace(anchor, "    if isinstance(kernel, Kernel):\n"
                            "        kernel = rescale_kernel(kernel, 1.0, 0.0, 1.0)\n" + anchor)
     assert branched != ops and len(kernel_type_branches(ast.parse(branched))) == 1
@@ -667,3 +668,14 @@ def test_no_solve_loads_sparse():
     if first.startswith("True"):  # numpy's own OpenBLAS serves the band solves
         assert first == "True []"
         assert all(line.endswith(" []") for line in solves)
+
+
+def test_spectrum_on_a_tail_kernel_loads_no_quadrature(tmp_path):
+    # the tail mass beyond the taps is the fat-tail verdict's to compute:
+    # spectrum samples a non-compact kernel and certifies lambda_p without it
+    config = tmp_path / "tail.ini"
+    config.write_text(f"[run]\noutput_dir = {tmp_path}\n\n[kernel]\nfamily = exponential-tail\n"
+                      "params = beta=1\n\n[grid]\nR = 2\nh = 0.1\n")
+    code = ("import sys\nfrom nichewave.cli import main\n"
+            f"print(main(['spectrum', {str(config)!r}]), 'scipy.integrate' in sys.modules)")
+    assert _fresh_python(code).splitlines()[-1] == "0 False"

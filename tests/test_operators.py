@@ -76,14 +76,18 @@ class TestConvolution:
             sample_taps(rescale_kernel(tent, 0.05, 0.0), grid)
 
     def test_compact_kernel_has_no_tail_mass(self, tent, monkeypatch):
-        # support 1 is not a multiple of h = 0.3: the taps stop at 0.9, and no quadrature runs
+        # support 1 is not a multiple of h = 0.3: the taps stop at 0.9, and no
+        # quadrature runs; nor does it on a non-compact kernel, whose tail mass
+        # only the fat-tail verdict computes
         def no_quad(*args, **kwargs):
             raise AssertionError("quad called")
 
         monkeypatch.setattr(scipy.integrate, "quad", no_quad)
-        _, tail_mass, reach = sample_taps(rescale_kernel(tent, 1.0, 0.0),
-                                          build_grid(1, 3.0, 0.3, "ball-truncated"))
-        assert (tail_mass, reach) == (0.0, 3)
+        grid = build_grid(1, 3.0, 0.3, "ball-truncated")
+        _, reach = sample_taps(rescale_kernel(tent, 1.0, 0.0), grid)
+        assert reach == 3
+        _, reach = sample_taps(Kernel("exponential-tail", params={"beta": 1.0}), grid)
+        assert reach == grid.cells_per_axis - 1
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31))
