@@ -8,7 +8,8 @@ alpha0, from [kernel], so all of them solve with the same kernel and rate;
 sweep, eps-star, ess and audit replace only epsilon, and eps-star needs
 m = 0. validate checks the hypotheses on J itself, that Kernel at
 epsilon = 1. The commands that walk an eps schedule solve one eps after
-another in one thread; [run] workers accepts only 1.
+another in one thread; [run] workers accepts only 1. spectrum starts
+lambda_v from lambda_p's eigenvector, and each R row from the last ball's.
 Artifacts are CSV/JSON named <command>-<label>.* in the configured output
 directory. Exit codes: 0 success, 1 an errors.ConfigError (the input is at
 fault: a config value, kernel, growth or time step the model refuses) or a
@@ -139,7 +140,8 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     grid = build_grid(kernel.dimension, g["r"], g["h"], g["topology"], g["max_cells"])
     op = build_operator(grid, kernel, growth)
     est_p = _certified(op, principal_eigenvalue(op, tol=sp["tol"], maxiter=sp["maxiter"]), sp["tol"])
-    est_v = _certified(op, rayleigh_lambda_v(op, tol=sp["tol"], maxiter=sp["maxiter"]), sp["tol"])
+    est_v = _certified(op, rayleigh_lambda_v(op, tol=sp["tol"], maxiter=sp["maxiter"],
+                                             start=est_p.eigenvector), sp["tol"])
     rows = [
         _est_row(est_p, "perron-cw", g["r"], kernel.epsilon, kernel.m),
         _est_row(est_v, "rayleigh", g["r"], kernel.epsilon, kernel.m),

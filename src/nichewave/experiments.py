@@ -202,7 +202,8 @@ def find_eps_star(
     threshold is infinite. Both ends and every move of one rest on a
     certified sign: an lo or hi still straddling after two sharper retries
     is "no-sign-change", and such a midpoint stops the bisection at the last
-    certified [a, b]; each such eps goes into ``unresolved``.
+    certified [a, b]; each such eps goes into ``unresolved``. A retry starts
+    from the straddling estimate's eigenvector.
     """
     if kernel.m != 0.0:
         raise ConfigError(f"eps* is defined for m = 0, not m = {kernel.m:g}")
@@ -230,7 +231,7 @@ def find_eps_star(
         est = principal_eigenvalue(op, tol=1e-10)
         if est.sign == "straddle":
             for sharper in (1e-12, 1e-13):
-                est = principal_eigenvalue(op, tol=sharper)
+                est = principal_eigenvalue(op, tol=sharper, start=est.eigenvector)
                 if est.sign != "straddle":
                     break
             else:

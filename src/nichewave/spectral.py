@@ -24,7 +24,8 @@ LOBPCG on the FFT operator (absolute error ~1e-16 ||u||), which keeps three
 vectors and no basis, and power steps phi <- B phi by the stencil product
 polish its tail. The FFT product also decides whether the start vector is
 kept without LOBPCG; only the kept phi goes through the stencil product.
-No solve here loads ``scipy.sparse``.
+No solve here loads ``scipy.sparse``. The bounds need only phi > 0, so a
+solve may start from an eigenvector certified on a neighbouring operator.
 
 Every estimate carries the narrowest bracket certified and met_tol (width
 <= tol). A miss is recorded, never raised; a caller that needs the width
@@ -103,8 +104,11 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
     contract); 'rayleigh' uses the weighted Rayleigh quotient as the upper
     (variational) side of the lambda_v contract. It stops at width <= tol,
     after maxiter products, or when a step moves neither side of the bracket
-    (the floating floor), and returns its best bracket.
+    (the floating floor), and returns its best bracket. A start entry that
+    is not finite and > 0 would send inf or nan into the quotients: ValueError.
     """
+    if not np.all(np.isfinite(start) & (start > 0.0)):
+        raise ValueError("the start vector must be finite and > 0 at every grid point")
     _check_irreducible(op)
     c = _shift_constant(op)
 
@@ -249,23 +253,28 @@ def _lobpcg(op, c, x, deflate=None):
 DEFAULT_MAXITER = 600
 
 
-def principal_eigenvalue(op, tol: float = 1e-10, maxiter: int = DEFAULT_MAXITER) -> SpectralEstimate:
+def principal_eigenvalue(op, tol: float = 1e-10, maxiter: int = DEFAULT_MAXITER,
+                         start=None) -> SpectralEstimate:
     """lambda_p(L_R + a) with a certified Collatz-Wielandt bracket.
 
     The bracket is valid whether or not it reached tol; met_tol says which.
+    ``start`` (> 0; default the ones vector) moves no bound, only the steps.
     """
-    return _certified_iteration(op, tol, maxiter, "cw", np.ones(op.size))
+    return _certified_iteration(op, tol, maxiter, "cw", np.ones(op.size) if start is None else start)
 
 
-def rayleigh_lambda_v(op, tol: float = 1e-10, maxiter: int = DEFAULT_MAXITER) -> SpectralEstimate:
+def rayleigh_lambda_v(op, tol: float = 1e-10, maxiter: int = DEFAULT_MAXITER,
+                      start=None) -> SpectralEstimate:
     """lambda_v by Rayleigh-quotient minimization on the symmetric operator.
 
     Shares the shifted iteration but certifies the upper side variationally;
     equality with lambda_p on the discrete operator is a theorem, asserted
-    in tests, never assumed here.
+    in tests, never assumed here: the bracket holds from any ``start`` > 0,
+    lambda_p's eigenvector included; the default is independent of lambda_p's.
     """
-    start = np.ones(op.size)
-    start[:: max(op.size // 7, 1)] += 0.5  # break symmetry differently from lambda_p
+    if start is None:
+        start = np.ones(op.size)
+        start[:: max(op.size // 7, 1)] += 0.5  # break symmetry differently from lambda_p
     return _certified_iteration(op, tol, maxiter, "rayleigh", start)
 
 
@@ -280,11 +289,15 @@ def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-
     balls lambda_p(L_R + a) is non-increasing in R (domain monotonicity); a
     rise beyond the two bracket widths raises
     DiscretizationInconsistencyError. This is the only such check.
-    Consumers stop the walk by break. A consumer should drop op before it
-    asks for the next ball: op caches its stencil walk, FFT plan and kernel
-    mass, which would otherwise stay alive while the next ball is certified.
-    ``known`` = (R, op, lambda_p) is a ball the caller already built and
-    certified the same way; the walk yields it at R instead of solving it again.
+    Consumers stop the walk by break. Each ball after the first starts its
+    eigen-solve from the previous ball's eigenvector on the shared lattice
+    (``Grid.common_with``), its new points filled with that vector's
+    minimum. The walk keeps only that grid and vector, never an op, so an
+    op the consumer drops before it asks for the next ball is freed before
+    the next one is built: op caches its stencil walk, FFT plan and kernel
+    mass. ``known`` = (R, op, lambda_p) is a ball the caller already built
+    and certified the same way; the walk yields it at R instead of solving
+    it again, and its eigenvector seeds the next ball.
     """
     radii = sorted(float(R) for R in radii)
     if not radii:
@@ -292,20 +305,26 @@ def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-
     for R in radii:
         if abs(R / spacing - round(R / spacing)) > 1e-9:
             raise ConfigError(f"schedule radius {R} is not a multiple of h={spacing}")
-    prev_R = prev = None
+    prev_R = prev = prev_grid = None
     for R in radii:
         if known is not None and R == known[0]:
             _, op, lam = known
         else:
-            op = build_operator(build_grid(kernel.dimension, R, spacing, "ball-truncated",
-                                           max_cells_per_axis), kernel, growth)
-            lam = principal_eigenvalue(op, tol=spectral_tol, maxiter=maxiter)
+            grid = build_grid(kernel.dimension, R, spacing, "ball-truncated", max_cells_per_axis)
+            start = None
+            if prev is not None:
+                idx_new, idx_old = grid.common_with(prev_grid)
+                start = np.full(grid.size, np.min(prev.eigenvector))
+                start[idx_new] = prev.eigenvector[idx_old]
+            op = build_operator(grid, kernel, growth)
+            lam = principal_eigenvalue(op, tol=spectral_tol, maxiter=maxiter, start=start)
         if prev is not None and lam.value > prev.value + prev.width + lam.width + 1e-13:
             raise DiscretizationInconsistencyError(
                 f"lambda_p increased from {prev.value} (R={prev_R}) to {lam.value} (R={R})"
             )
         yield R, op, lam
-        prev_R, prev = R, lam
+        prev_R, prev, prev_grid = R, lam, op.grid
+        del op
 
 
 @dataclass

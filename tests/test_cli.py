@@ -176,10 +176,33 @@ maxiter = 2
     assert json.loads((out / "spectrum-t.json").read_text())["met_tol"] is False
 
 
+def test_spectrum_lambda_v_starts_from_lambda_ps_eigenvector(tmp_path):
+    # lambda_p's certified eigenvector already brackets lambda_v within tol:
+    # one product, where an independent start takes several Noda steps
+    code, out = run_cli(tmp_path, "spectrum", """
+[kernel]
+family = tent
+
+[grid]
+R = 4
+h = 0.05
+
+[growth]
+family = bump
+params = a0=2, b=1, a_min=-1
+""")
+    assert code == 0
+    rows = [line.split(",") for line in (out / "spectrum-t.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["perron-cw", "rayleigh"]
+    assert int(rows[1][-1]) == 1 < int(rows[0][-1])
+    assert json.loads((out / "spectrum-t.json").read_text())["met_tol"] is True
+
+
 def test_spectrum_r_schedule_rise_is_not_converged(tmp_path):
-    # maxiter = 2 leaves the R = 3 and R = 4 brackets about 3.2 wide, and
-    # lambda_p rises inside them: no decrease, so no convergence, and the
-    # uncertainty is the rise plus both widths
+    # maxiter = 1 leaves the R = 3 and R = 4 brackets about 3.4 wide, and
+    # lambda_p rises inside them (R = 4 starts from R = 3's eigenvector): no
+    # decrease, so no convergence, and the uncertainty is the rise plus both
+    # widths
     code, out = run_cli(tmp_path, "spectrum", """
 [kernel]
 family = tent
@@ -195,7 +218,7 @@ params = a0=2, b=1, a_min=-1
 
 [spectral]
 R_schedule = 3 4
-maxiter = 2
+maxiter = 1
 """)
     assert code == 0
     rows = [line.split(",") for line in (out / "spectrum-t.csv").read_text().splitlines()[1:]]

@@ -185,6 +185,29 @@ class TestWarmStart:
             assert est.lower - 1e-13 <= oracle <= est.upper + 1e-13
         assert est.met_tol and est.iterations > 3
 
+    @pytest.mark.parametrize("bad", [0.0, np.nan, -1.0])
+    @pytest.mark.parametrize("solve", [principal_eigenvalue, rayleigh_lambda_v])
+    def test_start_must_be_finite_and_positive(self, solve, bad, ball_op, monkeypatch):
+        def product(*args, **kwargs):
+            raise AssertionError("a product ran")
+
+        monkeypatch.setattr(DiscreteOperator, "stencil_product", product)
+        monkeypatch.setattr(DiscreteOperator, "apply", product)
+        start = np.ones(ball_op.size)
+        start[7] = bad
+        with pytest.raises(ValueError, match="finite and > 0"):
+            solve(ball_op, start=start)
+
+    @pytest.mark.parametrize("path", ["noda-1d", "lobpcg-2d"])
+    def test_lambda_v_from_lambda_p_holds_the_oracle(self, path):
+        op = small_1d() if path == "noda-1d" else ball_2d()
+        est_p = principal_eigenvalue(op, tol=1e-10)
+        est_v = rayleigh_lambda_v(op, tol=1e-10, start=est_p.eigenvector)
+        oracle, _ = dense_lambda_p_oracle(op)
+        assert est_v.met_tol
+        assert est_v.lower - 1e-13 <= oracle <= est_v.upper + 1e-13
+        assert est_v.iterations <= est_p.iterations
+
 
 # the spectrum-1d-steep bench config and the bracket the seed certified at tol 1e-7
 STEEP_SEED_BRACKET = (-1.711749820961586, -1.711749721820297)
@@ -196,6 +219,12 @@ def steep_op():
                         rescale_kernel(Kernel("tent"), 0.05, 2.0, 1.0), bump_growth(2.0, 1.0, -1.0))
     assert (op.size, op.reach) == (3200, 20)
     return op
+
+
+def small_1d():
+    """A small 1-D ball of narrow reach: its eigenvector comes from Noda steps."""
+    return build_operator(build_grid(1, 3.0, 0.1, "ball-truncated"),
+                          rescale_kernel(Kernel("tent"), 1.0, 0.0), bump_growth(2.0, 1.0, -1.0))
 
 
 def ball_2d():
@@ -504,6 +533,67 @@ class TestRadiusWalk:
         finally:
             gc.enable()
         assert alive_at_call == [0, 0, 0]
+
+
+class TestWarmWalk:
+    """Each ball after the first starts from the previous ball's eigenvector."""
+
+    @staticmethod
+    def _record_starts(monkeypatch):
+        real = spectral.principal_eigenvalue
+        starts = []
+
+        def spy(op, **kwargs):
+            starts.append(kwargs.get("start"))
+            return real(op, **kwargs)
+
+        monkeypatch.setattr(spectral, "principal_eigenvalue", spy)
+        return starts
+
+    @pytest.mark.parametrize("dimension, radii, h", [(1, [2, 3, 4], 0.1), (2, [1.5, 2.0], 0.25)],
+                             ids=["noda-1d", "lobpcg-2d"])
+    def test_every_bracket_holds_the_oracle(self, dimension, radii, h, bump, monkeypatch):
+        starts = self._record_starts(monkeypatch)
+        kernel = rescale_kernel(Kernel("tent", dimension=dimension), 1.0, 0.0)
+        for R, op, lam in radius_walk(kernel, bump, radii, h):
+            oracle, _ = dense_lambda_p_oracle(op)
+            assert lam.met_tol
+            assert lam.lower - 1e-13 <= oracle <= lam.upper + 1e-13
+        assert starts[0] is None and all(s is not None for s in starts[1:])
+        assert len(starts) == len(radii)
+
+    def test_known_ball_seeds_the_next(self, tent, bump, monkeypatch):
+        op4 = build_operator(build_grid(1, 4.0, 0.1, "ball-truncated"), tent, bump)
+        lam4 = principal_eigenvalue(op4)
+        starts = self._record_starts(monkeypatch)
+        steps = list(radius_walk(tent, bump, [4, 6], 0.1, known=(4.0, op4, lam4)))
+        assert steps[0][2] is lam4 and len(starts) == 1
+        grid6 = steps[1][1].grid
+        idx_new, idx_old = grid6.common_with(op4.grid)
+        assert np.array_equal(starts[0][idx_new], lam4.eigenvector[idx_old])
+        outside = np.setdiff1d(np.arange(grid6.size), idx_new)
+        assert outside.size and np.all(starts[0][outside] == np.min(lam4.eigenvector))
+
+    def test_a_dropped_op_is_freed_before_the_next_ball_is_built(self, tent, bump, monkeypatch):
+        # the walk keeps the last grid and eigenvector, never the op; reference
+        # counting alone must free it, so the collector stays off
+        build = spectral.build_operator
+        refs, alive_at_build = [], []
+
+        def spy(*args, **kwargs):
+            alive_at_build.append(sum(ref() is not None for ref in refs))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "build_operator", spy)
+        gc.disable()
+        try:
+            for R, op, lam in radius_walk(tent, bump, [4, 6, 8], 0.1):
+                refs.append(weakref.ref(op))
+                del op
+        finally:
+            gc.enable()
+        assert alive_at_build == [0, 0, 0]
+        assert all(ref() is None for ref in refs)
 
 
 class TestScalingInvariance:
