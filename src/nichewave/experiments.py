@@ -645,6 +645,8 @@ def fat_tail_verdict(
     Criterion gap is surfaced, never bridged: persistence requires the
     tail-inflated upper bound of lim_R lambda_p(L_R + a) to be negative;
     extinction requires the whole-space lower bound -sup a to be positive.
+    The inflation is 2 rate tail_mass, the largest closed-form continuum mass
+    beyond the taps' reach (``Kernel.mass_beyond``) over the radii.
     """
     report = validate_kernel(replace(kernel, epsilon=1.0))
     if not (report.h1 and report.h2_center_positive and report.h5_finite_moment):

@@ -8,13 +8,13 @@ carries the whole pair: its family and params define J, and its epsilon,
 m and alpha0 (default 1, 0, 1: J itself at rate 1) set the scale. Every
 value it reports, profile, support, tail mass and moments, is J_eps's.
 
-Radial integrals (moments, tail mass) are exact for the piecewise-polynomial
-families, tent, truncated-quadratic and tabulated: on each piece the profile
-is a polynomial in r, and every term c r^(k+s) integrates in closed form for
-any real s >= 0. Only truncated-gaussian, exponential-tail and algebraic-tail
-use adaptive quadrature, and ``scipy.integrate`` is imported inside those
-branches. Of the commands, only validate (the moments) and fat-tail (the
-moments and tail mass) compute these integrals, so no other loads it.
+Radial integrals (moments, tail mass) are closed forms for every family, one
+per family in ``Kernel._unit_radial_integral``: on each piece of tent,
+truncated-quadratic and tabulated the profile is a polynomial in r, and every
+term c r^(k+s) integrates exactly for any real s >= 0; truncated-gaussian is
+an incomplete gamma function, exponential-tail a gamma function and
+algebraic-tail a beta function (DLMF 8.2.1, 5.2.1, 5.12.3), with elementary
+tails beyond a radius. No numerical integrator runs.
 """
 
 from __future__ import annotations
@@ -198,21 +198,37 @@ class Kernel:
 
     def mass_beyond(self, radius: float) -> float:
         """Continuum mass of J_eps outside the ball of given radius, which is J's
-        mass outside radius/eps: exact for the piecewise-polynomial families,
-        by quadrature for the others."""
+        mass outside radius/eps, in closed form."""
         radius = radius / self.epsilon
-        upper = self._unit_support_radius
-        if radius >= upper:
+        if radius >= self._unit_support_radius:
             return 0.0
-        omega = _sphere_measure(self.dimension)
-        N = self.dimension
+        return _sphere_measure(self.dimension) * self._unit_radial_integral(self.dimension - 1, radius)
+
+    def _unit_radial_integral(self, s: float, lower: float = 0.0) -> float:
+        """Exact integral of J(r) r^s over r >= lower for J itself (eps = 1), s >= 0,
+        lower below the support radius. Beyond a lower > 0, the unbounded
+        families take s = 0 or 1 only: the tail mass in N = 1, 2."""
         pieces = self._pieces()
         if pieces is not None:
-            return omega * _radial_integral(pieces, N - 1, lower=radius)
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda r: self._unit_profile(r) * r ** (N - 1), radius, upper, limit=200)
-        return omega * val
+            return _radial_integral(pieces, s, lower)
+        c, a = self._normalization, s + 1.0
+        if self.family == "truncated-gaussian":  # r^2 = width t turns it into gamma(a/2, t)
+            width, half = 2.0 * self.params["sigma"] ** 2, a / 2.0
+            cut = _lower_gamma(half, self.params["cutoff"] ** 2 / width)
+            return c * width**half / 2.0 * (cut - _lower_gamma(half, lower * lower / width))
+        if lower == 0.0:
+            if self.family == "exponential-tail":
+                return c * math.gamma(a) / self.params["beta"] ** a
+            P = self.params["power"]  # algebraic-tail: B(s+1, P-s-1) by DLMF 5.12.3
+            return c * math.exp(math.lgamma(a) + math.lgamma(P - a) - math.lgamma(P))
+        if s not in (0, 1):
+            raise ValueError(f"no closed form for the {self.family} tail with r^{s}")
+        if self.family == "exponential-tail":
+            beta = self.params["beta"]
+            return c * (1.0 + s * beta * lower) * math.exp(-beta * lower) / beta ** a
+        P, t = self.params["power"], 1.0 + lower  # r^s = (t - 1)^s
+        tail = t ** (1.0 - P) / (P - 1.0)
+        return c * (t ** (2.0 - P) / (P - 2.0) - tail if s == 1 else tail)
 
 
 def rescale_kernel(kernel: Kernel, epsilon: float, m: float, alpha0: float = 1.0) -> Kernel:
@@ -235,42 +251,44 @@ def _radial_integral(pieces, s: float, lower: float = 0.0) -> float:
     return float(np.sum(coef * (b**power - a**power) / power))
 
 
-def kernel_moment(kernel: Kernel, p: float, tol: float = 1e-9) -> float:
+def kernel_moment(kernel: Kernel, p: float) -> float:
     """D_p(J_eps) = integral of J_eps(z)|z|^p over R^N = eps^p D_p(J), with
-    D_p(J) = omega_N int_0^S J(r) r^(p+N-1) dr.
+    D_p(J) = omega_N int_0^S J(r) r^(p+N-1) dr in closed form for every family.
 
-    |z| is the Euclidean norm and p any real >= 0. Exact for tent,
-    truncated-quadratic and tabulated kernels (closed form per polynomial
-    piece, ``tol`` unused). Truncated-gaussian, exponential-tail and
-    algebraic-tail use adaptive quadrature, which must report an error below
-    max(tol, tol |D_p(J)|) or InfiniteMomentError is raised. Raises
-    InfiniteMomentError when the tail decay (known per family) cannot pay
-    for |z|^p.
+    |z| is the Euclidean norm and p any real >= 0. Raises InfiniteMomentError
+    when the tail decay (known per family) cannot pay for |z|^p.
     """
     if p < 0:
         raise ValueError("moment order must be nonnegative")
     if not kernel.moment_converges(p):
         raise InfiniteMomentError(f"moment p={p} diverges for this kernel")
     N = kernel.dimension
-    omega = _sphere_measure(N)
-    pieces = kernel._pieces()
-    if pieces is not None:
-        return kernel.epsilon**p * (omega * _radial_integral(pieces, p + N - 1))
-    from scipy.integrate import quad
+    return kernel.epsilon**p * (_sphere_measure(N) * kernel._unit_radial_integral(p + N - 1))
 
-    val, err = quad(
-        lambda r: kernel._unit_profile(r) * r ** (p + N - 1),
-        0.0,
-        kernel._unit_support_radius,
-        limit=400,
-        epsabs=min(0.01 * tol, 1.49e-8),
-        epsrel=1e-11,
-    )
-    val *= omega
-    err *= omega
-    if not math.isfinite(val) or err > max(tol, tol * abs(val)):
-        raise InfiniteMomentError(f"moment quadrature failed: value={val}, err={err}")
-    return kernel.epsilon**p * val
+
+def _lower_gamma(a: float, x: float) -> float:
+    """gamma(a, x) = int_0^x t^(a-1) e^-t dt for a > 0, x >= 0: the power series
+    (DLMF 8.7.1) below x = a + 1, else Gamma(a) less Legendre's continued
+    fraction for Gamma(a, x) (DLMF 8.9.2), evaluated by Lentz's method."""
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > total * 1e-17:
+            n += 1.0
+            term *= x / n
+            total += term
+        return x**a * math.exp(-x) * total
+    b = x + 1.0 - a
+    c, d, h = math.inf, 1.0 / b, 1.0 / b
+    for k in range(1, 1000):
+        an = -k * (k - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h *= c * d
+        if abs(c * d - 1.0) < 3e-16:
+            break
+    return math.gamma(a) - math.exp(a * math.log(x) - x) * h
 
 
 @dataclass
@@ -296,13 +314,13 @@ class ValidationReport:
         return self.h1 and self.h2_center_positive and self.h5_finite_moment
 
 
-_VALIDATION_TOL = 1e-8  # slack on J >= 0 and on |mass - 1|, and the mass quadrature's tol
+_VALIDATION_TOL = 1e-8  # slack on J >= 0 and on |mass - 1|
 
 
 def validate_kernel(kernel: Kernel) -> ValidationReport:
     """Check hypotheses H1 (nonnegative, unit mass), H2 (J(0)>0) and H5
     (finite (N+1)-th absolute moment) on J_eps at the kernel's scale, to
-    _VALIDATION_TOL (the H5 moment quadrature to 1e-7). H1's symmetry
+    _VALIDATION_TOL, from closed-form moments. H1's symmetry
     J(z) = J(-z) is reported true without a probe: a kernel is its radial
     profile at |z|, so it is even by construction."""
     messages = []
@@ -315,10 +333,7 @@ def validate_kernel(kernel: Kernel) -> ValidationReport:
     if not nonneg:
         messages.append("H1: negative kernel values found")
 
-    try:
-        mass = kernel_moment(kernel, 0.0, tol=_VALIDATION_TOL)
-    except InfiniteMomentError:
-        mass = math.inf
+    mass = kernel_moment(kernel, 0.0)
     unit_mass = bool(abs(mass - 1.0) <= _VALIDATION_TOL)
     if not unit_mass:
         messages.append(f"H1: mass {mass} != 1")
@@ -328,15 +343,8 @@ def validate_kernel(kernel: Kernel) -> ValidationReport:
     if not h2:
         messages.append("H2: J(0) <= 0")
 
-    h5_moment = None
-    if kernel.moment_converges(N + 1):
-        try:
-            h5_moment = kernel_moment(kernel, N + 1, tol=1e-7)
-            h5 = math.isfinite(h5_moment)
-        except InfiniteMomentError:
-            h5 = False
-    else:
-        h5 = False
+    h5_moment = kernel_moment(kernel, N + 1) if kernel.moment_converges(N + 1) else None
+    h5 = h5_moment is not None and math.isfinite(h5_moment)
     if not h5:
         messages.append("H5: (N+1)-th absolute moment diverges")
 

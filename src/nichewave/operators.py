@@ -204,8 +204,7 @@ def sample_taps(kernel: Kernel, grid: Grid, window_radius: float | None = None):
     Returns (taps, reach) where taps has shape (2q+1,)*N with the zero
     offset at the center and reach = q (offsets per side). The continuum
     mass left outside the window, kernel.mass_beyond(q h), is the fat-tail
-    verdict's to compute: it is the one reader, and on a non-compact kernel
-    it needs quadrature.
+    verdict's to compute: it is the one reader.
     """
     h = grid.spacing
     support = kernel.support_radius

@@ -26,9 +26,8 @@
   solve path branches on a missing growth linearization.
 - No module imports ``concurrent.futures``, ``threading`` or
   ``multiprocessing``: every schedule runs in order in one thread.
-- ``scipy.integrate`` is imported only inside functions of ``kernels``,
-  never at module level: quadrature lives in one module, and only the
-  families that need it load it.
+- No module imports ``scipy.integrate``: every radial integral of a kernel
+  (moments, tail mass) is a closed form, so no quadrature runs.
 - No module imports ``scipy.fft``: the convolution uses numpy's FFT, so the
   import does not pull in ``scipy.special``.
 - ``scipy.sparse`` is imported only inside functions of ``operators`` (the
@@ -50,9 +49,10 @@
   ``scipy.optimize``, ``scipy.fft``, ``scipy.special`` and ``scipy.sparse``,
   and a banded 1-D and an off-band 2-D eigenvalue and ball solve leave
   ``scipy.sparse`` unloaded. Where numpy's wheel ships its OpenBLAS, neither
-  the import nor those solves load any ``scipy`` module, and ``spectrum`` on
-  an exponential-tail kernel leaves ``scipy.integrate`` unloaded (all
-  checked in a subprocess).
+  the import nor those solves load any ``scipy`` module, and ``spectrum`` and
+  ``fat-tail`` on an exponential-tail kernel and ``validate`` on a
+  truncated-gaussian and an algebraic-tail kernel leave ``scipy.integrate``
+  unloaded (all checked in a subprocess).
 """
 
 import ast
@@ -308,7 +308,7 @@ RESTRICTED_IMPORTS = {
     "concurrent.futures": set(),
     "threading": set(),
     "multiprocessing": set(),
-    "scipy.integrate": {"kernels.py"},
+    "scipy.integrate": set(),
     "scipy.fft": set(),
     "scipy.sparse": {"operators.py"},
     "scipy.linalg": {"operators.py"},
@@ -603,8 +603,9 @@ def test_import_check_catches_what_it_names():
     assert restricted_imports(tree, "experiments.py") == [
         "concurrent.futures", "multiprocessing", "scipy.integrate", "scipy.linalg", "threading"]
     local = "class K:\n    def mass(self):\n        from scipy.integrate import quad\n"
-    assert restricted_imports(ast.parse(local), "kernels.py") == []
-    assert restricted_imports(ast.parse("def f():\n    import scipy.integrate\n"), "kernels.py") == []
+    assert restricted_imports(ast.parse(local), "kernels.py") == ["scipy.integrate"]
+    assert restricted_imports(ast.parse("def f():\n    import scipy.integrate\n"), "kernels.py") == [
+        "scipy.integrate"]
     assert restricted_imports(ast.parse("from scipy.integrate import quad\n"), "kernels.py") == [
         "scipy.integrate"]
     assert restricted_imports(ast.parse(local), "stationary.py") == ["scipy.integrate"]
@@ -671,11 +672,20 @@ def test_no_solve_loads_sparse():
 
 
 def test_spectrum_on_a_tail_kernel_loads_no_quadrature(tmp_path):
-    # the tail mass beyond the taps is the fat-tail verdict's to compute:
-    # spectrum samples a non-compact kernel and certifies lambda_p without it
-    config = tmp_path / "tail.ini"
-    config.write_text(f"[run]\noutput_dir = {tmp_path}\n\n[kernel]\nfamily = exponential-tail\n"
-                      "params = beta=1\n\n[grid]\nR = 2\nh = 0.1\n")
-    code = ("import sys\nfrom nichewave.cli import main\n"
-            f"print(main(['spectrum', {str(config)!r}]), 'scipy.integrate' in sys.modules)")
-    assert _fresh_python(code).splitlines()[-1] == "0 False"
+    # spectrum samples a non-compact kernel without its tail mass; validate's
+    # moments and fat-tail's tail mass are closed forms on every family
+    runs = [("spectrum", "exponential-tail", "beta=1", "[grid]\nR = 2\nh = 0.1\n"),
+            ("validate", "truncated-gaussian", "sigma=0.4, cutoff=1", ""),
+            ("validate", "algebraic-tail", "power=4", ""),
+            ("fat-tail", "exponential-tail", "beta=1",
+             "[growth]\nfamily = bump\nparams = a0=1.5, b=1, a_min=-1\n\n"
+             "[fat_tail]\nR_schedule = 2 4\nh = 0.1\n")]
+    code = "import sys\nfrom nichewave.cli import main\n"
+    for i, (command, family, params, rest) in enumerate(runs):
+        config = tmp_path / f"tail{i}.ini"
+        config.write_text(f"[run]\nlabel = t{i}\noutput_dir = {tmp_path}\n\n[kernel]\n"
+                          f"family = {family}\nparams = {params}\n\n{rest}")
+        code += (f"print({command!r}, main([{command!r}, {str(config)!r}]),\n"
+                 "      'scipy.integrate' in sys.modules)\n")
+    lines = [line for line in _fresh_python(code).splitlines() if line.endswith(("True", "False"))]
+    assert lines == [f"{command} 0 False" for command, *_ in runs]

@@ -182,6 +182,8 @@ class TestFamilyParams:
 
 TABLE = {"r": [0.0, 0.5, 1.25, 2.0], "values": [1.0, 0.7, 0.2, 0.05]}
 OMEGA = {1: 2.0, 2: 2.0 * math.pi}
+# the quad oracle's own accuracy on the gamma- and beta-function families
+ORACLE_REL = {"truncated-gaussian": 1e-12, "exponential-tail": 1e-12, "algebraic-tail": 1e-12}
 
 
 def quad_radial(profile, edges, s, lower=0.0):
@@ -200,32 +202,76 @@ def quad_radial(profile, edges, s, lower=0.0):
     return total
 
 
+def oracle_edges(family, params):
+    """Pieces for quad_radial: the table, the Gaussian's cutoff, or [0, 1] and
+    then the unbounded tail."""
+    if family == "tabulated":
+        return params["r"]
+    if family in ("exponential-tail", "algebraic-tail"):
+        return [0.0, 1.0, math.inf]
+    return [0.0, params.get("cutoff", 1.0)]
+
+
 @pytest.mark.parametrize("dimension", [1, 2])
 @pytest.mark.parametrize("family,params", [("tent", {}), ("truncated-quadratic", {}),
-                                           ("tabulated", TABLE)])
+                                           ("tabulated", TABLE),
+                                           ("truncated-gaussian", {"sigma": 0.4, "cutoff": 1.0}),
+                                           ("exponential-tail", {"beta": 3.0}),
+                                           ("algebraic-tail", {"power": 6.0})])
 class TestExactMoments:
-    """Closed-form moments of the piecewise-polynomial families against quad."""
+    """Closed-form moments and tail mass of every family against quad."""
 
     def test_moments_match_quadrature(self, family, params, dimension):
         k = Kernel(family, dimension=dimension, params=params)
-        edges = params.get("r", [0.0, 1.0])
+        edges = oracle_edges(family, params)
         for p in (0.0, 0.5, 1.5, 2.0, dimension + 1.0):
+            if not k.moment_converges(p):
+                continue
             oracle = OMEGA[dimension] * quad_radial(k.profile, edges, p + dimension - 1)
-            assert kernel_moment(k, p) == pytest.approx(oracle, rel=1e-13, abs=0.0), p
+            assert kernel_moment(k, p) == pytest.approx(
+                oracle, rel=ORACLE_REL.get(family, 1e-13), abs=0.0), p
 
     def test_scaled_moment_and_budget(self, family, params, dimension):
         base = Kernel(family, dimension=dimension, params=params)
         sk = rescale_kernel(base, 0.3, 0.5, 2.0)
-        edges = [0.3 * r for r in params.get("r", [0.0, 1.0])]
+        edges = [0.3 * r for r in oracle_edges(family, params)]
         for p in (0.5, 2.0):
             oracle = OMEGA[dimension] * quad_radial(sk.profile, edges, p + dimension - 1)
-            assert kernel_moment(sk, p) == pytest.approx(oracle, rel=1e-13, abs=0.0), p
+            assert kernel_moment(sk, p) == pytest.approx(
+                oracle, rel=ORACLE_REL.get(family, 1e-13), abs=0.0), p
         assert budget_defect(sk) <= 1e-13 * sk.alpha0 * kernel_moment(base, 0.5)
 
     def test_mass_beyond_inside_support(self, family, params, dimension):
         k = Kernel(family, dimension=dimension, params=params)
-        edges = params.get("r", [0.0, 1.0])
-        for radius in (0.3, 0.8):
+        edges = oracle_edges(family, params)
+        radii = (0.3, 0.8) if k.compactly_supported else (0.3, 0.8, 2.0, 8.0)
+        for radius in radii:
             oracle = OMEGA[dimension] * quad_radial(k.profile, edges, dimension - 1, lower=radius)
-            assert k.mass_beyond(radius) == pytest.approx(oracle, rel=1e-13, abs=0.0), radius
+            assert k.mass_beyond(radius) == pytest.approx(
+                oracle, rel=ORACLE_REL.get(family, 1e-13), abs=0.0), radius
         assert k.mass_beyond(k.support_radius) == 0.0
+
+
+class TestClosedFormTails:
+    """Far tails and narrow Gaussians, where adaptive quadrature runs low."""
+
+    def test_algebraic_tail_far_out(self):
+        R, P = 65536.0, 4.0
+        one = Kernel("algebraic-tail", params={"power": P})
+        assert one.mass_beyond(R) == pytest.approx((1.0 + R) ** (1.0 - P), rel=1e-13, abs=0.0)
+        two = Kernel("algebraic-tail", dimension=2, params={"power": P})
+        exact = (P - 1.0) * (P - 2.0) * ((1.0 + R) ** (2.0 - P) / (P - 2.0)
+                                         - (1.0 + R) ** (1.0 - P) / (P - 1.0))
+        assert two.mass_beyond(R) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_exponential_tail_far_out(self):
+        k = Kernel("exponential-tail", params={"beta": 1.0})
+        assert k.mass_beyond(32.0) == pytest.approx(math.exp(-32.0), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("sigma, cutoff", [(0.01, 1.0), (0.1, 4.0)])
+    def test_narrow_gaussian_has_unit_mass(self, sigma, cutoff, dimension):
+        # cutoff^2 / (2 sigma^2) = 5000 and 800: the incomplete gamma's far argument
+        k = Kernel("truncated-gaussian", dimension=dimension, params={"sigma": sigma, "cutoff": cutoff})
+        assert abs(kernel_moment(k, 0.0) - 1.0) <= 1e-12
+        assert validate_kernel(k).all_passed
