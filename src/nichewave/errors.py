@@ -60,7 +60,7 @@ class MonotonicityViolationError(NichewaveError):
 class StepSizeError(ConfigError):
     """User time step exceeds the monotone-stability bound."""
 
-    def __init__(self, message, bound=None):
+    def __init__(self, message, bound):
         super().__init__(message)
         self.bound = bound
 

@@ -8,8 +8,10 @@ never change along a schedule, and no program re-derives the rate.
 Grid coupling follows the sweep design: for small range factors the spacing
 shrinks with eps (h = h0 min(1, eps)) so the rescaled kernel stays resolved;
 for large range factors the ball grows with the kernel reach so whole-space
-behaviour is not clipped. GridPolicy couples eps to h and R only: every
-grid lives in the kernel's dimension N. A sweep entry keeps its
+behaviour is not clipped. GridPolicy couples eps to h and R only, every
+grid lives in the kernel's dimension N, and every caller passes its policy.
+``GridPolicy.grid_for`` alone sizes a grid and refuses an unresolved
+kernel, for one eps or for an ESS row. A sweep entry keeps its
 ``StationarySolution``, and so the operator it was solved on: the audit and
 the m = 2 limit check read each entry's grid and operator there, and build
 none a second time. Every "limit" claim is a monotone-decrease-of-error
@@ -40,8 +42,8 @@ MIN_TAPS = 2  # a kernel must reach this many cells of its grid
 class GridPolicy:
     """Couples the range factor eps to a concrete discretization."""
 
-    base_radius: float = 6.0
-    base_spacing: float = 0.05
+    base_radius: float
+    base_spacing: float
     radius_pad: float = 1.0
     max_cells_per_axis: int = 8192
 
@@ -53,17 +55,19 @@ class GridPolicy:
         reach = kernel.support_radius if kernel.compactly_supported else 0.0
         return self.base_radius + self.radius_pad * reach
 
-    def grid_for(self, kernel: Kernel) -> Grid:
-        """The ball of radius_for(kernel) and spacing_for(eps) at the kernel's eps."""
-        eps = kernel.epsilon
-        h = self.spacing_for(eps)
-        if kernel.support_radius < MIN_TAPS * h:
+    def grid_for(self, *kernels: Kernel) -> Grid:
+        """One ball for every kernel given (one eps, or an ESS row): the
+        spacing_for the smallest eps and the widest radius_for. The
+        narrowest kernel must reach MIN_TAPS cells of it."""
+        h = self.spacing_for(min(k.epsilon for k in kernels))
+        narrowest = min(kernels, key=lambda k: k.support_radius)
+        if narrowest.support_radius < MIN_TAPS * h:
             raise UnderResolvedKernelError(
-                f"eps={eps}: kernel support {kernel.support_radius:.4g} "
+                f"eps={narrowest.epsilon}: kernel support {narrowest.support_radius:.4g} "
                 f"< {MIN_TAPS} h = {MIN_TAPS * h:.4g}"
             )
-        R = snap_radius(self.radius_for(kernel), h)
-        return build_grid(kernel.dimension, R, h, "ball-truncated", self.max_cells_per_axis)
+        R = snap_radius(max(self.radius_for(k) for k in kernels), h)
+        return build_grid(kernels[0].dimension, R, h, "ball-truncated", self.max_cells_per_axis)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +97,7 @@ class SweepResult:
     def epsilons(self) -> list[float]:
         return [e.eps for e in self.entries]
 
-    def coherence(self, solver_tol: float = 1e-10):
+    def coherence(self, solver_tol: float):
         """Certified-sign dichotomy bookkeeping: (consistent, violations, straddles)."""
         violations = []
         straddles = 0
@@ -154,7 +158,7 @@ def epsilon_sweep(
     kernel: Kernel,
     growth: GrowthProfile,
     epsilons,
-    policy: GridPolicy | None = None,
+    policy: GridPolicy,
     direction: str | None = None,
     solver_tol: float = 1e-10,
     spectral_tol: float = 1e-10,
@@ -162,7 +166,6 @@ def epsilon_sweep(
     """Solve the budget problem at each eps of the schedule, in order, at the
     kernel's m and alpha0; entries whose kernel is unresolvable on the policy
     grid, or whose grid exceeds its cell limit, are skipped with a reason."""
-    policy = policy or GridPolicy()
     result = SweepResult(m=kernel.m, entries=[])
     for eps in (float(e) for e in epsilons):
         try:
@@ -192,7 +195,7 @@ def find_eps_star(
     growth: GrowthProfile,
     lo: float,
     hi: float,
-    policy: GridPolicy | None = None,
+    policy: GridPolicy,
     tol: float = 1e-2,
 ) -> EpsStarResult:
     """Critical range factor for m = 0 by bisection on the certified sign.
@@ -208,7 +211,6 @@ def find_eps_star(
     if kernel.m != 0.0:
         raise ConfigError(f"eps* is defined for m = 0, not m = {kernel.m:g}")
     rate = kernel.rate
-    policy = policy or GridPolicy()
     probe = build_grid(kernel.dimension, snap_radius(policy.base_radius, policy.base_spacing),
                        policy.base_spacing, "ball-truncated", policy.max_cells_per_axis)
     a_probe = probe.sample(growth.a)
@@ -342,7 +344,7 @@ def asymptotic_limit_check(
     m: float,
     direction: str,
     epsilons,
-    policy: GridPolicy | None = None,
+    policy: GridPolicy,
     solver_tol: float = 1e-10,
     spectral_tol: float = 1e-10,
 ) -> LimitCheck:
@@ -372,7 +374,6 @@ def asymptotic_limit_check(
         raise ConfigError(f"the m = 2 small-eps limit has a 1-D local reference only, "
                           f"not {kernel.dimension}-D")
     template = rescale_kernel(kernel, 1.0, m, kernel.alpha0)  # the sweep replaces epsilon
-    policy = policy or GridPolicy()
     order = sorted(float(e) for e in epsilons)
     order = order[::-1] if direction == "small" else order
 
@@ -496,8 +497,8 @@ def energy_slope_audit(
     kernel: Kernel,
     growth: GrowthProfile,
     epsilons,
-    policy: GridPolicy | None = None,
-    solver_tol: float = 1e-10,
+    policy: GridPolicy,
+    solver_tol: float,
     spectral_tol: float = 1e-10,
 ) -> EnergySlopeFit:
     """Audit every entry of a sweep over the sorted eps schedule, on the
@@ -546,74 +547,35 @@ class InvasionMatrix:
         return out
 
 
-def _common_policy_grid(policy: GridPolicy, kernel: Kernel, epsilons) -> Grid:
-    """One grid that resolves the smallest eps and reaches the largest."""
-    h = policy.spacing_for(min(epsilons))
-    R = snap_radius(policy.radius_for(replace(kernel, epsilon=max(epsilons))), h)
-    return build_grid(kernel.dimension, R, h, "ball-truncated", policy.max_cells_per_axis)
-
-
-def _resident(kernel, growth, eps1, epsilons, policy, solver_tol):
-    """(grid, u*_{eps1}) on the common grid of epsilons; the resident kernel
-    must span MIN_TAPS cells of it."""
-    grid = _common_policy_grid(policy, kernel, epsilons)
-    res_kernel = replace(kernel, epsilon=eps1)
-    if res_kernel.support_radius < MIN_TAPS * grid.spacing:
-        raise UnderResolvedKernelError(f"resident kernel unresolved at eps1={eps1}")
-    res_op = build_operator(grid, res_kernel, growth)
-    return grid, solve_stationary_ball(res_op, tol=solver_tol).values
-
-
-def invasion_fitness(
-    kernel: Kernel,
-    growth: GrowthProfile,
-    eps1: float,
-    eps2: float,
-    policy: GridPolicy | None = None,
-    solver_tol: float = 1e-10,
-    resident: tuple[Grid, np.ndarray] | None = None,
-) -> InvasionEntry:
-    """Bracketed lambda_p(M_{eps2,m} + a - u*_{eps1}) on a shared grid.
-
-    Negative certified sign means the mutant invades the resident equilibrium.
-    """
-    policy = policy or GridPolicy()
-    grid, u_star = resident or _resident(kernel, growth, eps1, (eps1, eps2), policy, solver_tol)
-
-    mut_kernel = replace(kernel, epsilon=eps2)
-    if mut_kernel.support_radius < MIN_TAPS * grid.spacing:
-        raise UnderResolvedKernelError(f"mutant kernel unresolved at eps2={eps2}")
-    a_eff = grid.sample(growth.a) - u_star
-    mut_op = build_operator(grid, mut_kernel, growth=None, a_values=a_eff)
-    lam = principal_eigenvalue(mut_op)
-    if lam.upper < 0:
-        verdict = "invades"
-    elif lam.lower > 0:
-        verdict = "resists"
-    else:
-        verdict = "neutral"
-    return InvasionEntry(eps1=eps1, eps2=eps2, lam=lam, verdict=verdict)
-
-
 def build_invasion_matrix(
     kernel: Kernel,
     growth: GrowthProfile,
     eps_residents,
-    eps_mutants=None,
-    policy: GridPolicy | None = None,
+    eps_mutants,
+    policy: GridPolicy,
     solver_tol: float = 1e-10,
 ) -> InvasionMatrix:
-    """Fill the strategy grid row by row; each resident equilibrium is solved
-    once on a grid sized for the largest kernel it meets."""
-    policy = policy or GridPolicy()
+    """Certified lambda_p(M_{eps2,m} + a - u*_{eps1}) for every resident eps1
+    and mutant eps2; a negative certified sign means the mutant invades. A
+    row is one ``policy.grid_for(resident, *mutants)``, which refuses an
+    unresolved row before any solve, one ball solve of u*_{eps1} on it, and
+    one eigen-solve per mutant."""
     eps_residents = [float(e) for e in eps_residents]
-    eps_mutants = [float(e) for e in (eps_mutants if eps_mutants is not None else eps_residents)]
+    eps_mutants = [float(e) for e in eps_mutants]
     entries = []
     for e1 in eps_residents:
-        resident = _resident(kernel, growth, e1, [e1] + eps_mutants, policy, solver_tol)
-        entries.append([invasion_fitness(kernel, growth, e1, e2, policy, solver_tol,
-                                         resident=resident)
-                        for e2 in eps_mutants])
+        resident = replace(kernel, epsilon=e1)
+        mutants = [replace(kernel, epsilon=e2) for e2 in eps_mutants]
+        res_op = build_operator(policy.grid_for(resident, *mutants), resident, growth)
+        u_star = solve_stationary_ball(res_op, tol=solver_tol).values
+        a_eff = res_op.a_values - u_star
+        row = []
+        for e2, mutant in zip(eps_mutants, mutants):
+            lam = principal_eigenvalue(build_operator(res_op.grid, mutant, growth=None,
+                                                      a_values=a_eff))
+            verdict = "invades" if lam.upper < 0 else "resists" if lam.lower > 0 else "neutral"
+            row.append(InvasionEntry(eps1=e1, eps2=e2, lam=lam, verdict=verdict))
+        entries.append(row)
     return InvasionMatrix(eps_residents=eps_residents, eps_mutants=eps_mutants, entries=entries)
 
 

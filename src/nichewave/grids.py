@@ -73,6 +73,14 @@ class Grid:
         idx_self = np.flatnonzero(matched >= 0)
         return idx_self, matched[idx_self]
 
+    def carry(self, other: "Grid", values: np.ndarray, fill: float) -> np.ndarray:
+        """``values`` on ``other`` at the lattice points this grid shares with
+        it (``common_with``), ``fill`` at every other point of this grid."""
+        idx_self, idx_other = self.common_with(other)
+        out = np.full(self.size, fill)
+        out[idx_self] = values[idx_other]
+        return out
+
 
 def build_grid(
     dimension: int,

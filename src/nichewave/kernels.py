@@ -238,7 +238,7 @@ def rescale_kernel(kernel: Kernel, epsilon: float, m: float, alpha0: float = 1.0
     return replace(kernel, epsilon=float(epsilon), m=float(m), alpha0=float(alpha0))
 
 
-def _radial_integral(pieces, s: float, lower: float = 0.0) -> float:
+def _radial_integral(pieces, s: float, lower: float) -> float:
     """Exact integral of J(r) r^s over r >= lower for J given by ``pieces``, s >= 0.
 
     Each term c r^(k+s) of a piece [a, b] (clipped to r >= lower) contributes

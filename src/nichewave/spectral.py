@@ -263,7 +263,7 @@ def principal_eigenvalue(op, tol: float = 1e-10, maxiter: int = DEFAULT_MAXITER,
     return _certified_iteration(op, tol, maxiter, "cw", np.ones(op.size) if start is None else start)
 
 
-def rayleigh_lambda_v(op, tol: float = 1e-10, maxiter: int = DEFAULT_MAXITER,
+def rayleigh_lambda_v(op, tol: float, maxiter: int = DEFAULT_MAXITER,
                       start=None) -> SpectralEstimate:
     """lambda_v by Rayleigh-quotient minimization on the symmetric operator.
 
@@ -290,12 +290,11 @@ def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-
     rise beyond the two bracket widths raises
     DiscretizationInconsistencyError. This is the only such check.
     Consumers stop the walk by break. Each ball after the first starts its
-    eigen-solve from the previous ball's eigenvector on the shared lattice
-    (``Grid.common_with``), its new points filled with that vector's
-    minimum. The walk keeps only that grid and vector, never an op, so an
-    op the consumer drops before it asks for the next ball is freed before
-    the next one is built: op caches its stencil walk, FFT plan and kernel
-    mass. ``known`` = (R, op, lambda_p) is a ball the caller already built
+    eigen-solve from the previous ball's eigenvector carried onto it
+    (``Grid.carry``), its new points filled with that vector's minimum. The
+    walk keeps only that grid and vector, never an op, so an op the consumer
+    drops before it asks for the next ball is freed before the next one is
+    built: op caches its stencil walk, FFT plan and kernel mass. ``known`` = (R, op, lambda_p) is a ball the caller already built
     and certified the same way; the walk yields it at R instead of solving
     it again, and its eigenvector seeds the next ball.
     """
@@ -313,9 +312,7 @@ def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-
             grid = build_grid(kernel.dimension, R, spacing, "ball-truncated", max_cells_per_axis)
             start = None
             if prev is not None:
-                idx_new, idx_old = grid.common_with(prev_grid)
-                start = np.full(grid.size, np.min(prev.eigenvector))
-                start[idx_new] = prev.eigenvector[idx_old]
+                start = grid.carry(prev_grid, prev.eigenvector, np.min(prev.eigenvector))
             op = build_operator(grid, kernel, growth)
             lam = principal_eigenvalue(op, tol=spectral_tol, maxiter=maxiter, start=start)
         if prev is not None and lam.value > prev.value + prev.width + lam.width + 1e-13:

@@ -347,43 +347,33 @@ def solve_stationary_wholespace(
 
     Walks the balls of ``spectral.radius_walk`` (radii multiples of h,
     lambda_p certified and non-increasing in R) and solves each one, started
-    from the previous ball's solution. Asserts u_{R_k} <= u_{R_{k+1}} on the
-    common lattice and stops once the sup-norm change drops below tol. The
-    result is the largest ball's solution, with the R history added: its
-    verdict comes from that ball's certified bracket, and it keeps that
-    ball's operator.
+    from the previous ball's solution carried onto it (``Grid.carry``, 0 off
+    the previous ball). Asserts u_{R_k} <= u_{R_{k+1}} and stops once the
+    sup-norm change drops below tol, both measured against that carried
+    vector. The result is the largest ball's solution, with the R history
+    added: its verdict comes from that ball's certified bracket, and it
+    keeps that ball's operator.
     """
     last_R = max(map(float, radii), default=None)
-    prev_grid = None
-    prev_vals = None
+    prev_grid = prev_vals = None
     history: list[tuple[float, float]] = []
     for R, op, lam in radius_walk(kernel, growth, radii, spacing, spectral_tol,
                                   max_cells_per_axis):
-        grid = op.grid
-        lower_start = None
-        if prev_vals is not None:
-            idx_new, idx_old = grid.common_with(prev_grid)
-            lower_start = np.zeros(grid.size)
-            lower_start[idx_new] = prev_vals[idx_old]
-        sol = solve_stationary_ball(op, tol=solver_tol, lam=lam, lower_start=lower_start)
+        carried = None if prev_vals is None else op.grid.carry(prev_grid, prev_vals, 0.0)
+        sol = solve_stationary_ball(op, tol=solver_tol, lam=lam, lower_start=carried)
         change = math.inf
-        if prev_vals is not None:
-            diff = sol.values[idx_new] - prev_vals[idx_old]
+        if carried is not None:
+            diff = sol.values - carried
             slack = 100.0 * solver_tol + 1e-12
             if np.min(diff) < -slack:
                 raise MonotonicityViolationError(
                     f"ball solutions not increasing in R: min increment {np.min(diff):.3e}"
                 )
-            outside = np.ones(grid.size, dtype=bool)
-            outside[idx_new] = False
-            change = max(
-                float(np.max(np.abs(diff))),
-                float(np.max(sol.values[outside])) if np.any(outside) else 0.0,
-            )
+            change = float(np.max(np.abs(diff)))
         history.append((R, change))
         if (change <= tol and sol.verdict != "indeterminate") or R == last_R:
             break
-        prev_grid, prev_vals = grid, sol.values
+        prev_grid, prev_vals = op.grid, sol.values
         # free the ball's operator and its cached plans before the walk certifies the next ball
         del op, sol
 

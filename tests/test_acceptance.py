@@ -24,11 +24,11 @@ from nichewave.experiments import (
     GridPolicy,
     apriori_estimate_audit,
     asymptotic_limit_check,
+    build_invasion_matrix,
     energy_slope_audit,
     epsilon_sweep,
     fat_tail_verdict,
     find_eps_star,
-    invasion_fitness,
     local_kpp_solve_fd,
 )
 from nichewave.operators import build_operator
@@ -348,14 +348,14 @@ def test_11_ess_neutrality_and_invasion():
     policy = GridPolicy(base_radius=4.0, base_spacing=0.05)
     diag_fail = []
     for eps in (1.0, 2.0):
-        entry = invasion_fitness(rescale_kernel(TENT, 1.0, 1.0), BUMP, eps, eps, policy,
-                                 solver_tol=1e-10)
+        (entry,), = build_invasion_matrix(rescale_kernel(TENT, 1.0, 1.0), BUMP, [eps], [eps], policy,
+                                          solver_tol=1e-10).entries
         if abs(entry.lam.value) > entry.lam.width + 1e-6:
             diag_fail.append((eps, entry.lam.value))
     invade_fail = []
     for eps1 in (2.0, 4.0):
-        entry = invasion_fitness(rescale_kernel(TENT, 1.0, 1.0), BUMP, eps1, 8.0 * eps1, policy,
-                                 solver_tol=1e-9)
+        (entry,), = build_invasion_matrix(rescale_kernel(TENT, 1.0, 1.0), BUMP, [eps1], [8.0 * eps1],
+                                          policy, solver_tol=1e-9).entries
         if entry.lam.upper >= 0.0:
             invade_fail.append((eps1, entry.lam.upper))
     ok = not diag_fail and not invade_fail

@@ -16,7 +16,6 @@ from nichewave import (
 from nichewave import experiments
 from nichewave.experiments import (
     GridPolicy,
-    _common_policy_grid,
     apriori_estimate_audit,
     asymptotic_limit_check,
     build_invasion_matrix,
@@ -24,7 +23,6 @@ from nichewave.experiments import (
     epsilon_sweep,
     fat_tail_verdict,
     find_eps_star,
-    invasion_fitness,
     local_kpp_solve_fd,
 )
 from nichewave.errors import ConfigError, MonotonicityViolationError, UnderResolvedKernelError
@@ -56,14 +54,10 @@ class TestSweep:
         assert entry.errors["lam_err_1.5-sup_a"] == abs(entry.lam.value - (1.5 - a.max()))
         assert entry.target_name == "u_sup_err_(a-1.5)+"
 
-    @pytest.mark.parametrize("policy", [None, GridPolicy(base_radius=2.5, base_spacing=0.2)],
-                             ids=["default-policy", "policy"])
-    def test_grids_take_n_from_the_kernel(self, bump, policy, monkeypatch):
-        # a 2-D kernel with a growth profile of |x| solves on 2-D grids,
-        # with or without a policy; the default policy is shrunk to stay small
-        if policy is None:
-            monkeypatch.setattr(experiments, "GridPolicy",
-                                lambda **kw: GridPolicy(base_radius=2.5, base_spacing=0.2, **kw))
+    @pytest.mark.parametrize("policy", [GridPolicy(base_radius=2.5, base_spacing=0.2)],
+                             ids=["policy"])
+    def test_grids_take_n_from_the_kernel(self, bump, policy):
+        # a 2-D kernel with a growth profile of |x| solves on 2-D grids
         kernel = rescale_kernel(Kernel("tent", dimension=2), 1.0, 0.0)
         entry, = epsilon_sweep(kernel, bump, [1.0], policy).entries
         grid = build_grid(2, 3.6, 0.2)
@@ -354,32 +348,44 @@ class TestAudit:
 
 class TestInvasion:
     def test_resident_is_neutral_against_itself(self, tent, bump):
-        entry = invasion_fitness(rescale_kernel(tent, 1.0, 1.0), bump, 1.0, 1.0, POLICY,
-                                 solver_tol=1e-10)
+        (entry,), = build_invasion_matrix(rescale_kernel(tent, 1.0, 1.0), bump, [1.0], [1.0], POLICY,
+                                          solver_tol=1e-10).entries
         assert abs(entry.lam.value) <= entry.lam.width + 1e-6
 
     def test_large_range_mutant_invades(self, tent, bump):
-        entry = invasion_fitness(rescale_kernel(tent, 1.0, 1.0), bump, 2.0, 16.0, POLICY,
-                                 solver_tol=1e-9)
+        (entry,), = build_invasion_matrix(rescale_kernel(tent, 1.0, 1.0), bump, [2.0], [16.0], POLICY,
+                                          solver_tol=1e-9).entries
         assert entry.verdict == "invades"
         assert entry.lam.upper < 0
 
     def test_common_grid(self, tent):
-        grid = _common_policy_grid(POLICY, tent, [0.5, 2.0])
+        grid = POLICY.grid_for(replace(tent, epsilon=0.5), replace(tent, epsilon=2.0))
         assert (grid.radius, grid.spacing) == (6.0, 0.025)
         # infinite support: the base radius, as GridPolicy.radius_for gives it
         fat = Kernel("algebraic-tail", params={"power": 5.0})
-        assert _common_policy_grid(POLICY, fat, [0.5, 2.0]).radius == 4.0
+        assert POLICY.grid_for(replace(fat, epsilon=0.5), replace(fat, epsilon=2.0)).radius == 4.0
 
     def test_matrix_refuses_an_unresolved_resident(self, bump):
         # cutoff 0.06 < 2 h = 0.1 at eps1 = 1: the resident kernel is not resolved
         kernel = rescale_kernel(Kernel("truncated-gaussian", params={"sigma": 0.03, "cutoff": 0.06}),
                                 1.0, 1.0)
         policy = GridPolicy(base_radius=3.0, base_spacing=0.05)
-        for fill in (lambda: invasion_fitness(kernel, bump, 1.0, 2.0, policy),
-                     lambda: build_invasion_matrix(kernel, bump, [1.0], [2.0], policy)):
-            with pytest.raises(UnderResolvedKernelError, match="resident kernel unresolved at eps1=1"):
-                fill()
+        with pytest.raises(UnderResolvedKernelError, match="eps=1.0: kernel support 0.06"):
+            build_invasion_matrix(kernel, bump, [1.0], [2.0], policy)
+
+    def test_matrix_refuses_an_unresolved_mutant_before_any_solve(self, bump, monkeypatch):
+        # the resident (eps 2, support 0.12) is resolved; the mutant (eps 1,
+        # support 0.06 < 2 h = 0.1) is not, and the row is refused before its resident solve
+        kernel = rescale_kernel(Kernel("truncated-gaussian", params={"sigma": 0.03, "cutoff": 0.06}),
+                                1.0, 1.0)
+        policy = GridPolicy(base_radius=3.0, base_spacing=0.05)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a ball solve ran before the row's grid was refused")
+
+        monkeypatch.setattr(experiments, "solve_stationary_ball", no_solve)
+        with pytest.raises(UnderResolvedKernelError, match="eps=1.0: kernel support 0.06"):
+            build_invasion_matrix(kernel, bump, [2.0], [1.0], policy)
 
     def test_matrix_against_dense_oracle(self, tent):
         growth = bump_growth(1.5, 1.0, -1.0)

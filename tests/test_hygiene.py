@@ -45,6 +45,8 @@
   passed by some call in ``src/``, ``tests/`` or ``perfbench/``: by name,
   by position, or through ``*args``/``**kwargs``; a class's ``__init__`` is
   called by the class name. A default that no call changes is a constant.
+  No such parameter is passed by every call of its function there: a
+  default that no call uses is a value nothing reads.
 - A fresh ``import nichewave.cli`` loads none of ``scipy.integrate``,
   ``scipy.optimize``, ``scipy.fft``, ``scipy.special`` and ``scipy.sparse``,
   and a banded 1-D and an off-band 2-D eigenvalue and ball solve leave
@@ -284,22 +286,33 @@ def defaulted_params(tree: ast.Module) -> list[tuple[str, str, int | None]]:
     return found
 
 
-def unpassed_defaults(modules: dict[str, ast.Module], callers) -> list[str]:
-    """'file:function(parameter)' for each defaulted parameter of ``modules``
-    (file name -> tree) that no call in ``callers`` passes."""
-    calls = [node for tree in callers for node in ast.walk(tree) if isinstance(node, ast.Call)]
+def default_passes(modules: dict[str, ast.Module], callers) -> list[tuple[str, list[bool]]]:
+    """('file:function(parameter)', whether each call of that function in
+    ``callers`` passes the parameter) for each defaulted parameter of
+    ``modules`` (file name -> tree)."""
+    calls: dict[str, list[ast.Call]] = {}
+    for node in (n for tree in callers for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        calls.setdefault((_dotted(node.func) or "").split(".")[-1], []).append(node)
 
-    def passes(call, name, param, position):
-        if (_dotted(call.func) or "").split(".")[-1] != name:
-            return False
+    def passes(call, param, position):
         if any(k.arg in (param, None) for k in call.keywords):  # by name, or **kwargs
             return True
         return position is not None and (len(call.args) > position or any(
             isinstance(a, ast.Starred) for a in call.args))
 
-    return [f"{file}:{name}({param})" for file, tree in modules.items()
-            for name, param, position in defaulted_params(tree)
-            if not any(passes(call, name, param, position) for call in calls)]
+    return [(f"{file}:{name}({param})", [passes(call, param, position) for call in calls.get(name, [])])
+            for file, tree in modules.items() for name, param, position in defaulted_params(tree)]
+
+
+def unpassed_defaults(modules: dict[str, ast.Module], callers) -> list[str]:
+    """Each defaulted parameter of ``modules`` that no call in ``callers`` passes."""
+    return [param for param, passed in default_passes(modules, callers) if not any(passed)]
+
+
+def overridden_defaults(modules: dict[str, ast.Module], callers) -> list[str]:
+    """Each defaulted parameter of ``modules`` that every call in ``callers``
+    of its function passes (there is at least one)."""
+    return [param for param, passed in default_passes(modules, callers) if passed and all(passed)]
 
 
 # imported module -> the files of src/nichewave whose functions may import it;
@@ -589,6 +602,31 @@ def test_default_check_catches_what_it_names():
     modules = {p.name: _tree(p) for p in MODULES} | {"growth.py": ast.parse(planted)}
     readers = [modules[p.name] if p.parent == SRC else _tree(p) for p in READERS]
     assert unpassed_defaults(modules, readers) == ["growth.py:bump_growth(floor)"]
+
+
+def test_no_default_is_passed_by_every_call():
+    modules = {p.name: _tree(p) for p in MODULES}
+    assert overridden_defaults(modules, [_tree(p) for p in READERS]) == []
+
+
+def test_overridden_default_check_catches_what_it_names():
+    tree = ast.parse(
+        "def solve(op, tol=1e-10, maxiter=10, *, seed=0):\n    pass\n"
+        "class Walk:\n    def __init__(self, radii, pad=1.0):\n        pass\n"
+        "def uncalled(x, scale=2.0):\n    pass\n"
+        "solve(op, 1e-8, seed=1)\nsolve(op, tol=1e-9, **options)\nWalk(radii, 2.0)\nWalk(*args)\n"
+    )
+    assert overridden_defaults({"m.py": tree}, [tree]) == [
+        "m.py:solve(tol)", "m.py:solve(seed)", "m.py:Walk(pad)"]
+    # a default planted back into a real function, and passed by every caller, is flagged
+    src = (SRC / "experiments.py").read_text()
+    planted = src.replace("    solver_tol: float,\n    spectral_tol: float = 1e-10,\n) -> EnergySlopeFit:",
+                          "    solver_tol: float = 1e-10,\n    spectral_tol: float = 1e-10,\n"
+                          ") -> EnergySlopeFit:")
+    assert planted != src
+    modules = {p.name: _tree(p) for p in MODULES} | {"experiments.py": ast.parse(planted)}
+    readers = [modules[p.name] if p.parent == SRC else _tree(p) for p in READERS]
+    assert overridden_defaults(modules, readers) == ["experiments.py:energy_slope_audit(solver_tol)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

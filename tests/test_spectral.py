@@ -196,7 +196,7 @@ class TestWarmStart:
         start = np.ones(ball_op.size)
         start[7] = bad
         with pytest.raises(ValueError, match="finite and > 0"):
-            solve(ball_op, start=start)
+            solve(ball_op, tol=1e-10, start=start)
 
     @pytest.mark.parametrize("path", ["noda-1d", "lobpcg-2d"])
     def test_lambda_v_from_lambda_p_holds_the_oracle(self, path):
