@@ -6,10 +6,12 @@ Commands: validate, spectrum, stationary, evolve, sweep, eps-star, ess,
 fat-tail, audit. Every command takes one Kernel, family, epsilon, m and
 alpha0, from [kernel], so all of them solve with the same kernel and rate;
 sweep, eps-star, ess and audit replace only epsilon, and eps-star needs
-m = 0. validate checks the hypotheses on J itself, that Kernel at
-epsilon = 1. The commands that walk an eps schedule solve one eps after
-another in one thread; [run] workers accepts only 1. spectrum starts
-lambda_v from lambda_p's eigenvector, and each R row from the last ball's.
+m = 0. Every command takes its grid from [grid] R and h (see config), and
+topology applies to spectrum only. validate checks the hypotheses on J
+itself, that Kernel at epsilon = 1. The commands that walk an eps schedule
+solve one eps after another in one thread; [run] workers accepts only 1.
+spectrum starts lambda_v from lambda_p's eigenvector, and each R row from
+the last ball's.
 Artifacts are CSV/JSON named <command>-<label>.* in the configured output
 directory. Exit codes: 0 success, 1 an errors.ConfigError (the input is at
 fault: a config value, kernel, growth or time step the model refuses) or a
@@ -72,11 +74,10 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n")
 
 
-def _policy(cfg: ExperimentConfig, section: str, **extra) -> GridPolicy:
-    """The eps-to-grid policy of a sweeping command's section."""
-    s = cfg[section]
-    return GridPolicy(base_radius=s["base_r"], base_spacing=s["base_h"],
-                      max_cells_per_axis=cfg["grid"]["max_cells"], **extra)
+def _policy(cfg: ExperimentConfig) -> GridPolicy:
+    """The eps-to-grid policy of the sweeping commands: [grid] R and h."""
+    g = cfg["grid"]
+    return GridPolicy(base_radius=g["r"], base_spacing=g["h"], max_cells_per_axis=g["max_cells"])
 
 
 def _est_row(est, method, R, eps, m) -> list:
@@ -249,8 +250,7 @@ def cmd_evolve(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
 def cmd_sweep(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     sw = cfg["sweep"]
     result = epsilon_sweep(cfg.scaled_kernel(), cfg.growth(), sw["epsilons"],
-                           _policy(cfg, "sweep", radius_pad=sw["radius_pad"]),
-                           direction=sw["direction"], solver_tol=sw["solver_tol"],
+                           _policy(cfg), direction=sw["direction"], solver_tol=sw["solver_tol"],
                            spectral_tol=sw["spectral_tol"])
     rows = [[result.m, e.eps, e.lam.lower, e.lam.upper, e.u_sup, e.u_l2, e.u_l1,
              e.target_error, e.target_name] for e in result.entries]
@@ -275,7 +275,7 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
 def cmd_eps_star(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     es = cfg["eps_star"]
     result = find_eps_star(cfg.scaled_kernel(), cfg.growth(), es["lo"], es["hi"],
-                           _policy(cfg, "eps_star"), tol=es["tol"])
+                           _policy(cfg), tol=es["tol"])
     rows = [[eps, est.lower, est.upper] for eps, est in result.history]
     write_csv(outdir / f"eps-star-{label}.csv", ["eps", "lambda_lo", "lambda_hi"], rows)
     write_json(outdir / f"eps-star-{label}.json", {
@@ -295,7 +295,7 @@ def cmd_ess(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     es = cfg["ess"]
     kernel = cfg.scaled_kernel()
     matrix = build_invasion_matrix(kernel, cfg.growth(), es["eps_residents"], es["eps_mutants"],
-                                   _policy(cfg, "ess"))
+                                   _policy(cfg))
     rows = []
     for row in matrix.entries:
         for e in row:
@@ -317,11 +317,11 @@ def cmd_ess(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
 
 
 def cmd_fat_tail(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
-    ft = cfg["fat_tail"]
-    result = fat_tail_verdict(cfg.scaled_kernel(), cfg.growth(), ft["r_schedule"], ft["h"],
+    ft, g = cfg["fat_tail"], cfg["grid"]
+    result = fat_tail_verdict(cfg.scaled_kernel(), cfg.growth(), ft["r_schedule"], g["h"],
                               tail_target=ft["tail_target"],
                               spectral_tol=ft["spectral_tol"],
-                              max_cells_per_axis=cfg["grid"]["max_cells"])
+                              max_cells_per_axis=g["max_cells"])
     rows = [[R, e.lower, e.upper] for R, e in zip(result.radii, result.estimates)]
     write_csv(outdir / f"fat-tail-{label}.csv", ["R", "lambda_lo", "lambda_hi"], rows)
     write_json(outdir / f"fat-tail-{label}.json", {
@@ -338,7 +338,7 @@ def cmd_fat_tail(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
 def cmd_audit(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     au = cfg["audit"]
     fit = energy_slope_audit(cfg.scaled_kernel(), cfg.growth(), au["epsilons"],
-                             _policy(cfg, "audit"), solver_tol=au["solver_tol"])
+                             _policy(cfg), solver_tol=au["solver_tol"])
     rows = []
     for audit in fit.audits:
         for item in audit.items:

@@ -11,26 +11,30 @@ Sections and keys (all optional unless a command needs them):
     [spectral]  tol, maxiter, R_schedule
     [stationary] R_schedule, tol, solver_tol, spectral_tol
     [evolve]    T, dt, stride, u0, tol
-    [sweep]     epsilons, direction, base_R, base_h, radius_pad,
-                solver_tol, spectral_tol
-    [eps_star]  lo, hi, tol, base_R, base_h
-    [ess]       eps_residents, eps_mutants, base_R, base_h
-    [fat_tail]  R_schedule, h, tail_target, spectral_tol
-    [audit]     epsilons, base_R, base_h, solver_tol
+    [sweep]     epsilons, direction, solver_tol, spectral_tol
+    [eps_star]  lo, hi, tol
+    [ess]       eps_residents, eps_mutants
+    [fat_tail]  R_schedule, tail_target, spectral_tol
+    [audit]     epsilons, solver_tol
 
 [kernel] and [growth] params hold exactly their family's names in
 FAMILY_PARAMS (kernels, growth), every one required, and those in
 POSITIVE_PARAMS are > 0; the Kernel checks epsilon, m and alpha0. One rule
 covers every other number: it is finite and > 0, each number of a list is,
-and a list is non-empty. Its three exceptions: [run] seed is any integer,
-[sweep] radius_pad may be 0, and an empty [spectral] R_schedule means no R
-rows. Besides the rule, [run] workers is 1, [sweep] direction is small or
-large, and [eps_star] lo < hi. [evolve] dt is auto or a number; u0 is
-constant, bump, indicator or stationary[:amplitude[:radius]], amplitude
-finite and >= 0 (default 0.01), radius finite and > 0 (default 1).
+and a list is non-empty. Its two exceptions: [run] seed is any integer, and
+an empty [spectral] R_schedule means no R rows. Besides the rule, [run]
+workers is 1, [sweep] direction is small or large, and [eps_star] lo < hi.
+[evolve] dt is auto or a number; u0 is constant, bump, indicator or
+stationary[:amplitude[:radius]], amplitude finite and >= 0 (default 0.01),
+radius finite and > 0 (default 1).
 
 [kernel] dimension is the one N: it goes to the Kernel, and every grid
 takes N from the kernel, so no other key or section sets it.
+
+[grid] is the one grid, as [kernel] is the one kernel: spectrum solves on
+R and h (and topology, its alone), every R_schedule walks at h, and the
+commands that sweep epsilon solve on R plus one kernel reach at spacing
+h min(1, epsilon); max_cells bounds every grid.
 
 Every command takes one Kernel from [kernel] (ExperimentConfig.scaled_kernel):
 the family, epsilon, the cost exponent m and alpha0, so all of them solve
@@ -58,6 +62,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .grids import DEFAULT_MAX_CELLS_PER_AXIS
 from .growth import GrowthProfile
 from .kernels import Kernel
 
@@ -65,22 +70,18 @@ DEFAULTS = {
     "run": {"seed": 0, "label": "run", "output_dir": "out", "workers": 1},
     "kernel": {"family": "tent", "dimension": 1, "epsilon": 1.0, "m": 0.0,
                "alpha0": 1.0, "params": {}},
-    "grid": {"r": 6.0, "h": 0.05, "topology": "ball-truncated", "max_cells": 8192},
+    "grid": {"r": 6.0, "h": 0.05, "topology": "ball-truncated", "max_cells": DEFAULT_MAX_CELLS_PER_AXIS},
     "growth": {"family": "bump", "params": {"a0": 2.0, "b": 1.0, "a_min": -1.0}},
     "spectral": {"tol": 1e-10, "maxiter": 600, "r_schedule": []},
     "stationary": {"r_schedule": [4.0, 6.0, 8.0, 10.0], "tol": 1e-6,
                    "solver_tol": 1e-10, "spectral_tol": 1e-10},
     "evolve": {"t": 200.0, "dt": "auto", "stride": 1.0, "u0": "constant:0.01", "tol": 1e-3},
     "sweep": {"epsilons": [4.0, 8.0, 16.0], "direction": "large",
-              "base_r": 4.0, "base_h": 0.05, "radius_pad": 1.0,
               "solver_tol": 1e-10, "spectral_tol": 1e-10},
-    "eps_star": {"lo": 0.5, "hi": 64.0, "tol": 1e-2, "base_r": 4.0, "base_h": 0.1},
-    "ess": {"eps_residents": [0.5, 1.0], "eps_mutants": [0.5, 1.0, 4.0],
-            "base_r": 4.0, "base_h": 0.05},
-    "fat_tail": {"r_schedule": [4.0, 8.0, 12.0], "h": 0.05, "tail_target": 1e-10,
-                 "spectral_tol": 1e-10},
-    "audit": {"epsilons": [1.0, 2.0, 4.0, 8.0], "base_r": 4.0,
-              "base_h": 0.05, "solver_tol": 1e-10},
+    "eps_star": {"lo": 0.5, "hi": 64.0, "tol": 1e-2},
+    "ess": {"eps_residents": [0.5, 1.0], "eps_mutants": [0.5, 1.0, 4.0]},
+    "fat_tail": {"r_schedule": [4.0, 8.0, 12.0], "tail_target": 1e-10, "spectral_tol": 1e-10},
+    "audit": {"epsilons": [1.0, 2.0, 4.0, 8.0], "solver_tol": 1e-10},
 }
 
 
@@ -114,23 +115,20 @@ def _convert(section: str, key: str, raw: str):
 
 def _check_ranges(sections: dict) -> None:
     """The range rule of the module docstring, over every key of DEFAULTS
-    outside [kernel] and [growth] but its three exceptions, named below."""
+    outside [kernel] and [growth] but its two exceptions, named below."""
     for section, keys in DEFAULTS.items():
         for key in keys:
             value, where = sections[section][key], (section, key)
             if (section in ("kernel", "growth") or where == ("run", "seed")
                     or not isinstance(value, (int, float, list))):
                 continue  # any seed (perfbench writes one); a string, params or dt = auto
-            zero_ok = where == ("sweep", "radius_pad")  # 0: no pad beyond base_R
-            bad = [v for v in (value if isinstance(value, list) else [value])
-                   if not (0.0 < v < math.inf or zero_ok and v == 0.0)]
+            bad = [v for v in (value if isinstance(value, list) else [value]) if not 0.0 < v < math.inf]
             empty = value == [] and where != ("spectral", "r_schedule")  # empty: no R rows
             if bad or empty:
                 name = f"[{section}] " + "_".join(p.upper() if p in ("r", "t") else p
-                                                  for p in key.split("_"))  # T, base_R
-                least = ">= 0" if zero_ok else "> 0"
+                                                  for p in key.split("_"))  # T, R_schedule
                 raise ConfigError(f"{name} is empty: nothing to solve for" if empty
-                                  else f"{name} = {bad[0]!r} is not a finite number {least}")
+                                  else f"{name} = {bad[0]!r} is not a finite number > 0")
 
 
 def _evolve_number(key: str, raw: str) -> float:

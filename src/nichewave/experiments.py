@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, KernelHypothesisError, ResourceLimitError, UnderResolvedKernelError
-from .grids import Grid, build_grid, snap_radius
+from .grids import DEFAULT_MAX_CELLS_PER_AXIS, Grid, build_grid, snap_radius
 from .growth import GrowthProfile
 from .kernels import Kernel, kernel_moment, rescale_kernel, validate_kernel
 from .operators import build_operator
@@ -36,16 +36,18 @@ from .stationary import StationarySolution, solve_stationary_ball
 
 
 MIN_TAPS = 2  # a kernel must reach this many cells of its grid
+RADIUS_PAD = 1.0  # kernel reaches a policy ball extends beyond base_radius
 
 
 @dataclass(frozen=True)
 class GridPolicy:
-    """Couples the range factor eps to a concrete discretization."""
+    """Couples the range factor eps to a concrete discretization: spacing
+    base_spacing min(1, eps), radius base_radius plus RADIUS_PAD kernel
+    reaches. The CLI builds its one policy from [grid] R and h."""
 
     base_radius: float
     base_spacing: float
-    radius_pad: float = 1.0
-    max_cells_per_axis: int = 8192
+    max_cells_per_axis: int = DEFAULT_MAX_CELLS_PER_AXIS
 
     def spacing_for(self, eps: float) -> float:
         return self.base_spacing * min(1.0, eps)
@@ -53,7 +55,7 @@ class GridPolicy:
     def radius_for(self, kernel: Kernel) -> float:
         """base_radius padded by the kernel's reach, if its support is compact."""
         reach = kernel.support_radius if kernel.compactly_supported else 0.0
-        return self.base_radius + self.radius_pad * reach
+        return self.base_radius + RADIUS_PAD * reach
 
     def grid_for(self, *kernels: Kernel) -> Grid:
         """One ball for every kernel given (one eps, or an ESS row): the
@@ -115,11 +117,14 @@ def _sweep_targets(m: float, rate: float, direction: str | None):
     """The eps-limit a sweep is measured against, as (lambda name, u name,
     shift): lambda_p -> shift - sup a and u -> (a - shift)+. Only m = 0
     toward large eps keeps the rate alpha0 (shift = rate); every other limit
-    has shift 0. The m = 2 small-eps lambda target is the FD lambda_1 of
-    ``asymptotic_limit_check``, so the sweep measures none."""
+    has shift 0. The m = 2 small-eps limit is the local pair (lambda_1, v)
+    of sigma Lap + f, which ``asymptotic_limit_check`` solves by FD, so the
+    sweep names no target there: None."""
+    if direction == "small" and m == 2.0:
+        return None
     if direction == "large" and m == 0.0:
         return f"{rate:g}-sup_a", f"(a-{rate:g})+", rate
-    return ("lambda1_fd" if direction == "small" and m == 2.0 else "-sup_a"), "a+", 0.0
+    return "-sup_a", "a+", 0.0
 
 
 def _sweep_one(kernel, growth, eps, policy, direction, solver_tol, spectral_tol):
@@ -129,29 +134,22 @@ def _sweep_one(kernel, growth, eps, policy, direction, solver_tol, spectral_tol)
     op = build_operator(grid, scaled, growth)
     lam = principal_eigenvalue(op, tol=spectral_tol)
     solve = solve_stationary_ball(op, tol=solver_tol, lam=lam)
-    u = solve.values
-    w = grid.weights
-    a = op.a_values
-    lam_name, u_name, shift = _sweep_targets(m, op.rate, direction)
+    u, w, a = solve.values, grid.weights, op.a_values
+    entry = SweepEntry(eps=eps, lam=lam, solve=solve, u_sup=float(np.max(u)),
+                       u_l2=float(np.sqrt(np.sum(w * u * u))), u_l1=float(np.sum(w * u)))
+    targets = _sweep_targets(m, op.rate, direction)
+    if targets is None:
+        return entry
+    lam_name, u_name, shift = targets
     target_u = np.maximum(a - shift, 0.0)
-    errors = {
+    entry.errors = {
         f"u_sup_err_{u_name}": float(np.max(np.abs(u - target_u))),
         f"u_l2_err_{u_name}": float(np.sqrt(np.sum(w * (u - target_u) ** 2))),
+        f"lam_err_{lam_name}": abs(lam.value - (shift - float(np.max(a)))),
     }
-    if lam_name != "lambda1_fd":
-        errors[f"lam_err_{lam_name}"] = abs(lam.value - (shift - float(np.max(a))))
-    primary = f"u_sup_err_{u_name}" if m == 0.0 else f"u_l2_err_{u_name}"
-    return SweepEntry(
-        eps=eps,
-        lam=lam,
-        solve=solve,
-        u_sup=float(np.max(u)),
-        u_l2=float(np.sqrt(np.sum(w * u * u))),
-        u_l1=float(np.sum(w * u)),
-        errors=errors,
-        target_name=primary,
-        target_error=errors[primary],
-    )
+    entry.target_name = f"u_sup_err_{u_name}" if m == 0.0 else f"u_l2_err_{u_name}"
+    entry.target_error = entry.errors[entry.target_name]
+    return entry
 
 
 def epsilon_sweep(
@@ -387,14 +385,14 @@ def asymptotic_limit_check(
     notes = [f"eps={e}: skipped ({r})" for e, r in sweep.skipped.items()]
 
     entries = sweep.entries
-    lam_key = "lam_err_" + _sweep_targets(m, template.rate, direction)[0]
-    u_key = entries[-1].target_name if entries else ""
     if fd is None:
+        lam_key = "lam_err_" + _sweep_targets(m, template.rate, direction)[0]
+        u_key = entries[-1].target_name if entries else ""
         lam_errors = [e.errors[lam_key] for e in entries]
         u_errors = [e.target_error for e in entries]
     else:  # the FD pair is no sweep target: each entry meets it here, on its own grid
         core_r = growth.core_radius + 1.0 if growth.hostile else policy.base_radius / 2.0
-        u_key, u_errors = "u_l2core_err_v_fd", []
+        lam_key, u_key, u_errors = "lam_err_lambda1_fd", "u_l2core_err_v_fd", []
         lam_errors = [abs(e.lam.value - fd.lambda1.value) for e in entries]
         for e in entries:
             grid, u = e.solve.op.grid, e.solve.values
@@ -600,7 +598,7 @@ def fat_tail_verdict(
     spacing: float,
     tail_target: float = 1e-10,
     spectral_tol: float = 1e-10,
-    max_cells_per_axis: int = 8192,
+    max_cells_per_axis: int = DEFAULT_MAX_CELLS_PER_AXIS,
 ) -> FatTailResult:
     """Persistence/extinction for non-compact kernels under H5.
 

@@ -64,8 +64,9 @@ from .kernels import Kernel
 #   m=2 eps=0.1     13 vs 111  28 vs 140  58 vs 146  70 vs 173
 #   m=0 eps=0.2     14 vs 30   24 vs 30   34 vs 33   52 vs 42
 # CG needs fewer matvecs at low rate, so q = 40 is where the worst case ties.
-# At q = 40 the Noda eigen steps beat ARPACK + CSR steps in all three rows
-# (lambda_p at tol 1e-10: 14 vs 32, 44 vs 212, 20 vs 30 ms).
+# Noda eigen steps beat LOBPCG + stencil power steps at every q of all three
+# rows (lambda_p at tol 1e-10, median of 9, ms, q = 20/30/40/50: 3/6/9/11 vs
+# 14/17/23/23, 8/17/24/38 vs 120/144/218/257, 6/11/14/21 vs 33/41/53/65).
 BANDED_MAX_REACH = 40
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DiscretizationInconsistencyError, IrreducibilityError
-from .grids import build_grid
+from .grids import DEFAULT_MAX_CELLS_PER_AXIS, build_grid
 from .operators import banded_solver, build_operator
 
 DEGENERACY_GAP = 1e-12
@@ -279,7 +279,8 @@ def rayleigh_lambda_v(op, tol: float, maxiter: int = DEFAULT_MAXITER,
 
 
 def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-10,
-                max_cells_per_axis: int = 8192, known=None, maxiter: int = DEFAULT_MAXITER):
+                max_cells_per_axis: int = DEFAULT_MAX_CELLS_PER_AXIS, known=None,
+                maxiter: int = DEFAULT_MAXITER):
     """Yield (R, op, lambda_p) ball by ball along an increasing R schedule.
 
     The balls live in the kernel's dimension, and each lambda_p is
@@ -294,9 +295,9 @@ def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-
     (``Grid.carry``), its new points filled with that vector's minimum. The
     walk keeps only that grid and vector, never an op, so an op the consumer
     drops before it asks for the next ball is freed before the next one is
-    built: op caches its stencil walk, FFT plan and kernel mass. ``known`` = (R, op, lambda_p) is a ball the caller already built
-    and certified the same way; the walk yields it at R instead of solving
-    it again, and its eigenvector seeds the next ball.
+    built: op caches its stencil walk, FFT plan and kernel mass. A ball the
+    caller already certified the same way, ``known`` = (R, op, lambda_p),
+    is yielded at R without a second solve, and its eigenvector seeds the next.
     """
     radii = sorted(float(R) for R in radii)
     if not radii:
@@ -344,7 +345,7 @@ def lambda_p_extrapolate_R(
     spacing: float,
     tol: float = 1e-8,
     spectral_tol: float = 1e-10,
-    max_cells_per_axis: int = 8192,
+    max_cells_per_axis: int = DEFAULT_MAX_CELLS_PER_AXIS,
     known=None,
     maxiter: int = DEFAULT_MAXITER,
 ) -> ExtrapolationResult:

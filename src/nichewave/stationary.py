@@ -37,6 +37,7 @@ from .errors import (
     SupersolutionConstructionError,
     UniquenessViolationError,
 )
+from .grids import DEFAULT_MAX_CELLS_PER_AXIS
 from .operators import DiscreteOperator, banded_solver
 from .spectral import SpectralEstimate, principal_eigenvalue, radius_walk
 
@@ -341,7 +342,7 @@ def solve_stationary_wholespace(
     tol: float = 1e-8,
     solver_tol: float = 1e-10,
     spectral_tol: float = 1e-10,
-    max_cells_per_axis: int = 8192,
+    max_cells_per_axis: int = DEFAULT_MAX_CELLS_PER_AXIS,
 ) -> StationarySolution:
     """Whole-space equilibrium as the monotone limit of ball solutions.
 

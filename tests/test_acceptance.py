@@ -422,10 +422,12 @@ m = 1
 family = bump
 params = a0=2, b=1, a_min=-1
 
+[grid]
+R = 4
+h = 0.1
+
 [sweep]
 epsilons = 2 4
-base_R = 4
-base_h = 0.1
 solver_tol = 1e-9
 spectral_tol = 1e-9
 """)

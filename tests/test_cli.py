@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nichewave import Kernel, build_grid, bump_growth, cli, rescale_kernel, spectral
+from nichewave import Kernel, build_grid, bump_growth, cli, experiments, rescale_kernel, spectral
 from nichewave.config import DEFAULTS, load_config
 from nichewave.cli import main
 from nichewave.experiments import fat_tail_verdict
@@ -359,10 +359,12 @@ m = 1
 family = bump
 params = a0=2, b=1, a_min=-1
 
+[grid]
+R = 4
+h = 0.1
+
 [sweep]
 epsilons = 4 8
-base_R = 4
-base_h = 0.1
 solver_tol = 1e-9
 spectral_tol = 1e-9
 """
@@ -391,17 +393,22 @@ m = 2
 family = bump
 params = a0=2, b=1, a_min=-1
 
+[grid]
+R = 4
+h = 0.05
+
 [sweep]
 epsilons = 0.4 0.01
 direction = small
-base_R = 4
-base_h = 0.05
 """)
     assert code == 0
     payload = json.loads((out / "sweep-t.json").read_text())
     assert payload["epsilons"] == [0.4]
     assert "16040 cells per axis exceeds the limit 8192" in payload["skipped"]["0.01"]
-    assert len((out / "sweep-t.csv").read_text().splitlines()) == 2
+    assert payload["errors"] == [{}]
+    rows = (out / "sweep-t.csv").read_text().splitlines()
+    # the m = 2 small-eps limit is the local FD pair, not a+: no target is named
+    assert len(rows) == 2 and rows[1].endswith(",nan,")
 
 
 def test_stationary_and_evolve_roundtrip(tmp_path):
@@ -547,19 +554,19 @@ def test_evolve_bad_step_or_u0_exits_one(tmp_path, capsys, request, setting, mes
      "growth family 'bump' needs b = 0.0 > 0"),
     ("spectrum", "[growth]\nfamily = plateau\nparams = a0=2, r0=1, width=0, a_min=-1\n",
      "growth family 'plateau' needs width = 0.0 > 0"),
-    # every epsilon and spacing is a finite number > 0
+    # every epsilon is a finite number > 0, and so is the [grid] spacing each command reads
     ("sweep", "[sweep]\nepsilons = 0 1\n", "[sweep] epsilons = 0.0 is not a finite number > 0"),
-    ("sweep", "[sweep]\nbase_h = 0\n", "[sweep] base_h = 0.0 is not a finite number > 0"),
+    ("sweep", "[grid]\nR = 4\nh = 0\n", "[grid] h = 0.0 is not a finite number > 0"),
     ("audit", "[audit]\nepsilons = -2 1\n", "[audit] epsilons = -2.0 is not a finite number > 0"),
-    ("audit", "[audit]\nbase_h = -0.05\n", "[audit] base_h = -0.05 is not a finite number > 0"),
+    ("audit", "[grid]\nR = 4\nh = -0.05\n", "[grid] h = -0.05 is not a finite number > 0"),
     ("ess", "[ess]\neps_residents = 1 nan\n",
      "[ess] eps_residents = nan is not a finite number > 0"),
     ("ess", "[ess]\neps_mutants = 0\n", "[ess] eps_mutants = 0.0 is not a finite number > 0"),
-    ("ess", "[ess]\nbase_h = inf\n", "[ess] base_h = inf is not a finite number > 0"),
+    ("ess", "[grid]\nR = 4\nh = inf\n", "[grid] h = inf is not a finite number > 0"),
     ("eps-star", "[eps_star]\nlo = -1\n", "[eps_star] lo = -1.0 is not a finite number > 0"),
     ("eps-star", "[eps_star]\nhi = inf\n", "[eps_star] hi = inf is not a finite number > 0"),
-    ("eps-star", "[eps_star]\nbase_h = 0\n", "[eps_star] base_h = 0.0 is not a finite number > 0"),
-    ("fat-tail", "[fat_tail]\nh = 0\n", "[fat_tail] h = 0.0 is not a finite number > 0"),
+    ("eps-star", "[grid]\nR = 4\nh = 0\n", "[grid] h = 0.0 is not a finite number > 0"),
+    ("fat-tail", "[grid]\nR = 4\nh = 0\n", "[grid] h = 0.0 is not a finite number > 0"),
     # a schedule that solves nothing or runs backwards
     ("eps-star", "[eps_star]\nlo = 4\nhi = 0.5\n", "[eps_star] lo = 4.0 is not below hi = 0.5"),
     ("sweep", "[sweep]\nepsilons =\n", "[sweep] epsilons is empty"),
@@ -576,8 +583,8 @@ def test_evolve_bad_step_or_u0_exits_one(tmp_path, capsys, request, setting, mes
         "ess-mutants-empty"])
 def test_bad_input_exits_one_before_a_solve(tmp_path, capsys, no_solve, command, section, message):
     # a misspelt or missing name is refused, never replaced by a default
-    code, out = run_cli(tmp_path, command, "[grid]\nR = 4\nh = 0.1\n\n[stationary]\n"
-                        "R_schedule = 4\n\n" + section)
+    grid = "" if section.startswith("[grid]") else "[grid]\nR = 4\nh = 0.1\n\n"
+    code, out = run_cli(tmp_path, command, grid + "[stationary]\nR_schedule = 4\n\n" + section)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
@@ -676,12 +683,14 @@ family = tent
 family = bump
 params = a0=0.8, b=1, a_min=-1
 
+[grid]
+R = 4
+h = 0.1
+
 [eps_star]
 lo = 4
 hi = 10
 tol = 0.05
-base_R = 4
-base_h = 0.1
 """)
     assert code == 0
     payload = json.loads((out / "eps-star-t.json").read_text())
@@ -699,11 +708,13 @@ m = 1
 family = bump
 params = a0=2, b=1, a_min=-1
 
+[grid]
+R = 3
+h = 0.1
+
 [ess]
 eps_residents = 1
 eps_mutants = 1 2
-base_R = 3
-base_h = 0.1
 """)
     assert code == 0
     rows = (out / "ess-t.csv").read_text().splitlines()
@@ -723,9 +734,11 @@ params = power=5
 family = bump
 params = a0=1, b=1, a_min=-1
 
+[grid]
+h = 0.05
+
 [fat_tail]
 R_schedule = 4 8
-h = 0.05
 """)
     assert code == 0
     payload = json.loads((out / "fat-tail-t.json").read_text())
@@ -742,16 +755,71 @@ m = 1
 family = bump
 params = a0=2, b=1, a_min=-1
 
+[grid]
+R = 4
+h = 0.05
+
 [audit]
 epsilons = 1 2 4 8
-base_R = 4
-base_h = 0.05
 solver_tol = 1e-9
 """)
     assert code == 0
     payload = json.loads((out / "audit-t.json").read_text())
     assert payload["all_passed"] is True
     assert abs(payload["slope"] - 1.0) <= 0.2
+
+
+def test_every_command_solves_on_the_grid_section(tmp_path, monkeypatch):
+    # one config, one grid: each eps command solves on [grid] R (a fat tail
+    # has no compact reach to pad it by) at [grid] h min(1, eps), and
+    # fat-tail walks its R_schedule at [grid] h
+    built = []
+
+    def spy(*args):
+        grid = build_grid(*args)
+        built.append((grid.radius, grid.spacing))
+        return grid
+
+    monkeypatch.setattr(experiments, "build_grid", spy)
+    body = """
+[kernel]
+family = algebraic-tail
+params = power=5
+
+[growth]
+family = bump
+params = a0=0.8, b=1, a_min=-1
+
+[grid]
+R = 3
+h = 0.1
+
+[sweep]
+epsilons = 0.5 2
+
+[eps_star]
+lo = 1
+hi = 8
+tol = 0.5
+
+[ess]
+eps_residents = 1
+eps_mutants = 1 2
+
+[audit]
+epsilons = 1 2
+
+[fat_tail]
+R_schedule = 2 3
+"""
+    grids = {}
+    for command in ("sweep", "eps-star", "ess", "audit", "fat-tail"):
+        built.clear()
+        assert run_cli(tmp_path, command, body)[0] == 0, command
+        grids[command] = sorted(set(built))
+    assert grids == {"sweep": [(3.0, 0.05), (3.0, 0.1)], "eps-star": [(3.0, 0.1)],
+                     "ess": [(3.0, 0.1)], "audit": [(3.0, 0.1)],
+                     "fat-tail": [(2.0, 0.1), (3.0, 0.1)]}
 
 
 _BUMP = """
@@ -797,8 +865,8 @@ def test_every_number_out_of_range_exits_one(tmp_path, capsys, no_solve, section
         setting = f"{key} = {value}\n"
         config.write_text(f"[run]\nlabel = t\noutput_dir = {out}\n"
                           + (setting if section == "run" else f"\n[{section}]\n{setting}"))
-        if (section, key, value) in (("sweep", "radius_pad", "0"), ("spectral", "r_schedule", "")):
-            load_config(str(config))  # no pad beyond base_R; no R rows
+        if (section, key, value) == ("spectral", "r_schedule", ""):
+            load_config(str(config))  # no R rows
             continue
         assert main(["spectrum", str(config)]) == 1, value
         err = capsys.readouterr().err.lower()
@@ -853,6 +921,10 @@ def test_validate_reports_the_unscaled_kernel(tmp_path):
 
 @pytest.mark.parametrize("section, key", [
     ("sweep", "m"), ("ess", "m"), ("audit", "m"), ("growth", "radial_nonincreasing"),
+    # [grid] R and h are the one grid of every command
+    ("sweep", "base_r"), ("sweep", "base_h"), ("sweep", "radius_pad"),
+    ("eps_star", "base_r"), ("eps_star", "base_h"), ("ess", "base_r"), ("ess", "base_h"),
+    ("audit", "base_r"), ("audit", "base_h"), ("fat_tail", "h"),
 ])
 def test_removed_keys_are_unknown(tmp_path, capsys, section, key):
     code, _ = run_cli(tmp_path, "validate", f"[{section}]\n{key} = 1\n")
@@ -866,7 +938,7 @@ def test_run_workers_accepts_only_one(tmp_path, capsys, workers, code):
     config = tmp_path / "config.ini"
     config.write_text(f"[run]\nseed = 1\nlabel = t\noutput_dir = {tmp_path / 'out'}\n"
                       f"workers = {workers}\n\n[kernel]\nm = 1\n\n"
-                      "[sweep]\nepsilons = 4\nbase_R = 4\nbase_h = 0.1\n")
+                      "[grid]\nR = 4\nh = 0.1\n\n[sweep]\nepsilons = 4\n")
     assert main(["sweep", str(config)]) == code
     err = capsys.readouterr().err
     if code:
@@ -882,10 +954,12 @@ def test_sweep_records_missed_spectral_tol(tmp_path, spectral_tol, met):
 family = tent
 m = 1
 {_BUMP}
+[grid]
+R = 4
+h = 0.1
+
 [sweep]
 epsilons = 4 8
-base_R = 4
-base_h = 0.1
 spectral_tol = {spectral_tol}
 """)
     assert code == 0
@@ -901,11 +975,13 @@ def test_eps_star_uses_the_kernel_rate(tmp_path):
 family = tent
 alpha0 = 4
 {_BUMP}
+[grid]
+R = 4
+h = 0.1
+
 [eps_star]
 lo = 0.5
 hi = 64
-base_R = 4
-base_h = 0.1
 """)
     assert code == 0
     payload = json.loads((out / "eps-star-t.json").read_text())
@@ -929,10 +1005,12 @@ family = tent
 m = 1
 alpha0 = {alpha0}
 {_BUMP}
+[grid]
+R = 4
+h = 0.1
+
 [audit]
 epsilons = 1 2
-base_R = 4
-base_h = 0.1
 solver_tol = 1e-9
 """)
         assert code == 0
@@ -947,10 +1025,12 @@ def test_audit_records_lambda_met_tol(tmp_path):
 family = tent
 m = 1
 {_BUMP}
+[grid]
+R = 4
+h = 0.1
+
 [audit]
 epsilons = 2 4
-base_R = 4
-base_h = 0.1
 solver_tol = 1e-9
 """)
     assert code == 0
@@ -968,9 +1048,11 @@ alpha0 = 2
 family = bump
 params = a0=1, b=1, a_min=-1
 
+[grid]
+h = 0.05
+
 [fat_tail]
 R_schedule = 4 8
-h = 0.05
 """)
     assert code == 0
     kernel = rescale_kernel(Kernel("algebraic-tail", params={"power": 5.0}), 1, 0, 2)

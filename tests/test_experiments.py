@@ -54,6 +54,15 @@ class TestSweep:
         assert entry.errors["lam_err_1.5-sup_a"] == abs(entry.lam.value - (1.5 - a.max()))
         assert entry.target_name == "u_sup_err_(a-1.5)+"
 
+    def test_m2_small_eps_names_no_target(self, tent, bump):
+        # the m = 2 small-eps limit is the local pair (lambda_1, v) of
+        # sigma Lap + f, not a+: the sweep names no target, and
+        # asymptotic_limit_check meets each entry with the FD pair
+        entry, = epsilon_sweep(rescale_kernel(tent, 1.0, 2.0), bump, [0.4], POLICY,
+                               direction="small", solver_tol=1e-8, spectral_tol=1e-9).entries
+        assert (entry.errors, entry.target_name) == ({}, "")
+        assert np.isnan(entry.target_error)
+
     @pytest.mark.parametrize("policy", [GridPolicy(base_radius=2.5, base_spacing=0.2)],
                              ids=["policy"])
     def test_grids_take_n_from_the_kernel(self, bump, policy):

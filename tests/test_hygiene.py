@@ -289,12 +289,24 @@ def defaulted_params(tree: ast.Module) -> list[tuple[str, str, int | None]]:
 def default_passes(modules: dict[str, ast.Module], callers) -> list[tuple[str, list[bool]]]:
     """('file:function(parameter)', whether each call of that function in
     ``callers`` passes the parameter) for each defaulted parameter of
-    ``modules`` (file name -> tree)."""
-    calls: dict[str, list[ast.Call]] = {}
-    for node in (n for tree in callers for n in ast.walk(tree) if isinstance(n, ast.Call)):
+    ``modules`` (file name -> tree). A name read outside a call's ``func``
+    (``solve = f``, ``[f, g]``) may be called elsewhere with anything, so it
+    counts as a call that passes no default."""
+    calls: dict[str, list] = {}
+    funcs = set()
+    nodes = [n for tree in callers for n in ast.walk(tree)]
+    for node in (n for n in nodes if isinstance(n, ast.Call)):
         calls.setdefault((_dotted(node.func) or "").split(".")[-1], []).append(node)
+        funcs.update(id(n) for n in ast.walk(node.func))
+    for node in nodes:
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(getattr(node, "ctx", None), ast.Load) and name in calls \
+                and id(node) not in funcs:
+            calls[name].append(None)
 
     def passes(call, param, position):
+        if call is None:  # a reference, not a call
+            return False
         if any(k.arg in (param, None) for k in call.keywords):  # by name, or **kwargs
             return True
         return position is not None and (len(call.args) > position or any(
@@ -614,8 +626,12 @@ def test_overridden_default_check_catches_what_it_names():
         "def solve(op, tol=1e-10, maxiter=10, *, seed=0):\n    pass\n"
         "class Walk:\n    def __init__(self, radii, pad=1.0):\n        pass\n"
         "def uncalled(x, scale=2.0):\n    pass\n"
+        "def shrink(x, factor=0.5):\n    pass\n"
         "solve(op, 1e-8, seed=1)\nsolve(op, tol=1e-9, **options)\nWalk(radii, 2.0)\nWalk(*args)\n"
+        "shrink(x, 0.25)\nfor step in [module.shrink]:\n    step(x)\n"
     )
+    # shrink's factor is passed by its one call by name, but the list hands
+    # shrink on to a call that passes nothing
     assert overridden_defaults({"m.py": tree}, [tree]) == [
         "m.py:solve(tol)", "m.py:solve(seed)", "m.py:Walk(pad)"]
     # a default planted back into a real function, and passed by every caller, is flagged
@@ -717,7 +733,7 @@ def test_spectrum_on_a_tail_kernel_loads_no_quadrature(tmp_path):
             ("validate", "algebraic-tail", "power=4", ""),
             ("fat-tail", "exponential-tail", "beta=1",
              "[growth]\nfamily = bump\nparams = a0=1.5, b=1, a_min=-1\n\n"
-             "[fat_tail]\nR_schedule = 2 4\nh = 0.1\n")]
+             "[grid]\nh = 0.1\n\n[fat_tail]\nR_schedule = 2 4\n")]
     code = "import sys\nfrom nichewave.cli import main\n"
     for i, (command, family, params, rest) in enumerate(runs):
         config = tmp_path / f"tail{i}.ini"
