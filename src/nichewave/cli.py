@@ -6,10 +6,10 @@ Commands: validate, spectrum, stationary, evolve, sweep, eps-star, ess,
 fat-tail, audit. Every command takes one Kernel, family, epsilon, m and
 alpha0, from [kernel], so all of them solve with the same kernel and rate;
 sweep, eps-star, ess and audit replace only epsilon, and eps-star needs
-m = 0. Every command takes its grid from [grid] R and h (see config), and
-topology applies to spectrum only. validate checks the hypotheses on J
-itself, that Kernel at epsilon = 1. The commands that walk an eps schedule
-solve one eps after another in one thread; [run] workers accepts only 1.
+m = 0. Every command takes its grid, the ball |x| <= R, from [grid] R and
+h (see config). validate checks the hypotheses on J itself, that Kernel at
+epsilon = 1. The commands that walk an eps schedule solve one eps after
+another in one thread; [run] workers accepts only 1.
 spectrum starts lambda_v from lambda_p's eigenvector, and each R row from
 the last ball's.
 Artifacts are CSV/JSON named <command>-<label>.* in the configured output
@@ -138,7 +138,7 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     growth = cfg.growth()
     g = cfg["grid"]
     sp = cfg["spectral"]
-    grid = build_grid(kernel.dimension, g["r"], g["h"], g["topology"], g["max_cells"])
+    grid = build_grid(kernel.dimension, g["r"], g["h"], g["max_cells"])
     op = build_operator(grid, kernel, growth)
     est_p = _certified(op, principal_eigenvalue(op, tol=sp["tol"], maxiter=sp["maxiter"]), sp["tol"])
     est_v = _certified(op, rayleigh_lambda_v(op, tol=sp["tol"], maxiter=sp["maxiter"],
@@ -150,13 +150,11 @@ def cmd_spectrum(cfg: ExperimentConfig, outdir: Path, label: str) -> int:
     extra = {}
     met_tol = est_p.met_tol and est_v.met_tol
     if sp["r_schedule"]:
-        # the walk solves with the same tol and maxiter, so a ball op is the
-        # walk's ball at [grid] R and its estimate is reused
-        ball = g["topology"] == "ball-truncated"
+        # the walk solves with the same tol and maxiter, so op is the walk's
+        # ball at [grid] R and its estimate is reused
         res = lambda_p_extrapolate_R(kernel, growth, sp["r_schedule"], g["h"],
                                      spectral_tol=sp["tol"], maxiter=sp["maxiter"],
-                                     max_cells_per_axis=g["max_cells"],
-                                     known=(g["r"], op, est_p) if ball else None)
+                                     max_cells_per_axis=g["max_cells"], known=(g["r"], op, est_p))
         rows += [_est_row(e, "perron-cw", R, kernel.epsilon, kernel.m)
                  for R, e in zip(res.radii, res.estimates)]
         extra = {"extrapolated": res.final_value, "uncertainty": res.uncertainty,

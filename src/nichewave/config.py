@@ -6,7 +6,7 @@ Sections and keys (all optional unless a command needs them):
                 random numbers), label (str), output_dir (str),
                 workers (int, 1 only: every schedule runs in order)
     [kernel]    family, dimension, epsilon, m, alpha0, params
-    [grid]      R, h, topology, max_cells
+    [grid]      R, h, max_cells, topology (ball-truncated only)
     [growth]    family, params
     [spectral]  tol, maxiter, R_schedule
     [stationary] R_schedule, tol, solver_tol, spectral_tol
@@ -23,7 +23,8 @@ POSITIVE_PARAMS are > 0; the Kernel checks epsilon, m and alpha0. One rule
 covers every other number: it is finite and > 0, each number of a list is,
 and a list is non-empty. Its two exceptions: [run] seed is any integer, and
 an empty [spectral] R_schedule means no R rows. Besides the rule, [run]
-workers is 1, [sweep] direction is small or large, and [eps_star] lo < hi.
+workers is 1, [grid] topology is ball-truncated, [sweep] direction is
+small or large, and [eps_star] lo < hi.
 [evolve] dt is auto or a number; u0 is constant, bump, indicator or
 stationary[:amplitude[:radius]], amplitude finite and >= 0 (default 0.01),
 radius finite and > 0 (default 1).
@@ -31,10 +32,12 @@ radius finite and > 0 (default 1).
 [kernel] dimension is the one N: it goes to the Kernel, and every grid
 takes N from the kernel, so no other key or section sets it.
 
-[grid] is the one grid, as [kernel] is the one kernel: spectrum solves on
-R and h (and topology, its alone), every R_schedule walks at h, and the
-commands that sweep epsilon solve on R plus one kernel reach at spacing
-h min(1, epsilon); max_cells bounds every grid.
+[grid] is the one grid, as [kernel] is the one kernel. Every grid is the
+cell-centred lattice of spacing h truncated to the ball |x| <= R, the
+paper's bounded niche in a lethal exterior; topology names that ball, and
+ball-truncated is its one value. spectrum solves on R and h, every
+R_schedule walks at h, and the commands that sweep epsilon solve on R plus
+one kernel reach at spacing h min(1, epsilon); max_cells bounds every grid.
 
 Every command takes one Kernel from [kernel] (ExperimentConfig.scaled_kernel):
 the family, epsilon, the cost exponent m and alpha0, so all of them solve
@@ -199,6 +202,10 @@ def load_config(path: str) -> ExperimentConfig:
     if workers != 1:
         raise ConfigError(f"[run] workers = {workers}: schedules run in order, "
                           "so only workers = 1 is accepted")
+    topology = sections["grid"]["topology"]
+    if topology != "ball-truncated":
+        raise ConfigError(f"[grid] topology = {topology!r}: every grid is the ball |x| <= R, "
+                          "so only topology = ball-truncated is accepted")
     if sections["sweep"]["direction"] not in ("small", "large"):
         raise ConfigError(f"[sweep] direction = {sections['sweep']['direction']!r}: "
                           "expected small or large")

@@ -69,7 +69,7 @@ class GridPolicy:
                 f"< {MIN_TAPS} h = {MIN_TAPS * h:.4g}"
             )
         R = snap_radius(max(self.radius_for(k) for k in kernels), h)
-        return build_grid(kernels[0].dimension, R, h, "ball-truncated", self.max_cells_per_axis)
+        return build_grid(kernels[0].dimension, R, h, self.max_cells_per_axis)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def find_eps_star(
         raise ConfigError(f"eps* is defined for m = 0, not m = {kernel.m:g}")
     rate = kernel.rate
     probe = build_grid(kernel.dimension, snap_radius(policy.base_radius, policy.base_spacing),
-                       policy.base_spacing, "ball-truncated", policy.max_cells_per_axis)
+                       policy.base_spacing, policy.max_cells_per_axis)
     a_probe = probe.sample(growth.a)
     if float(np.max(a_probe - rate)) > 0.0:
         return EpsStarResult(kind="infinite", value=None, bracket=None,
@@ -621,8 +621,7 @@ def fat_tail_verdict(
     # not spectral.radius_walk: the reach is capped at n - 1 cells and the taps
     # renormalized, so each R has its own kernel and lambda_p may rise with R
     for R in sorted(float(r) for r in radii):
-        grid = build_grid(kernel.dimension, snap_radius(R, spacing), spacing,
-                          "ball-truncated", max_cells_per_axis)
+        grid = build_grid(kernel.dimension, snap_radius(R, spacing), spacing, max_cells_per_axis)
         op = build_operator(grid, kernel, growth, tap_window=window)
         est = principal_eigenvalue(op, tol=spectral_tol)
         tail_mass = max(tail_mass, kernel.mass_beyond(op.reach * op.grid.spacing))

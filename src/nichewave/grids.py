@@ -1,4 +1,4 @@
-"""Uniform cell-centered grids on a ball or periodic box with midpoint weights."""
+"""Uniform cell-centered grids on a ball |x| <= R with midpoint weights."""
 
 from __future__ import annotations
 
@@ -8,14 +8,12 @@ import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
 
-TOPOLOGIES = ("ball-truncated", "torus")
-
 DEFAULT_MAX_CELLS_PER_AXIS = 8192
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Cell centers of the box [-R, R)^N, optionally truncated to |x| <= R.
+    """Cell centers of the box [-R, R)^N truncated to the ball |x| <= R.
 
     Points live on the exact integer lattice x = -R + (k + 1/2) h, which is
     what makes kernel-tap lookups and nested-R comparisons exact.
@@ -23,7 +21,6 @@ class Grid:
 
     radius: float
     spacing: float
-    topology: str
     points: np.ndarray      # (n, N) coordinates
     weights: np.ndarray     # (n,) midpoint weights, all h^N
     cells_per_axis: int
@@ -86,16 +83,13 @@ def build_grid(
     dimension: int,
     radius: float,
     spacing: float,
-    topology: str = "ball-truncated",
     max_cells_per_axis: int = DEFAULT_MAX_CELLS_PER_AXIS,
 ) -> Grid:
-    """Build the uniform cell-centered grid.
+    """Build the uniform cell-centered grid of the ball |x| <= R.
 
     2R/h must be an integer number of cells (callers snap R); the cells per
     axis must not exceed ``max_cells_per_axis``.
     """
-    if topology not in TOPOLOGIES:
-        raise ConfigError(f"unknown topology {topology!r}")
     if dimension not in (1, 2):
         raise ConfigError("dimension must be 1 or 2")
     if not (0 < spacing < radius):
@@ -117,21 +111,10 @@ def build_grid(
         ix, iy = np.meshgrid(np.arange(n_axis), np.arange(n_axis), indexing="ij")
         idx = np.stack([ix.ravel(), iy.ravel()], axis=1)
 
-    if topology == "ball-truncated":
-        keep = np.sqrt(np.sum(pts * pts, axis=1)) <= radius + 1e-12
-        pts = pts[keep]
-        idx = idx[keep]
-
-    weights = np.full(pts.shape[0], spacing**dimension)
-    return Grid(
-        radius=float(radius),
-        spacing=float(spacing),
-        topology=topology,
-        points=pts,
-        weights=weights,
-        cells_per_axis=n_axis,
-        box_index=idx,
-    )
+    keep = np.sqrt(np.sum(pts * pts, axis=1)) <= radius + 1e-12
+    return Grid(radius=float(radius), spacing=float(spacing), points=pts[keep],
+                weights=np.full(int(np.count_nonzero(keep)), spacing**dimension),
+                cells_per_axis=n_axis, box_index=idx[keep])
 
 
 def snap_radius(radius: float, spacing: float) -> float:

@@ -8,8 +8,7 @@ evaluate the identical sum
 
     out_i = sum_j w_j J_eps(x_i - x_j) u_j
 
-restricted to the ball (hostile exterior: this *is* the truncated operator)
-or wrapped around the torus (validation device).
+restricted to the ball (hostile exterior: this *is* the truncated operator).
 
 The stencil path (``stencil_product``) adds one shifted copy of u per
 nonzero tap, scaled by that tap, in lexicographic offset order; no matrix
@@ -17,15 +16,14 @@ is stored, so memory is O(n + (2q+1)^N). Its summands are nonnegative taps
 times the input, which lets Collatz-Wielandt quotients keep per-entry
 relative accuracy on steep eigenvector tails, so every certified bracket
 uses it. The other path (``convolve``) is one circular FFT convolution,
-by numpy's pocketfft, on a box of L cells per axis: L = n on the torus, and
-on the ball the smallest 5-smooth length (2^a 3^b 5^c) >= n + q, where
-every wrapped tap lands off the grid. It has absolute error
-~1e-16 ||u||, is faster at large reach, and serves the rhs, time stepping,
-the Newton CG solves and the LOBPCG eigenvector. The assembled CSR forms
-(``conv_matrix``, ``matrix``) add the same summands in the same order; they
-are oracles for tests and the dense eigenvalue check, not part of any
-solve. They are the one place the package imports ``scipy.sparse``, inside
-the two methods, so no solve loads it.
+by numpy's pocketfft, on a box of L cells per axis, the smallest 5-smooth
+length (2^a 3^b 5^c) >= n + q, where every wrapped tap lands off the grid.
+It has absolute error ~1e-16 ||u||, is faster at large reach, and serves
+the rhs, time stepping, the Newton CG solves and the LOBPCG eigenvector.
+The assembled CSR forms (``conv_matrix``, ``matrix``) add the same summands
+in the same order; they are oracles for tests and the dense eigenvalue
+check, not part of any solve. They are the one place the package imports
+``scipy.sparse``, inside the two methods, so no solve loads it.
 
 The M-matrix solves on 1-D balls of narrow reach (``banded_solver``) are
 one LAPACK routine at every reach, gbsv (Anderson et al., LAPACK Users'
@@ -213,15 +211,11 @@ def sample_taps(kernel: Kernel, grid: Grid, window_radius: float | None = None):
         raise UnderResolvedKernelError(
             f"kernel support {support} is finer than grid spacing {h}"
         )
-    max_reach = grid.cells_per_axis - 1  # farthest representable offset
+    q = grid.cells_per_axis - 1  # farthest offset between two cells of the box
     if math.isfinite(support):
-        q = min(int(math.floor(support / h + 1e-12)), max_reach) if grid.topology == "ball-truncated" else int(math.floor(support / h + 1e-12))
-    else:
-        if grid.topology == "torus":
-            raise UnderResolvedKernelError("infinite-support kernels are not supported on the torus")
-        q = max_reach
-        if window_radius is not None:
-            q = min(q, int(math.floor(window_radius / h + 1e-12)))
+        q = min(int(math.floor(support / h + 1e-12)), q)
+    elif window_radius is not None:
+        q = min(q, int(math.floor(window_radius / h + 1e-12)))
     q = max(q, 1)
 
     offsets = np.arange(-q, q + 1) * h
@@ -273,9 +267,8 @@ class DiscreteOperator:
         """(J_eps * u) restricted to the grid by FFT; exterior contributes zero.
 
         Scatters u into a zeroed box of L cells per axis, convolves circularly
-        with the taps folded onto that box by numpy's real FFT, and gathers
-        the grid points back. On the torus L = n, so the wrap is the periodic
-        sum. On the ball L = fast_length(n + q), the smallest 5-smooth length
+        with the taps laid onto that box by numpy's real FFT, and gathers the
+        grid points back. L = fast_length(n + q), the smallest 5-smooth length
         >= n + q: a tap that wraps lands at a box index >= n, off the grid, so
         the circular sum equals the truncated one. The same sum term by term
         is ``stencil_product(u)``. Flat index and tap spectrum are cached on
@@ -285,11 +278,15 @@ class DiscreteOperator:
         if u.shape != (self.size,):
             raise ValueError(f"expected grid function of length {self.size}")
         if self._fft_plan is None:
-            n = self.grid.cells_per_axis
-            length = n if self.grid.topology == "torus" else fast_length(n + self.reach)
+            length = fast_length(self.grid.cells_per_axis + self.reach)
             shape = (length,) * self.grid.dimension
             flat = np.ravel_multi_index(tuple(self.grid.box_index.T), shape)
-            self._fft_plan = (shape, flat, rfftn(self._wrapped_taps(length)))
+            # the tap at offset d sits at d mod L; 2q + 1 <= n + q <= L, as
+            # q <= n - 1, so no two taps share a cell
+            wrap = np.arange(-self.reach, self.reach + 1) % length
+            wrapped = np.zeros(shape)
+            wrapped[np.ix_(*[wrap] * len(shape))] = self.taps
+            self._fft_plan = (shape, flat, rfftn(wrapped))
         shape, flat, spectrum = self._fft_plan
         box = np.zeros(shape)
         box.reshape(-1)[flat] = u
@@ -298,44 +295,24 @@ class DiscreteOperator:
         out *= self.grid.spacing**self.grid.dimension
         return out
 
-    def _wrapped_taps(self, length: Optional[int] = None) -> np.ndarray:
-        """Taps folded onto a periodic box of ``length`` cells per axis (default n).
-
-        kper[d mod length] sums every tap at offset d; offsets that wrap onto
-        the same cell (2q+1 > length) are summed in ascending offset order.
-        """
-        length = self.grid.cells_per_axis if length is None else length
-        wrap = np.arange(-self.reach, self.reach + 1) % length
-        kper = np.zeros((length,) * self.grid.dimension)
-        np.add.at(kper, np.ix_(*[wrap] * self.grid.dimension), self.taps)
-        return kper
-
     # --- stencil sum and its assembled forms ------------------------------------
 
     def _stencil(self) -> tuple:
-        """(deltas, values, centre, base, box_size, pad, clips), cached on first use.
+        """(deltas, values, centre, base, box_size, clips), cached on first use.
 
         The nonzero taps, and always the centre tap, in lexicographic offset
-        order: their flat offsets ``deltas`` in a box zero-padded by ``pad``
-        cells per side, their matrix entries h^N * tap, and the index of the
+        order: their flat offsets ``deltas`` in a box zero-padded by the reach
+        q cells per side, their matrix entries h^N * tap, and the index of the
         centre among them. ``base`` is each grid point's flat index in that
-        box, rising with the point index. On the torus the wrapped taps are
-        laid out over the signed offsets -(n-1)..n-1 per axis, so wrapping
-        becomes the same walk with pad n - 1. ``clips`` holds per tap the
-        range [start, stop) of output cells, counted from the first grid
-        point, that the tap can reach from inside the unpadded box [0, n)^N,
-        and the flat box index its source slice starts at; every other output
-        cell would read padding. O(n + (2q+1)^N) memory.
+        box, rising with the point index. ``clips`` holds per tap the range
+        [start, stop) of output cells, counted from the first grid point, that
+        the tap can reach from inside the unpadded box [0, n)^N, and the flat
+        box index its source slice starts at; every other output cell would
+        read padding. O(n + (2q+1)^N) memory.
         """
         if self._stencil_plan is None:
             grid, N = self.grid, self.grid.dimension
-            n = grid.cells_per_axis
-            if grid.topology == "torus":
-                pad = n - 1
-                signed = np.arange(-pad, pad + 1) % n
-                taps = self._wrapped_taps()[np.ix_(*[signed] * N)]
-            else:
-                pad, taps = self.reach, self.taps
+            n, pad, taps = grid.cells_per_axis, self.reach, self.taps
             keep = taps != 0.0
             keep[(pad,) * N] = True
             offsets = np.argwhere(keep) - pad
@@ -350,7 +327,7 @@ class DiscreteOperator:
             stops = np.maximum(stops, starts)
             clips = list(zip(starts.tolist(), stops.tolist(), (lo + deltas + starts).tolist()))
             self._stencil_plan = (deltas, taps[keep] * grid.spacing**N, centre, base, side**N,
-                                  pad, clips)
+                                  clips)
         return self._stencil_plan
 
     def stencil_product(self, u: np.ndarray, shift: Optional[float] = None) -> np.ndarray:
@@ -368,7 +345,7 @@ class DiscreteOperator:
         padding, and a sum that starts at +0.0 is unchanged by adding a zero.
         Cells off the grid inside a slice are computed and dropped.
         """
-        _, values, centre, base, box_size, _, clips = self._stencil()
+        _, values, centre, base, box_size, clips = self._stencil()
         box = np.zeros(box_size)
         box[base] = u
         if shift is None:
@@ -386,7 +363,7 @@ class DiscreteOperator:
         return out[rows]
 
     def conv_matrix(self):
-        """CSR matrix C with C[i,j] = h^N J_eps(x_i - x_j) (torus: wrapped).
+        """CSR matrix C with C[i,j] = h^N J_eps(x_i - x_j).
 
         Assembled on every call from the stencil walk, O(n (2q+1)^N) memory;
         a test oracle, not used by any solve. The diagonal is always stored
@@ -394,8 +371,8 @@ class DiscreteOperator:
         """
         import scipy.sparse
 
-        deltas, values, _, base, _, pad, _ = self._stencil()
-        cols = self.grid.box_lookup(pad=pad).ravel()[base[:, None] + deltas[None, :]]
+        deltas, values, _, base, _, _ = self._stencil()
+        cols = self.grid.box_lookup(pad=self.reach).ravel()[base[:, None] + deltas[None, :]]
         on_grid = cols >= 0
         indptr = np.concatenate(([0], np.cumsum(on_grid.sum(axis=1))))
         index_dtype = np.int32 if indptr[-1] < 2**31 else np.int64
@@ -418,8 +395,7 @@ class DiscreteOperator:
     def band_stencil(self) -> Optional[np.ndarray]:
         """Row stencil of rate (I - C) on a 1-D ball of reach <= BANDED_MAX_REACH,
         else None: the one rule for where the M-matrix solves go banded."""
-        if self.grid.dimension != 1 or self.grid.topology != "ball-truncated" \
-                or self.reach > BANDED_MAX_REACH:
+        if self.grid.dimension != 1 or self.reach > BANDED_MAX_REACH:
             return None
         stencil = -self.rate * self.grid.spacing * self.taps
         stencil[self.reach] += self.rate

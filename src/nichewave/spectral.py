@@ -116,7 +116,7 @@ def _certified_iteration(op, tol, maxiter, estimator, start):
     stencil = op.band_stencil()
     if stencil is None:
         # the start vector's width by the FFT product; one that meets tol is
-        # kept as it is (the flat eigenvector of constant growth on the torus)
+        # kept as it is (lambda_v started from lambda_p's eigenvector)
         q = _fft_product(op, c, phi) / phi
         if float(np.max(q)) - float(np.min(q)) > tol:
             phi = np.maximum(np.abs(_lobpcg(op, c, phi)[1]), _POSITIVE_FLOOR)
@@ -310,7 +310,7 @@ def radius_walk(kernel, growth, radii, spacing: float, spectral_tol: float = 1e-
         if known is not None and R == known[0]:
             _, op, lam = known
         else:
-            grid = build_grid(kernel.dimension, R, spacing, "ball-truncated", max_cells_per_axis)
+            grid = build_grid(kernel.dimension, R, spacing, max_cells_per_axis)
             start = None
             if prev is not None:
                 start = grid.carry(prev_grid, prev.eigenvector, np.min(prev.eigenvector))

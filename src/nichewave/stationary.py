@@ -9,8 +9,8 @@ every iterate stays a verified sub- or super-solution, so the
 final pair encloses the solution. Each Newton step solves with -J(hi)
 exactly by banded LU on 1-D balls of narrow reach
 (``operators.banded_solver``, shared with the lambda_p eigen steps), and by
-an in-repo Jacobi-preconditioned CG on the FFT convolution on 2-D balls, the
-torus and wide reach; no solve loads ``scipy.sparse``. The local
+an in-repo Jacobi-preconditioned CG on the FFT convolution on 2-D balls and
+wide reach; no solve loads ``scipy.sparse``. The local
 FD reference of the m = 2 limit is a ball solve too, on the nonlocal
 operator at range h (``experiments.local_kpp_solve_fd``). The balls come from
 ``spectral.radius_walk``, which also certifies lambda_p on each one and
@@ -73,8 +73,8 @@ def build_supersolution(op: DiscreteOperator, tol: float = 1e-8) -> Supersolutio
     taps is negative, then halved further until the whole profile passes the
     discrete check.
 
-    Falls back to a constant barrier on the torus, for non-hostile growth,
-    or for kernels without compact support. The returned profile satisfies
+    Falls back to a constant barrier for non-hostile growth or for kernels
+    without compact support. The returned profile satisfies
     rate (J_eps * ubar - ubar) + f(x, ubar) <= tol at every grid point.
     """
     growth = op.growth
@@ -84,13 +84,7 @@ def build_supersolution(op: DiscreteOperator, tol: float = 1e-8) -> Supersolutio
     sat = np.asarray(growth.saturation(pts), dtype=float)
     sup_s = float(np.max(sat))
 
-    use_constant = (
-        op.grid.topology == "torus"
-        or not growth.hostile
-        or not op.kernel.compactly_supported
-        or sup_s <= 0.0
-    )
-    if use_constant:
+    if not growth.hostile or not op.kernel.compactly_supported or sup_s <= 0.0:
         level = sup_s if sup_s > 0 else 1.0
         values = np.full(op.size, level)
         margin = float(np.max(op.rhs(values)))
@@ -238,8 +232,8 @@ def _cg_solver(op: DiscreteOperator, atol: float):
     """solve(u, R) = -J(u)^{-1} R by ``_pcg`` on the matrix-free SPD operator
     rate (I - C) - diag(d_s f(x, u)), with the FFT ``convolve``.
 
-    Used where the banded LU does not apply or does not pay: 2-D balls, the
-    torus (wrapped taps) and 1-D balls whose reach exceeds BANDED_MAX_REACH.
+    Used where the banded LU does not apply or does not pay: 2-D balls and
+    1-D balls whose reach exceeds BANDED_MAX_REACH.
     """
     c_diag = op.taps[(op.reach,) * op.grid.dimension] * op.grid.spacing**op.grid.dimension
 

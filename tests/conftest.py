@@ -17,16 +17,8 @@ def bump():
 
 @pytest.fixture
 def ball_op(tent, bump):
-    grid = build_grid(1, 8.0, 0.05, "ball-truncated")
+    grid = build_grid(1, 8.0, 0.05)
     return build_operator(grid, rescale_kernel(tent, 1.0, 0.0), bump)
-
-
-@pytest.fixture
-def torus_op(tent):
-    from nichewave import constant_growth
-
-    grid = build_grid(1, 4.0, 0.125, "torus")
-    return build_operator(grid, rescale_kernel(tent, 1.0, 0.0), constant_growth(1.5))
 
 
 @pytest.fixture

@@ -9,6 +9,35 @@ from nichewave import build_grid, build_operator, principal_eigenvalue, rescale_
 _RATIO_FLOOR = 1e-300  # verify_uniqueness skips entries at or below it
 
 
+def reference_evolve(op, u0, horizon, dt, stride=1.0, stationary=None, enforce=None):
+    """evolve as a plain loop that takes every step."""
+    u = np.asarray(u0, dtype=float).copy()
+    w = op.grid.weights
+    n_steps = int(math.ceil(horizon / dt - 1e-12))
+    rows, inc_ok, dec_ok, next_record = [], True, True, stride
+
+    def record(t):
+        dsup = np.max(np.abs(u - stationary)) if stationary is not None else math.nan
+        dl1 = np.sum(w * np.abs(u - stationary)) if stationary is not None else math.nan
+        rows.append((t, np.max(np.abs(u)), dsup, dl1, np.sum(w * u)))
+
+    record(0.0)
+    for step in range(1, n_steps + 1):
+        u_new = u + dt * op.rhs(u)
+        drop, rise = np.min(u_new - u), np.max(u_new - u)
+        assert not (enforce == "increasing" and drop < -1e-12)
+        assert not (enforce == "decreasing" and rise > 1e-12)
+        inc_ok, dec_ok = inc_ok and drop >= -1e-12, dec_ok and rise <= 1e-12
+        u = u_new
+        t = step * dt
+        if t + 1e-12 >= next_record or step == n_steps:
+            record(t)
+            while next_record <= t + 1e-12:
+                next_record += stride
+    flag = "increasing" if inc_ok else "decreasing" if dec_ok else "neither"
+    return [np.asarray(col) for col in zip(*rows)], flag, u, n_steps
+
+
 def weighted_symmetrize(A: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """W^{1/2} A W^{-1/2}; symmetric for even kernels."""
     s = np.sqrt(weights)
@@ -57,10 +86,10 @@ def scaling_invariance(kernel, growth, epsilon, radius, spacing) -> tuple[float,
     side is discretized on the mapped grid (radius eps R, spacing eps h),
     which is the exact discrete change of variables.
     """
-    grid1 = build_grid(kernel.dimension, radius, spacing, "ball-truncated")
+    grid1 = build_grid(kernel.dimension, radius, spacing)
     op1 = build_operator(grid1, rescale_kernel(kernel, 1.0, 0.0, 1.0), growth)
     est1 = principal_eigenvalue(op1)
-    grid2 = build_grid(kernel.dimension, epsilon * radius, epsilon * spacing, "ball-truncated")
+    grid2 = build_grid(kernel.dimension, epsilon * radius, epsilon * spacing)
     scaled = rescale_kernel(kernel, epsilon, 0.0, 1.0)  # rate stays 1
     a_scaled = grid2.sample(lambda x: growth.a(x / epsilon))
     op2 = build_operator(grid2, scaled, growth=None, a_values=a_scaled)

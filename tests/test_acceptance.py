@@ -33,7 +33,7 @@ from nichewave.experiments import (
 )
 from nichewave.operators import build_operator
 from nichewave.stationary import solve_stationary_ball
-from oracles import dense_lambda_p_oracle, perron_window, verify_uniqueness
+from oracles import dense_lambda_p_oracle, perron_window, reference_evolve, verify_uniqueness
 
 TENT = Kernel("tent")
 BUMP = bump_growth(2.0, 1.0, -1.0)
@@ -53,7 +53,7 @@ def random_instance(rng):
     radii = np.arange(0.0, R + 1.0, 0.5)
     values = rng.uniform(-1.0, 2.0, size=radii.size)
     growth = GrowthProfile("tabulated", params={"r": radii.tolist(), "values": values.tolist()})
-    grid = build_grid(1, R, 0.1, "ball-truncated")
+    grid = build_grid(1, R, 0.1)
     op = build_operator(grid, rescale_kernel(TENT, eps, m, 1.0), growth)
     return op, R, eps, m, growth
 
@@ -96,7 +96,7 @@ def test_02_bounds_and_monotonicity(corpus):
         if not (lo - 1e-12 <= est.value <= hi + 1e-12):
             violations.append((idx, "window"))
         # (i) domain monotonicity on the nested larger ball
-        grid_big = build_grid(1, R + 2.0, 0.1, "ball-truncated")
+        grid_big = build_grid(1, R + 2.0, 0.1)
         op_big = build_operator(grid_big, op.kernel, growth)
         est_big = principal_eigenvalue(op_big, tol=1e-10)
         if est_big.value > est.value + est.width + est_big.width + 1e-12:
@@ -122,21 +122,26 @@ def test_02_bounds_and_monotonicity(corpus):
            f"{perturbations} perturbations, violations: {violations}, widest bracket {widest:.1e}")
 
 
-def test_03_torus_exactness():
+def test_03_uniform_growth_ball_matches_its_oracles():
+    # f = u (c - u) on a ball: the bracket holds the dense eigenvalue, the run
+    # is the plain Euler loop bit for bit, and its sup stays below the
+    # logistic curve of the whole line, up to the Euler error 5 dt
     c = 1.5
-    grid = build_grid(1, 4.0, 0.125, "torus")
+    grid = build_grid(1, 4.0, 0.125)
     op = build_operator(grid, rescale_kernel(TENT, 1.0, 0.0), constant_growth(c))
     est = principal_eigenvalue(op, tol=1e-12)
-    lam_ok = est.met_tol and abs(est.value + c) <= 1e-10
+    oracle, _ = dense_lambda_p_oracle(op)
+    lam_ok = est.met_tol and est.lower - 1e-13 <= oracle <= est.upper + 1e-13
 
-    u0, dt = 0.1, 0.01
-    trace, _ = evolve(op, np.full(grid.size, u0), 10.0, dt=dt)
-    worst = 0.0
-    for t, s in zip(trace.times, trace.sup_norm):
-        exact = c * u0 * np.exp(c * t) / (c + u0 * (np.exp(c * t) - 1.0))
-        worst = max(worst, abs(s - exact))
-    report(3, "torus exactness", lam_ok and worst <= 5.0 * dt,
-           f"|lambda_p + c| = {abs(est.value + c):.2e}, logistic error = {worst:.2e} <= {5 * dt}")
+    u0, dt = np.full(grid.size, 0.1), 0.01
+    trace, u = evolve(op, u0, 10.0, dt=dt)
+    columns, _, u_ref, _ = reference_evolve(op, u0, 10.0, dt)
+    same = np.array_equal(u, u_ref) and np.array_equal(trace.sup_norm, columns[1])
+    logistic = c * 0.1 * np.exp(c * trace.times) / (c + 0.1 * (np.exp(c * trace.times) - 1.0))
+    excess = float(np.max(trace.sup_norm - logistic))
+    report(3, "uniform growth on a ball", lam_ok and same and excess <= 5.0 * dt,
+           f"dense lambda_p {oracle:.12g} in [{est.lower:.12g}, {est.upper:.12g}]: {lam_ok}, "
+           f"run equals the plain loop: {same}, sup - logistic <= {excess:.2e}")
 
 
 def test_04_persistence_dichotomy():
@@ -172,7 +177,7 @@ def persistence_solves():
     out = []
     for a0 in (1.5, 2.0, 2.5):
         growth = bump_growth(a0, 1.0, -1.0)
-        grid = build_grid(1, 8.0, 0.05, "ball-truncated")
+        grid = build_grid(1, 8.0, 0.05)
         op = build_operator(grid, rescale_kernel(TENT, 1.0, 0.0), growth)
         sol = solve_stationary_ball(op, tol=1e-10)
         out.append((op, sol))
@@ -379,7 +384,7 @@ def test_13_engineering():
     rel_ok = True
     timings = {}
     for n in (64, 256, 1024):
-        grid = build_grid(1, 4.0, 8.0 / n, "torus")
+        grid = build_grid(1, 4.0, 8.0 / n)
         op = build_operator(grid, rescale_kernel(TENT, 1.0, 0.0), constant_growth(0.0))
         op.stencil_product(np.ones(n))  # warm the stencil-walk cache
         op.convolve(np.ones(n))  # warm the FFT cache

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nichewave import Kernel, build_grid, bump_growth, cli, experiments, rescale_kernel, spectral
+from nichewave import (Kernel, build_grid, bump_growth, cli, constant_growth, experiments,
+                       rescale_kernel, spectral)
 from nichewave.config import DEFAULTS, load_config
 from nichewave.cli import main
 from nichewave.experiments import fat_tail_verdict
 from nichewave.operators import build_operator
+from oracles import dense_lambda_p_oracle
 
 
 def run_cli(tmp_path, command, body, label="t"):
@@ -32,7 +34,7 @@ def no_solve(monkeypatch):
         monkeypatch.setattr(cli, name, refuse)
 
 
-def test_spectrum_torus_constant(tmp_path):
+def test_spectrum_brackets_the_dense_oracle(tmp_path):
     code, out = run_cli(tmp_path, "spectrum", """
 [kernel]
 family = tent
@@ -40,7 +42,6 @@ family = tent
 [grid]
 R = 4
 h = 0.125
-topology = torus
 
 [growth]
 family = constant
@@ -49,36 +50,41 @@ params = value=1.5
     assert code == 0
     payload = json.loads((out / "spectrum-t.json").read_text())
     assert payload["schema"] == 1
-    assert abs(payload["value"] - (-1.5)) <= 1e-10
+    oracle, _ = dense_lambda_p_oracle(build_operator(build_grid(1, 4.0, 0.125), Kernel("tent"),
+                                                     constant_growth(1.5)))
+    assert payload["lower"] - 1e-13 <= oracle <= payload["upper"] + 1e-13
     assert payload["met_tol"] is True
     csv = (out / "spectrum-t.csv").read_text().splitlines()
     assert csv[0] == "method,R,eps,m,value,lower,upper,residual,iterations"
     assert len(csv) == 3  # header + perron-cw + rayleigh
 
 
-def test_spectrum_torus_constant_reruns_are_byte_identical(tmp_path):
-    # the flat start vector is the eigenvector: its own bracket meets tol, so
-    # no LOBPCG call can make a rerun differ in the last bits
+def test_spectrum_reruns_are_byte_identical(tmp_path):
+    # a 2-D ball has no band: its eigenvectors come from LOBPCG on the FFT
+    # product, which must not make a rerun differ in the last bits
     written = []
     for run in ("first", "second"):
         (tmp_path / run).mkdir()
         code, out = run_cli(tmp_path / run, "spectrum", """
 [kernel]
 family = tent
+dimension = 2
 
 [grid]
-R = 4
-h = 0.125
-topology = torus
+R = 2
+h = 0.25
 
 [growth]
-family = constant
-params = value=1.5
+family = bump
+params = a0=2, b=1, a_min=-1
+
+[spectral]
+R_schedule = 2 3
 """)
         assert code == 0
         written.append([(out / f"spectrum-t.{ext}").read_bytes() for ext in ("csv", "json")])
     assert written[0] == written[1]
-    assert json.loads(written[0][1])["value"] == -1.5
+    assert json.loads(written[0][1])["met_tol"] is True
 
 
 def test_spectrum_r_schedule_uses_the_scaled_kernel(tmp_path):
@@ -114,7 +120,7 @@ def test_spectrum_certifies_each_ball_once(tmp_path, monkeypatch):
     calls = Counter()
 
     def spy(op, *args, **kwargs):
-        calls[(op.grid.topology, op.grid.radius)] += 1
+        calls[op.grid.radius] += 1
         return solve(op, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "principal_eigenvalue", spy)
@@ -145,21 +151,22 @@ maxiter = {maxiter}
         written[maxiter] = [(out / f"spectrum-t.{ext}").read_bytes() for ext in ("csv", "json")]
         counts[maxiter] = dict(calls)
     for count in counts.values():
-        assert count == {("ball-truncated", 2.0): 1, ("ball-truncated", 3.0): 1}
+        assert count == {2.0: 1, 3.0: 1}
     assert written[spectral.DEFAULT_MAXITER] == written[spectral.DEFAULT_MAXITER + 1]
 
 
 def test_spectrum_r_schedule_honours_maxiter(tmp_path):
-    # the schedule's balls get the [spectral] maxiter of the main torus rows;
-    # their brackets then miss tol, which met_tol records without an exit 2
+    # the schedule's balls get the [spectral] maxiter of the main rows, whose
+    # LOBPCG vector meets tol at the first product on this 2-D ball; R = 4
+    # then misses tol, which met_tol records without an exit 2
     code, out = run_cli(tmp_path, "spectrum", """
 [kernel]
 family = tent
+dimension = 2
 
 [grid]
 R = 2
-h = 0.125
-topology = torus
+h = 0.25
 
 [growth]
 family = bump
@@ -199,10 +206,10 @@ params = a0=2, b=1, a_min=-1
 
 
 def test_spectrum_r_schedule_rise_is_not_converged(tmp_path):
-    # maxiter = 1 leaves the R = 3 and R = 4 brackets about 3.4 wide, and
-    # lambda_p rises inside them (R = 4 starts from R = 3's eigenvector): no
-    # decrease, so no convergence, and the uncertainty is the rise plus both
-    # widths
+    # maxiter = 1 leaves every bracket about 3.4 wide, which tol = 4 accepts
+    # on the main ball, and lambda_p rises inside them from R = 3 to R = 4
+    # (R = 4 starts from R = 3's eigenvector): no decrease, so no
+    # convergence, and the uncertainty is the rise plus both widths
     code, out = run_cli(tmp_path, "spectrum", """
 [kernel]
 family = tent
@@ -210,13 +217,13 @@ family = tent
 [grid]
 R = 2
 h = 0.125
-topology = torus
 
 [growth]
 family = bump
 params = a0=2, b=1, a_min=-1
 
 [spectral]
+tol = 4
 R_schedule = 3 4
 maxiter = 1
 """)
@@ -588,6 +595,18 @@ def test_bad_input_exits_one_before_a_solve(tmp_path, capsys, no_solve, command,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["spectrum", "stationary"])
+@pytest.mark.parametrize("topology", ["torus", "bogus"])
+def test_topology_other_than_the_ball_exits_one(tmp_path, capsys, no_solve, command, topology):
+    # every grid is the ball |x| <= R: any other topology is refused at load
+    code, out = run_cli(tmp_path, command, f"[grid]\nR = 4\nh = 0.1\ntopology = {topology}\n")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"[grid] topology = {topology!r}: every grid is the ball |x| <= R" in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -16,6 +16,7 @@ from nichewave import (
 from nichewave.evolution import evolve, long_time_verdict, stable_step
 from nichewave.operators import build_operator
 from nichewave.stationary import solve_stationary_ball
+from oracles import reference_evolve
 
 
 class TestEvolve:
@@ -26,15 +27,6 @@ class TestEvolve:
         # steady offset is residual / linearization gap; dt-accumulation alone
         # would be 10 dt residual
         assert trace.dist_sup[-1] <= 10.0 * dt * sol.residual + 3.0 * sol.residual
-
-    def test_uniform_logistic_closed_form(self, tent):
-        grid = build_grid(1, 4.0, 0.125, "torus")
-        op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), constant_growth(1.0))
-        u0, c, dt = 0.1, 1.0, 0.01
-        trace, u = evolve(op, np.full(grid.size, u0), 10.0, dt=dt)
-        for t, s in zip(trace.times, trace.sup_norm):
-            exact = c * u0 * np.exp(c * t) / (c + u0 * (np.exp(c * t) - 1.0))
-            assert abs(s - exact) <= 5.0 * dt
 
     def test_step_bound_rejected(self, ball_op):
         bound = stable_step(ball_op, 1.0)
@@ -87,37 +79,8 @@ def comparison_run(op, u0, kind, horizon=10.0):
     return evolve(op, u0, horizon)[0].monotone_flag
 
 
-def reference_evolve(op, u0, horizon, dt, stride=1.0, stationary=None, enforce=None):
-    """evolve as a plain loop that takes every step."""
-    u = np.asarray(u0, dtype=float).copy()
-    w = op.grid.weights
-    n_steps = int(math.ceil(horizon / dt - 1e-12))
-    rows, inc_ok, dec_ok, next_record = [], True, True, stride
-
-    def record(t):
-        dsup = np.max(np.abs(u - stationary)) if stationary is not None else math.nan
-        dl1 = np.sum(w * np.abs(u - stationary)) if stationary is not None else math.nan
-        rows.append((t, np.max(np.abs(u)), dsup, dl1, np.sum(w * u)))
-
-    record(0.0)
-    for step in range(1, n_steps + 1):
-        u_new = u + dt * op.rhs(u)
-        drop, rise = np.min(u_new - u), np.max(u_new - u)
-        assert not (enforce == "increasing" and drop < -1e-12)
-        assert not (enforce == "decreasing" and rise > 1e-12)
-        inc_ok, dec_ok = inc_ok and drop >= -1e-12, dec_ok and rise <= 1e-12
-        u = u_new
-        t = step * dt
-        if t + 1e-12 >= next_record or step == n_steps:
-            record(t)
-            while next_record <= t + 1e-12:
-                next_record += stride
-    flag = "increasing" if inc_ok else "decreasing" if dec_ok else "neither"
-    return [np.asarray(col) for col in zip(*rows)], flag, u, n_steps
-
-
 def tent_bump_ball(dimension, epsilon, m, spacing, radius):
-    grid = build_grid(dimension, radius, spacing, "ball-truncated")
+    grid = build_grid(dimension, radius, spacing)
     return build_operator(grid, rescale_kernel(Kernel("tent", dimension=dimension), epsilon, m),
                           bump_growth(2.0, 1.0, -1.0))
 
@@ -240,7 +203,7 @@ class TestComparisonMonotonicity:
 
 class TestLongTimeVerdict:
     def test_uniform_damping_extinction_with_envelope(self, tent):
-        grid = build_grid(1, 4.0, 0.125, "ball-truncated")
+        grid = build_grid(1, 4.0, 0.125)
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), constant_growth(-0.1))
         lam = SpectralEstimate(0.1, 0.1, 0.12, np.ones(grid.size), 0.0, 1,
                                met_tol=True, sup_a=float(np.max(op.a_values)),

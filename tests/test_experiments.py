@@ -404,7 +404,7 @@ class TestInvasion:
         from nichewave.stationary import solve_stationary_ball
 
         for i, e1 in enumerate(mat.eps_residents):
-            grid = build_grid(1, 3.0 + 2.0, 0.25, "ball-truncated")
+            grid = build_grid(1, 3.0 + 2.0, 0.25)
             res_op = build_operator(grid, rescale_kernel(tent, e1, 1.0), growth)
             res = solve_stationary_ball(res_op, tol=1e-10)
             for j, e2 in enumerate(mat.eps_mutants):

@@ -58,6 +58,7 @@
 """
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -363,7 +364,10 @@ def restricted_imports(tree: ast.Module, filename: str) -> list[str]:
     return sorted(found)
 
 
+@functools.lru_cache(maxsize=None)
 def _tree(path: Path) -> ast.Module:
+    """The parsed file, once per run: no check mutates a tree, and a test that
+    plants code parses its own."""
     return ast.parse(path.read_text(), filename=str(path))
 
 
@@ -710,7 +714,7 @@ def test_no_solve_loads_sparse():
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(_openblas_gbsv() is not None, scipy_modules())\n"
             "for N in (1, 2):\n"
-            "    op = build_operator(build_grid(N, 2.0, 0.25, 'ball-truncated'),\n"
+            "    op = build_operator(build_grid(N, 2.0, 0.25),\n"
             "                        rescale_kernel(Kernel('tent', dimension=N), 1.0, 0.0),\n"
             "                        bump_growth(2.0, 1.0, -1.0))\n"
             "    banded = op.band_stencil() is not None\n"

@@ -34,10 +34,15 @@ from oracles import weighted_symmetrize
 
 
 class TestConvolution:
-    def test_constant_exact_on_torus(self, torus_op):
-        ones = np.ones(torus_op.size)
-        for out in (torus_op.stencil_product(ones), torus_op.convolve(ones)):
-            assert np.max(np.abs(out - 1.0)) < 1e-14
+    def test_constant_exact_away_from_the_edge(self, ball_op):
+        # the taps have unit discrete mass: a cell whose whole stencil lies in
+        # the ball sees a constant unchanged
+        grid = ball_op.grid
+        inner = np.abs(grid.points[:, 0]) <= grid.radius - ball_op.reach * grid.spacing
+        ones = np.ones(ball_op.size)
+        for out in (ball_op.stencil_product(ones), ball_op.convolve(ones)):
+            assert np.max(np.abs(out[inner] - 1.0)) < 1e-14
+            assert out[0] < 1.0 and out[-1] < 1.0
 
     def test_even_input_even_output(self, ball_op):
         x = ball_op.grid.points[:, 0]
@@ -45,9 +50,8 @@ class TestConvolution:
         out = ball_op.convolve(u)
         assert np.allclose(out, out[::-1], atol=1e-13)
 
-    @pytest.mark.parametrize("topology", ["ball-truncated", "torus"])
-    def test_direct_is_oracle_for_fast(self, tent, topology, rng):
-        grid = build_grid(1, 4.0, 0.125, topology)
+    def test_direct_is_oracle_for_fast(self, tent, rng):
+        grid = build_grid(1, 4.0, 0.125)
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), constant_growth(0.0))
         for _ in range(5):
             u = rng.random(grid.size)
@@ -57,21 +61,21 @@ class TestConvolution:
 
     def test_2d_direct_vs_fast(self, tent, rng):
         k2 = Kernel("tent", dimension=2)
-        grid = build_grid(2, 2.0, 0.25, "ball-truncated")
+        grid = build_grid(2, 2.0, 0.25)
         op = build_operator(grid, rescale_kernel(k2, 1.0, 0.0))
         u = rng.random(grid.size)
         assert np.allclose(op.stencil_product(u), op.convolve(u), atol=1e-12)
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_grid_must_match_the_kernel_dimension(self, dimension):
-        grid = build_grid(3 - dimension, 2.0, 0.25, "ball-truncated")
+        grid = build_grid(3 - dimension, 2.0, 0.25)
         kernel = Kernel("tent", dimension=dimension)
         for k in (kernel, rescale_kernel(kernel, 1.0, 0.0)):
             with pytest.raises(ConfigError, match=f"{dimension}-D kernel on a {3 - dimension}-D grid"):
                 build_operator(grid, k, bump_growth(2.0, 1.0, -1.0))
 
     def test_under_resolved_kernel_rejected(self, tent):
-        grid = build_grid(1, 4.0, 0.125, "ball-truncated")
+        grid = build_grid(1, 4.0, 0.125)
         with pytest.raises(UnderResolvedKernelError):
             sample_taps(rescale_kernel(tent, 0.05, 0.0), grid)
 
@@ -83,7 +87,7 @@ class TestConvolution:
             raise AssertionError("quad called")
 
         monkeypatch.setattr(scipy.integrate, "quad", no_quad)
-        grid = build_grid(1, 3.0, 0.3, "ball-truncated")
+        grid = build_grid(1, 3.0, 0.3)
         _, reach = sample_taps(rescale_kernel(tent, 1.0, 0.0), grid)
         assert reach == 3
         _, reach = sample_taps(Kernel("exponential-tail", params={"beta": 1.0}), grid)
@@ -93,7 +97,7 @@ class TestConvolution:
     @given(seed=st.integers(0, 2**31))
     def test_convolution_order_preserving(self, seed):
         rng = np.random.default_rng(seed)
-        grid = build_grid(1, 3.0, 0.125, "ball-truncated")
+        grid = build_grid(1, 3.0, 0.125)
         op = build_operator(grid, rescale_kernel(Kernel("tent"), 1.0, 0.0))
         u = rng.random(grid.size)
         v = u + rng.random(grid.size)
@@ -101,11 +105,12 @@ class TestConvolution:
 
 
 class TestApply:
-    def test_constant_in_kernel_of_torus_operator(self, torus_op):
-        dispersal = build_operator(torus_op.grid, torus_op.kernel)
-        u = np.full(dispersal.size, 3.7)
-        out = dispersal.apply(u)
-        assert np.max(np.abs(out)) < 1e-12
+    def test_constant_in_kernel_away_from_the_edge(self, ball_op):
+        dispersal = build_operator(ball_op.grid, ball_op.kernel)
+        grid = dispersal.grid
+        inner = np.abs(grid.points[:, 0]) <= grid.radius - dispersal.reach * grid.spacing
+        out = dispersal.apply(np.full(dispersal.size, 3.7))
+        assert np.max(np.abs(out[inner])) < 1e-12
 
     def test_boundary_mass_deficit(self, ball_op):
         dispersal = build_operator(ball_op.grid, ball_op.kernel)
@@ -117,7 +122,7 @@ class TestApply:
     def test_growthless_ball_is_pure_dispersal(self, tent, rng):
         # a = 0 is an operator like any other: zeros in a_values, and a
         # certified lambda_p with sup_a = 0
-        op = build_operator(build_grid(1, 4.0, 0.125, "ball-truncated"),
+        op = build_operator(build_grid(1, 4.0, 0.125),
                             rescale_kernel(tent, 1.0, 0.0, 2.0))
         u = rng.random(op.size)
         assert np.array_equal(op.a_values, np.zeros(op.size))
@@ -128,7 +133,7 @@ class TestApply:
 
     def test_matrix_is_oracle_for_matrix_free(self, tent):
         growth = bump_growth(1.0, 1.0, -1.0)
-        grid = build_grid(1, 4.0, 0.125, "ball-truncated")
+        grid = build_grid(1, 4.0, 0.125)
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), growth)
         u = (np.abs(grid.points[:, 0]) < 1.0).astype(float)
         assert np.allclose(op.matrix() @ u, op.apply(u), atol=1e-12)
@@ -138,11 +143,13 @@ class TestApply:
 
 
 class TestAssembly:
-    def test_torus_row_sums_vanish_without_growth(self, tent):
-        grid = build_grid(1, 1.5, 0.5, "torus")
+    def test_row_sums_vanish_without_growth_away_from_the_edge(self, tent):
+        grid = build_grid(1, 3.0, 0.5)
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), constant_growth(0.0))
-        A = op.matrix()
-        assert np.allclose(A.sum(axis=1), 0.0, atol=1e-14)
+        sums = op.matrix().sum(axis=1)
+        inner = np.abs(grid.points[:, 0]) <= grid.radius - op.reach * grid.spacing
+        assert np.allclose(sums[inner], 0.0, atol=1e-14)
+        assert sums[0] < 0.0 and sums[-1] < 0.0  # the lethal exterior takes mass
 
     def test_weighted_symmetrization(self, ball_op):
         A = ball_op.matrix().toarray()
@@ -161,7 +168,7 @@ class TestAssembly:
 
     def test_permutation_invariant_spectrum(self, tent, rng):
         growth = bump_growth(1.5, 1.0, -0.5)
-        grid = build_grid(1, 3.0, 0.25, "ball-truncated")
+        grid = build_grid(1, 3.0, 0.25)
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), growth)
         A = op.matrix().toarray()
         perm = rng.permutation(grid.size)
@@ -170,34 +177,32 @@ class TestAssembly:
 
 
 def _dense_reference(op):
-    """C[i, j] straight from op.taps; wrapped offsets are summed in ascending order."""
+    """C[i, j] straight from op.taps."""
     grid, q, N = op.grid, op.reach, op.grid.dimension
     where = {tuple(ix): j for j, ix in enumerate(grid.box_index)}
     C = np.zeros((grid.size, grid.size))
     for i, ix in enumerate(grid.box_index):
         for d in itertools.product(range(-q, q + 1), repeat=N):
-            target = np.add(ix, d)
-            if grid.topology == "torus":
-                target = target % grid.cells_per_axis
-            j = where.get(tuple(target))
+            j = where.get(tuple(np.add(ix, d)))
             if j is not None:
                 C[i, j] += op.taps[tuple(np.add(d, q))]
     return C * grid.spacing**N
 
 
-# (dimension, R, h, topology, eps); the last two cases have 2q+1 > cells per axis
+# (dimension, R, h, eps); the last three cases have 2q+1 > cells per axis,
+# and two of them the reach capped at n - 1, the tightest FFT box
 ASSEMBLY_CASES = [
-    (1, 2.0, 0.125, "ball-truncated", 0.6),
-    (2, 1.5, 0.25, "ball-truncated", 0.8),
-    (1, 2.0, 0.125, "torus", 0.6),
-    (2, 1.5, 0.25, "torus", 0.6),
-    (1, 0.5, 0.125, "torus", 1.0),
-    (2, 1.0, 0.25, "torus", 1.0),
+    (1, 2.0, 0.125, 0.6),
+    (2, 1.5, 0.25, 0.8),
+    (2, 1.5, 0.25, 0.6),
+    (1, 0.5, 0.125, 1.0),
+    (2, 1.0, 0.25, 1.0),
+    (2, 0.5, 0.125, 1.0),
 ]
 
 
-def _assembly_op(dimension, radius, spacing, topology, eps):
-    grid = build_grid(dimension, radius, spacing, topology)
+def _assembly_op(dimension, radius, spacing, eps):
+    grid = build_grid(dimension, radius, spacing)
     kernel = rescale_kernel(Kernel("tent", dimension=dimension), eps, 0.0)
     return build_operator(grid, kernel, bump_growth(1.5, 1.0, -0.5))
 
@@ -220,7 +225,7 @@ class TestSparseAssembly:
         dense[np.diag_indices(op.size)] += shift
         assert np.max(np.abs(op.matrix(shift=shift).toarray() - dense)) == 0.0
 
-    @pytest.mark.parametrize("case", [c for c in ASSEMBLY_CASES if c[3] == "ball-truncated"])
+    @pytest.mark.parametrize("case", ASSEMBLY_CASES)
     def test_nnz_is_in_ball_stencil_count(self, case):
         op = _assembly_op(*case)
         q, N = op.reach, op.grid.dimension
@@ -233,24 +238,25 @@ class TestSparseAssembly:
         assert op.matrix().nnz == expected
 
 
-# (dimension, R, h, topology, kernel family)
+# (dimension, R, h, kernel family)
 CIRCULAR_CASES = [
-    # torus with 2q+1 > cells per axis: taps wrap onto the same cell
-    (1, 0.5, 0.125, "torus", "tent"),
-    (2, 1.0, 0.25, "torus", "tent"),
-    # infinite support caps the reach at n-1 = 7, so L = n + q = 15 exactly
-    (1, 1.0, 0.125, "ball-truncated", "algebraic-tail"),
-    (2, 1.0, 0.25, "ball-truncated", "algebraic-tail"),
+    # 2q+1 > cells per axis; in 1-D the tent reach is capped at n-1 = 7
+    (1, 0.5, 0.125, "tent"),
+    (2, 1.0, 0.25, "tent"),
+    # infinite support caps the reach at n-1, so L = n + q (15 exactly in 2-D)
+    (1, 1.0, 0.125, "algebraic-tail"),
+    (2, 1.0, 0.25, "algebraic-tail"),
     # three cells per axis
-    (1, 0.75, 0.5, "ball-truncated", "tent"),
-    (2, 0.75, 0.5, "ball-truncated", "tent"),
-    (1, 0.75, 0.5, "torus", "tent"),
-    (2, 0.75, 0.5, "torus", "tent"),
+    (1, 0.75, 0.5, "tent"),
+    (2, 0.75, 0.5, "tent"),
+    # the capped reach on a 2-D ball, and on six cells of a tail kernel
+    (2, 0.5, 0.125, "tent"),
+    (1, 0.75, 0.25, "algebraic-tail"),
 ]
 
 
-def _circular_op(dimension, radius, spacing, topology, family):
-    grid = build_grid(dimension, radius, spacing, topology)
+def _circular_op(dimension, radius, spacing, family):
+    grid = build_grid(dimension, radius, spacing)
     params = {"power": 4.0} if family == "algebraic-tail" else {}
     kernel = rescale_kernel(Kernel(family, dimension=dimension, params=params), 1.0, 0.0)
     return build_operator(grid, kernel)
@@ -277,7 +283,7 @@ class TestCircularFFT:
     def test_threads_share_one_operator(self, rng):
         # a fresh operator, so the cached transform is also built under contention;
         # a work box shared between calls makes this fail
-        op = _circular_op(2, 4.0, 0.05, "ball-truncated", "tent")
+        op = _circular_op(2, 4.0, 0.05, "tent")
         inputs = [rng.random(op.size) for _ in range(64)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -291,23 +297,28 @@ class TestCircularFFT:
 
 
 class TestIdentities:
-    def test_symmetrization_identity_torus(self, tent, rng):
+    def test_symmetrization_identity(self, tent, rng):
         # sum_x sum_z rho(z) [u(x+z) - u(x)] phi(x)
         #   = 1/2 sum_x sum_z rho(z) u(x) [phi(x+z) - 2 phi(x) + phi(x-z)]
-        grid = build_grid(1, 4.0, 0.125, "torus")
+        # over the ball, u and phi extended by zero outside it (even taps)
+        grid = build_grid(1, 4.0, 0.125)
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0))
         u = rng.random(grid.size)
         phi = rng.random(grid.size)
         q = op.reach
+
+        def shift(v, d):  # v(x + d h), zero off the ball
+            return np.pad(v, q)[q + d:q + d + v.size]
+
         lhs = rhs = 0.0
         for d in range(-q, q + 1):
             rho = op.taps[d + q]
-            lhs += rho * np.sum((np.roll(u, -d) - u) * phi)
-            rhs += 0.5 * rho * np.sum(u * (np.roll(phi, -d) - 2 * phi + np.roll(phi, d)))
+            lhs += rho * np.sum((shift(u, d) - u) * phi)
+            rhs += 0.5 * rho * np.sum(u * (shift(phi, d) - 2 * phi + shift(phi, -d)))
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
 
     def test_energy_matches_double_sum(self, tent, rng):
-        grid = build_grid(1, 2.0, 0.25, "ball-truncated")
+        grid = build_grid(1, 2.0, 0.25)
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0))
         u = rng.random(grid.size)
         w = grid.weights
@@ -319,7 +330,7 @@ class TestIdentities:
 
 def _steep_ball_op():
     """1-D m = 2, eps = 0.05, h = 0.0025 ball: rate 400, reach 20."""
-    grid = build_grid(1, 4.0, 0.0025, "ball-truncated")
+    grid = build_grid(1, 4.0, 0.0025)
     return build_operator(grid, rescale_kernel(Kernel("tent"), 0.05, 2.0), bump_growth(2.0, 1.0, -1.0))
 
 
@@ -341,9 +352,9 @@ class TestStencilProduct:
 
     @pytest.mark.parametrize("make", [
         _steep_ball_op,  # Noda steps on the band
-        lambda: _assembly_op(2, 3.0, 0.25, "ball-truncated", 0.8),  # LOBPCG and power steps
-        lambda: _assembly_op(1, 4.0, 0.125, "torus", 1.0),
-    ], ids=["banded-1d-ball", "lobpcg-2d-ball", "torus"])
+        lambda: _assembly_op(2, 3.0, 0.25, 0.8),  # LOBPCG and power steps
+        lambda: _assembly_op(1, 4.0, 0.02, 1.0),  # reach 50: LOBPCG in 1-D
+    ], ids=["banded-1d-ball", "lobpcg-2d-ball", "lobpcg-1d-ball"])
     def test_no_assembly_on_the_certified_path(self, make, monkeypatch):
         op = make()
 
@@ -358,7 +369,7 @@ class TestStencilProduct:
 
     def test_threads_share_one_operator(self, rng):
         # a fresh operator, so the cached walk is also built under contention
-        op = _circular_op(2, 2.0, 0.1, "ball-truncated", "tent")
+        op = _circular_op(2, 2.0, 0.1, "tent")
         inputs = [rng.random(op.size) for _ in range(32)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -373,7 +384,7 @@ class TestStencilProduct:
 
     def test_certified_eigenvalue_memory_is_linear(self):
         # assembling the CSR matrix of this ball (n = 2828, 41 x 41 taps) peaks near 90 MB
-        grid = build_grid(2, 3.0, 0.1, "ball-truncated")
+        grid = build_grid(2, 3.0, 0.1)
         op = build_operator(grid, rescale_kernel(Kernel("tent", dimension=2), 2.0, 0.0),
                             bump_growth(2.0, 1.0, -1.0))
         tracemalloc.start()

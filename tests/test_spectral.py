@@ -40,15 +40,9 @@ def start_vector(op, c, x, deflate=None):
 
 
 class TestPrincipalEigenvalue:
-    def test_torus_constant_is_exact(self, torus_op):
-        est = principal_eigenvalue(torus_op, tol=1e-10)
-        assert est.value == pytest.approx(-1.5, abs=1e-12)
-        assert est.width <= 1e-10
-        assert np.all(est.eigenvector > 0)
-
     def test_dense_oracle_small_random(self, tent, rng):
         for _ in range(5):
-            grid = build_grid(1, 2.5, 0.5, "ball-truncated")
+            grid = build_grid(1, 2.5, 0.5)
             growth = random_growth(rng, 2.5)
             op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), growth)
             est = principal_eigenvalue(op, tol=1e-10)
@@ -69,7 +63,7 @@ class TestPrincipalEigenvalue:
         assert est.residual <= 1e-8 * (1.0 + abs(est.value))
 
     def test_irreducible_check(self, tent):
-        grid = build_grid(1, 4.0, 0.5, "ball-truncated")
+        grid = build_grid(1, 4.0, 0.5)
         op = build_operator(grid, rescale_kernel(tent, 0.5, 0.0))  # support = h: taps vanish
         with pytest.raises(IrreducibilityError):
             principal_eigenvalue(op)
@@ -88,16 +82,17 @@ class TestPrincipalEigenvalue:
             oracle, _ = dense_lambda_p_oracle(ball_op)
             assert est.lower <= oracle <= est.upper
 
-    def test_eigenfunction_flag_reported(self, torus_op):
-        est = principal_eigenvalue(torus_op, tol=1e-10)
+    def test_eigenfunction_flag_reported(self, ball_op):
+        est = principal_eigenvalue(ball_op, tol=1e-10)
         assert est.met_tol
-        # lambda_p = -c < rate - sup a = 1 - c: strict inequality certified
+        # lambda_p < rate - sup a = 1 - 2: strict inequality certified
+        assert est.upper < ball_op.rate - np.max(ball_op.a_values)
         assert est.eigenfunction_certified is True
 
     def test_2d_large_grid_certifies_sign(self):
         # n = 11304: an FFT matvec cannot certify this grid, its bracket
         # stalls at width 2.8 with sign 'straddle'
-        grid = build_grid(2, 6.0, 0.1, "ball-truncated")
+        grid = build_grid(2, 6.0, 0.1)
         kernel = rescale_kernel(Kernel("tent", dimension=2), 0.5, 0.0)
         op = build_operator(grid, kernel, bump_growth(2.0, 1.0, -1.0))
         assert (grid.size, op.reach) == (11304, 5)
@@ -119,7 +114,7 @@ class TestWarmStart:
     def test_certifies_without_lobpcg(self, tent, bump, monkeypatch):
         # the power steps alone reach the bracket from the start vector
         monkeypatch.setattr(spectral, "_lobpcg", start_vector)
-        op = build_operator(build_grid(1, 3.0, 0.25, "ball-truncated"), rescale_kernel(tent, 1.0, 0.0), bump)
+        op = build_operator(build_grid(1, 3.0, 0.25), rescale_kernel(tent, 1.0, 0.0), bump)
         est = principal_eigenvalue(op, tol=1e-10)
         oracle, _ = dense_lambda_p_oracle(op)
         assert est.lower - 1e-13 <= oracle <= est.upper + 1e-13
@@ -127,10 +122,10 @@ class TestWarmStart:
         assert est.iterations > 3  # power steps, not an eigenvector solve, did the work
 
 
-    def test_certifies_without_lobpcg_on_torus(self, tent, bump, monkeypatch):
-        # the torus has no band: power steps from the start vector reach the bracket
+    def test_certifies_without_lobpcg_off_the_band(self, monkeypatch):
+        # a 2-D ball has no band: power steps from the start vector reach the bracket
         monkeypatch.setattr(spectral, "_lobpcg", start_vector)
-        op = build_operator(build_grid(1, 3.0, 0.25, "torus"), rescale_kernel(tent, 1.0, 0.0), bump)
+        op = ball_2d()
         assert op.band_stencil() is None
         est = principal_eigenvalue(op, tol=1e-10)
         oracle, _ = dense_lambda_p_oracle(op)
@@ -138,8 +133,10 @@ class TestWarmStart:
         assert est.width <= 1e-10
         assert est.iterations > 3
 
-    def test_exact_start_vector_skips_lobpcg(self, torus_op, tent, bump, monkeypatch):
-        # constant growth on the torus: the ones vector is the eigenvector
+    def test_exact_start_vector_skips_lobpcg(self, monkeypatch):
+        # off the band, a cold start takes one LOBPCG solve; lambda_v started
+        # from lambda_p's certified eigenvector meets tol by its FFT quotients,
+        # so that vector is kept and no LOBPCG runs
         calls = []
         lobpcg = spectral._lobpcg
 
@@ -148,11 +145,13 @@ class TestWarmStart:
             return lobpcg(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "_lobpcg", spy)
-        est = principal_eigenvalue(torus_op, tol=1e-10)
-        assert (est.lower, est.upper, est.iterations, calls) == (-1.5, -1.5, 1, [])
-        op = build_operator(build_grid(1, 4.0, 0.125, "torus"), rescale_kernel(tent, 1.0, 0.0), bump)
-        assert principal_eigenvalue(op, tol=1e-10).met_tol
+        op = ball_2d()
+        est_p = principal_eigenvalue(op, tol=1e-10)
+        assert est_p.met_tol
         assert calls == [1]
+        est_v = rayleigh_lambda_v(op, tol=1e-10, start=est_p.eigenvector)
+        assert (est_v.met_tol, est_v.iterations, calls) == (True, 1, [1])
+        assert np.array_equal(est_v.eigenvector, est_p.eigenvector / np.max(est_p.eigenvector))
 
     def test_step_cap_keeps_the_last_vector(self, monkeypatch):
         # two LOBPCG steps leave a vector far from converged; the power steps
@@ -215,7 +214,7 @@ STEEP_SEED_BRACKET = (-1.711749820961586, -1.711749721820297)
 
 @pytest.fixture(scope="module")
 def steep_op():
-    op = build_operator(build_grid(1, 4.0, 0.0025, "ball-truncated"),
+    op = build_operator(build_grid(1, 4.0, 0.0025),
                         rescale_kernel(Kernel("tent"), 0.05, 2.0, 1.0), bump_growth(2.0, 1.0, -1.0))
     assert (op.size, op.reach) == (3200, 20)
     return op
@@ -223,13 +222,13 @@ def steep_op():
 
 def small_1d():
     """A small 1-D ball of narrow reach: its eigenvector comes from Noda steps."""
-    return build_operator(build_grid(1, 3.0, 0.1, "ball-truncated"),
+    return build_operator(build_grid(1, 3.0, 0.1),
                           rescale_kernel(Kernel("tent"), 1.0, 0.0), bump_growth(2.0, 1.0, -1.0))
 
 
 def ball_2d():
     """A 2-D ball: no band, so its eigenvector comes from LOBPCG."""
-    return build_operator(build_grid(2, 2.0, 0.25, "ball-truncated"),
+    return build_operator(build_grid(2, 2.0, 0.25),
                           rescale_kernel(Kernel("tent", dimension=2), 1.0, 0.0),
                           bump_growth(2.0, 1.0, -1.0))
 
@@ -259,7 +258,7 @@ class TestNodaSteps:
         # side stalls for steps while the shift still falls
         growth = GrowthProfile("tabulated", params={
             "r": list(range(9)), "values": [-1, -1, -1, -1, -1, -1, 2, -1, -1]})
-        op = build_operator(build_grid(1, 8.0, 0.05, "ball-truncated"),
+        op = build_operator(build_grid(1, 8.0, 0.05),
                             rescale_kernel(tent, 0.5, 0.0), growth)
         oracle, gap = dense_lambda_p_oracle(op)
         assert gap < 1e-14
@@ -300,7 +299,7 @@ def niches_op(values):
     """1-D tent ball, eps = 0.5 and h = 0.01 (q = 50, off the band), with
     tabulated a(|x|) at |x| = 0, 1, ..., 8."""
     growth = GrowthProfile("tabulated", params={"r": list(range(9)), "values": values})
-    return build_operator(build_grid(1, 8.0, 0.01, "ball-truncated"),
+    return build_operator(build_grid(1, 8.0, 0.01),
                           rescale_kernel(Kernel("tent"), 0.5, 0.0), growth)
 
 
@@ -345,12 +344,10 @@ class TestDegenerateGap:
 
 
 class TestLobpcgVector:
-    @pytest.mark.parametrize("dimension,topology", [
-        (1, "ball-truncated"), (1, "torus"), (2, "ball-truncated"), (2, "torus"),
-    ])
-    def test_smallest_grids(self, bump, dimension, topology):
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_smallest_grids(self, bump, dimension):
         # h < R and an integer 2R/h: 3 cells per axis is the least build_grid accepts
-        grid = build_grid(dimension, 1.5, 1.0, topology)
+        grid = build_grid(dimension, 1.5, 1.0)
         assert grid.size == 3**dimension
         op = build_operator(grid, rescale_kernel(Kernel("tent", dimension=dimension), 2.0, 0.0), bump)
         oracle, _ = dense_lambda_p_oracle(op)
@@ -358,10 +355,10 @@ class TestLobpcgVector:
             assert est.lower - 1e-13 <= oracle <= est.upper + 1e-13
             assert est.width <= 1e-10
         with pytest.raises(ConfigError):
-            build_grid(dimension, 1.0, 1.0, topology)
+            build_grid(dimension, 1.0, 1.0)
 
     def test_2d_tent_ball_matches_oracle(self, bump):
-        grid = build_grid(2, 2.0, 0.125, "ball-truncated")
+        grid = build_grid(2, 2.0, 0.125)
         assert 300 <= grid.size <= 1000
         op = build_operator(grid, rescale_kernel(Kernel("tent", dimension=2), 0.5, 0.0), bump)
         est = principal_eigenvalue(op, tol=1e-10)
@@ -370,14 +367,14 @@ class TestLobpcgVector:
         assert est.width <= 1e-10
         assert est.iterations <= 3  # the LOBPCG vector needs no power steps
 
-    @pytest.mark.parametrize("dimension,topology,radius,spacing", [
-        (1, "torus", 3.0, 0.25), (2, "ball-truncated", 3.0, 0.25), (1, "ball-truncated", 8.0, 0.02),
-    ], ids=["torus", "2d-ball", "1d-ball-q50"])
-    def test_unreachable_tol_stops_at_the_floor(self, dimension, topology, radius, spacing):
+    @pytest.mark.parametrize("dimension,radius,spacing", [
+        (2, 3.0, 0.25), (1, 8.0, 0.02),
+    ], ids=["2d-ball", "1d-ball-q50"])
+    def test_unreachable_tol_stops_at_the_floor(self, dimension, radius, spacing):
         # a CSR step that moves neither side of the bracket ends the loop; a
         # 60-step stall counter ran 76-103 products on these before it gave up.
-        # No width meets a negative tol: on the torus the floor is an exact 0.
-        op = build_operator(build_grid(dimension, radius, spacing, topology),
+        # No width meets a negative tol.
+        op = build_operator(build_grid(dimension, radius, spacing),
                             rescale_kernel(Kernel("tent", dimension=dimension), 1.0, 0.0),
                             bump_growth(2.0, 1.0, -1.0))
         assert op.band_stencil() is None
@@ -404,17 +401,19 @@ class TestLambdaV:
         assert p.met_tol and v.met_tol
         assert abs(p.value - v.value) <= 1e-8
 
-    def test_zero_growth_torus(self, tent):
-        grid = build_grid(1, 4.0, 0.125, "torus")
+    def test_zero_growth_ball_is_positive(self, tent):
+        # dispersal alone into a lethal exterior: lambda_v > 0, the dense
+        # eigenvalue in its bracket
+        grid = build_grid(1, 4.0, 0.125)
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), constant_growth(0.0))
         v = rayleigh_lambda_v(op, tol=1e-10)
         assert v.met_tol
-        assert v.value == pytest.approx(0.0, abs=1e-10)
-        phi = v.eigenvector
-        assert np.max(phi) - np.min(phi) < 1e-6  # minimizer is the constant
+        oracle, _ = dense_lambda_p_oracle(op)
+        assert v.lower - 1e-13 <= oracle <= v.upper + 1e-13
+        assert v.lower > 0.0
 
     def test_dense_oracle(self, tent, rng):
-        grid = build_grid(1, 3.0, 0.5, "ball-truncated")
+        grid = build_grid(1, 3.0, 0.5)
         growth = random_growth(rng, 3.0)
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), growth)
         v = rayleigh_lambda_v(op, tol=1e-10)
@@ -449,7 +448,7 @@ class TestExtrapolation:
         assert tight.uncertainty == loose.uncertainty
 
     def test_lipschitz_in_a(self, tent, bump, rng):
-        grid = build_grid(1, 6.0, 0.1, "ball-truncated")
+        grid = build_grid(1, 6.0, 0.1)
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), bump)
         base = principal_eigenvalue(op, tol=1e-11)
         assert base.met_tol
@@ -462,7 +461,7 @@ class TestExtrapolation:
             assert abs(est2.value - base.value) <= abs(delta) + 1e-9
 
     def test_order_reversal(self, tent, bump, rng):
-        grid = build_grid(1, 6.0, 0.1, "ball-truncated")
+        grid = build_grid(1, 6.0, 0.1)
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), bump)
         base = principal_eigenvalue(op, tol=1e-11)
         assert base.met_tol
@@ -563,7 +562,7 @@ class TestWarmWalk:
         assert len(starts) == len(radii)
 
     def test_known_ball_seeds_the_next(self, tent, bump, monkeypatch):
-        op4 = build_operator(build_grid(1, 4.0, 0.1, "ball-truncated"), tent, bump)
+        op4 = build_operator(build_grid(1, 4.0, 0.1), tent, bump)
         lam4 = principal_eigenvalue(op4)
         starts = self._record_starts(monkeypatch)
         steps = list(radius_walk(tent, bump, [4, 6], 0.1, known=(4.0, op4, lam4)))

@@ -50,11 +50,12 @@ class TestSupersolution:
         assert np.max(resid) <= 1e-8
         assert sup.margin == pytest.approx(np.max(resid), abs=1e-14)
 
-    def test_constant_barrier_on_torus(self, tent):
-        grid = build_grid(1, 4.0, 0.125, "torus")
+    def test_constant_barrier_for_non_hostile_growth(self, tent):
+        grid = build_grid(1, 4.0, 0.125)
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), constant_growth(1.5))
         sup = build_supersolution(op)
         assert sup.kind == "constant"
+        assert np.array_equal(sup.values, np.full(op.size, 1.5))
         assert np.max(op.rhs(sup.values)) <= 1e-8
 
     def test_decay_margin_monotone_in_alpha(self, ball_op):
@@ -82,7 +83,7 @@ class TestSupersolution:
 
 class TestBallSolve:
     def test_certified_nonnegative_gives_zero(self, tent):
-        grid = build_grid(1, 6.0, 0.1, "ball-truncated")
+        grid = build_grid(1, 6.0, 0.1)
         op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), constant_growth(-0.5))
         sol = solve_stationary_ball(op)
         assert sol.verdict == "extinct"
@@ -91,13 +92,8 @@ class TestBallSolve:
 
     def test_solution_keeps_its_operator(self, ball_op, tent):
         assert solve_stationary_ball(ball_op, tol=1e-10).op is ball_op
-        extinct = build_operator(build_grid(1, 2.0, 0.25, "ball-truncated"), tent, constant_growth(-0.5))
+        extinct = build_operator(build_grid(1, 2.0, 0.25), tent, constant_growth(-0.5))
         assert solve_stationary_ball(extinct).op is extinct
-
-    def test_torus_uniform_logistic(self, torus_op):
-        sol = solve_stationary_ball(torus_op, tol=1e-10)
-        assert sol.verdict == "persistent"
-        assert np.max(np.abs(sol.values - 1.5)) <= 1e-8
 
     def test_residual_oracle(self, ball_op):
         sol = solve_stationary_ball(ball_op, tol=1e-10)
@@ -130,7 +126,7 @@ class TestBallSolve:
     def test_residual_slack_at_zero_growth(self, tent):
         # max a = 0.0 exactly adds |max a| = 0 to the slack scale, as
         # max a -> 0 from below does: no jump at zero
-        grid = build_grid(1, 2.0, 0.25, "ball-truncated")
+        grid = build_grid(1, 2.0, 0.25)
         slacks = []
         for value in (0.0, -1e-300):
             op = build_operator(grid, tent, constant_growth(value))
@@ -149,7 +145,7 @@ class TestWholeSpace:
 
     def test_oracle_single_large_ball(self, tent, bump):
         sol = solve_stationary_wholespace(tent, bump, [4, 6, 8], 0.1, tol=1e-8)
-        grid16 = build_grid(1, 16.0, 0.1, "ball-truncated")
+        grid16 = build_grid(1, 16.0, 0.1)
         op16 = build_operator(grid16, rescale_kernel(tent, 1.0, 0.0), bump)
         oracle = solve_stationary_ball(op16, tol=1e-10)
         i_small, i_big = sol.op.grid.common_with(grid16)
@@ -247,22 +243,22 @@ def newton_runs(monkeypatch):
 def _newton_case(name):
     if name in ("narrow-ball", "wide-ball"):  # reach 20 and 50 around BANDED_MAX_REACH = 40
         h = 0.05 if name == "narrow-ball" else 1.0 / (operators.BANDED_MAX_REACH + 10)
-        return build_operator(build_grid(1, 4.0, h, "ball-truncated"),
+        return build_operator(build_grid(1, 4.0, h),
                               rescale_kernel(Kernel("tent"), 1.0, 0.0), bump_growth(2.0, 1.0, -1.0))
     if name.startswith("m2-eps"):
         sk = rescale_kernel(Kernel("tent"), float(name[6:]), 2.0, 1.0)
         return build_operator(GridPolicy(base_radius=4.0, base_spacing=0.05).grid_for(sk), sk,
                               bump_growth(2.0, 1.0, -1.0))
     if name == "2d-ball":
-        return build_operator(build_grid(2, 3.0, 0.2, "ball-truncated"),
+        return build_operator(build_grid(2, 3.0, 0.2),
                               rescale_kernel(Kernel("tent", dimension=2), 1.0, 0.0),
                               bump_growth(2.0, 1.0, -1.0))
-    return build_operator(build_grid(1, 4.0, 0.125, "torus"),
+    return build_operator(build_grid(1, 4.0, 0.125),
                           rescale_kernel(Kernel("tent"), 1.0, 0.0), constant_growth(1.5))
 
 
 class TestTwoSidedNewton:
-    @pytest.mark.parametrize("case", ["m2-eps0.4", "m2-eps0.1", "2d-ball", "torus-constant"])
+    @pytest.mark.parametrize("case", ["m2-eps0.4", "m2-eps0.1", "2d-ball", "ball-constant"])
     def test_enclosure_at_every_step(self, case, newton_runs):
         op = _newton_case(case)
         tol = 1e-10
@@ -289,8 +285,8 @@ class TestTwoSidedNewton:
         assert np.max(np.abs(sol.values - his[-1])) == 0.0
         oracle = damped_solve(op, sol.super_, tol=1e-10)
         assert np.max(np.abs(sol.values - oracle)) <= 1e-8
-        if case == "torus-constant":
-            assert np.max(np.abs(sol.values - 1.5)) <= 1e-12
+        if case == "ball-constant":  # below the constant barrier, which the exterior drains
+            assert np.all(sol.values < 1.5)
 
     def test_non_concave_growth_is_refused(self):
         # f(s)/s = a - c (1 - e^{-4 s}) decreases, but f is convex for s > 1/2:
@@ -302,7 +298,7 @@ class TestTwoSidedNewton:
             dfds_fn=lambda x, s: a - c * (1.0 - np.exp(-4.0 * s)) - 4.0 * c * s * np.exp(-4.0 * s),
             saturation_fn=lambda x: np.full(np.shape(x), 2.0),
         )
-        op = build_operator(build_grid(1, 4.0, 0.125, "torus"),
+        op = build_operator(build_grid(1, 4.0, 0.125),
                             rescale_kernel(Kernel("tent"), 1.0, 0.0), growth)
         with pytest.raises(MonotonicityViolationError, match=r"step 1: F\(hi\) > 0 .*concave"):
             solve_stationary_ball(op, tol=1e-10)
@@ -374,11 +370,11 @@ class TestBandedNewton:
     def test_selection(self, linear_solvers):
         narrow, wide = _newton_case("narrow-ball"), _newton_case("wide-ball")
         assert narrow.reach < operators.BANDED_MAX_REACH < wide.reach
-        for op in (narrow, wide, _newton_case("torus-constant"), _newton_case("2d-ball")):
+        for op in (narrow, wide, _newton_case("ball-constant"), _newton_case("2d-ball")):
             assert solve_stationary_ball(op, tol=1e-10).verdict == "persistent"
-        assert linear_solvers == ["banded_solver", "_cg_solver", "_cg_solver", "_cg_solver"]
+        assert linear_solvers == ["banded_solver", "_cg_solver", "banded_solver", "_cg_solver"]
 
-    @pytest.mark.parametrize("case", ["narrow-ball", "wide-ball", "torus-constant", "2d-ball"])
+    @pytest.mark.parametrize("case", ["narrow-ball", "wide-ball", "ball-constant", "2d-ball"])
     def test_one_dispatch_rule(self, case, monkeypatch):
         # the eigen iteration and the Newton solve go banded on exactly the same operators
         picked = set()
@@ -393,12 +389,13 @@ class TestBandedNewton:
         assert lam.met_tol
         assert solve_stationary_ball(op, tol=1e-10, lam=lam).verdict == "persistent"
         both = {"nichewave.spectral", "nichewave.stationary"}
-        assert picked == (both if case == "narrow-ball" else set())
-        assert (op.band_stencil() is not None) == (case == "narrow-ball")
+        banded = case in ("narrow-ball", "ball-constant")
+        assert picked == (both if banded else set())
+        assert (op.band_stencil() is not None) == banded
 
     def test_nonpositive_diagonal_is_refused(self, tent, linear_solvers):
         # rate 0.25 < d_s f(1.8) = 0.92, so -J(hi) has a negative diagonal on the first step
-        op = build_operator(build_grid(1, 4.0, 0.125, "ball-truncated"),
+        op = build_operator(build_grid(1, 4.0, 0.125),
                             rescale_kernel(tent, 1.0, 0.0, 0.25), _cubic_growth())
         with pytest.raises(MonotonicityViolationError, match="nonpositive diagonal.*concave"):
             solve_stationary_ball(op, tol=1e-10)
