@@ -28,6 +28,21 @@ class TestEvolve:
         # would be 10 dt residual
         assert trace.dist_sup[-1] <= 10.0 * dt * sol.residual + 3.0 * sol.residual
 
+    def test_uniform_growth_run_tends_to_the_ball_state(self, tent):
+        # a constant logistic curve is a supersolution on a ball, whose
+        # exterior only drains: the run stays below it up to the Euler error
+        # 5 dt, rises monotonically, and settles on the ball's stationary state
+        grid = build_grid(1, 4.0, 0.125)
+        op = build_operator(grid, rescale_kernel(tent, 1.0, 0.0), constant_growth(1.5))
+        sol = solve_stationary_ball(op, tol=1e-10)
+        u0, c, dt = 0.1, 1.5, 0.01
+        trace, u = evolve(op, np.full(grid.size, u0), 20.0, dt=dt, stationary=sol.values)
+        logistic = c * u0 * np.exp(c * trace.times) / (c + u0 * (np.exp(c * trace.times) - 1.0))
+        assert np.all(trace.sup_norm <= logistic + 5.0 * dt)
+        assert trace.monotone_flag == "increasing"
+        assert np.all(np.diff(trace.dist_sup) < 0.0)
+        assert trace.dist_sup[-1] <= 1e-9
+
     def test_step_bound_rejected(self, ball_op):
         bound = stable_step(ball_op, 1.0)
         with pytest.raises(StepSizeError) as err:

@@ -4,11 +4,16 @@ import pytest
 from nichewave import ConfigError, ResourceLimitError, build_grid, snap_radius
 
 
+def test_1d_ball_cell_centers():
+    g = build_grid(1, 2.0, 0.5)
+    assert np.allclose(g.points[:, 0], -2.0 + 0.25 + 0.5 * np.arange(8))
+    assert g.weights.sum() == pytest.approx(4.0)
+
+
 def test_1d_ball_keeps_all_cell_centers():
     g = build_grid(1, 1.0, 0.25)
     assert g.size == 8
-    assert np.allclose(g.points[:, 0], -1.0 + 0.125 + 0.25 * np.arange(8))
-    assert g.weights.sum() == pytest.approx(2.0)
+    assert np.all(np.abs(g.points[:, 0]) <= 1.0)
 
 
 def test_2d_ball_filters_box_centers():

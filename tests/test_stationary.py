@@ -95,6 +95,24 @@ class TestBallSolve:
         extinct = build_operator(build_grid(1, 2.0, 0.25), tent, constant_growth(-0.5))
         assert solve_stationary_ball(extinct).op is extinct
 
+    def test_uniform_growth_state_rises_to_the_logistic_level(self, tent):
+        # f = u (1.5 - u): the ball state is even, stays below the uniform
+        # level 1.5 that the exterior drains, grows with the ball, and reaches
+        # 1.5 at the centre of a ball wide against the kernel
+        states = []
+        for radius in (4.0, 8.0):
+            op = build_operator(build_grid(1, radius, 0.125), rescale_kernel(tent, 1.0, 0.0),
+                                constant_growth(1.5))
+            sol = solve_stationary_ball(op, tol=1e-10)
+            assert sol.verdict == "persistent"
+            assert np.all(sol.values < 1.5)
+            assert np.max(np.abs(sol.values - sol.values[::-1])) <= 1e-12
+            states.append((op.grid, sol.values))
+        (small, u_small), (big, u_big) = states
+        i_small, i_big = small.common_with(big)
+        assert np.all(u_big[i_big] >= u_small[i_small] - 1e-10)
+        assert np.max(u_big) >= 1.5 - 1e-9
+
     def test_residual_oracle(self, ball_op):
         sol = solve_stationary_ball(ball_op, tol=1e-10)
         x = ball_op.grid.points[:, 0]
